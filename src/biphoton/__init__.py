@@ -20,8 +20,6 @@ from .phasematch import (
     CrystalSetup,
     PumpSpec,
     momentum_amplitude,
-    phi_double,
-    phi_single,
     pump_envelope,
     sinc,
 )

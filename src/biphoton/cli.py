@@ -140,14 +140,14 @@ def _auto_roi(pipe: fields.Pipeline, pitch: float) -> tuple[int, int]:
     return (n_pix, n_pix)
 
 
-def _cmd_collinear_angle(cfg: RunConfig) -> int:
+def _cmd_collinear_angle(cfg: RunConfig, args) -> int:
     theta = dispersion.collinear_angle(cfg.pump.wavelength)
     print(f"collinear phase-matching angle: {math.degrees(theta):.4f} deg "
           f"({theta:.6f} rad)")
     return EXIT_OK
 
 
-def _cmd_phasematch_map(cfg: RunConfig) -> int:
+def _cmd_phasematch_map(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
     ctx = dispersion.make_context(cfg.setup.theta_p, cfg.pump.wavelength)
     q = pipe.grid.q_axis
@@ -172,10 +172,10 @@ def _cmd_phasematch_map(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(cfg: RunConfig, basis: str) -> int:
+def _cmd_simulate(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
     amp = pipe.momentum_amplitude()
-    if basis == "mom":
+    if args.basis == "mom":
         dist = fields.averaged_joint_x(fields.momentum_pdf(amp))
         stem = "joint_mom_av"
     else:
@@ -186,7 +186,7 @@ def _cmd_simulate(cfg: RunConfig, basis: str) -> int:
     return EXIT_OK
 
 
-def _cmd_conditional(cfg: RunConfig) -> int:
+def _cmd_conditional(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
     dist4 = pipe.position_distribution(cfg.z)
     cond = fields.conditional_position(dist4)
@@ -195,7 +195,7 @@ def _cmd_conditional(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_singles(cfg: RunConfig) -> int:
+def _cmd_singles(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
     dist4 = pipe.position_distribution(cfg.z)
     for path in _write_2d(fields.singles(dist4), "singles_pos", cfg):
@@ -203,8 +203,8 @@ def _cmd_singles(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_ef(cfg: RunConfig) -> int:
-    report = entanglement.ef_min_at(cfg.pump, cfg.setup, cfg.z, n=cfg.grid.n,
+def _cmd_ef(cfg: RunConfig, args) -> int:
+    report = entanglement.ef_min_at(_pipeline(cfg), cfg.z,
                                     m=cfg.entanglement.m,
                                     fingerprint=cfg.fingerprint())
     out = {
@@ -228,15 +228,16 @@ def _cmd_ef(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(cfg: RunConfig, parameter: str, values_arg: str) -> int:
+def _cmd_scan(cfg: RunConfig, args) -> int:
+    parameter = args.parameter
     kind = {"z": "length", "theta": "angle", "d": "length"}[parameter]
     values = [parse_quantity(tok, kind, f"scan.{parameter}")
-              for tok in values_arg.split(",") if tok.strip()]
+              for tok in args.values.split(",") if tok.strip()]
     if not values:
         raise ConfigError("scan requires at least one value")
     param_name = {"z": "z", "theta": "theta_p", "d": "d"}[parameter]
-    points = entanglement.scan(cfg.pump, cfg.setup, cfg.z, param_name, values,
-                               n=cfg.grid.n, m=cfg.entanglement.m,
+    points = entanglement.scan(_pipeline(cfg), cfg.z, param_name, values,
+                               m=cfg.entanglement.m,
                                fingerprint=cfg.fingerprint())
     good = [(p.value, p.report.ef_min) for p in points if p.report is not None]
     for p in points:
@@ -255,9 +256,10 @@ def _cmd_scan(cfg: RunConfig, parameter: str, values_arg: str) -> int:
     return EXIT_OK
 
 
-def _cmd_frames(cfg: RunConfig, action: str, stack_path: str | None) -> int:
+def _cmd_frames(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
-    if action == "synth":
+    stack_path = args.stack
+    if args.action == "synth":
         pipe = _pipeline(cfg)
         dist4 = pipe.position_distribution(cfg.z)
         roi = cfg.coincidence.roi or _auto_roi(pipe, cfg.coincidence.pitch)
@@ -274,16 +276,29 @@ def _cmd_frames(cfg: RunConfig, action: str, stack_path: str | None) -> int:
         raise ConfigError("frames coincide requires --stack")
     stack = coin.load_frames(stack_path)
     cmap = coin.coincidence_map(stack, reduction="joint_x")
-    fp = cfg.fingerprint()
+    # The map describes the stack: its pitch and fingerprint, not the config's.
+    pitch, fp = stack.detector.pitch, stack.fingerprint
     base = os.path.join(cfg.outdir, "coincidence_xx")
     writers.write_grd(cmap.values, base + ".grd", ("x_s", "x_i"),
-                      (cfg.coincidence.pitch, cfg.coincidence.pitch),
-                      "counts^2/frame", fingerprint=fp,
+                      (pitch, pitch), "counts^2/frame", fingerprint=fp,
                       extra={"n_frames": cmap.n_frames})
     writers.write_csv(cmap.values, base + ".csv", ("x_s", "x_i"),
                       fingerprint=fp)
     print(f"wrote {base}.grd and {base}.csv")
     return EXIT_OK
+
+
+#: Subcommand name -> handler(cfg, parsed args) returning the exit code.
+_COMMANDS = {
+    "collinear-angle": _cmd_collinear_angle,
+    "phasematch-map": _cmd_phasematch_map,
+    "simulate": _cmd_simulate,
+    "conditional": _cmd_conditional,
+    "singles": _cmd_singles,
+    "ef": _cmd_ef,
+    "scan": _cmd_scan,
+    "frames": _cmd_frames,
+}
 
 
 def main(argv=None) -> int:
@@ -297,23 +312,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command == "collinear-angle":
-            return _cmd_collinear_angle(cfg)
-        if args.command == "phasematch-map":
-            return _cmd_phasematch_map(cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args.basis)
-        if args.command == "conditional":
-            return _cmd_conditional(cfg)
-        if args.command == "singles":
-            return _cmd_singles(cfg)
-        if args.command == "ef":
-            return _cmd_ef(cfg)
-        if args.command == "scan":
-            return _cmd_scan(cfg, args.parameter, args.values)
-        if args.command == "frames":
-            return _cmd_frames(cfg, args.action, args.stack)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ConfigurationError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -325,7 +324,6 @@ def main(argv=None) -> int:
     except (OSError, writers.WriteError) as exc:
         print(f"io: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

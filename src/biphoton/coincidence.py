@@ -15,14 +15,12 @@ uncorrelated background.
 from __future__ import annotations
 
 import json
-import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import Distribution
+from .writers import _atomic_write
 
 
 class DetectorError(ValueError):
@@ -281,19 +279,11 @@ def save_frames(stack: FrameStack, path) -> None:
             "roi": list(stack.detector.roi),
         },
     }
-    payload = stack.counts.astype("<u2").tobytes(order="C")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    # One copy of the counts: join reads the little-endian view directly.
+    counts = np.ascontiguousarray(stack.counts, dtype="<u2")
+    _atomic_write(path, b"".join([
+        json.dumps(header, sort_keys=True).encode("utf-8") + b"\n",
+        memoryview(counts)]))
 
 
 def load_frames(path) -> FrameStack:

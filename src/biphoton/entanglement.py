@@ -9,19 +9,11 @@ mutually conjugate M-bin grids (dx * dk = 2*pi/M), the DFT grid pairing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dispersion import BBO, SellmeierModel
-from .fields import (
-    Distribution,
-    MomentumGrid4,
-    Pipeline,
-    averaged_joint_x,
-    momentum_pdf,
-)
-from .phasematch import CrystalSetup, PumpSpec
+from .fields import Distribution, Pipeline, averaged_joint_x, momentum_pdf
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,21 +157,16 @@ def _downbin(joint: DiscreteJoint, mom_fine: np.ndarray, m: int,
     return pos, mom
 
 
-def build_discrete_joints(pump: PumpSpec, setup: CrystalSetup, z: float,
-                          n: int = 64, m: int | None = None,
-                          model: SellmeierModel = BBO,
-                          grid: MomentumGrid4 | None = None,
-                          pipeline: Pipeline | None = None,
+def build_discrete_joints(pipeline: Pipeline, z: float, m: int | None = None,
                           amp=None) -> tuple[DiscreteJoint, DiscreteJoint]:
     """Run the field pipeline and produce the conjugate (position, momentum)
     1D-x averaged joints at distance z.
 
     ``m`` defaults to the fine grid size (no re-binning); a divisor of n
     requests box-averaged position bins with the momentum joint cropped to
-    the conjugate window.
+    the conjugate window.  ``amp`` reuses an already built momentum
+    amplitude of the same pipeline.
     """
-    if pipeline is None:
-        pipeline = Pipeline.create(pump, setup, n=n, model=model, grid=grid)
     if amp is None:
         amp = pipeline.momentum_amplitude()
     n = pipeline.grid.n
@@ -200,13 +187,12 @@ def build_discrete_joints(pump: PumpSpec, setup: CrystalSetup, z: float,
     return _downbin(pos_fine, mom_fine.values, m, pipeline.grid.dq)
 
 
-def ef_min_at(pump: PumpSpec, setup: CrystalSetup, z: float, n: int = 64,
-              m: int | None = None, model: SellmeierModel = BBO,
-              fingerprint: str = "", pipeline: Pipeline | None = None,
-              amp=None, params: dict | None = None) -> EfReport:
+def ef_min_at(pipeline: Pipeline, z: float, m: int | None = None,
+              fingerprint: str = "", amp=None,
+              params: dict | None = None) -> EfReport:
     """End-to-end ef_min for one configuration."""
-    pos, mom = build_discrete_joints(pump, setup, z, n=n, m=m, model=model,
-                                     pipeline=pipeline, amp=amp)
+    pos, mom = build_discrete_joints(pipeline, z, m=m, amp=amp)
+    setup = pipeline.setup
     merged = {"z": z, "theta_p": setup.theta_p, "kind": setup.kind,
               "length": setup.length, "gap": setup.gap}
     merged.update(params or {})
@@ -222,41 +208,35 @@ class ScanPoint:
     error: str | None = None
 
 
-def scan(pump: PumpSpec, setup: CrystalSetup, z: float, parameter: str,
-         values, n: int = 64, m: int | None = None,
-         model: SellmeierModel = BBO, fingerprint: str = "") -> list[ScanPoint]:
+def scan(pipeline: Pipeline, z: float, parameter: str, values,
+         m: int | None = None, fingerprint: str = "") -> list[ScanPoint]:
     """Evaluate ef_min over one swept parameter: "z", "theta_p", or "d".
 
     Points are evaluated independently in the order given; per-point errors
     are captured in the result instead of aborting the scan.  For a z scan
-    the momentum amplitude (z-independent) is built once and reused.
+    the momentum amplitude (z-independent) is built once and reused.  A
+    theta_p or d scan swaps the crystal setup and keeps the pipeline's grid.
     """
     if parameter not in ("z", "theta_p", "d"):
         raise EntanglementError(f"unknown scan parameter {parameter!r}")
+    setup = pipeline.setup
     points: list[ScanPoint] = []
 
-    shared_pipeline = shared_amp = None
+    shared_amp = None
     if parameter == "z":
-        shared_pipeline = Pipeline.create(pump, setup, n=n, model=model)
-        shared_amp = shared_pipeline.momentum_amplitude()
+        shared_amp = pipeline.momentum_amplitude()
 
     for value in values:
         try:
             if parameter == "z":
-                report = ef_min_at(pump, setup, float(value), n=n, m=m,
-                                   model=model, fingerprint=fingerprint,
-                                   pipeline=shared_pipeline, amp=shared_amp)
-            elif parameter == "theta_p":
-                setup_v = CrystalSetup(setup.kind, setup.length, setup.gap,
-                                       float(value))
-                report = ef_min_at(pump, setup_v, z, n=n, m=m, model=model,
-                                   fingerprint=fingerprint)
+                report = ef_min_at(pipeline, float(value), m=m,
+                                   fingerprint=fingerprint, amp=shared_amp)
             else:
-                if setup.kind != "double":
+                if parameter == "d" and setup.kind != "double":
                     raise EntanglementError("gap scan requires a double-crystal setup")
-                setup_v = CrystalSetup("double", setup.length, float(value),
-                                       setup.theta_p)
-                report = ef_min_at(pump, setup_v, z, n=n, m=m, model=model,
+                key = "theta_p" if parameter == "theta_p" else "gap"
+                varied = replace(setup, **{key: float(value)})
+                report = ef_min_at(replace(pipeline, setup=varied), z, m=m,
                                    fingerprint=fingerprint)
             points.append(ScanPoint(value=float(value), report=report))
         except Exception as exc:  # per-point errors are data, not fatal

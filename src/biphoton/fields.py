@@ -27,14 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import BBO, SellmeierModel, TransverseMomentum, make_context
-from .phasematch import (
-    ConfigurationError,
-    CrystalSetup,
-    PumpSpec,
-    momentum_amplitude,
-    phi_of_mismatch,
-    pump_envelope,
-)
+from .phasematch import CrystalSetup, PumpSpec, momentum_amplitude
 from . import dispersion
 
 TWO_PI = 2.0 * math.pi
@@ -198,20 +191,11 @@ def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
     ctx = make_context(setup.theta_p, pump.wavelength, model)
     q = grid.q_axis
     # Separable broadcasting: axes (sx, sy, ix, iy).
-    q_sx = q[:, None, None, None]
-    q_sy = q[None, :, None, None]
-    q_ix = q[None, None, :, None]
-    q_iy = q[None, None, None, :]
-
-    dkz = dispersion.delta_kz(
-        TransverseMomentum(q_sx, q_sy), TransverseMomentum(q_ix, q_iy),
-        ctx, paraxial=paraxial)
-    values = np.asarray(phi_of_mismatch(dkz, setup), dtype=np.complex128)
-    del dkz
-    # Pump envelope factorizes over (sx, ix) and (sy, iy) pairs.
-    gx = np.exp(-((q[:, None] + q[None, :]) ** 2) * pump.waist**2 / 4.0)
-    values *= gx[:, None, :, None]
-    values *= gx[None, :, None, :]
+    values = momentum_amplitude(
+        TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
+        TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
+        pump, setup, ctx=ctx, paraxial=paraxial)
+    values = np.asarray(values, dtype=np.complex128)
 
     peak = float(np.abs(values).max())
     if peak == 0.0:
@@ -425,21 +409,6 @@ class Pipeline:
     model: SellmeierModel = BBO
     boundary_tol: float | None = BOUNDARY_TOLERANCE
     memory_budget: int = MEMORY_BUDGET
-
-    @classmethod
-    def create(cls, pump: PumpSpec, setup: CrystalSetup, n: int = DEFAULT_N,
-               model: SellmeierModel = BBO, grid: MomentumGrid4 | None = None,
-               **kwargs) -> "Pipeline":
-        if not math.isclose(pump.lambda_signal, 2.0 * pump.wavelength):
-            raise ConfigurationError("only degenerate signal/idler supported")
-        if grid is None:
-            grid = MomentumGrid4.auto(pump, setup, n=n, model=model)
-        return cls(pump=pump, setup=setup, grid=grid, model=model, **kwargs)
-
-    @property
-    def k_signal(self) -> float:
-        ctx = make_context(self.setup.theta_p, self.pump.wavelength, self.model)
-        return ctx.k_signal
 
     def momentum_amplitude(self) -> BiphotonAmplitude4:
         return build_amplitude(self.grid, self.pump, self.setup, self.model,

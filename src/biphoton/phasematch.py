@@ -114,35 +114,24 @@ def phi_of_mismatch(dkz, setup: CrystalSetup):
     return sinc(half) * np.cos(arg)
 
 
-def phi_single(q_s: TransverseMomentum, q_i: TransverseMomentum,
-               setup: CrystalSetup, ctx: PhaseMatchContext,
-               paraxial: str = "warn"):
-    """Single-crystal phase-matching amplitude (complex)."""
-    if setup.kind != "single":
-        raise ConfigurationError("phi_single requires a single-crystal setup")
-    return phi_of_mismatch(delta_kz(q_s, q_i, ctx, paraxial), setup)
-
-
-def phi_double(q_s: TransverseMomentum, q_i: TransverseMomentum,
-               setup: CrystalSetup, ctx: PhaseMatchContext,
-               paraxial: str = "warn"):
-    """Double-crystal phase-matching amplitude (purely real)."""
-    if setup.kind != "double":
-        raise ConfigurationError("phi_double requires a double-crystal setup")
-    return phi_of_mismatch(delta_kz(q_s, q_i, ctx, paraxial), setup)
-
-
 def momentum_amplitude(q_s: TransverseMomentum, q_i: TransverseMomentum,
                        pump: PumpSpec, setup: CrystalSetup,
                        model: SellmeierModel = BBO,
                        ctx: PhaseMatchContext | None = None,
                        paraxial: str = "warn"):
-    """Unnormalized two-photon momentum amplitude V(q_s + q_i) * Phi(q_s, q_i)."""
+    """Unnormalized two-photon momentum amplitude V(q_s + q_i) * Phi(q_s, q_i).
+
+    The Gaussian V factors exactly into an x-pair and a y-pair envelope,
+    applied to Phi in place, so the envelope adds no array of the full
+    broadcast shape.  Real for a double crystal.
+    """
     if ctx is None:
         ctx = make_context(setup.theta_p, pump.wavelength, model)
     elif not math.isclose(ctx.lambda_p, pump.wavelength):
         raise ConfigurationError("context wavelength disagrees with pump")
-    q_p = TransverseMomentum(np.asarray(q_s.qx) + np.asarray(q_i.qx),
-                             np.asarray(q_s.qy) + np.asarray(q_i.qy))
-    return pump_envelope(q_p, pump) * phi_of_mismatch(
-        delta_kz(q_s, q_i, ctx, paraxial), setup)
+    amp = phi_of_mismatch(delta_kz(q_s, q_i, ctx, paraxial), setup)
+    amp *= pump_envelope(
+        TransverseMomentum(np.asarray(q_s.qx) + np.asarray(q_i.qx), 0.0), pump)
+    amp *= pump_envelope(
+        TransverseMomentum(0.0, np.asarray(q_s.qy) + np.asarray(q_i.qy)), pump)
+    return amp

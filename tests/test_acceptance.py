@@ -196,10 +196,8 @@ class TestAcceptance:
         for scale in (1.0, 1.3, 1.7, 2.2):
             grid = MomentumGrid4.auto(PUMP, setup, n=N_DEFAULT,
                                       c2=EXTENT_C2 * scale)
-            pipe = Pipeline.create(PUMP, setup, grid=grid)
             try:
-                return ef_min_at(PUMP, setup, z, n=N_DEFAULT,
-                                 pipeline=pipe).ef_min
+                return ef_min_at(Pipeline(PUMP, setup, grid), z).ef_min
             except SupportTruncationError:
                 continue
         raise SupportTruncationError(
@@ -229,7 +227,8 @@ class TestAcceptance:
 
     def test_08_entanglement_region_scan(self):
         zs = [k * 2.5e-3 for k in range(15)]  # 0 .. 35 mm
-        points = scan(PUMP, SETUP_DEFAULT, Z_DEFAULT, "z", zs, n=N_DEFAULT)
+        grid = MomentumGrid4.auto(PUMP, SETUP_DEFAULT, n=N_DEFAULT)
+        points = scan(Pipeline(PUMP, SETUP_DEFAULT, grid), Z_DEFAULT, "z", zs)
         values = np.array([p.report.ef_min if p.report else np.nan
                            for p in points])
         inner_positive = bool(np.all(values[np.array(zs) <= 15e-3] > 0))

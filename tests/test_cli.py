@@ -184,11 +184,29 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "fields" in err
 
+    @pytest.mark.parametrize("command", [
+        ("simulate", "pos"), ("ef",), ("scan", "z", "--values", "5mm")],
+        ids=["simulate-pos", "ef", "scan-z"])
+    def test_grid_boundary_tol_honoured(self, tmp_path, command):
+        # At n = 8 the boundary ratio is about 0.12: over the default
+        # tolerance 0.1, under the configured 0.5.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 8, "boundary_tol": 0.5}}))
+        assert self.run("--config", str(cfg), *command, outdir=tmp_path) == 0
+
     def test_ef_report(self, tmp_path):
         assert self.run("--n", "16", "ef", outdir=tmp_path) == 0
         report = json.loads((tmp_path / "ef_report.json").read_text())
         assert report["ef_min_ebits"] > 0
         assert report["m"] == 16
+        # The grid extent keys reach the computation, not only the fingerprint.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 16, "c2": 3.0}}))
+        wide = tmp_path / "wide"
+        assert self.run("--config", str(cfg), "ef", outdir=wide) == 0
+        wide_report = json.loads((wide / "ef_report.json").read_text())
+        assert wide_report["fingerprint"] != report["fingerprint"]
+        assert wide_report["ef_min_ebits"] != report["ef_min_ebits"]
 
     def test_scan_theta_csv(self, tmp_path):
         code = self.run("--n", "16", "scan", "theta",
@@ -199,15 +217,25 @@ class TestCliCommands:
         assert len(data) == 3  # header + 2 points
 
     def test_frames_pipeline(self, tmp_path):
-        code = self.run("--n", "16", "--frames", "50", "--seed", "5",
-                        "frames", "synth", outdir=tmp_path)
+        # The stack is synthesized with a non-default pitch; coincide runs
+        # with the default config, and its outputs describe the stack.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"coincidence": {"pitch": "8um"}}))
+        code = self.run("--config", str(cfg), "--n", "16", "--frames", "50",
+                        "--seed", "5", "frames", "synth", outdir=tmp_path)
         assert code == 0
         stack = tmp_path / "frames.bpfs"
         assert stack.exists()
+        with open(stack, "rb") as fh:
+            stack_header = json.loads(fh.readline())
         code = self.run("frames", "coincide", "--stack", str(stack),
                         outdir=tmp_path)
         assert code == 0
-        assert (tmp_path / "coincidence_xx.grd").exists()
+        _, header = read_grd(tmp_path / "coincidence_xx.grd")
+        assert header["deltas"] == [8e-6, 8e-6]
+        assert header["fingerprint"] == stack_header["fingerprint"]
+        csv_head = (tmp_path / "coincidence_xx.csv").read_text().splitlines()[0]
+        assert csv_head == f"# fingerprint={stack_header['fingerprint']}"
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))

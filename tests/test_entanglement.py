@@ -19,10 +19,15 @@ from biphoton.entanglement import (
     joint_entropy,
     scan,
 )
+from biphoton.fields import MomentumGrid4, Pipeline
 from biphoton.phasematch import CrystalSetup, PumpSpec
 
 PUMP = PumpSpec(355e-9, 507e-6)
 TOL = 1e-12
+
+
+def pipeline(setup, n):
+    return Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=n))
 
 
 def pos_joint(values, m):
@@ -207,7 +212,7 @@ class TestEfMin:
 @pytest.fixture(scope="module")
 def joints():
     setup = CrystalSetup.single(5e-3, collinear_angle(355e-9))
-    return build_discrete_joints(PUMP, setup, 5e-3, n=32)
+    return build_discrete_joints(pipeline(setup, 32), 5e-3)
 
 
 class TestBuildDiscreteJoints:
@@ -241,7 +246,7 @@ class TestBuildDiscreteJoints:
 
     def test_downbinning_preserves_mass(self):
         setup = CrystalSetup.single(5e-3, collinear_angle(355e-9))
-        pos, mom = build_discrete_joints(PUMP, setup, 5e-3, n=32, m=16)
+        pos, mom = build_discrete_joints(pipeline(setup, 32), 5e-3, m=16)
         assert pos.m == 16 and mom.m == 16
         assert pos.values.sum() == pytest.approx(1.0, abs=1e-10)
         assert pos.delta * mom.delta == pytest.approx(2 * math.pi / 16,
@@ -252,34 +257,34 @@ class TestScan:
     def test_z_scan_deterministic_order(self):
         setup = CrystalSetup.single(5e-3, math.radians(32.9))
         zs = [0.0, 5e-3]
-        points = scan(PUMP, setup, 5e-3, "z", zs, n=16)
+        points = scan(pipeline(setup, 16), 5e-3, "z", zs)
         assert [p.value for p in points] == zs
-        again = scan(PUMP, setup, 5e-3, "z", zs, n=16)
+        again = scan(pipeline(setup, 16), 5e-3, "z", zs)
         assert [p.report.ef_min for p in points] == \
             [p.report.ef_min for p in again]
 
     def test_per_point_errors_collected(self):
         setup = CrystalSetup.single(5e-3, math.radians(32.9))
-        points = scan(PUMP, setup, 5e-3, "theta_p",
-                      [math.radians(32.9), -1.0], n=16)
+        points = scan(pipeline(setup, 16), 5e-3, "theta_p",
+                      [math.radians(32.9), -1.0])
         assert points[0].report is not None
         assert points[1].report is None and points[1].error
 
     def test_unknown_parameter_rejected(self):
         setup = CrystalSetup.single(5e-3, math.radians(32.9))
         with pytest.raises(Exception):
-            scan(PUMP, setup, 5e-3, "waist", [1e-4], n=16)
+            scan(pipeline(setup, 16), 5e-3, "waist", [1e-4])
 
     def test_d_scan_requires_double(self):
         single = CrystalSetup.single(5e-3, math.radians(32.9))
-        points = scan(PUMP, single, 7.5e-3, "d", [2e-3], n=16)
+        points = scan(pipeline(single, 16), 7.5e-3, "d", [2e-3])
         assert points[0].report is None and points[0].error
 
 
 class TestEfMinAt:
     def test_positive_at_defaults_small_grid(self):
         setup = CrystalSetup.single(5e-3, math.radians(32.9))
-        report = ef_min_at(PUMP, setup, 5e-3, n=16, fingerprint="abc123")
+        report = ef_min_at(pipeline(setup, 16), 5e-3, fingerprint="abc123")
         assert report.ef_min > 0
         assert report.fingerprint == "abc123"
         assert 0 <= report.h_pos_conditional <= math.log2(report.m) + 1e-12

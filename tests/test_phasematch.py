@@ -13,9 +13,7 @@ from biphoton.phasematch import (
     CrystalSetup,
     PumpSpec,
     momentum_amplitude,
-    phi_double,
     phi_of_mismatch,
-    phi_single,
     pump_envelope,
     sinc,
 )
