@@ -15,6 +15,7 @@ uncorrelated background.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,18 +288,24 @@ def save_frames(stack: FrameStack, path) -> None:
 
 
 def load_frames(path) -> FrameStack:
-    """Read a frame stack written by :func:`save_frames`."""
+    """Read a frame stack written by :func:`save_frames`.
+
+    The payload is read straight into one array of the size the header
+    implies; a short or an over-long payload raises :class:`DetectorError`.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("magic") != FRAME_MAGIC:
-        raise DetectorError(f"{path}: not a frame-stack file")
-    shape = (header["n_frames"], header["planes"], header["ny"], header["nx"])
-    expected = int(np.prod(shape)) * 2
-    if len(payload) != expected:
-        raise DetectorError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    counts = np.frombuffer(payload, dtype="<u2").reshape(shape).astype(np.uint16)
+        header = json.loads(header_line.decode("utf-8"))
+        if header.get("magic") != FRAME_MAGIC:
+            raise DetectorError(f"{path}: not a frame-stack file")
+        shape = (header["n_frames"], header["planes"], header["ny"], header["nx"])
+        counts = np.empty(shape, dtype="<u2")
+        payload = os.fstat(fh.fileno()).st_size - len(header_line)
+        if payload != counts.nbytes:
+            raise DetectorError(
+                f"{path}: payload is {payload} bytes, expected {counts.nbytes}")
+        fh.readinto(counts)
+    counts = counts.astype(np.uint16, copy=False)  # a no-op on little-endian hosts
     det = header["detector"]
     detector = DetectorModel(pitch=det["pitch"],
                              quantum_efficiency=det["quantum_efficiency"],

@@ -218,16 +218,43 @@ def make_context(theta_p: float, lambda_p: float,
 
 def _check_paraxial(q_sq_max: float, k: float, mode: str, label: str,
                     ratio: float = PARAXIAL_RATIO) -> None:
-    if mode == "ignore":
-        return
-    if mode not in PARAXIAL_MODES:
-        raise DispersionError(f"paraxial mode must be one of {PARAXIAL_MODES}")
     if q_sq_max > (ratio * k) ** 2:
         msg = (f"{label}: |q| = {math.sqrt(q_sq_max):.3e} rad/m exceeds "
                f"{ratio:g} * k = {ratio * k:.3e} rad/m; paraxial expansion unsafe")
         if mode == "error":
             raise ParaxialityError(msg)
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(msg, stacklevel=4)
+
+
+def _max_of_sum(x, y) -> float:
+    """max(x + y) over the broadcast of x and y.
+
+    When x and y share no non-singleton axis every pairing occurs, and
+    rounding is monotone, so the sum of the two maxima is the same number
+    without forming the broadcast.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    nd = max(x.ndim, y.ndim)
+    xs = (1,) * (nd - x.ndim) + x.shape
+    ys = (1,) * (nd - y.ndim) + y.shape
+    if all(p == 1 or q == 1 for p, q in zip(xs, ys)):
+        return float(x.max() + y.max())
+    return float(np.max(x + y))
+
+
+def _check_paraxial_all(q_s: TransverseMomentum, q_i: TransverseMomentum,
+                        ctx: PhaseMatchContext, mode: str) -> None:
+    """Signal, idler and pump |q|/k guards of one mismatch evaluation."""
+    if mode == "ignore":
+        return
+    if mode not in PARAXIAL_MODES:
+        raise DispersionError(f"paraxial mode must be one of {PARAXIAL_MODES}")
+    sx, sy = np.asarray(q_s.qx), np.asarray(q_s.qy)
+    ix, iy = np.asarray(q_i.qx), np.asarray(q_i.qy)
+    _check_paraxial(_max_of_sum(sx**2, sy**2), ctx.k_signal, mode, "signal")
+    _check_paraxial(_max_of_sum(ix**2, iy**2), ctx.k_signal, mode, "idler")
+    _check_paraxial(_max_of_sum((sx + ix) ** 2, (sy + iy) ** 2),
+                    ctx.k_pump_z0, mode, "pump")
 
 
 def longitudinal_wavevectors(q_s: TransverseMomentum, q_i: TransverseMomentum,
@@ -238,18 +265,12 @@ def longitudinal_wavevectors(q_s: TransverseMomentum, q_i: TransverseMomentum,
     transverse momentum is q_p = q_s + q_i and carries the walk-off term
     -alpha * q_px.
     """
+    _check_paraxial_all(q_s, q_i, ctx, paraxial)
     c = ctx.coeffs
     q_px = np.asarray(q_s.qx) + np.asarray(q_i.qx)
     q_py = np.asarray(q_s.qy) + np.asarray(q_i.qy)
     qs_sq = np.asarray(q_s.qx) ** 2 + np.asarray(q_s.qy) ** 2
     qi_sq = np.asarray(q_i.qx) ** 2 + np.asarray(q_i.qy) ** 2
-
-    if paraxial != "ignore":
-        _check_paraxial(float(np.max(qs_sq)), ctx.k_signal, paraxial, "signal")
-        _check_paraxial(float(np.max(qi_sq)), ctx.k_signal, paraxial, "idler")
-        _check_paraxial(float(np.max(q_px**2 + q_py**2)), ctx.k_pump_z0,
-                        paraxial, "pump")
-
     k_pz = (-c.alpha * q_px + c.eta * ctx.K_p0
             - (c.beta**2 * q_px**2 + c.gamma**2 * q_py**2)
             / (2.0 * c.eta * ctx.K_p0))
@@ -258,11 +279,39 @@ def longitudinal_wavevectors(q_s: TransverseMomentum, q_i: TransverseMomentum,
     return k_pz, k_sz, k_iz
 
 
+def mismatch_split(q_s: TransverseMomentum, q_i: TransverseMomentum,
+                   ctx: PhaseMatchContext, paraxial: str = "warn"):
+    """The mismatch k_sz + k_iz - k_pz as an x-pair part plus a y-pair part.
+
+    With k = n_so K_s0 and q_p = q_s + q_i, the paraxial mismatch splits
+    exactly into
+
+        a(q_sx, q_ix) = (2k - eta K_p0) - (q_sx^2 + q_ix^2) / 2k
+                        + alpha q_px + beta^2 q_px^2 / (2 eta K_p0)
+        b(q_sy, q_iy) = -(q_sy^2 + q_iy^2) / 2k + gamma^2 q_py^2 / (2 eta K_p0)
+
+    Each part keeps the broadcast shape of its own two components, so on a
+    grid both are pair tables, and the large cancellation 2k - eta K_p0
+    happens once, as a scalar, not per element.  Returns (a, b) in rad/m.
+    """
+    _check_paraxial_all(q_s, q_i, ctx, paraxial)
+    c = ctx.coeffs
+    sx, sy = np.asarray(q_s.qx), np.asarray(q_s.qy)
+    ix, iy = np.asarray(q_i.qx), np.asarray(q_i.qy)
+    q_px, q_py = sx + ix, sy + iy
+    two_k = 2.0 * ctx.k_signal
+    two_kp = 2.0 * c.eta * ctx.K_p0
+    a = ((two_k - ctx.k_pump_z0) - (sx**2 + ix**2) / two_k + c.alpha * q_px
+         + c.beta**2 * q_px**2 / two_kp)
+    b = -(sy**2 + iy**2) / two_k + c.gamma**2 * q_py**2 / two_kp
+    return a, b
+
+
 def delta_kz(q_s: TransverseMomentum, q_i: TransverseMomentum,
              ctx: PhaseMatchContext, paraxial: str = "warn"):
-    """Longitudinal phase mismatch k_sz + k_iz - k_pz in rad/m."""
-    k_pz, k_sz, k_iz = longitudinal_wavevectors(q_s, q_i, ctx, paraxial)
-    return k_sz + k_iz - k_pz
+    """Longitudinal phase mismatch k_sz + k_iz - k_pz in rad/m, as a + b."""
+    a, b = mismatch_split(q_s, q_i, ctx, paraxial)
+    return a + b
 
 
 def collinear_angle(lambda_p: float, lambda_s: float | None = None,

@@ -157,6 +157,22 @@ def _downbin(joint: DiscreteJoint, mom_fine: np.ndarray, m: int,
     return pos, mom
 
 
+def _momentum_joint(amp) -> DiscreteJoint:
+    """The fine 1D-x averaged momentum joint; independent of z."""
+    return _as_joint(averaged_joint_x(momentum_pdf(amp)), "momentum")
+
+
+def _joints_at(pipeline: Pipeline, z: float, m: int | None, amp,
+               mom_fine: DiscreteJoint) -> tuple[DiscreteJoint, DiscreteJoint]:
+    """The conjugate joints at z, given the amplitude and its momentum joint."""
+    pos4 = pipeline.position_distribution(z, amp)
+    pos_fine = _as_joint(averaged_joint_x(pos4), "position")
+    del pos4
+    if m is None or m == pipeline.grid.n:
+        return pos_fine, mom_fine
+    return _downbin(pos_fine, mom_fine.values, m, pipeline.grid.dq)
+
+
 def build_discrete_joints(pipeline: Pipeline, z: float, m: int | None = None,
                           amp=None) -> tuple[DiscreteJoint, DiscreteJoint]:
     """Run the field pipeline and produce the conjugate (position, momentum)
@@ -169,22 +185,17 @@ def build_discrete_joints(pipeline: Pipeline, z: float, m: int | None = None,
     """
     if amp is None:
         amp = pipeline.momentum_amplitude()
-    n = pipeline.grid.n
-    if m is None:
-        m = n
+    return _joints_at(pipeline, z, m, amp, _momentum_joint(amp))
 
-    mom4 = momentum_pdf(amp)
-    mom2 = averaged_joint_x(mom4)
-    del mom4
-    pos4 = pipeline.position_distribution(z, amp)
-    pos2 = averaged_joint_x(pos4)
-    del pos4
 
-    pos_fine = _as_joint(pos2, "position")
-    mom_fine = _as_joint(mom2, "momentum")
-    if m == n:
-        return pos_fine, mom_fine
-    return _downbin(pos_fine, mom_fine.values, m, pipeline.grid.dq)
+def _report(pipeline: Pipeline, z: float, pos: DiscreteJoint,
+            mom: DiscreteJoint, fingerprint: str,
+            params: dict | None = None) -> EfReport:
+    setup = pipeline.setup
+    merged = {"z": z, "theta_p": setup.theta_p, "kind": setup.kind,
+              "length": setup.length, "gap": setup.gap}
+    merged.update(params or {})
+    return ef_min(pos, mom, fingerprint=fingerprint, params=merged)
 
 
 def ef_min_at(pipeline: Pipeline, z: float, m: int | None = None,
@@ -192,11 +203,7 @@ def ef_min_at(pipeline: Pipeline, z: float, m: int | None = None,
               params: dict | None = None) -> EfReport:
     """End-to-end ef_min for one configuration."""
     pos, mom = build_discrete_joints(pipeline, z, m=m, amp=amp)
-    setup = pipeline.setup
-    merged = {"z": z, "theta_p": setup.theta_p, "kind": setup.kind,
-              "length": setup.length, "gap": setup.gap}
-    merged.update(params or {})
-    return ef_min(pos, mom, fingerprint=fingerprint, params=merged)
+    return _report(pipeline, z, pos, mom, fingerprint, params)
 
 
 @dataclass(frozen=True)
@@ -214,23 +221,25 @@ def scan(pipeline: Pipeline, z: float, parameter: str, values,
 
     Points are evaluated independently in the order given; per-point errors
     are captured in the result instead of aborting the scan.  For a z scan
-    the momentum amplitude (z-independent) is built once and reused.  A
-    theta_p or d scan swaps the crystal setup and keeps the pipeline's grid.
+    the momentum amplitude and its momentum joint (both z-independent) are
+    built once and reused.  A theta_p or d scan swaps the crystal setup and
+    keeps the pipeline's grid.
     """
     if parameter not in ("z", "theta_p", "d"):
         raise EntanglementError(f"unknown scan parameter {parameter!r}")
     setup = pipeline.setup
     points: list[ScanPoint] = []
 
-    shared_amp = None
     if parameter == "z":
         shared_amp = pipeline.momentum_amplitude()
+        shared_mom = _momentum_joint(shared_amp)
 
     for value in values:
         try:
             if parameter == "z":
-                report = ef_min_at(pipeline, float(value), m=m,
-                                   fingerprint=fingerprint, amp=shared_amp)
+                pos, mom = _joints_at(pipeline, float(value), m, shared_amp,
+                                      shared_mom)
+                report = _report(pipeline, float(value), pos, mom, fingerprint)
             else:
                 if parameter == "d" and setup.kind != "double":
                     raise EntanglementError("gap scan requires a double-crystal setup")

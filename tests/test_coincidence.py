@@ -237,3 +237,12 @@ class TestFrameFile:
         path.write_bytes(raw[:-16])
         with pytest.raises(Exception):
             load_frames(path)
+
+    def test_overlong_payload_rejected(self, dist4, tmp_path):
+        det = detector()
+        stack = synth_frames(dist4, det, 1.0, 4, seed=0)
+        path = tmp_path / "stack.bpfs"
+        save_frames(stack, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 16)
+        with pytest.raises(DetectorError, match="payload is"):
+            load_frames(path)

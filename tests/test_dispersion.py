@@ -6,6 +6,7 @@ the same closed forms and are frozen here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from biphoton.dispersion import (
     load_sellmeier,
     longitudinal_wavevectors,
     make_context,
+    mismatch_split,
     pump_coefficients,
     refractive_index,
 )
+from biphoton.fields import MomentumGrid4
+from biphoton.phasematch import CrystalSetup, PumpSpec
 
 LAMBDA_P = 355e-9
 LAMBDA_S = 710e-9
@@ -257,3 +261,72 @@ class TestCollinearAngle:
                                name="synthetic")
         with pytest.raises(NoCollinearMatchError):
             collinear_angle(LAMBDA_P, model=model)
+
+
+def _longdouble_mismatch(q_s, q_i, ctx):
+    """k_sz + k_iz - k_pz of longitudinal_wavevectors' formula in long double."""
+    ld = np.longdouble
+    c = ctx.coeffs
+    sx, sy = np.asarray(q_s.qx, dtype=ld), np.asarray(q_s.qy, dtype=ld)
+    ix, iy = np.asarray(q_i.qx, dtype=ld), np.asarray(q_i.qy, dtype=ld)
+    q_px, q_py = sx + ix, sy + iy
+    eta, K_p0 = ld(c.eta), ld(ctx.K_p0)
+    n_so, K_s0 = ld(ctx.n_so), ld(ctx.K_s0)
+    k_pz = (-ld(c.alpha) * q_px + eta * K_p0
+            - (ld(c.beta) ** 2 * q_px**2 + ld(c.gamma) ** 2 * q_py**2)
+            / (2 * eta * K_p0))
+    k_sz = n_so * K_s0 - (sx**2 + sy**2) / (2 * n_so * K_s0)
+    k_iz = n_so * K_s0 - (ix**2 + iy**2) / (2 * n_so * K_s0)
+    return k_sz + k_iz - k_pz
+
+
+class TestMismatchSplit:
+    def broadcast(self, n):
+        pump = PumpSpec(LAMBDA_P, 507e-6)
+        setup = CrystalSetup.single(5e-3, math.radians(32.9))
+        q = MomentumGrid4.auto(pump, setup, n=n).q_axis
+        return (TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
+                TransverseMomentum(q[None, None, :, None], q[None, None, None, :]))
+
+    def test_split_parts_are_pair_tables(self):
+        ctx = make_context(math.radians(32.9), LAMBDA_P)
+        a, b = mismatch_split(*self.broadcast(16), ctx)
+        assert a.shape == (16, 1, 16, 1)
+        assert b.shape == (1, 16, 1, 16)
+
+    def test_split_at_least_as_accurate_as_direct_form(self):
+        ctx = make_context(math.radians(32.9), LAMBDA_P)
+        q_s, q_i = self.broadcast(16)
+        ref = _longdouble_mismatch(q_s, q_i, ctx)
+        k_pz, k_sz, k_iz = longitudinal_wavevectors(q_s, q_i, ctx)
+        err_direct = float(np.abs(k_sz + k_iz - k_pz - ref).max())
+        err_split = float(np.abs(delta_kz(q_s, q_i, ctx) - ref).max())
+        assert err_split <= err_direct
+
+    def test_pump_only_trip_warns_and_raises(self):
+        # Beyond the collinear angle 2k > eta K_p0, so |q_s|, |q_i| just
+        # under 0.2 k give |q_p| over 0.2 eta K_p0.
+        ctx = make_context(math.radians(40.0), LAMBDA_P)
+        q = 0.199 * ctx.k_signal
+        cases = [(TransverseMomentum(q, 0.0), TransverseMomentum(q, 0.0)),
+                 (TransverseMomentum(np.array([0.0, q])[:, None],
+                                     np.zeros(3)[None, :]),
+                  TransverseMomentum(q, 0.0))]
+        for q_s, q_i in cases:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                delta_kz(q_s, q_i, ctx)
+            assert [str(w.message).split(":")[0] for w in caught] == ["pump"]
+            with pytest.raises(ParaxialityError, match="pump"):
+                delta_kz(q_s, q_i, ctx, paraxial="error")
+
+    def test_shared_axis_takes_true_maximum(self):
+        # x and y components on one axis: the sum of their maxima (0.045 k^2)
+        # would trip the 0.2 k signal guard, the true maximum (0.0225 k^2)
+        # does not.
+        ctx = make_context(math.radians(32.9), LAMBDA_P)
+        x = 0.15 * ctx.k_signal
+        q_s = TransverseMomentum(np.array([0.0, x]), np.array([x, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta_kz(q_s, TransverseMomentum(0.0, 0.0), ctx, paraxial="error")

@@ -285,6 +285,22 @@ class TestReductions:
         assert np.abs(via_4d.values - direct.values).max() <= \
             1e-9 * direct.values.max()
 
+    @pytest.mark.parametrize("node", [(8, 8), (10, 6)], ids=["origin", "offset"])
+    def test_conditional_direct_double_crystal(self, node):
+        from biphoton.fields import conditional_position_direct
+
+        setup = CrystalSetup.double(1e-3, 4e-3, math.radians(32.93))
+        grid = MomentumGrid4.auto(PUMP, setup, n=16)
+        amp = propagate(build_amplitude(grid, PUMP, setup,
+                                        boundary_tol=None), 7.5e-3)
+        rho = (grid.x_axis[node[0]], grid.x_axis[node[1]])
+        via_4d = conditional_position(position_pdf(to_position(amp)),
+                                      rho_i0=rho)
+        direct = conditional_position_direct(PUMP, setup, 7.5e-3, grid,
+                                             rho_i0=rho)
+        assert np.abs(via_4d.values - direct.values).max() <= \
+            1e-9 * direct.values.max()
+
     def test_conditional_degenerate_error(self):
         n = 8
         grid = MomentumGrid4(n=n, dq=1.0)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton.dispersion import TransverseMomentum, collinear_angle, make_context
+from biphoton.dispersion import (
+    TransverseMomentum,
+    collinear_angle,
+    longitudinal_wavevectors,
+    make_context,
+)
+from biphoton.fields import MomentumGrid4
 from biphoton.phasematch import (
     ConfigurationError,
     CrystalSetup,
@@ -183,3 +189,31 @@ class TestMomentumAmplitude:
                 TransverseMomentum(q, 0.0),
                 TransverseMomentum(-q / 2, 1e3), PUMP, setup, ctx=ctx)
             assert complex(grid[k]) == pytest.approx(complex(one), rel=1e-14)
+
+
+class TestSplitKernelOracle:
+    """The split kernel against sin/cos of the full mismatch on the 4D grid."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("setup", [
+        CrystalSetup.single(5e-3, THETA),
+        CrystalSetup.double(1e-3, 4e-3, math.radians(32.93)),
+    ], ids=["single", "double"])
+    def test_matches_full_mismatch_reference(self, setup, n):
+        ctx = make_context(setup.theta_p, PUMP.wavelength)
+        q = MomentumGrid4.auto(PUMP, setup, n=n).q_axis
+        q_s = TransverseMomentum(q[:, None, None, None], q[None, :, None, None])
+        q_i = TransverseMomentum(q[None, None, :, None], q[None, None, None, :])
+        got = momentum_amplitude(q_s, q_i, PUMP, setup, ctx=ctx)
+
+        k_pz, k_sz, k_iz = longitudinal_wavevectors(q_s, q_i, ctx)
+        dkz = k_sz + k_iz - k_pz
+        h = dkz * setup.length / 2
+        ref = np.sinc(h / np.pi)
+        if setup.kind == "single":
+            ref = ref * np.exp(1j * h)
+        else:
+            ref = ref * np.cos(dkz * (setup.length + setup.gap) / 2)
+        q_p_sq = (q_s.qx + q_i.qx) ** 2 + (q_s.qy + q_i.qy) ** 2
+        ref = ref * np.exp(-q_p_sq * PUMP.waist**2 / 4)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
