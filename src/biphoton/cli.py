@@ -174,12 +174,11 @@ def _cmd_phasematch_map(cfg: RunConfig, args) -> int:
 
 def _cmd_simulate(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
-    amp = pipe.momentum_amplitude()
     if args.basis == "mom":
-        dist = fields.averaged_joint_x(fields.momentum_pdf(amp))
+        dist = fields.averaged_joints_x(pipe, []).momentum
         stem = "joint_mom_av"
     else:
-        dist = fields.averaged_joint_x(pipe.position_distribution(cfg.z, amp))
+        dist = fields.averaged_joints_x(pipe, [cfg.z]).position[0]
         stem = "joint_pos_av"
     for path in _write_2d(dist, stem, cfg):
         print(f"wrote {path}")
@@ -188,8 +187,9 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_conditional(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
-    dist4 = pipe.position_distribution(cfg.z)
-    cond = fields.conditional_position(dist4)
+    fields.boundary_ratio(pipe)  # the 4D build's truncation guard, O(n^3)
+    cond = fields.conditional_position_direct(pipe.pump, pipe.setup, cfg.z,
+                                              pipe.grid, model=pipe.model)
     for path in _write_2d(cond, "conditional_pos", cfg):
         print(f"wrote {path}")
     return EXIT_OK
@@ -218,6 +218,7 @@ def _cmd_ef(cfg: RunConfig, args) -> int:
         "h_mom_conditional": report.h_mom_conditional,
         "fingerprint": report.fingerprint,
         "params": report.params,
+        "grid": report.grid,
     }
     os.makedirs(cfg.outdir, exist_ok=True)
     path = os.path.join(cfg.outdir, "ef_report.json")
@@ -316,8 +317,9 @@ def main(argv=None) -> int:
     except (ConfigError, ConfigurationError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DispersionError, fields.GridError, entanglement.EntanglementError,
-            coin.DetectorError, coin.AccumulatorError, MemoryError) as exc:
+    except (DispersionError, fields.GridError, fields.DegenerateConditionError,
+            entanglement.EntanglementError, coin.DetectorError,
+            coin.AccumulatorError, MemoryError) as exc:
         module = type(exc).__module__.rsplit(".", 1)[-1]
         print(f"{module}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

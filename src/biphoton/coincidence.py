@@ -280,11 +280,11 @@ def save_frames(stack: FrameStack, path) -> None:
             "roi": list(stack.detector.roi),
         },
     }
-    # One copy of the counts: join reads the little-endian view directly.
+    # The counts are written from their own buffer, after the header: no
+    # copy of the stack is made on a little-endian host.
     counts = np.ascontiguousarray(stack.counts, dtype="<u2")
-    _atomic_write(path, b"".join([
-        json.dumps(header, sort_keys=True).encode("utf-8") + b"\n",
-        memoryview(counts)]))
+    _atomic_write(path, json.dumps(header, sort_keys=True).encode("utf-8")
+                  + b"\n", memoryview(counts))
 
 
 def load_frames(path) -> FrameStack:

@@ -9,11 +9,11 @@ mutually conjugate M-bin grids (dx * dk = 2*pi/M), the DFT grid pairing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .fields import Distribution, Pipeline, averaged_joint_x, momentum_pdf
+from .fields import AveragedJoints, Distribution, Pipeline, averaged_joints_x
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,7 +76,11 @@ def conditional_entropy(j: DiscreteJoint) -> float:
 
 @dataclass(frozen=True)
 class EfReport:
-    """Entropies (bits), bound value (ebits), and provenance of one evaluation."""
+    """Entropies (bits), bound value (ebits), and provenance of one evaluation.
+
+    ``grid`` holds the streaming engine's grid diagnostics (the fields of
+    :class:`fields.GridDiagnostics`) when the joints came from it.
+    """
 
     m: int
     h_pos_joint: float
@@ -88,6 +92,7 @@ class EfReport:
     ef_min: float
     fingerprint: str = ""
     params: dict = field(default_factory=dict)
+    grid: dict = field(default_factory=dict)
 
 
 def ef_min(pos: DiscreteJoint, mom: DiscreteJoint,
@@ -157,53 +162,47 @@ def _downbin(joint: DiscreteJoint, mom_fine: np.ndarray, m: int,
     return pos, mom
 
 
-def _momentum_joint(amp) -> DiscreteJoint:
-    """The fine 1D-x averaged momentum joint; independent of z."""
-    return _as_joint(averaged_joint_x(momentum_pdf(amp)), "momentum")
-
-
-def _joints_at(pipeline: Pipeline, z: float, m: int | None, amp,
-               mom_fine: DiscreteJoint) -> tuple[DiscreteJoint, DiscreteJoint]:
-    """The conjugate joints at z, given the amplitude and its momentum joint."""
-    pos4 = pipeline.position_distribution(z, amp)
-    pos_fine = _as_joint(averaged_joint_x(pos4), "position")
-    del pos4
+def _discrete(pipeline: Pipeline, pos2: Distribution, mom2: Distribution,
+              m: int | None) -> tuple[DiscreteJoint, DiscreteJoint]:
+    """The conjugate M-bin joints from the fine averaged joints."""
+    pos, mom = _as_joint(pos2, "position"), _as_joint(mom2, "momentum")
     if m is None or m == pipeline.grid.n:
-        return pos_fine, mom_fine
-    return _downbin(pos_fine, mom_fine.values, m, pipeline.grid.dq)
+        return pos, mom
+    return _downbin(pos, mom.values, m, pipeline.grid.dq)
 
 
-def build_discrete_joints(pipeline: Pipeline, z: float, m: int | None = None,
-                          amp=None) -> tuple[DiscreteJoint, DiscreteJoint]:
-    """Run the field pipeline and produce the conjugate (position, momentum)
-    1D-x averaged joints at distance z.
+def build_discrete_joints(pipeline: Pipeline, z: float, m: int | None = None
+                          ) -> tuple[DiscreteJoint, DiscreteJoint]:
+    """Run the streaming field engine and produce the conjugate
+    (position, momentum) 1D-x averaged joints at distance z.
 
     ``m`` defaults to the fine grid size (no re-binning); a divisor of n
     requests box-averaged position bins with the momentum joint cropped to
-    the conjugate window.  ``amp`` reuses an already built momentum
-    amplitude of the same pipeline.
+    the conjugate window.
     """
-    if amp is None:
-        amp = pipeline.momentum_amplitude()
-    return _joints_at(pipeline, z, m, amp, _momentum_joint(amp))
+    joints = averaged_joints_x(pipeline, [z])
+    return _discrete(pipeline, joints.position[0], joints.momentum, m)
 
 
-def _report(pipeline: Pipeline, z: float, pos: DiscreteJoint,
-            mom: DiscreteJoint, fingerprint: str,
+def _report(pipeline: Pipeline, joints: AveragedJoints, index: int,
+            m: int | None, fingerprint: str,
             params: dict | None = None) -> EfReport:
+    """ef_min at the index-th z of ``joints``, with the grid diagnostics."""
+    z = joints.z[index]
+    pos, mom = _discrete(pipeline, joints.position[index], joints.momentum, m)
     setup = pipeline.setup
     merged = {"z": z, "theta_p": setup.theta_p, "kind": setup.kind,
               "length": setup.length, "gap": setup.gap}
     merged.update(params or {})
-    return ef_min(pos, mom, fingerprint=fingerprint, params=merged)
+    report = ef_min(pos, mom, fingerprint=fingerprint, params=merged)
+    return replace(report, grid=asdict(joints.diagnostics))
 
 
 def ef_min_at(pipeline: Pipeline, z: float, m: int | None = None,
-              fingerprint: str = "", amp=None,
-              params: dict | None = None) -> EfReport:
+              fingerprint: str = "", params: dict | None = None) -> EfReport:
     """End-to-end ef_min for one configuration."""
-    pos, mom = build_discrete_joints(pipeline, z, m=m, amp=amp)
-    return _report(pipeline, z, pos, mom, fingerprint, params)
+    return _report(pipeline, averaged_joints_x(pipeline, [z]), 0, m,
+                   fingerprint, params)
 
 
 @dataclass(frozen=True)
@@ -220,26 +219,24 @@ def scan(pipeline: Pipeline, z: float, parameter: str, values,
     """Evaluate ef_min over one swept parameter: "z", "theta_p", or "d".
 
     Points are evaluated independently in the order given; per-point errors
-    are captured in the result instead of aborting the scan.  For a z scan
-    the momentum amplitude and its momentum joint (both z-independent) are
-    built once and reused.  A theta_p or d scan swaps the crystal setup and
-    keeps the pipeline's grid.
+    are captured in the result instead of aborting the scan.  A z scan
+    passes all its z values to one streaming pass, which builds each slab
+    once.  A theta_p or d scan swaps the crystal setup and keeps the
+    pipeline's grid.
     """
     if parameter not in ("z", "theta_p", "d"):
         raise EntanglementError(f"unknown scan parameter {parameter!r}")
     setup = pipeline.setup
+    values = list(values)
     points: list[ScanPoint] = []
 
     if parameter == "z":
-        shared_amp = pipeline.momentum_amplitude()
-        shared_mom = _momentum_joint(shared_amp)
+        joints = averaged_joints_x(pipeline, values)
 
-    for value in values:
+    for index, value in enumerate(values):
         try:
             if parameter == "z":
-                pos, mom = _joints_at(pipeline, float(value), m, shared_amp,
-                                      shared_mom)
-                report = _report(pipeline, float(value), pos, mom, fingerprint)
+                report = _report(pipeline, joints, index, m, fingerprint)
             else:
                 if parameter == "d" and setup.kind != "double":
                     raise EntanglementError("gap scan requires a double-crystal setup")

@@ -1,6 +1,7 @@
 """Discretized two-photon fields: 4-axis momentum grids, propagation,
 position-space transform, and reductions to joint/conditional/singles
-distributions.
+distributions; a streaming engine gives the x-averaged joints without the
+4-axis amplitude (:func:`averaged_joints_x`).
 
 Conventions
 -----------
@@ -25,9 +26,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 
 from .dispersion import BBO, SellmeierModel, TransverseMomentum, make_context
-from .phasematch import CrystalSetup, PumpSpec, momentum_amplitude
+from .phasematch import (CrystalSetup, PumpSpec, momentum_amplitude,
+                         pump_envelope)
 from . import dispersion
 
 TWO_PI = 2.0 * math.pi
@@ -51,6 +54,11 @@ MEMORY_BUDGET = 6 * 1024**3
 
 #: Pessimistic working-set multiple of one N^4 complex array for a transform.
 WORKING_FACTOR = 4
+
+#: Relative pump-envelope level below which the streaming engine skips a
+#: y-pair.  |Phi| <= 1, so a skipped slab is below this fraction of the
+#: envelope peak everywhere: the skip is exact to float64.
+Y_PAIR_CUT = 2.0**-52
 
 
 class GridError(ValueError):
@@ -179,6 +187,13 @@ def _boundary_max(values: np.ndarray) -> float:
     return best
 
 
+def _check_boundary(edge: float, peak: float, boundary_tol: float) -> None:
+    if edge > boundary_tol * peak:
+        raise SupportTruncationError(
+            f"boundary magnitude {edge / peak:.3e} of peak exceeds "
+            f"{boundary_tol:g}; enlarge the momentum extent (c1/c2 or n)")
+
+
 def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
                     model: SellmeierModel = BBO,
                     boundary_tol: float | None = BOUNDARY_TOLERANCE,
@@ -201,11 +216,7 @@ def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
     if peak == 0.0:
         raise GridError("amplitude is identically zero on the grid")
     if boundary_tol is not None:
-        edge = _boundary_max(values)
-        if edge > boundary_tol * peak:
-            raise SupportTruncationError(
-                f"boundary magnitude {edge / peak:.3e} of peak exceeds "
-                f"{boundary_tol:g}; enlarge the momentum extent (c1/c2 or n)")
+        _check_boundary(_boundary_max(values), peak, boundary_tol)
 
     norm = math.sqrt(float((np.abs(values) ** 2).sum()) * grid.dq**4)
     values /= norm
@@ -452,3 +463,174 @@ class Pipeline:
     def position_distribution(self, z: float,
                               amp: BiphotonAmplitude4 | None = None) -> Distribution:
         return position_pdf(self.position_amplitude(z, amp))
+
+
+# --- streaming engine: x-averaged joints without the N^4 amplitude ---------
+
+
+@dataclass(frozen=True)
+class GridDiagnostics:
+    """How well the grid holds the amplitude, from one streaming pass.
+
+    ``boundary_ratio`` is the largest |A| on the hull of the 4D grid over
+    the peak |A|.  ``dropped_mass_bound`` bounds the probability of the
+    skipped y-pairs relative to the kept total: the sum over skipped pairs
+    of v_y^2 * sum v_x^2, which holds because |Phi| <= 1.
+    """
+
+    boundary_ratio: float
+    y_pairs_kept: int
+    y_pairs_total: int
+    dropped_mass_bound: float
+
+
+@dataclass(frozen=True)
+class AveragedJoints:
+    """The x-averaged momentum joint (independent of z) and one x-averaged
+    position joint per z of ``z``, as ``averaged_joint_x`` returns them."""
+
+    z: tuple[float, ...]
+    momentum: Distribution
+    position: tuple[Distribution, ...]
+    diagnostics: GridDiagnostics
+
+
+def _slab_rows(grid: MomentumGrid4, memory_budget: int) -> int:
+    """How many n x n complex slabs a chunk may hold within the budget."""
+    need = grid.n**2 * 16 * WORKING_FACTOR
+    if need > memory_budget:
+        raise MemoryBudgetError(
+            f"one {grid.n} x {grid.n} slab needs ~{need} bytes "
+            f"(> budget {memory_budget} bytes)")
+    return memory_budget // need
+
+
+def _kept_y_pairs(pipeline: Pipeline) -> tuple[np.ndarray, np.ndarray]:
+    """The y-pair envelope v_y on the (q_sy, q_iy) grid and the mask of the
+    pairs at or above ``Y_PAIR_CUT`` of its maximum."""
+    q = pipeline.grid.q_axis
+    v_y = pump_envelope(TransverseMomentum(0.0, q[:, None] + q[None, :]),
+                        pipeline.pump)
+    return v_y >= Y_PAIR_CUT * v_y.max(), v_y
+
+
+def _kept_slabs(pipeline: Pipeline, ctx, keep: np.ndarray, rows: int):
+    """``momentum_amplitude`` on the (q_sx, q_ix) slab of each kept y-pair,
+    in chunks of at most ``rows`` slabs, shape (rows, n, n)."""
+    q = pipeline.grid.q_axis
+    sy, iy = (q[i][:, None, None] for i in np.nonzero(keep))
+    for lo in range(0, sy.shape[0], rows):
+        yield momentum_amplitude(
+            TransverseMomentum(q[None, :, None], sy[lo:lo + rows]),
+            TransverseMomentum(q[None, None, :], iy[lo:lo + rows]),
+            pipeline.pump, pipeline.setup, ctx=ctx, paraxial="ignore")
+
+
+def _edge_max(pipeline: Pipeline, ctx, rows: int) -> float:
+    """``_boundary_max`` of the 4D amplitude, one face at a time: each of
+    the eight faces is an n^3 evaluation, chunked like the slabs."""
+    q = pipeline.grid.q_axis
+    best = 0.0
+    for axis in range(4):
+        for end in (q[0], q[-1]):
+            for lo in range(0, q.size, rows):
+                free = iter((q[lo:lo + rows, None, None], q[None, :, None],
+                             q[None, None, :]))
+                sx, sy, ix, iy = (end if a == axis else next(free)
+                                  for a in range(4))
+                face = momentum_amplitude(
+                    TransverseMomentum(sx, sy), TransverseMomentum(ix, iy),
+                    pipeline.pump, pipeline.setup, ctx=ctx, paraxial="ignore")
+                best = max(best, float(np.abs(face).max()))
+    return best
+
+
+def _guarded_ratio(pipeline: Pipeline, ctx, rows: int, peak: float) -> float:
+    """edge / peak, raising where :func:`build_amplitude` raises."""
+    if peak == 0.0:
+        raise GridError("amplitude is identically zero on the grid")
+    edge = _edge_max(pipeline, ctx, rows)
+    if pipeline.boundary_tol is not None:
+        _check_boundary(edge, peak, pipeline.boundary_tol)
+    return edge / peak
+
+
+def boundary_ratio(pipeline: Pipeline) -> float:
+    """The boundary guard of :func:`build_amplitude` without the 4D array.
+
+    The peak comes from the kept y-pair slabs (no skipped slab can exceed
+    it) and the edge from the eight hull faces: O(n^3) work.  Raises
+    :class:`SupportTruncationError` on the same configurations, with the
+    same message; returns the ratio edge / peak.
+    """
+    ctx = make_context(pipeline.setup.theta_p, pipeline.pump.wavelength,
+                       pipeline.model)
+    rows = _slab_rows(pipeline.grid, pipeline.memory_budget)
+    keep, _ = _kept_y_pairs(pipeline)
+    peak = max(float(np.abs(s).max())
+               for s in _kept_slabs(pipeline, ctx, keep, rows))
+    return _guarded_ratio(pipeline, ctx, rows, peak)
+
+
+def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
+    """x-averaged momentum joint and position joints at each z in ``zs``,
+    streamed over y-pairs: no N^4 array is allocated.
+
+    With Delta k_z = a(q_sx, q_ix) + b(q_sy, q_iy) and V = v_x v_y, the
+    amplitude on y-pair j = (q_sy, q_iy) is the n x n slab A_j of
+    ``momentum_amplitude`` over (q_sx, q_ix).  The momentum joint is
+    sum_j |A_j|^2.  By Parseval over the two y axes, whose propagation
+    phase has unit modulus, the position joint at z is
+    sum_j |F_x[A_j P_x(z)]|^2 with P_x(z) = p(q_sx) p(q_ix) and F_x the
+    centered transform of both x axes.  Slabs are built once, in chunks
+    that fit ``pipeline.memory_budget``, and reused for every z; y-pairs
+    with v_y < ``Y_PAIR_CUT`` * max v_y are skipped.  The boundary guard
+    and the paraxial check give the verdicts of :func:`build_amplitude`.
+    """
+    grid, pump = pipeline.grid, pipeline.pump
+    zs = tuple(float(z) for z in zs)
+    q, n = grid.q_axis, grid.n
+    ctx = make_context(pipeline.setup.theta_p, pump.wavelength, pipeline.model)
+    dispersion._check_paraxial_all(
+        TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
+        TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
+        ctx, "warn")
+    keep, v_y = _kept_y_pairs(pipeline)
+    rows = _slab_rows(grid, pipeline.memory_budget)
+    # Only |F_x[...]|^2 is needed: the output ramp and the constant phase of
+    # the centered transform drop out, and its input ramp (-1)^n folds into
+    # the propagation phase, leaving one plain 2D inverse FFT per z.
+    ramp = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    phases = []
+    for z in zs:
+        p = np.exp(-1j * q**2 * z / (2.0 * ctx.k_signal)) * ramp
+        phases.append(p[:, None] * p[None, :])
+
+    mom = np.zeros((n, n))
+    pos = np.zeros((len(zs), n, n))
+    peak = 0.0
+    for slabs in _kept_slabs(pipeline, ctx, keep, rows):
+        mag = np.abs(slabs)
+        peak = max(peak, float(mag.max()))
+        mom += (mag**2).sum(axis=0)
+        for acc, phase in zip(pos, phases):
+            psi = scipy.fft.ifft2(slabs * phase, axes=(1, 2), overwrite_x=True)
+            acc += (np.abs(psi) ** 2).sum(axis=0)
+    ratio = _guarded_ratio(pipeline, ctx, rows, peak)
+
+    v_x = pump_envelope(TransverseMomentum(q[:, None] + q[None, :], 0.0), pump)
+    dropped = float((v_y[~keep] ** 2).sum() * (v_x**2).sum() / mom.sum())
+    diagnostics = GridDiagnostics(
+        boundary_ratio=ratio, y_pairs_kept=int(keep.sum()),
+        y_pairs_total=int(keep.size), dropped_mass_bound=dropped)
+    momentum = Distribution(values=_normalize(mom, grid.dq**2),
+                            axis_names=("q_sx", "q_ix"),
+                            deltas=(grid.dq, grid.dq),
+                            basis="momentum", units="rad/m")
+    position = tuple(
+        Distribution(values=_normalize(acc, grid.dx**2),
+                     axis_names=("x_s", "x_i"), deltas=(grid.dx, grid.dx),
+                     basis="position", units="m")
+        for acc in pos)
+    return AveragedJoints(z=zs, momentum=momentum, position=position,
+                          diagnostics=diagnostics)

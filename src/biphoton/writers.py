@@ -21,12 +21,17 @@ class WriteError(RuntimeError):
     """Refused or failed output write."""
 
 
-def _atomic_write(path, payload: bytes) -> None:
+def _atomic_write(path, payload: bytes, *buffers) -> None:
+    """Write ``payload``, then each of ``buffers`` (anything exposing the
+    buffer protocol, written without a copy), to a temporary file and
+    rename it to ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            for buffer in buffers:
+                fh.write(buffer)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -185,14 +185,61 @@ class TestCliCommands:
         assert "fields" in err
 
     @pytest.mark.parametrize("command", [
-        ("simulate", "pos"), ("ef",), ("scan", "z", "--values", "5mm")],
-        ids=["simulate-pos", "ef", "scan-z"])
+        ("simulate", "pos"), ("ef",), ("scan", "z", "--values", "5mm"),
+        ("conditional",)],
+        ids=["simulate-pos", "ef", "scan-z", "conditional"])
     def test_grid_boundary_tol_honoured(self, tmp_path, command):
         # At n = 8 the boundary ratio is about 0.12: over the default
         # tolerance 0.1, under the configured 0.5.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": {"n": 8, "boundary_tol": 0.5}}))
         assert self.run("--config", str(cfg), *command, outdir=tmp_path) == 0
+
+    def test_conditional_tight_extent_exit3(self, tmp_path, capsys):
+        # The direct conditional keeps the truncation guard.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 8, "c1": 0.2, "c2": 0.05}}))
+        assert self.run("--config", str(cfg), "conditional",
+                        outdir=tmp_path) == 3
+        assert "boundary magnitude" in capsys.readouterr().err
+        assert not (tmp_path / "conditional_pos.grd").exists()
+
+    def test_degenerate_condition_exit3(self, tmp_path, capsys, monkeypatch):
+        from biphoton import fields
+
+        def degenerate(*args, **kwargs):
+            raise fields.DegenerateConditionError("no probability")
+
+        monkeypatch.setattr(fields, "conditional_position_direct", degenerate)
+        assert self.run("--n", "16", "conditional", outdir=tmp_path) == 3
+        assert "fields: no probability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ("simulate", "pos"), ("simulate", "mom"), ("ef",),
+        ("scan", "z", "--values", "0mm,5mm")],
+        ids=["simulate-pos", "simulate-mom", "ef", "scan-z"])
+    def test_joint_commands_skip_4d_path(self, tmp_path, monkeypatch,
+                                         command):
+        from biphoton import fields
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 4D path was used")
+
+        monkeypatch.setattr(fields, "to_position", refuse)
+        monkeypatch.setattr(fields, "build_amplitude", refuse)
+        assert self.run("--n", "16", *command, outdir=tmp_path) == 0
+
+    def test_ef_report_grid_diagnostics(self, tmp_path):
+        for out in ("a", "b"):
+            assert self.run("--n", "16", "ef", outdir=tmp_path / out) == 0
+        raw = (tmp_path / "a" / "ef_report.json").read_bytes()
+        assert raw == (tmp_path / "b" / "ef_report.json").read_bytes()
+        grid = json.loads(raw)["grid"]
+        assert set(grid) == {"boundary_ratio", "y_pairs_kept",
+                             "y_pairs_total", "dropped_mass_bound"}
+        assert 0 < grid["boundary_ratio"] <= 0.1
+        assert 0 < grid["y_pairs_kept"] < grid["y_pairs_total"] == 16 * 16
+        assert 0.0 <= grid["dropped_mass_bound"] < 1e-30
 
     def test_ef_report(self, tmp_path):
         assert self.run("--n", "16", "ef", outdir=tmp_path) == 0

@@ -246,3 +246,25 @@ class TestFrameFile:
         path.write_bytes(path.read_bytes() + b"\x00" * 16)
         with pytest.raises(DetectorError, match="payload is"):
             load_frames(path)
+
+    def test_file_is_header_then_counts(self, dist4, tmp_path):
+        stack = synth_frames(dist4, detector(), 5.0, 20, seed=3)
+        path = tmp_path / "stack.bpfs"
+        save_frames(stack, path)
+        raw = path.read_bytes()
+        header_end = raw.index(b"\n") + 1
+        assert raw[:header_end].startswith(b'{"detector"')
+        assert raw[header_end:] == stack.counts.astype("<u2").tobytes()
+
+    def test_save_makes_no_copy_of_the_stack(self, tmp_path):
+        import tracemalloc
+
+        counts = np.ones((250, 2, 64, 64), dtype=np.uint16)  # 4 MB
+        stack = manual_stack(counts)
+        tracemalloc.start()
+        try:
+            save_frames(stack, tmp_path / "stack.bpfs")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < counts.nbytes // 4

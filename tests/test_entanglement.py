@@ -289,3 +289,44 @@ class TestEfMinAt:
         assert report.fingerprint == "abc123"
         assert 0 <= report.h_pos_conditional <= math.log2(report.m) + 1e-12
         assert 0 <= report.h_mom_conditional <= math.log2(report.m) + 1e-12
+
+
+def ef_min_4d(pipe, z, m):
+    """ef_min through the 4D path: build, propagate, transform, reduce."""
+    from biphoton.entanglement import _as_joint, _downbin
+    from biphoton.fields import (averaged_joint_x, momentum_pdf,
+                                 position_pdf, propagate, to_position)
+
+    amp = pipe.momentum_amplitude()
+    mom = _as_joint(averaged_joint_x(momentum_pdf(amp)), "momentum")
+    pos = _as_joint(averaged_joint_x(position_pdf(to_position(
+        propagate(amp, z)))), "position")
+    if m != pipe.grid.n:
+        pos, mom = _downbin(pos, mom.values, m, pipe.grid.dq)
+    return ef_min(pos, mom).ef_min
+
+
+class TestStreamingMatches4d:
+    @pytest.mark.parametrize("m", [32, 16])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_scan_and_ef_min_at(self, kind, m):
+        if kind == "single":
+            setup = CrystalSetup.single(5e-3, math.radians(32.9))
+        else:
+            setup = CrystalSetup.double(1e-3, 4e-3, math.radians(32.93))
+        pipe = pipeline(setup, 32)
+        zs = [0.0, 5e-3, 35e-3]
+        points = scan(pipe, 5e-3, "z", zs, m=m)
+        for z, point in zip(zs, points):
+            ref = ef_min_4d(pipe, z, m)
+            assert abs(point.report.ef_min - ref) <= 1e-12
+            assert abs(ef_min_at(pipe, z, m=m).ef_min - ref) <= 1e-12
+            assert point.report.grid["y_pairs_total"] == 32 * 32
+
+    def test_theta_scan(self):
+        setup = CrystalSetup.single(5e-3, math.radians(32.9))
+        pipe = pipeline(setup, 16)
+        theta = math.radians(32.94)
+        point, = scan(pipe, 5e-3, "theta_p", [theta])
+        varied = Pipeline(PUMP, CrystalSetup.single(5e-3, theta), pipe.grid)
+        assert abs(point.report.ef_min - ef_min_4d(varied, 5e-3, 16)) <= 1e-12

@@ -17,8 +17,13 @@ from biphoton.fields import (
     Distribution,
     MemoryBudgetError,
     MomentumGrid4,
+    Pipeline,
     SupportTruncationError,
+    WORKING_FACTOR,
+    _boundary_max,
     averaged_joint_x,
+    averaged_joints_x,
+    boundary_ratio,
     build_amplitude,
     conditional_position,
     momentum_pdf,
@@ -324,3 +329,103 @@ class TestReductions:
             basis=dist4.basis, units=dist4.units, normalized=True)
         np.testing.assert_allclose(s.values, singles(swapped).values,
                                    atol=1e-12)
+
+
+class TestAveragedJointsX:
+    """The streaming engine against the 4D path it replaces."""
+
+    ZS = (0.0, 5e-3, 35e-3)
+
+    @staticmethod
+    def setup_of(kind):
+        if kind == "single":
+            return SETUP
+        return CrystalSetup.double(1e-3, 4e-3, math.radians(32.93))
+
+    @staticmethod
+    def max_rel_err(ref, got):
+        return np.abs(ref - got).max() / ref.max()
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_matches_4d_path(self, kind, n):
+        setup = self.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n)
+        joints = averaged_joints_x(Pipeline(PUMP, setup, grid,
+                                            boundary_tol=None), self.ZS)
+        amp = build_amplitude(grid, PUMP, setup, boundary_tol=None)
+        mom = averaged_joint_x(momentum_pdf(amp))
+        assert joints.momentum.axis_names == mom.axis_names
+        assert joints.momentum.deltas == mom.deltas
+        assert self.max_rel_err(mom.values, joints.momentum.values) <= 1e-12
+        assert joints.z == self.ZS
+        for z, got in zip(self.ZS, joints.position):
+            ref = averaged_joint_x(position_pdf(to_position(propagate(amp, z))))
+            assert got.axis_names == ref.axis_names
+            assert got.deltas == ref.deltas
+            assert self.max_rel_err(ref.values, got.values) <= 1e-12
+
+    def test_small_budget_many_chunks(self):
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=32)
+        one = averaged_joints_x(Pipeline(PUMP, SETUP, grid), self.ZS)
+        # Room for three 32 x 32 slabs per chunk: 31 chunks for 93 pairs.
+        budget = 3 * 32 * 32 * 16 * WORKING_FACTOR
+        many = averaged_joints_x(Pipeline(PUMP, SETUP, grid,
+                                          memory_budget=budget), self.ZS)
+        assert one.diagnostics.y_pairs_kept > 3
+        a, b = one.diagnostics, many.diagnostics
+        assert (a.boundary_ratio, a.y_pairs_kept) == \
+            (b.boundary_ratio, b.y_pairs_kept)
+        assert a.dropped_mass_bound == pytest.approx(b.dropped_mass_bound,
+                                                     rel=1e-12)
+        assert self.max_rel_err(one.momentum.values,
+                                many.momentum.values) <= 1e-12
+        for a, b in zip(one.position, many.position):
+            assert self.max_rel_err(a.values, b.values) <= 1e-12
+
+    def test_budget_below_one_slab(self):
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=16)
+        with pytest.raises(MemoryBudgetError):
+            averaged_joints_x(Pipeline(PUMP, SETUP, grid,
+                                       memory_budget=1024), [0.0])
+
+    @pytest.mark.parametrize("extent", [
+        ("single", 8, {}), ("single", 16, {}), ("single", 32, {}),
+        ("double", 8, {}), ("double", 16, {}), ("double", 32, {}),
+        ("single", 8, {"c1": 0.2, "c2": 0.05}),
+        ("double", 16, {"c1": 0.2, "c2": 0.05})],
+        ids=lambda e: f"{e[0]}-{e[1]}" + ("-tight" if e[2] else ""))
+    def test_boundary_ratio_matches_4d_build(self, extent):
+        kind, n, extent_keys = extent
+        setup = self.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n, **extent_keys)
+        amp = build_amplitude(grid, PUMP, setup, boundary_tol=None)
+        ratio_4d = _boundary_max(amp.values) / np.abs(amp.values).max()
+        pipe = Pipeline(PUMP, setup, grid, boundary_tol=None)
+        assert averaged_joints_x(pipe, [0.0]).diagnostics.boundary_ratio == \
+            pytest.approx(ratio_4d, rel=1e-12)
+        assert boundary_ratio(pipe) == pytest.approx(ratio_4d, rel=1e-12)
+        # The guard fires exactly where build_amplitude's does, with the
+        # same message.
+        for tol in (0.5 * ratio_4d, 2.0 * ratio_4d):
+            try:
+                build_amplitude(grid, PUMP, setup, boundary_tol=tol)
+                expected = None
+            except SupportTruncationError as exc:
+                expected = str(exc)
+            guarded = Pipeline(PUMP, setup, grid, boundary_tol=tol)
+            for run in (lambda: averaged_joints_x(guarded, [0.0]),
+                        lambda: boundary_ratio(guarded)):
+                if expected is None:
+                    run()
+                else:
+                    with pytest.raises(SupportTruncationError) as info:
+                        run()
+                    assert str(info.value) == expected
+
+    def test_diagnostics(self):
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=32)
+        diag = averaged_joints_x(Pipeline(PUMP, SETUP, grid), []).diagnostics
+        assert diag.y_pairs_total == 32 * 32
+        assert 0 < diag.y_pairs_kept < diag.y_pairs_total
+        assert 0.0 <= diag.dropped_mass_bound < 1e-30
