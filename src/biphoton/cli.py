@@ -187,7 +187,8 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_conditional(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
-    fields.boundary_ratio(pipe)  # the 4D build's truncation guard, O(n^3)
+    # The 4D build's truncation guard: O(n^3) when the envelope decays.
+    fields.boundary_ratio(pipe)
     cond = fields.conditional_position_direct(pipe.pump, pipe.setup, cfg.z,
                                               pipe.grid, model=pipe.model)
     for path in _write_2d(cond, "conditional_pos", cfg):
@@ -197,8 +198,8 @@ def _cmd_conditional(cfg: RunConfig, args) -> int:
 
 def _cmd_singles(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
-    dist4 = pipe.position_distribution(cfg.z)
-    for path in _write_2d(fields.singles(dist4), "singles_pos", cfg):
+    for path in _write_2d(fields.singles_direct(pipe, cfg.z), "singles_pos",
+                          cfg):
         print(f"wrote {path}")
     return EXIT_OK
 

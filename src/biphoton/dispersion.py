@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 TWO_PI = 2.0 * math.pi
 
@@ -314,6 +313,22 @@ def delta_kz(q_s: TransverseMomentum, q_i: TransverseMomentum,
     return a + b
 
 
+def _bisect(f, lo: float, hi: float, f_lo: float, xtol: float) -> float:
+    """Root of f in [lo, hi], where f(lo) = f_lo and f(hi) differ in sign:
+    the bracket is halved until it is no wider than xtol, and its midpoint
+    is returned."""
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def collinear_angle(lambda_p: float, lambda_s: float | None = None,
                     model: SellmeierModel = BBO, tol: float = 1e-8) -> float:
     """Phase-matching angle where the on-axis mismatch vanishes, in radians.
@@ -340,7 +355,7 @@ def collinear_angle(lambda_p: float, lambda_s: float | None = None,
         if flo == 0.0:
             return float(lo)
         if flo * fhi < 0.0:
-            return float(brentq(mismatch, lo, hi, xtol=tol))
+            return _bisect(mismatch, float(lo), float(hi), flo, tol)
     raise NoCollinearMatchError(
         f"no collinear phase matching for pump {lambda_p * 1e9:.1f} nm -> "
         f"signal {lambda_s * 1e9:.1f} nm in (0, pi/2)"

@@ -68,17 +68,29 @@ def joint_entropy(j: DiscreteJoint) -> float:
     return _entropy(j.values.ravel())
 
 
+def _conditional(p: np.ndarray) -> float:
+    """H(S|I) = H(S, I) - H(I) in bits, as -sum p log2(p / p_I) over p > 0
+    with p_I the idler marginal over the column axis.  No column sum is
+    below its entries in floating point either, so p / p_I <= 1 and every
+    term is >= 0: rounding cannot make the result negative, as the
+    difference of the two entropies can when the joint is nearly a
+    permutation."""
+    col = np.broadcast_to(p.sum(axis=0), p.shape)
+    mask = p > 0
+    return float(-(p[mask] * np.log2(p[mask] / col[mask])).sum())
+
+
 def conditional_entropy(j: DiscreteJoint) -> float:
     """H(S|I) = H(S, I) - H(I), idler marginal over the column axis."""
     j.check_normalized()
-    return _entropy(j.values.ravel()) - _entropy(j.values.sum(axis=0))
+    return _conditional(j.values)
 
 
 @dataclass(frozen=True)
 class EfReport:
     """Entropies (bits), bound value (ebits), and provenance of one evaluation.
 
-    ``grid`` holds the streaming engine's grid diagnostics (the fields of
+    ``grid`` holds the rank-R engine's grid diagnostics (the fields of
     :class:`fields.GridDiagnostics`) when the joints came from it.
     """
 
@@ -119,8 +131,8 @@ def ef_min(pos: DiscreteJoint, mom: DiscreteJoint,
     h_pi = _entropy(pos.values.sum(axis=0))
     h_mj = _entropy(mom.values.ravel())
     h_mi = _entropy(mom.values.sum(axis=0))
-    h_pc = h_pj - h_pi
-    h_mc = h_mj - h_mi
+    h_pc = _conditional(pos.values)
+    h_mc = _conditional(mom.values)
     return EfReport(
         m=m,
         h_pos_joint=h_pj, h_pos_idler=h_pi, h_pos_conditional=h_pc,
@@ -173,7 +185,7 @@ def _discrete(pipeline: Pipeline, pos2: Distribution, mom2: Distribution,
 
 def build_discrete_joints(pipeline: Pipeline, z: float, m: int | None = None
                           ) -> tuple[DiscreteJoint, DiscreteJoint]:
-    """Run the streaming field engine and produce the conjugate
+    """Run the rank-R field engine and produce the conjugate
     (position, momentum) 1D-x averaged joints at distance z.
 
     ``m`` defaults to the fine grid size (no re-binning); a divisor of n
@@ -220,7 +232,7 @@ def scan(pipeline: Pipeline, z: float, parameter: str, values,
 
     Points are evaluated independently in the order given; per-point errors
     are captured in the result instead of aborting the scan.  A z scan
-    passes all its z values to one streaming pass, which builds each slab
+    passes all its z values to one engine pass, which builds the factors
     once.  A theta_p or d scan swaps the crystal setup and keeps the
     pipeline's grid.
     """

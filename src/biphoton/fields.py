@@ -1,7 +1,9 @@
 """Discretized two-photon fields: 4-axis momentum grids, propagation,
 position-space transform, and reductions to joint/conditional/singles
-distributions; a streaming engine gives the x-averaged joints without the
-4-axis amplitude (:func:`averaged_joints_x`).
+distributions.  A rank-R engine writes the amplitude as a sum of separable
+x-pair times y-pair terms (:func:`amplitude_factors`) and gives the
+x-averaged joints, the direct conditional and the singles without the
+4-axis amplitude.
 
 Conventions
 -----------
@@ -26,11 +28,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 
 from .dispersion import BBO, SellmeierModel, TransverseMomentum, make_context
 from .phasematch import (CrystalSetup, PumpSpec, momentum_amplitude,
-                         pump_envelope)
+                         pump_envelope, sinc)
 from . import dispersion
 
 TWO_PI = 2.0 * math.pi
@@ -49,16 +50,26 @@ EXTENT_C2 = 1.5
 #: phase-matching lobe.
 BOUNDARY_TOLERANCE = 0.1
 
-#: Default memory budget for 4D allocations, bytes.
+#: Default memory budget for 4D allocations and the rank-R factors, bytes.
 MEMORY_BUDGET = 6 * 1024**3
 
 #: Pessimistic working-set multiple of one N^4 complex array for a transform.
 WORKING_FACTOR = 4
 
-#: Relative pump-envelope level below which the streaming engine skips a
-#: y-pair.  |Phi| <= 1, so a skipped slab is below this fraction of the
-#: envelope peak everywhere: the skip is exact to float64.
-Y_PAIR_CUT = 2.0**-52
+#: Machine epsilon of float64.
+EPS = 2.0**-52
+
+#: Chebyshev nodes of the first trial interpolation of the phase-matching
+#: kernel in b; doubled until its coefficients have decayed.
+CHEB_START = 16
+
+#: Level, in units of the envelope peak (|A| <= 1), below which the weighted
+#: Chebyshev coefficients count as decayed, and up to which trailing terms
+#: are dropped.  Above the rounding floor of the coefficients (a few EPS).
+CHEB_TOL = 1e-14
+
+#: Elements per batched evaluation of the amplitude in the boundary guard.
+CHUNK_ELEMS = 2**20
 
 
 class GridError(ValueError):
@@ -353,25 +364,6 @@ def conditional_position(dist4: Distribution, rho_i0=(0.0, 0.0),
                         basis=dist4.basis, units=dist4.units)
 
 
-def _dot_phase(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Contract the last axis of ``values`` with the complex vector ``phase``.
-
-    One real matrix product: a real array meets the (Re, Im) columns of the
-    phase, a complex array is read as interleaved (Re, Im) pairs against the
-    matching 2x2 blocks.  Neither copies ``values`` to a new complex array,
-    and a real product avoids BLAS's threaded complex matrix-vector kernel,
-    whose start-up dominates at these sizes.
-    """
-    re, im = phase.real, phase.imag
-    if np.iscomplexobj(values):
-        values = values.view(np.float64)
-        cols = np.stack([re, im, -im, re], axis=1).reshape(-1, 2)
-    else:
-        cols = np.stack([re, im], axis=1)
-    out = values.reshape(-1, values.shape[-1]) @ cols
-    return out.view(np.complex128).reshape(values.shape[:-1])
-
-
 def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
                                 z: float, grid: MomentumGrid4,
                                 rho_i0=(0.0, 0.0),
@@ -379,30 +371,20 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     """Conditional signal distribution without the 4D transform.
 
     The amplitude at a fixed idler point factors through a 2D transform of
-    B(q_s) = sum_{q_i} A(q_s, q_i) exp(i q_i . rho_i0), so much finer grids
-    fit in memory than the full 4D path allows: O(n^3) storage for one q_sx
-    slab of A, O(n^4) work.  The idler phase (position and propagation) is
-    separable, so each slab is contracted with its y factor and then its x
-    factor through BLAS; the signal propagation phase multiplies B once.
-    Matches ``conditional_position`` of the 4D pipeline on shared grids when
-    rho_i0 lies on a node.
+    B(q_s) = sum_{q_i} A(q_s, q_i) exp(i q_i . rho_i0).  With the rank-R
+    factors A = sum_r X_r(q_sx, q_ix) Y_r(q_sy, q_iy)
+    (:func:`amplitude_factors`) and the separable idler phase p_x p_y
+    (position and propagation), B = (X p_x)^T (Y p_y): O(R n^2) work and
+    storage.  The signal propagation phase multiplies B once.  Matches
+    ``conditional_position`` of the 4D pipeline on shared grids when rho_i0
+    lies on a node.
     """
-    ctx = make_context(setup.theta_p, pump.wavelength, model=model)
+    factors = amplitude_factors(Pipeline(pump, setup, grid, model))
     q = grid.q_axis
-    n = grid.n
-    k = ctx.k_signal
     x0, y0 = rho_i0
-    propagation = np.exp(-1j * q**2 * z / (2.0 * k))
-    phase_x = np.exp(1j * q * x0) * propagation
-    phase_y = np.exp(1j * q * y0) * propagation
-    b = np.empty((n, n), dtype=np.complex128)
-    for i, qsx in enumerate(q):
-        # Axes (q_sy, q_ix, q_iy).
-        slab = momentum_amplitude(
-            TransverseMomentum(qsx, q[:, None, None]),
-            TransverseMomentum(q[None, :, None], q[None, None, :]),
-            pump, setup, model=model, ctx=ctx)
-        b[i] = _dot_phase(_dot_phase(slab, phase_y), phase_x)
+    propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
+    b = (factors.x @ (np.exp(1j * q * x0) * propagation)).T \
+        @ (factors.y @ (np.exp(1j * q * y0) * propagation))
     b *= propagation[:, None] * propagation[None, :] * grid.dq**2
     psi = _centered_ift_axis(_centered_ift_axis(b, 0, grid.dq), 1, grid.dq)
     values = np.abs(psi) ** 2
@@ -465,23 +447,127 @@ class Pipeline:
         return position_pdf(self.position_amplitude(z, amp))
 
 
-# --- streaming engine: x-averaged joints without the N^4 amplitude ---------
+# --- rank-R engine: the amplitude as a sum of separable x/y terms ----------
+
+
+@dataclass(frozen=True)
+class AmplitudeFactors:
+    """The momentum amplitude as a sum of R separable terms,
+
+        A(q_sx, q_sy, q_ix, q_iy) = sum_r x[r, sx, ix] * y[r, sy, iy],
+
+    unnormalized, as :func:`phasematch.momentum_amplitude` gives it.
+    ``error`` bounds max |A - sum_r x_r y_r| over the grid in the same units
+    (|A| <= 1), and ``k`` is the propagation wavenumber n_so K_s0.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    error: float
+    k: float
+
+    @property
+    def rank(self) -> int:
+        return self.x.shape[0]
+
+
+def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
+    """Rank-R factors of the pipeline's momentum amplitude.
+
+    With Delta k_z = a(q_sx, q_ix) + b(q_sy, q_iy), V = v_x v_y and
+    h = (a + b) L/2, the only factor that couples the pairs is sinc h.  It
+    is interpolated in b on K Chebyshev nodes of [b_min, b_max],
+    sinc h ~ sum_j c_j(a) T_j(t(b)), with K doubled from ``CHEB_START``
+    until the two last coefficients, weighted by the envelopes, are below
+    ``CHEB_TOL``; trailing terms whose weighted sum stays below it are
+    dropped.  The phase goes into the factors: e^{ih} = e^{iaL/2} e^{ibL/2}
+    for a single crystal, and cos g = (e^{ig} + e^{-ig})/2 with
+    g = (a + b)(L + d)/2 for a double one, which doubles the rank.
+    ``error`` is the weighted sum of the dropped coefficients plus a
+    rounding term, eps times the weighted sum of all of them.
+
+    Raises :class:`MemoryBudgetError` before allocating when the factors of
+    a trial K (two arrays of n^2 R complex numbers) exceed
+    ``pipeline.memory_budget``.
+    """
+    pump, setup, grid = pipeline.pump, pipeline.setup, pipeline.grid
+    ctx = make_context(setup.theta_p, pump.wavelength, pipeline.model)
+    q, n = grid.q_axis, grid.n
+    dispersion._check_paraxial_all(
+        TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
+        TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
+        ctx, "warn")
+    # Pair tables: a and v_x over (q_sx, q_ix), b and v_y over (q_sy, q_iy).
+    rows, cols = q[:, None], q[None, :]
+    a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
+                                     TransverseMomentum(cols, cols),
+                                     ctx, "ignore")
+    v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), pump)
+    v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), pump)
+    half = setup.length / 2.0
+    mid = (b.max() + b.min()) / 2.0
+    rad = (b.max() - b.min()) / 2.0
+    terms = 1 if setup.kind == "single" else 2
+
+    nodes = CHEB_START
+    while True:
+        need = 2 * n * n * nodes * terms * 16
+        if need > pipeline.memory_budget:
+            raise MemoryBudgetError(
+                f"rank-{nodes * terms} amplitude factors need ~{need} bytes "
+                f"(> budget {pipeline.memory_budget} bytes)")
+        # Chebyshev coefficients of the interpolant through sinc h at the
+        # first-kind nodes t_k = cos(theta_k).
+        theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+        basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
+        basis[0] /= 2.0
+        coeffs = np.tensordot(
+            basis, sinc((a + mid)[None] * half
+                        + (rad * half) * np.cos(theta)[:, None, None]),
+            axes=(1, 0))
+        weight = (np.abs(coeffs * v_x).reshape(nodes, -1).max(axis=1)
+                  * v_y.max())
+        if weight[-2:].max() <= CHEB_TOL:
+            break
+        nodes *= 2
+    tail = np.cumsum(weight[::-1])[::-1]
+    kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
+    error = float(tail[kept] + EPS * tail[0])
+
+    # T_j(t(b)) by the three-term recurrence, on the y-pair table.
+    t = (b - mid) / rad if rad > 0.0 else np.zeros_like(b)
+    cheb = np.empty((kept, n, n))
+    cheb[0] = 1.0
+    if kept > 1:
+        cheb[1] = t
+    for j in range(2, kept):
+        np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
+        cheb[j] -= cheb[j - 2]
+    coeffs = coeffs[:kept]
+    if setup.kind == "single":
+        x = coeffs * (v_x * np.exp(1j * a * half))
+        y = cheb * (v_y * np.exp(1j * b * half))
+    else:
+        g = (setup.length + setup.gap) / 2.0
+        e_a, e_b = v_x * np.exp(1j * a * g) / 2.0, v_y * np.exp(1j * b * g)
+        x = np.concatenate([coeffs * e_a, coeffs * e_a.conj()])
+        y = np.concatenate([cheb * e_b, cheb * e_b.conj()])
+    return AmplitudeFactors(x=x, y=y, error=error, k=ctx.k_signal)
 
 
 @dataclass(frozen=True)
 class GridDiagnostics:
-    """How well the grid holds the amplitude, from one streaming pass.
+    """How well the grid and the factors hold the amplitude.
 
     ``boundary_ratio`` is the largest |A| on the hull of the 4D grid over
-    the peak |A|.  ``dropped_mass_bound`` bounds the probability of the
-    skipped y-pairs relative to the kept total: the sum over skipped pairs
-    of v_y^2 * sum v_x^2, which holds because |Phi| <= 1.
+    the peak |A|.  ``rank`` is the number of separable terms of
+    :class:`AmplitudeFactors`, and ``interpolation_error`` its error bound
+    over the peak |A|.
     """
 
     boundary_ratio: float
-    y_pairs_kept: int
-    y_pairs_total: int
-    dropped_mass_bound: float
+    rank: int
+    interpolation_error: float
 
 
 @dataclass(frozen=True)
@@ -495,43 +581,20 @@ class AveragedJoints:
     diagnostics: GridDiagnostics
 
 
-def _slab_rows(grid: MomentumGrid4, memory_budget: int) -> int:
-    """How many n x n complex slabs a chunk may hold within the budget."""
-    need = grid.n**2 * 16 * WORKING_FACTOR
-    if need > memory_budget:
-        raise MemoryBudgetError(
-            f"one {grid.n} x {grid.n} slab needs ~{need} bytes "
-            f"(> budget {memory_budget} bytes)")
-    return memory_budget // need
+def _chunk_rows(n: int) -> int:
+    """n x n slabs per batched evaluation of the guards."""
+    return max(1, CHUNK_ELEMS // (n * n))
 
 
-def _kept_y_pairs(pipeline: Pipeline) -> tuple[np.ndarray, np.ndarray]:
-    """The y-pair envelope v_y on the (q_sy, q_iy) grid and the mask of the
-    pairs at or above ``Y_PAIR_CUT`` of its maximum."""
+def _edge_max(pipeline: Pipeline, ctx) -> float:
+    """``_boundary_max`` of the 4D amplitude, one face at a time: each face
+    is an n^3 evaluation, in chunks of ``_chunk_rows`` slabs.  A is exactly
+    symmetric under signal-idler exchange (every term of the mismatch and
+    the envelope is), so the two signal axes' faces hold every hull value."""
     q = pipeline.grid.q_axis
-    v_y = pump_envelope(TransverseMomentum(0.0, q[:, None] + q[None, :]),
-                        pipeline.pump)
-    return v_y >= Y_PAIR_CUT * v_y.max(), v_y
-
-
-def _kept_slabs(pipeline: Pipeline, ctx, keep: np.ndarray, rows: int):
-    """``momentum_amplitude`` on the (q_sx, q_ix) slab of each kept y-pair,
-    in chunks of at most ``rows`` slabs, shape (rows, n, n)."""
-    q = pipeline.grid.q_axis
-    sy, iy = (q[i][:, None, None] for i in np.nonzero(keep))
-    for lo in range(0, sy.shape[0], rows):
-        yield momentum_amplitude(
-            TransverseMomentum(q[None, :, None], sy[lo:lo + rows]),
-            TransverseMomentum(q[None, None, :], iy[lo:lo + rows]),
-            pipeline.pump, pipeline.setup, ctx=ctx, paraxial="ignore")
-
-
-def _edge_max(pipeline: Pipeline, ctx, rows: int) -> float:
-    """``_boundary_max`` of the 4D amplitude, one face at a time: each of
-    the eight faces is an n^3 evaluation, chunked like the slabs."""
-    q = pipeline.grid.q_axis
+    rows = _chunk_rows(q.size)
     best = 0.0
-    for axis in range(4):
+    for axis in range(2):
         for end in (q[0], q[-1]):
             for lo in range(0, q.size, rows):
                 free = iter((q[lo:lo + rows, None, None], q[None, :, None],
@@ -545,84 +608,119 @@ def _edge_max(pipeline: Pipeline, ctx, rows: int) -> float:
     return best
 
 
-def _guarded_ratio(pipeline: Pipeline, ctx, rows: int, peak: float) -> float:
-    """edge / peak, raising where :func:`build_amplitude` raises."""
+def _peak(pipeline: Pipeline, ctx) -> float:
+    """max |A| over the 4D grid, exactly, from y-pair slabs.
+
+    Each y-pair (q_sy, q_iy) is an n x n slab over (q_sx, q_ix), bounded by
+    v_y max v_x since |Phi| <= 1.  Slabs are evaluated in decreasing v_y
+    and the walk stops once that bound, with room for rounding, is below
+    the running maximum: when the envelope decays across the grid, only the
+    y-pairs near q_sy + q_iy = 0 are visited, O(n^3) work.
+    """
+    pump, q = pipeline.pump, pipeline.grid.q_axis
+    n = q.size
+    v_y = pump_envelope(TransverseMomentum(0.0, q[:, None] + q[None, :]),
+                        pump).ravel()
+    v_x_max = float(pump_envelope(
+        TransverseMomentum(q[:, None] + q[None, :], 0.0), pump).max())
+    order = np.argsort(-v_y, kind="stable")
+    sy, iy = (q[i][:, None, None] for i in np.divmod(order, n))
+    # At most one diagonal q_sy + q_iy = const per chunk, so that the walk
+    # stops close to where the bound does.
+    rows = min(n, _chunk_rows(n))
+    best = 0.0
+    for lo in range(0, order.size, rows):
+        if v_y[order[lo]] * v_x_max * (1.0 + 8.0 * EPS) < best:
+            break
+        slabs = momentum_amplitude(
+            TransverseMomentum(q[None, :, None], sy[lo:lo + rows]),
+            TransverseMomentum(q[None, None, :], iy[lo:lo + rows]),
+            pump, pipeline.setup, ctx=ctx, paraxial="ignore")
+        best = max(best, float(np.abs(slabs).max()))
+    return best
+
+
+def _guarded_peak(pipeline: Pipeline) -> tuple[float, float]:
+    """(peak |A|, edge / peak); raises where :func:`build_amplitude` does."""
+    ctx = make_context(pipeline.setup.theta_p, pipeline.pump.wavelength,
+                       pipeline.model)
+    peak = _peak(pipeline, ctx)
     if peak == 0.0:
         raise GridError("amplitude is identically zero on the grid")
-    edge = _edge_max(pipeline, ctx, rows)
+    edge = _edge_max(pipeline, ctx)
     if pipeline.boundary_tol is not None:
         _check_boundary(edge, peak, pipeline.boundary_tol)
-    return edge / peak
+    return peak, edge / peak
 
 
 def boundary_ratio(pipeline: Pipeline) -> float:
     """The boundary guard of :func:`build_amplitude` without the 4D array.
 
-    The peak comes from the kept y-pair slabs (no skipped slab can exceed
-    it) and the edge from the eight hull faces: O(n^3) work.  Raises
-    :class:`SupportTruncationError` on the same configurations, with the
-    same message; returns the ratio edge / peak.
+    The exact peak comes from the pruned y-pair walk of :func:`_peak` and
+    the edge from the hull faces: O(n^3) work when the pump envelope decays
+    across the grid.  Raises :class:`SupportTruncationError` on the same
+    configurations, with the same message; returns the ratio edge / peak.
     """
-    ctx = make_context(pipeline.setup.theta_p, pipeline.pump.wavelength,
-                       pipeline.model)
-    rows = _slab_rows(pipeline.grid, pipeline.memory_budget)
-    keep, _ = _kept_y_pairs(pipeline)
-    peak = max(float(np.abs(s).max())
-               for s in _kept_slabs(pipeline, ctx, keep, rows))
-    return _guarded_ratio(pipeline, ctx, rows, peak)
+    return _guarded_peak(pipeline)[1]
+
+
+def _transforms(values: np.ndarray, q: np.ndarray, z: float,
+                k: float) -> np.ndarray:
+    """Centered transform of the two last axes of ``values`` at distance z,
+    up to a phase that depends on the output point only.
+
+    Callers use |F[...]|^2 and sums over the output axes of products
+    F[u] F[w]^*, in which that phase cancels: so the output ramp and the
+    constant phase of the centered transform are left out, and its input
+    ramp (-1)^n folds into the propagation phase, one plain inverse 2D FFT
+    per table.
+    """
+    p = np.exp(-1j * q**2 * z / (2.0 * k))
+    p[1::2] *= -1.0
+    return np.fft.ifft2(values * (p[:, None] * p[None, :]), axes=(-2, -1))
+
+
+def _x_weighted(factors: AmplitudeFactors) -> np.ndarray:
+    """Tables W_m(q_sx, q_ix) with sum_{q_sy, q_iy} |A|^2 = sum_m |W_m|^2,
+    after any phase p(q_sy) p(q_iy) of unit modulus as well.
+
+    The Gram matrix G_rs = sum y_r y_s^* = U diag(lam) U^H gives
+    sum_{rs} x_r x_s^* G_rs = sum_m lam_m |sum_r U_rm x_r|^2; terms with
+    lam_m <= 0 are rounding and are dropped.
+    """
+    rank, n = factors.rank, factors.x.shape[-1]
+    y = factors.y.reshape(rank, n * n)
+    lam, u = np.linalg.eigh(y @ y.conj().T)
+    keep = lam > 0.0
+    u = u[:, keep] * np.sqrt(lam[keep])
+    return (u.T @ factors.x.reshape(rank, n * n)).reshape(-1, n, n)
 
 
 def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     """x-averaged momentum joint and position joints at each z in ``zs``,
-    streamed over y-pairs: no N^4 array is allocated.
+    from the rank-R factors: no N^4 array is allocated.
 
-    With Delta k_z = a(q_sx, q_ix) + b(q_sy, q_iy) and V = v_x v_y, the
-    amplitude on y-pair j = (q_sy, q_iy) is the n x n slab A_j of
-    ``momentum_amplitude`` over (q_sx, q_ix).  The momentum joint is
-    sum_j |A_j|^2.  By Parseval over the two y axes, whose propagation
-    phase has unit modulus, the position joint at z is
-    sum_j |F_x[A_j P_x(z)]|^2 with P_x(z) = p(q_sx) p(q_ix) and F_x the
-    centered transform of both x axes.  Slabs are built once, in chunks
-    that fit ``pipeline.memory_budget``, and reused for every z; y-pairs
-    with v_y < ``Y_PAIR_CUT`` * max v_y are skipped.  The boundary guard
-    and the paraxial check give the verdicts of :func:`build_amplitude`.
+    With A = sum_r x_r(q_sx, q_ix) y_r(q_sy, q_iy), the momentum joint is
+    sum_{rs} x_r x_s^* G_rs with the Gram matrix G_rs = sum y_r y_s^*.  By
+    Parseval over the two y axes, whose propagation phase has unit modulus,
+    G is the same at every z, and the position joint at z is the same sum
+    over the x-transforms F_x[x_r P_x(z)].  G is diagonalized once
+    (:func:`_x_weighted`), so each z costs one n x n FFT per kept term.
+    The boundary guard and the paraxial check give the verdicts of
+    :func:`build_amplitude`.
     """
-    grid, pump = pipeline.grid, pipeline.pump
+    grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
-    q, n = grid.q_axis, grid.n
-    ctx = make_context(pipeline.setup.theta_p, pump.wavelength, pipeline.model)
-    dispersion._check_paraxial_all(
-        TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
-        TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
-        ctx, "warn")
-    keep, v_y = _kept_y_pairs(pipeline)
-    rows = _slab_rows(grid, pipeline.memory_budget)
-    # Only |F_x[...]|^2 is needed: the output ramp and the constant phase of
-    # the centered transform drop out, and its input ramp (-1)^n folds into
-    # the propagation phase, leaving one plain 2D inverse FFT per z.
-    ramp = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    phases = []
-    for z in zs:
-        p = np.exp(-1j * q**2 * z / (2.0 * ctx.k_signal)) * ramp
-        phases.append(p[:, None] * p[None, :])
+    factors = amplitude_factors(pipeline)
+    peak, ratio = _guarded_peak(pipeline)
+    weighted = _x_weighted(factors)
+    mom = (np.abs(weighted) ** 2).sum(axis=0)
+    pos = [(np.abs(_transforms(weighted, grid.q_axis, z, factors.k)) ** 2)
+           .sum(axis=0) for z in zs]
 
-    mom = np.zeros((n, n))
-    pos = np.zeros((len(zs), n, n))
-    peak = 0.0
-    for slabs in _kept_slabs(pipeline, ctx, keep, rows):
-        mag = np.abs(slabs)
-        peak = max(peak, float(mag.max()))
-        mom += (mag**2).sum(axis=0)
-        for acc, phase in zip(pos, phases):
-            psi = scipy.fft.ifft2(slabs * phase, axes=(1, 2), overwrite_x=True)
-            acc += (np.abs(psi) ** 2).sum(axis=0)
-    ratio = _guarded_ratio(pipeline, ctx, rows, peak)
-
-    v_x = pump_envelope(TransverseMomentum(q[:, None] + q[None, :], 0.0), pump)
-    dropped = float((v_y[~keep] ** 2).sum() * (v_x**2).sum() / mom.sum())
     diagnostics = GridDiagnostics(
-        boundary_ratio=ratio, y_pairs_kept=int(keep.sum()),
-        y_pairs_total=int(keep.size), dropped_mass_bound=dropped)
+        boundary_ratio=ratio, rank=factors.rank,
+        interpolation_error=factors.error / peak)
     momentum = Distribution(values=_normalize(mom, grid.dq**2),
                             axis_names=("q_sx", "q_ix"),
                             deltas=(grid.dq, grid.dq),
@@ -634,3 +732,30 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
         for acc in pos)
     return AveragedJoints(z=zs, momentum=momentum, position=position,
                           diagnostics=diagnostics)
+
+
+def singles_direct(pipeline: Pipeline, z: float) -> Distribution:
+    """One-photon (signal) image at z from the rank-R factors, without the
+    4D array; the value ``singles`` gives on the 4D distribution.
+
+    With psi = sum_r X_r(x_s, x_i) Y_r(y_s, y_i), X_r and Y_r the
+    transforms of the factors, the image is
+    sum_{rs} [sum_{x_i} X_r X_s^*](x_s) [sum_{y_i} Y_r Y_s^*](y_s): two
+    batched R x R Gram products and one matrix product.  Runs the boundary
+    guard of :func:`build_amplitude`.
+    """
+    grid = pipeline.grid
+    factors = amplitude_factors(pipeline)
+    _guarded_peak(pipeline)
+    rank, n = factors.rank, grid.n
+
+    def gram(f: np.ndarray) -> np.ndarray:
+        # (n, R, R): for each signal coordinate, sum over the idler one.
+        t = _transforms(f, grid.q_axis, z, factors.k).transpose(1, 0, 2)
+        return (t @ t.conj().transpose(0, 2, 1)).reshape(n, rank * rank)
+
+    values = (gram(factors.x) @ gram(factors.y).T).real
+    bin_area = grid.dx * grid.dx
+    return Distribution(values=_normalize(values, bin_area),
+                        axis_names=("x_s", "y_s"), deltas=(grid.dx, grid.dx),
+                        basis="position", units="m")

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -186,8 +189,8 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", [
         ("simulate", "pos"), ("ef",), ("scan", "z", "--values", "5mm"),
-        ("conditional",)],
-        ids=["simulate-pos", "ef", "scan-z", "conditional"])
+        ("conditional",), ("singles",)],
+        ids=["simulate-pos", "ef", "scan-z", "conditional", "singles"])
     def test_grid_boundary_tol_honoured(self, tmp_path, command):
         # At n = 8 the boundary ratio is about 0.12: over the default
         # tolerance 0.1, under the configured 0.5.
@@ -216,8 +219,9 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", [
         ("simulate", "pos"), ("simulate", "mom"), ("ef",),
-        ("scan", "z", "--values", "0mm,5mm")],
-        ids=["simulate-pos", "simulate-mom", "ef", "scan-z"])
+        ("scan", "z", "--values", "0mm,5mm"), ("conditional",), ("singles",)],
+        ids=["simulate-pos", "simulate-mom", "ef", "scan-z", "conditional",
+             "singles"])
     def test_joint_commands_skip_4d_path(self, tmp_path, monkeypatch,
                                          command):
         from biphoton import fields
@@ -235,11 +239,15 @@ class TestCliCommands:
         raw = (tmp_path / "a" / "ef_report.json").read_bytes()
         assert raw == (tmp_path / "b" / "ef_report.json").read_bytes()
         grid = json.loads(raw)["grid"]
-        assert set(grid) == {"boundary_ratio", "y_pairs_kept",
-                             "y_pairs_total", "dropped_mass_bound"}
+        from biphoton import fields
+
+        assert set(grid) == {"boundary_ratio", "rank", "interpolation_error"}
         assert 0 < grid["boundary_ratio"] <= 0.1
-        assert 0 < grid["y_pairs_kept"] < grid["y_pairs_total"] == 16 * 16
-        assert 0.0 <= grid["dropped_mass_bound"] < 1e-30
+        cfg = parse_config(None, {"grid": {"n": 16}})
+        grid16 = fields.MomentumGrid4.auto(cfg.pump, cfg.setup, n=16)
+        assert grid["rank"] == fields.amplitude_factors(
+            fields.Pipeline(cfg.pump, cfg.setup, grid16)).rank
+        assert 0.0 < grid["interpolation_error"] <= 1e-12
 
     def test_ef_report(self, tmp_path):
         assert self.run("--n", "16", "ef", outdir=tmp_path) == 0
@@ -288,3 +296,39 @@ class TestCliCommands:
         monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))
         assert main(["--n", "16", "simulate", "mom"]) == 0
         assert (tmp_path / "joint_mom_av.grd").exists()
+
+
+class TestFreshProcess:
+    """The CLI in a new interpreter, as a user starts it."""
+
+    @staticmethod
+    def python(*args, preexec_fn=None):
+        import biphoton
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(biphoton.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, check=False,
+                              preexec_fn=preexec_fn, timeout=300)
+
+    def test_import_loads_no_scipy(self):
+        res = self.python("-c", "import sys, biphoton.cli; print(sorted("
+                          "m for m in sys.modules if m.startswith('scipy')))")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+    def test_ef_n256_fits_3gib_address_space(self, tmp_path):
+        cap = 3 * 1024**3
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        res = self.python("-m", "biphoton.cli", "--n", "256", "--out",
+                          str(tmp_path), "ef", preexec_fn=limit)
+        assert res.returncode == 0, res.stderr
+        report = json.loads((tmp_path / "ef_report.json").read_text())
+        assert report["m"] == 256
+        assert report["grid"]["interpolation_error"] <= 1e-12

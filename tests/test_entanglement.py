@@ -19,7 +19,8 @@ from biphoton.entanglement import (
     joint_entropy,
     scan,
 )
-from biphoton.fields import MomentumGrid4, Pipeline
+from biphoton.fields import (EXTENT_C2, MomentumGrid4, Pipeline,
+                             amplitude_factors)
 from biphoton.phasematch import CrystalSetup, PumpSpec
 
 PUMP = PumpSpec(355e-9, 507e-6)
@@ -321,7 +322,9 @@ class TestStreamingMatches4d:
             ref = ef_min_4d(pipe, z, m)
             assert abs(point.report.ef_min - ref) <= 1e-12
             assert abs(ef_min_at(pipe, z, m=m).ef_min - ref) <= 1e-12
-            assert point.report.grid["y_pairs_total"] == 32 * 32
+            assert point.report.grid["rank"] == \
+                amplitude_factors(pipe).rank
+            assert 0.0 < point.report.grid["interpolation_error"] <= 1e-12
 
     def test_theta_scan(self):
         setup = CrystalSetup.single(5e-3, math.radians(32.9))
@@ -330,3 +333,19 @@ class TestStreamingMatches4d:
         point, = scan(pipe, 5e-3, "theta_p", [theta])
         varied = Pipeline(PUMP, CrystalSetup.single(5e-3, theta), pipe.grid)
         assert abs(point.report.ef_min - ef_min_4d(varied, 5e-3, 16)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_wide_extent(self, kind):
+        # A 2.2x wider ring extent, as criterion 7 uses for the outer
+        # angles: the interpolation needs more than twice the default rank.
+        if kind == "single":
+            setup = CrystalSetup.single(5e-3, math.radians(32.9))
+        else:
+            setup = CrystalSetup.double(1e-3, 4e-3, math.radians(32.93))
+        grid = MomentumGrid4.auto(PUMP, setup, n=32, c2=2.2 * EXTENT_C2)
+        pipe = Pipeline(PUMP, setup, grid)
+        zs = [0.0, 5e-3, 35e-3]
+        for z, point in zip(zs, scan(pipe, 5e-3, "z", zs)):
+            assert abs(point.report.ef_min - ef_min_4d(pipe, z, 32)) <= 1e-12
+        assert point.report.grid["rank"] > 2 * amplitude_factors(
+            pipeline(setup, 32)).rank

@@ -6,34 +6,38 @@ FFT path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from biphoton.dispersion import collinear_angle
+from biphoton.dispersion import TransverseMomentum, collinear_angle
 from biphoton.fields import (
     BiphotonAmplitude4,
     DegenerateConditionError,
     Distribution,
+    EXTENT_C2,
     MemoryBudgetError,
     MomentumGrid4,
     Pipeline,
     SupportTruncationError,
-    WORKING_FACTOR,
     _boundary_max,
+    amplitude_factors,
     averaged_joint_x,
     averaged_joints_x,
     boundary_ratio,
     build_amplitude,
     conditional_position,
+    conditional_position_direct,
     momentum_pdf,
     pdf,
     position_pdf,
     propagate,
     singles,
+    singles_direct,
     to_position,
 )
-from biphoton.phasematch import CrystalSetup, PumpSpec
+from biphoton.phasematch import CrystalSetup, PumpSpec, momentum_amplitude
 
 PUMP = PumpSpec(355e-9, 507e-6)
 THETA = math.radians(32.9)
@@ -332,7 +336,7 @@ class TestReductions:
 
 
 class TestAveragedJointsX:
-    """The streaming engine against the 4D path it replaces."""
+    """The rank-R engine against the 4D path it replaces."""
 
     ZS = (0.0, 5e-3, 35e-3)
 
@@ -365,23 +369,22 @@ class TestAveragedJointsX:
             assert got.deltas == ref.deltas
             assert self.max_rel_err(ref.values, got.values) <= 1e-12
 
-    def test_small_budget_many_chunks(self):
+    def test_budget_holds_the_factors(self):
+        # Single crystal, n = 32: the interpolation converges at the second
+        # trial, 32 nodes, whose factors (two arrays of 32 complex n x n
+        # tables) need exactly this many bytes.
         grid = MomentumGrid4.auto(PUMP, SETUP, n=32)
+        budget = 2 * 32 * 32 * 32 * 16
         one = averaged_joints_x(Pipeline(PUMP, SETUP, grid), self.ZS)
-        # Room for three 32 x 32 slabs per chunk: 31 chunks for 93 pairs.
-        budget = 3 * 32 * 32 * 16 * WORKING_FACTOR
-        many = averaged_joints_x(Pipeline(PUMP, SETUP, grid,
-                                          memory_budget=budget), self.ZS)
-        assert one.diagnostics.y_pairs_kept > 3
-        a, b = one.diagnostics, many.diagnostics
-        assert (a.boundary_ratio, a.y_pairs_kept) == \
-            (b.boundary_ratio, b.y_pairs_kept)
-        assert a.dropped_mass_bound == pytest.approx(b.dropped_mass_bound,
-                                                     rel=1e-12)
-        assert self.max_rel_err(one.momentum.values,
-                                many.momentum.values) <= 1e-12
-        for a, b in zip(one.position, many.position):
-            assert self.max_rel_err(a.values, b.values) <= 1e-12
+        tight = averaged_joints_x(Pipeline(PUMP, SETUP, grid,
+                                           memory_budget=budget), self.ZS)
+        assert one.diagnostics == tight.diagnostics
+        assert np.array_equal(one.momentum.values, tight.momentum.values)
+        for a, b in zip(one.position, tight.position):
+            assert np.array_equal(a.values, b.values)
+        with pytest.raises(MemoryBudgetError):
+            averaged_joints_x(Pipeline(PUMP, SETUP, grid,
+                                       memory_budget=budget - 1), self.ZS)
 
     def test_budget_below_one_slab(self):
         grid = MomentumGrid4.auto(PUMP, SETUP, n=16)
@@ -392,6 +395,7 @@ class TestAveragedJointsX:
     @pytest.mark.parametrize("extent", [
         ("single", 8, {}), ("single", 16, {}), ("single", 32, {}),
         ("double", 8, {}), ("double", 16, {}), ("double", 32, {}),
+        ("single", 64, {}), ("double", 64, {}),
         ("single", 8, {"c1": 0.2, "c2": 0.05}),
         ("double", 16, {"c1": 0.2, "c2": 0.05})],
         ids=lambda e: f"{e[0]}-{e[1]}" + ("-tight" if e[2] else ""))
@@ -423,9 +427,138 @@ class TestAveragedJointsX:
                         run()
                     assert str(info.value) == expected
 
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_boundary_ratio_is_cubic(self, kind, monkeypatch):
+        # The guard evaluates the four signal-axis hull faces (n^3 points
+        # each) and, for the peak, the y-pair slabs of one diagonal
+        # q_sy + q_iy = 0 (n^3 points) before the envelope bound stops it.
+        import biphoton.fields as fields_module
+
+        evaluated = []
+
+        def counting(*args, **kwargs):
+            out = momentum_amplitude(*args, **kwargs)
+            evaluated.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(fields_module, "momentum_amplitude", counting)
+        setup = self.setup_of(kind)
+        for n in (32, 64):
+            evaluated.clear()
+            boundary_ratio(Pipeline(PUMP, setup,
+                                    MomentumGrid4.auto(PUMP, setup, n=n)))
+            assert sum(evaluated) <= 5 * n**3
+
     def test_diagnostics(self):
-        grid = MomentumGrid4.auto(PUMP, SETUP, n=32)
-        diag = averaged_joints_x(Pipeline(PUMP, SETUP, grid), []).diagnostics
-        assert diag.y_pairs_total == 32 * 32
-        assert 0 < diag.y_pairs_kept < diag.y_pairs_total
-        assert 0.0 <= diag.dropped_mass_bound < 1e-30
+        for kind in ("single", "double"):
+            setup = self.setup_of(kind)
+            grid = MomentumGrid4.auto(PUMP, setup, n=32)
+            pipe = Pipeline(PUMP, setup, grid)
+            diag = averaged_joints_x(pipe, []).diagnostics
+            factors = amplitude_factors(pipe)
+            assert diag.rank == factors.rank
+            err, peak = factor_error(factors, grid, setup)
+            assert err / peak <= diag.interpolation_error <= 1e-12
+            assert diag.interpolation_error == \
+                pytest.approx(factors.error / peak, rel=1e-12)
+
+
+def factor_error(factors, grid, setup):
+    """(max |A - sum_r x_r y_r|, max |A|) with A the unnormalized amplitude
+    on the 4D broadcast."""
+    q = grid.q_axis
+    values = momentum_amplitude(
+        TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
+        TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
+        PUMP, setup, paraxial="ignore")
+    err = np.abs(np.einsum("rac,rbd->abcd", factors.x, factors.y)
+                 - values).max()
+    return float(err), float(np.abs(values).max())
+
+
+class TestRankFactors:
+    """The rank-R factors and every output built on them against the 4D
+    path, at the default extent and at a widened one that needs a large
+    rank."""
+
+    WIDE = {"c2": 2.2 * EXTENT_C2}
+
+    @staticmethod
+    def rel_err(ref, got):
+        return np.abs(ref - got).max() / ref.max()
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["default", "wide"])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_factors(self, kind, n, wide):
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n,
+                                  **(self.WIDE if wide else {}))
+        factors = amplitude_factors(Pipeline(PUMP, setup, grid))
+        err, peak = factor_error(factors, grid, setup)
+        assert err <= factors.error <= 1e-12 * peak
+        # The double crystal's cos g doubles the rank.
+        assert factors.rank % (1 if kind == "single" else 2) == 0
+        if wide:
+            default = MomentumGrid4.auto(PUMP, setup, n=n)
+            assert factors.rank > amplitude_factors(
+                Pipeline(PUMP, setup, default)).rank
+
+    @pytest.mark.parametrize("n, z", [
+        (n, z) for n in (8, 16, 32) for z in TestAveragedJointsX.ZS]
+        + [(64, 5e-3)])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_position_outputs(self, kind, n, z):
+        self.check_position_outputs(kind, MomentumGrid4.auto(
+            PUMP, TestAveragedJointsX.setup_of(kind), n=n), z)
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_position_outputs_wide(self, kind):
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=32, **self.WIDE)
+        self.check_position_outputs(kind, grid, 5e-3)
+        mom = averaged_joint_x(momentum_pdf(
+            build_amplitude(grid, PUMP, setup, boundary_tol=None)))
+        got = averaged_joints_x(Pipeline(PUMP, setup, grid,
+                                         boundary_tol=None), []).momentum
+        assert self.rel_err(mom.values, got.values) <= 1e-12
+
+    def check_position_outputs(self, kind, grid, z):
+        """Joint, conditional (on and off axis) and singles at z."""
+        setup = TestAveragedJointsX.setup_of(kind)
+        pipe = Pipeline(PUMP, setup, grid, boundary_tol=None)
+        amp = build_amplitude(grid, PUMP, setup, boundary_tol=None)
+        dist4 = position_pdf(to_position(propagate(amp, z)))
+        joint = averaged_joints_x(pipe, [z]).position[0]
+        assert self.rel_err(averaged_joint_x(dist4).values,
+                            joint.values) <= 1e-12
+        n = grid.n
+        for node in ((n // 2, n // 2), (n // 2 + 2, n // 2 - 1)):
+            rho = (grid.x_axis[node[0]], grid.x_axis[node[1]])
+            direct = conditional_position_direct(PUMP, setup, z, grid,
+                                                 rho_i0=rho)
+            ref = conditional_position(dist4, rho_i0=rho)
+            assert direct.deltas == ref.deltas
+            assert self.rel_err(ref.values, direct.values) <= 1e-12
+        got = singles_direct(pipe, z)
+        ref = singles(dist4)
+        assert (got.axis_names, got.deltas) == (ref.axis_names, ref.deltas)
+        assert self.rel_err(ref.values, got.values) <= 1e-12
+
+    def test_singles_keeps_the_guard(self):
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=8, c1=0.2, c2=0.05)
+        with pytest.raises(SupportTruncationError):
+            singles_direct(Pipeline(PUMP, SETUP, grid), 5e-3)
+
+    def test_budget_checked_before_allocating(self):
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=64)
+        # The first trial's factors need 2 * 64^2 * 16 * 16 bytes = 2 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError):
+                amplitude_factors(Pipeline(PUMP, SETUP, grid,
+                                           memory_budget=1024**2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2
