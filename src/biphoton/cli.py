@@ -187,10 +187,11 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_conditional(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
-    # The 4D build's truncation guard: O(n^3) when the envelope decays.
+    # The 4D build's truncation guard.
     fields.boundary_ratio(pipe)
-    cond = fields.conditional_position_direct(pipe.pump, pipe.setup, cfg.z,
-                                              pipe.grid, model=pipe.model)
+    cond = fields.conditional_position_direct(
+        pipe.pump, pipe.setup, cfg.z, pipe.grid, model=pipe.model,
+        memory_budget=pipe.memory_budget)
     for path in _write_2d(cond, "conditional_pos", cfg):
         print(f"wrote {path}")
     return EXIT_OK

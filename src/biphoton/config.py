@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+from . import fields
 from .coincidence import DetectorModel
 from .phasematch import ConfigurationError, CrystalSetup, PumpSpec
 
@@ -27,38 +28,41 @@ class ConfigError(ConfigurationError):
 def parse_quantity(value, kind: str, key: str = "") -> float:
     """Parse a config value of the given kind ("length" | "angle" | "number").
 
-    Numbers are taken as SI; strings must carry a unit suffix.
+    Numbers are taken as SI; strings must carry a unit suffix.  The result
+    must be finite.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, str):
-        raise ConfigError(f"{key}: expected number or unit string, got {value!r}")
-    text = value.strip().replace(" ", "")
     units = {"length": _LENGTH_UNITS, "angle": _ANGLE_UNITS,
              "number": {}}.get(kind)
     if units is None:
         raise ConfigError(f"{key}: unknown quantity kind {kind!r}")
-    for suffix in sorted(units, key=len, reverse=True):
-        if text.endswith(suffix):
-            try:
-                return float(text[: -len(suffix)]) * units[suffix]
-            except ValueError:
-                raise ConfigError(f"{key}: cannot parse number in {value!r}") from None
-    try:
-        return float(text)
-    except ValueError:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        text, scale = value, 1.0
+    elif isinstance(value, str):
+        text, scale = value.strip().replace(" ", ""), 1.0
+        for suffix in sorted(units, key=len, reverse=True):
+            if text.endswith(suffix):
+                text, scale = text[: -len(suffix)], units[suffix]
+                break
+    else:
         raise ConfigError(
-            f"{key}: cannot parse {value!r}; accepted units: {sorted(units)}"
-        ) from None
+            f"{key}: expected number or unit string, got {value!r}")
+    try:
+        number = float(text) * scale
+    except (ValueError, OverflowError):
+        accepted = f"; accepted units: {sorted(units)}" if units else ""
+        raise ConfigError(f"{key}: cannot parse {value!r}{accepted}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    n: int = 64
-    c1: float = 6.0
-    c2: float = 1.5
-    boundary_tol: float = 0.1
-    memory_budget: int = 6 * 1024**3
+    n: int = fields.DEFAULT_N
+    c1: float = fields.EXTENT_C1
+    c2: float = fields.EXTENT_C2
+    boundary_tol: float = fields.BOUNDARY_TOLERANCE
+    memory_budget: int = fields.MEMORY_BUDGET
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,9 @@ class EntanglementConfig:
 
 @dataclass(frozen=True)
 class CoincidenceConfig:
-    pitch: float = 16e-6
-    quantum_efficiency: float = 0.6
-    dark_rate: float = 1e-3
+    pitch: float = DetectorModel.pitch
+    quantum_efficiency: float = DetectorModel.quantum_efficiency
+    dark_rate: float = DetectorModel.dark_rate
     roi: tuple[int, int] | None = None  # None: auto-size to the grid
     mu_pairs: float = 5.0
     n_frames: int = 10000
@@ -139,74 +143,79 @@ def _check_keys(data: dict, schema: dict, path: str = "") -> None:
             _check_keys(sub, schema[key], where)
 
 
+def _convert(value, kind: str, key: str):
+    """One config value converted by its ``_SCHEMA`` kind.
+
+    Integer keys accept integral numbers only; lists must be JSON arrays.
+    """
+    if kind in ("length", "angle"):
+        return parse_quantity(value, kind, key)
+    if kind == "float":
+        return parse_quantity(value, "number", key)
+    if kind == "int":
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        number = parse_quantity(value, "number", key)
+        if not number.is_integer():
+            raise ConfigError(f"{key}: expected an integer, got {value!r}")
+        return int(number)
+    if kind == "list":
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key}: expected a list, got {value!r}")
+        return list(value)
+    return str(value)
+
+
 def build_config(data: dict) -> RunConfig:
     """Build a validated RunConfig from a (merged) plain dict."""
     _check_keys(data, _SCHEMA)
     defaults = RunConfig()
 
-    pump_d = data.get("pump", {})
-    pump = PumpSpec(
-        wavelength=parse_quantity(pump_d.get("wavelength", defaults.pump.wavelength),
-                                  "length", "pump.wavelength"),
-        waist=parse_quantity(pump_d.get("waist", defaults.pump.waist),
-                             "length", "pump.waist"),
-    )
+    def get(section: str, key: str, default):
+        # The value converted by its schema kind, or the default if absent.
+        table = data.get(section, {})
+        if key not in table or (table[key] is None and default is None):
+            return default
+        return _convert(table[key], _SCHEMA[section][key], f"{section}.{key}")
 
-    cr = data.get("crystal", {})
-    kind = cr.get("kind", defaults.setup.kind)
+    pump = PumpSpec(
+        wavelength=get("pump", "wavelength", defaults.pump.wavelength),
+        waist=get("pump", "waist", defaults.pump.waist))
+
+    kind = get("crystal", "kind", defaults.setup.kind)
     if kind not in ("single", "double"):
         raise ConfigError(f"crystal.kind must be single|double, got {kind!r}")
-    if kind == "single" and "gap" in cr:
+    if kind == "single" and "gap" in data.get("crystal", {}):
         raise ConfigError("crystal.gap requires crystal.kind = double")
     try:
         setup = CrystalSetup(
             kind=kind,
-            length=parse_quantity(cr.get("length", defaults.setup.length),
-                                  "length", "crystal.length"),
-            gap=parse_quantity(cr.get("gap", 0.0), "length", "crystal.gap"),
-            theta_p=parse_quantity(cr.get("theta_p", defaults.setup.theta_p),
-                                   "angle", "crystal.theta_p"),
+            length=get("crystal", "length", defaults.setup.length),
+            gap=get("crystal", "gap", 0.0),
+            theta_p=get("crystal", "theta_p", defaults.setup.theta_p),
         )
     except ConfigurationError as exc:
         raise ConfigError(f"crystal: {exc}") from exc
 
-    g = data.get("grid", {})
-    grid = GridConfig(
-        n=int(g.get("n", defaults.grid.n)),
-        c1=float(g.get("c1", defaults.grid.c1)),
-        c2=float(g.get("c2", defaults.grid.c2)),
-        boundary_tol=float(g.get("boundary_tol", defaults.grid.boundary_tol)),
-        memory_budget=int(g.get("memory_budget", defaults.grid.memory_budget)),
-    )
+    grid = GridConfig(**{key: get("grid", key, getattr(defaults.grid, key))
+                         for key in _SCHEMA["grid"]})
     if grid.n < 8 or (grid.n & (grid.n - 1)) != 0:
         raise ConfigError(f"grid.n must be a power of two >= 8, got {grid.n}")
 
-    e = data.get("entanglement", {})
-    m = e.get("m")
-    ent = EntanglementConfig(m=int(m) if m is not None else None)
+    ent = EntanglementConfig(m=get("entanglement", "m", None))
     if ent.m is not None and (ent.m < 2 or grid.n % ent.m != 0):
         raise ConfigError(f"entanglement.m must divide grid.n, got {ent.m}")
 
-    c = data.get("coincidence", {})
-    roi = c.get("roi")
+    roi = get("coincidence", "roi", None)
     if roi is not None:
-        roi = tuple(int(v) for v in roi)
+        roi = tuple(_convert(v, "int", "coincidence.roi") for v in roi)
         if len(roi) != 2:
             raise ConfigError("coincidence.roi must be [ny, nx]")
-    coin = CoincidenceConfig(
-        pitch=parse_quantity(c.get("pitch", defaults.coincidence.pitch),
-                             "length", "coincidence.pitch"),
-        quantum_efficiency=float(c.get("quantum_efficiency",
-                                       defaults.coincidence.quantum_efficiency)),
-        dark_rate=float(c.get("dark_rate", defaults.coincidence.dark_rate)),
-        roi=roi,
-        mu_pairs=float(c.get("mu_pairs", defaults.coincidence.mu_pairs)),
-        n_frames=int(c.get("n_frames", defaults.coincidence.n_frames)),
-        seed=int(c.get("seed", defaults.coincidence.seed)),
-    )
+    coin = CoincidenceConfig(**{
+        key: get("coincidence", key, getattr(defaults.coincidence, key))
+        for key in _SCHEMA["coincidence"] if key != "roi"}, roi=roi)
 
-    out = data.get("output", {})
-    formats = tuple(out.get("formats", list(defaults.formats)))
+    formats = tuple(get("output", "formats", list(defaults.formats)))
     for fmt in formats:
         if fmt not in ("grd", "csv", "pgm"):
             raise ConfigError(f"output.formats: unknown format {fmt!r}")
@@ -214,7 +223,7 @@ def build_config(data: dict) -> RunConfig:
     return RunConfig(pump=pump, setup=setup,
                      z=parse_quantity(data.get("z", defaults.z), "length", "z"),
                      grid=grid, entanglement=ent, coincidence=coin,
-                     outdir=str(out.get("dir", defaults.outdir)),
+                     outdir=get("output", "dir", defaults.outdir),
                      formats=formats)
 
 

@@ -367,7 +367,9 @@ def conditional_position(dist4: Distribution, rho_i0=(0.0, 0.0),
 def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
                                 z: float, grid: MomentumGrid4,
                                 rho_i0=(0.0, 0.0),
-                                model: SellmeierModel = BBO) -> Distribution:
+                                model: SellmeierModel = BBO,
+                                memory_budget: int = MEMORY_BUDGET,
+                                ) -> Distribution:
     """Conditional signal distribution without the 4D transform.
 
     The amplitude at a fixed idler point factors through a 2D transform of
@@ -377,9 +379,11 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     (position and propagation), B = (X p_x)^T (Y p_y): O(R n^2) work and
     storage.  The signal propagation phase multiplies B once.  Matches
     ``conditional_position`` of the 4D pipeline on shared grids when rho_i0
-    lies on a node.
+    lies on a node.  Raises :class:`MemoryBudgetError` where
+    :func:`amplitude_factors` does under ``memory_budget``.
     """
-    factors = amplitude_factors(Pipeline(pump, setup, grid, model))
+    factors = amplitude_factors(Pipeline(pump, setup, grid, model,
+                                         memory_budget=memory_budget))
     q = grid.q_axis
     x0, y0 = rho_i0
     propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
@@ -581,73 +585,62 @@ class AveragedJoints:
     diagnostics: GridDiagnostics
 
 
-def _chunk_rows(n: int) -> int:
-    """n x n slabs per batched evaluation of the guards."""
-    return max(1, CHUNK_ELEMS // (n * n))
+def _max_over_pairs(pipeline: Pipeline, ctx, x_pairs, y_pairs,
+                    best: float = 0.0) -> float:
+    """max(best, max |A|) over every x-pair (q_sx, q_ix) of ``x_pairs``
+    with every y-pair (q_sy, q_iy) of ``y_pairs``, exactly.
 
-
-def _edge_max(pipeline: Pipeline, ctx) -> float:
-    """``_boundary_max`` of the 4D amplitude, one face at a time: each face
-    is an n^3 evaluation, in chunks of ``_chunk_rows`` slabs.  A is exactly
-    symmetric under signal-idler exchange (every term of the mismatch and
-    the envelope is), so the two signal axes' faces hold every hull value."""
-    q = pipeline.grid.q_axis
-    rows = _chunk_rows(q.size)
-    best = 0.0
-    for axis in range(2):
-        for end in (q[0], q[-1]):
-            for lo in range(0, q.size, rows):
-                free = iter((q[lo:lo + rows, None, None], q[None, :, None],
-                             q[None, None, :]))
-                sx, sy, ix, iy = (end if a == axis else next(free)
-                                  for a in range(4))
-                face = momentum_amplitude(
-                    TransverseMomentum(sx, sy), TransverseMomentum(ix, iy),
-                    pipeline.pump, pipeline.setup, ctx=ctx, paraxial="ignore")
-                best = max(best, float(np.abs(face).max()))
-    return best
-
-
-def _peak(pipeline: Pipeline, ctx) -> float:
-    """max |A| over the 4D grid, exactly, from y-pair slabs.
-
-    Each y-pair (q_sy, q_iy) is an n x n slab over (q_sx, q_ix), bounded by
-    v_y max v_x since |Phi| <= 1.  Slabs are evaluated in decreasing v_y
-    and the walk stops once that bound, with room for rounding, is below
-    the running maximum: when the envelope decays across the grid, only the
-    y-pairs near q_sy + q_iy = 0 are visited, O(n^3) work.
+    |A| <= v_x v_y since |Phi| <= 1.  Both lists are sorted by decreasing
+    envelope; each chunk of y-pairs is evaluated against only the x-pairs
+    whose bound, with room for rounding, can still exceed the running
+    maximum, and the walk stops when none can.  Chunks hold at most
+    sqrt(len y-pairs) rows, so the first sets the running maximum early.
     """
-    pump, q = pipeline.pump, pipeline.grid.q_axis
-    n = q.size
-    v_y = pump_envelope(TransverseMomentum(0.0, q[:, None] + q[None, :]),
-                        pump).ravel()
-    v_x_max = float(pump_envelope(
-        TransverseMomentum(q[:, None] + q[None, :], 0.0), pump).max())
-    order = np.argsort(-v_y, kind="stable")
-    sy, iy = (q[i][:, None, None] for i in np.divmod(order, n))
-    # At most one diagonal q_sy + q_iy = const per chunk, so that the walk
-    # stops close to where the bound does.
-    rows = min(n, _chunk_rows(n))
-    best = 0.0
-    for lo in range(0, order.size, rows):
-        if v_y[order[lo]] * v_x_max * (1.0 + 8.0 * EPS) < best:
+    pump = pipeline.pump
+    (sx, ix), (sy, iy) = x_pairs, y_pairs
+    v_x = pump_envelope(TransverseMomentum(sx + ix, 0.0), pump)
+    v_y = pump_envelope(TransverseMomentum(0.0, sy + iy), pump)
+    ox, oy = np.argsort(-v_x, kind="stable"), np.argsort(-v_y, kind="stable")
+    sx, ix, v_x = sx[ox][None], ix[ox][None], v_x[ox]
+    sy, iy, v_y = sy[oy][:, None], iy[oy][:, None], v_y[oy]
+    rows = math.isqrt(v_y.size)
+    lo = 0
+    while lo < v_y.size:
+        bound = v_x * (v_y[lo] * (1.0 + 8.0 * EPS))
+        live = int(np.count_nonzero(bound > best))
+        if live == 0:
             break
-        slabs = momentum_amplitude(
-            TransverseMomentum(q[None, :, None], sy[lo:lo + rows]),
-            TransverseMomentum(q[None, None, :], iy[lo:lo + rows]),
+        hi = lo + max(1, min(rows, CHUNK_ELEMS // live))
+        values = momentum_amplitude(
+            TransverseMomentum(sx[:, :live], sy[lo:hi]),
+            TransverseMomentum(ix[:, :live], iy[lo:hi]),
             pump, pipeline.setup, ctx=ctx, paraxial="ignore")
-        best = max(best, float(np.abs(slabs).max()))
+        best = max(best, float(np.abs(values).max()))
+        lo = hi
     return best
 
 
 def _guarded_peak(pipeline: Pipeline) -> tuple[float, float]:
-    """(peak |A|, edge / peak); raises where :func:`build_amplitude` does."""
+    """(peak |A|, edge / peak); raises where :func:`build_amplitude` does.
+
+    :func:`_max_over_pairs` gives the peak over all pairs, then the edge
+    (the largest |A| on the 4D hull) over four faces, the running maximum
+    passed from one to the next.  A is exactly symmetric under signal-idler
+    exchange (every term of the mismatch and the envelope is), so the faces
+    with q_sx or q_sy at one end of its axis hold every hull value.
+    """
     ctx = make_context(pipeline.setup.theta_p, pipeline.pump.wavelength,
                        pipeline.model)
-    peak = _peak(pipeline, ctx)
+    q = pipeline.grid.q_axis
+    every = (np.repeat(q, q.size), np.tile(q, q.size))
+    peak = _max_over_pairs(pipeline, ctx, every, every)
     if peak == 0.0:
         raise GridError("amplitude is identically zero on the grid")
-    edge = _edge_max(pipeline, ctx)
+    edge = 0.0
+    for end in (q[0], q[-1]):
+        face = (np.full(q.size, end), q)
+        edge = _max_over_pairs(pipeline, ctx, face, every, edge)
+        edge = _max_over_pairs(pipeline, ctx, every, face, edge)
     if pipeline.boundary_tol is not None:
         _check_boundary(edge, peak, pipeline.boundary_tol)
     return peak, edge / peak
@@ -656,9 +649,10 @@ def _guarded_peak(pipeline: Pipeline) -> tuple[float, float]:
 def boundary_ratio(pipeline: Pipeline) -> float:
     """The boundary guard of :func:`build_amplitude` without the 4D array.
 
-    The exact peak comes from the pruned y-pair walk of :func:`_peak` and
-    the edge from the hull faces: O(n^3) work when the pump envelope decays
-    across the grid.  Raises :class:`SupportTruncationError` on the same
+    Peak and edge come from one exact walk (:func:`_guarded_peak`) that
+    evaluates only the points whose envelope bound v_x v_y can still raise
+    the running maximum: well under n^3 when the pump envelope decays across
+    the grid.  Raises :class:`SupportTruncationError` on the same
     configurations, with the same message; returns the ratio edge / peak.
     """
     return _guarded_peak(pipeline)[1]

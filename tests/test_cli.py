@@ -86,6 +86,10 @@ class TestConfig:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
         assert len(a.fingerprint()) == 16
+        # The defaults, taken from the constants of fields and coincidence,
+        # keep the values and types that every artifact's fingerprint holds.
+        assert a.fingerprint() == RunConfig().fingerprint() \
+            == "33592b955cfc988b"
 
     def test_double_crystal_config(self):
         cfg = build_config({"crystal": {"kind": "double", "length": "1mm",
@@ -172,6 +176,21 @@ class TestCliCommands:
         assert code == 2
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        {"grid": {"n": "abc"}}, {"grid": {"c1": "x"}},
+        {"entanglement": {"m": "q"}}, {"coincidence": {"roi": 5}},
+        {"grid": {"n": 16.9}}, {"grid": {"boundary_tol": "nan"}}],
+        ids=["n-text", "c1-text", "m-text", "roi-scalar", "n-fraction",
+             "tol-nan"])
+    def test_malformed_value_exit2(self, tmp_path, capsys, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert self.run("--config", str(cfg), "ef", outdir=tmp_path) == 2
+        section, = data
+        key, = data[section]
+        assert f"config: {section}.{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "ef_report.json").exists()
+
     def test_conflicting_kind_flags_exit2(self, tmp_path):
         code = self.run("--single", "--double", "collinear-angle",
                         outdir=tmp_path)
@@ -205,6 +224,16 @@ class TestCliCommands:
         assert self.run("--config", str(cfg), "conditional",
                         outdir=tmp_path) == 3
         assert "boundary magnitude" in capsys.readouterr().err
+        assert not (tmp_path / "conditional_pos.grd").exists()
+
+    def test_conditional_memory_budget_exit3(self, tmp_path, capsys):
+        # The factors of the direct conditional honour grid.memory_budget,
+        # as those of ef and singles do.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 16, "memory_budget": 1024}}))
+        assert self.run("--config", str(cfg), "conditional",
+                        outdir=tmp_path) == 3
+        assert "(> budget 1024 bytes)" in capsys.readouterr().err
         assert not (tmp_path / "conditional_pos.grd").exists()
 
     def test_degenerate_condition_exit3(self, tmp_path, capsys, monkeypatch):
