@@ -264,10 +264,10 @@ def _cmd_frames(cfg: RunConfig, args) -> int:
     stack_path = args.stack
     if args.action == "synth":
         pipe = _pipeline(cfg)
-        dist4 = pipe.position_distribution(cfg.z)
+        source = fields.position_factors(pipe, cfg.z)
         roi = cfg.coincidence.roi or _auto_roi(pipe, cfg.coincidence.pitch)
         detector = cfg.coincidence.detector(roi)
-        stack = coin.synth_frames(dist4, detector, cfg.coincidence.mu_pairs,
+        stack = coin.synth_frames(source, detector, cfg.coincidence.mu_pairs,
                                   cfg.coincidence.n_frames,
                                   cfg.coincidence.seed,
                                   fingerprint=cfg.fingerprint())

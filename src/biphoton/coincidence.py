@@ -1,26 +1,31 @@
 """Synthetic single-photon-camera acquisition and coincidence reconstruction.
 
-The forward model draws photon-pair events from a 4D position distribution,
-thins each photon by the detector quantum efficiency, adds per-pixel Poisson
-dark counts, and accumulates integer counts into two detector planes (signal
-and idler) per frame.  Coincidences are recovered with the standard
-accidental-subtracting estimator
+The forward model draws photon-pair events from the position distribution
+(from its rank-R factor tables, or from a 4D array), thins each photon by the
+detector quantum efficiency, adds per-pixel Poisson dark counts, and
+accumulates integer counts into two detector planes (signal and idler) per
+frame.  Coincidences are recovered with the standard accidental-subtracting
+estimator
 
     C_pq = <n_p n_q>_same-frame - <n_p n_q>_adjacent-frame
 
 where the adjacent-frame (cyclically closed) product estimates the
-uncorrelated background.
+uncorrelated background.  Stacks are sparse; they are written, read and
+reduced in blocks of whole frames, never as one dense array.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .fields import Distribution
+from .fields import CHUNK_ELEMS, Distribution
 from .writers import _atomic_write
 
 
@@ -34,6 +39,10 @@ class AccumulatorError(RuntimeError):
 
 #: Largest per-pixel per-frame count representable in the frame format.
 MAX_COUNT = np.iinfo(np.uint16).max
+
+#: Bytes of one frame block: stacks are written, read and reduced in blocks
+#: of whole frames of about this size, each through one reused buffer.
+FRAME_BLOCK_BYTES = 4 * 1024**2
 
 
 @dataclass(frozen=True)
@@ -60,24 +69,78 @@ class DetectorModel:
             raise DetectorError(f"ROI must be at least 1x1 pixels, got {self.roi}")
 
 
-@dataclass(frozen=True)
 class FrameStack:
-    """Per-frame photon counts, shape (n_frames, 2, ny, nx), planes (signal, idler)."""
+    """Per-frame photon counts of shape (n_frames, 2, ny, nx), planes
+    (signal, idler), uint16.
 
-    counts: np.ndarray
-    seed: int
-    detector: DetectorModel
-    fingerprint: str = ""
+    ``FrameStack(counts, seed, detector)`` holds a dense array, which is
+    its one block.  :func:`synth_frames` gives a stack held as sorted
+    events and :func:`load_frames` one that reads its file; both yield
+    consecutive blocks of whole frames, of about ``FRAME_BLOCK_BYTES``,
+    through one reused buffer.  ``counts`` is the dense array, built on
+    demand for those two.
+    """
 
-    def __post_init__(self):
-        if self.counts.ndim != 4 or self.counts.shape[1] != 2:
-            raise DetectorError(f"counts shape must be (F, 2, ny, nx), got {self.counts.shape}")
-        if self.counts.dtype != np.uint16:
-            raise DetectorError("counts must be uint16")
+    def __init__(self, counts: np.ndarray | None, seed: int,
+                 detector: DetectorModel, fingerprint: str = "", *,
+                 shape: tuple[int, ...] | None = None,
+                 blocks: Callable[[], Iterator[np.ndarray]] | None = None):
+        if counts is not None:
+            if counts.dtype != np.uint16:
+                raise DetectorError("counts must be uint16")
+            shape, blocks = counts.shape, partial(iter, (counts,))
+        if len(shape) != 4 or shape[1] != 2:
+            raise DetectorError(f"counts shape must be (F, 2, ny, nx), got {shape}")
+        self.shape = tuple(int(s) for s in shape)
+        self.seed = seed
+        self.detector = detector
+        self.fingerprint = fingerprint
+        self._dense = counts
+        self._blocks = blocks
 
     @property
     def n_frames(self) -> int:
-        return self.counts.shape[0]
+        return self.shape[0]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The stack as consecutive (F_b, 2, ny, nx) blocks of whole frames;
+        each block is valid until the next one is drawn."""
+        return self._blocks()
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense (n_frames, 2, ny, nx) array."""
+        if self._dense is not None:
+            return self._dense
+        out = np.empty(self.shape, dtype=np.uint16)
+        f0 = 0
+        for block in self.blocks():
+            out[f0:f0 + len(block)] = block
+            f0 += len(block)
+        return out
+
+
+def _block_frames(shape: tuple[int, ...]) -> int:
+    """Frames per block of a stack of ``shape``: at least one."""
+    return max(1, FRAME_BLOCK_BYTES // (2 * math.prod(shape[1:])))
+
+
+def _event_blocks(shape: tuple[int, ...], cells: np.ndarray,
+                  values: np.ndarray) -> Iterator[np.ndarray]:
+    """Blocks of the stack that holds ``values`` at the sorted flat indices
+    ``cells`` and zero elsewhere, filled into one reused buffer."""
+    n_frames, frame = shape[0], math.prod(shape[1:])
+    per = _block_frames(shape)
+    starts = np.arange(0, n_frames, per)
+    edges = np.searchsorted(cells, np.append(starts, n_frames) * frame)
+    buf = np.empty((per,) + tuple(shape[1:]), dtype=np.uint16)
+    for k, f0 in enumerate(starts):
+        block = buf[:min(per, n_frames - f0)]
+        flat = block.reshape(-1)
+        flat.fill(0)
+        lo, hi = edges[k], edges[k + 1]
+        flat[cells[lo:hi] - f0 * frame] = values[lo:hi]
+        yield block
 
 
 class AliasTable:
@@ -123,31 +186,111 @@ def _pixel_of(x: np.ndarray, pitch: float, n_pix: int) -> np.ndarray:
     return np.floor(x / pitch).astype(np.int64) + n_pix // 2
 
 
-def synth_frames(dist4: Distribution, detector: DetectorModel, mu_pairs: float,
-                 n_frames: int, seed: int, fingerprint: str = "") -> FrameStack:
-    """Generate a stack of synthetic frames from a 4D position distribution.
+class _GridSource:
+    """A 4D position :class:`Distribution` with the sampling interface of
+    :class:`fields.PositionFactors`: node axes, the (y_s, y_i) marginal,
+    and rows of (x_s, x_i) weights given flat (y_s, y_i) indices."""
 
-    Per frame, the number of pair events is Poisson(mu_pairs); each event's
-    (signal, idler) positions are drawn jointly from the discrete
-    distribution, each photon survives with probability QE, and Poisson dark
-    counts are added independently to every pixel of both planes.
-    Deterministic for a fixed seed.
+    def __init__(self, dist: Distribution):
+        if dist.values.ndim != 4 or dist.basis != "position":
+            raise DetectorError("synth_frames requires position factors or a "
+                                "4D position distribution")
+        self.values = dist.values  # axes (x_s, y_s, x_i, y_i)
+        nx, ny = self.values.shape[:2]
+        self.x_axis = (np.arange(nx) - nx // 2) * dist.deltas[0]
+        self.y_axis = (np.arange(ny) - ny // 2) * dist.deltas[1]
+
+    def y_marginal(self) -> np.ndarray:
+        return self.values.sum(axis=(0, 2))
+
+    def x_weights(self, cells: np.ndarray) -> np.ndarray:
+        ny = self.y_axis.size
+        return self.values[:, cells // ny, :, cells % ny].reshape(cells.size, -1)
+
+
+def _as_source(source):
+    """``source``, with a 4D distribution wrapped in :class:`_GridSource`."""
+    return _GridSource(source) if isinstance(source, Distribution) else source
+
+
+def sample_pairs(source, n_pairs: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Grid nodes of ``n_pairs`` photon pairs drawn jointly from |psi|^2.
+
+    ``source`` is :class:`fields.PositionFactors` or a 4D position
+    :class:`Distribution`.  The (y_s, y_i) pair is drawn from its marginal
+    with an alias table, then the (x_s, x_i) pair by inverse CDF given it.
+    Returns the flat (x_s, x_i) and flat (y_s, y_i) indices, signal index
+    major.
     """
-    if dist4.values.ndim != 4 or dist4.basis != "position":
-        raise DetectorError("synth_frames requires a 4D position distribution")
+    source = _as_source(source)
+    y_cells = AliasTable(source.y_marginal()).sample(n_pairs, rng)
+    x_cells = _draw_given(y_cells, rng.random(n_pairs), source.x_weights,
+                          source.x_axis.size ** 2)
+    return x_cells, y_cells
+
+
+def _draw_given(y_cells: np.ndarray, uniforms: np.ndarray,
+                x_weights: Callable, size: int) -> np.ndarray:
+    """One x-pair index per draw, by inverse CDF from the row of
+    ``x_weights`` of its y-pair, with the draw's uniform.
+
+    Draws are sorted by (y-pair + uniform); the tables of the distinct
+    y-pairs are built in chunks of at most ``CHUNK_ELEMS`` elements, each
+    row's CDF normalized and offset by its row number, so one
+    ``searchsorted`` of (row + uniform) reads the chunk in order.
+    """
+    order = np.argsort(y_cells + uniforms)
+    cells, u = y_cells[order], uniforms[order]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))  # one per y-pair
+    edges = np.append(starts, cells.size)
+    distinct = cells[starts]
+    found = np.empty(cells.size, dtype=np.int64)
+    rows = max(1, CHUNK_ELEMS // size)
+    for c0 in range(0, distinct.size, rows):
+        c1 = min(c0 + rows, distinct.size)
+        cdf = x_weights(distinct[c0:c1])
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        cdf += np.arange(c1 - c0)[:, None]
+        lo, hi = edges[c0], edges[c1]
+        row = np.repeat(np.arange(c1 - c0), np.diff(edges[c0:c1 + 1]))
+        index = np.searchsorted(cdf.ravel(), row + u[lo:hi], side="right")
+        # row + u rounds to row + 1 for u within an ulp of 1: keep such a
+        # draw in its own row.
+        found[lo:hi] = np.minimum(index - row * size, size - 1)
+    out = np.empty_like(found)
+    out[order] = found
+    return out
+
+
+def synth_frames(source, detector: DetectorModel, mu_pairs: float,
+                 n_frames: int, seed: int, fingerprint: str = "") -> FrameStack:
+    """Generate a stack of synthetic frames from a position distribution.
+
+    ``source`` is the position amplitude as
+    :class:`fields.PositionFactors` (:func:`fields.position_factors`, what
+    ``frames synth`` uses) or a 4D position :class:`Distribution`.  Per
+    frame, the number of pair events is Poisson(mu_pairs).  Each event's
+    (y_s, y_i) nodes are drawn from their marginal with an alias table,
+    then its (x_s, x_i) nodes by inverse CDF given them (the pair is drawn
+    jointly); each photon survives with probability QE, and Poisson dark
+    counts are added independently to every pixel of both planes.  The
+    stack is held as sorted (cell, count) events.  Deterministic for a
+    fixed seed.
+    """
     if mu_pairs < 0:
         raise DetectorError(f"mu_pairs must be >= 0, got {mu_pairs}")
     if n_frames < 1:
         raise DetectorError(f"n_frames must be >= 1, got {n_frames}")
+    source = _as_source(source)
+    x_axis, y_axis = source.x_axis, source.y_axis
     ny, nx = detector.roi
-    shape = dist4.values.shape
-    axes = [(np.arange(shape[i]) - shape[i] // 2) * dist4.deltas[i]
-            for i in range(4)]
     # Every grid node must land inside the ROI of its plane.
     half_x = (nx // 2) * detector.pitch
     half_y = (ny // 2) * detector.pitch
-    if (axes[0].min() < -half_x or axes[0].max() >= half_x
-            or axes[1].min() < -half_y or axes[1].max() >= half_y):
+    if (x_axis.min() < -half_x or x_axis.max() >= half_x
+            or y_axis.min() < -half_y or y_axis.max() >= half_y):
         raise DetectorError(
             f"ROI {detector.roi} at pitch {detector.pitch * 1e6:.1f} um does not "
             "cover the distribution support; enlarge the ROI")
@@ -157,17 +300,17 @@ def synth_frames(dist4: Distribution, detector: DetectorModel, mu_pairs: float,
     total_pairs = int(pairs_per_frame.sum())
     frame_of_pair = np.repeat(np.arange(n_frames, dtype=np.int64), pairs_per_frame)
 
-    table = AliasTable(dist4.values)
-    flat = table.sample(total_pairs, rng)
-    isx, isy, iix, iiy = np.unravel_index(flat, shape)
+    x_cells, y_cells = sample_pairs(source, total_pairs, rng)
+    isy, iiy = np.divmod(y_cells, y_axis.size)
+    isx, iix = np.divmod(x_cells, x_axis.size)
 
     qe = detector.quantum_efficiency
     keep_s = rng.random(total_pairs) < qe
     keep_i = rng.random(total_pairs) < qe
 
     def plane_events(keep, ix_arr, iy_arr, plane):
-        px = _pixel_of(axes[0][ix_arr[keep]], detector.pitch, nx)
-        py = _pixel_of(axes[1][iy_arr[keep]], detector.pitch, ny)
+        px = _pixel_of(x_axis[ix_arr[keep]], detector.pitch, nx)
+        py = _pixel_of(y_axis[iy_arr[keep]], detector.pitch, ny)
         f = frame_of_pair[keep]
         return ((f * 2 + plane) * ny + py) * nx + px
 
@@ -178,16 +321,15 @@ def synth_frames(dist4: Distribution, detector: DetectorModel, mu_pairs: float,
     n_dark = rng.poisson(detector.dark_rate * 2 * ny * nx * n_frames)
     lin_dark = rng.integers(0, n_cells, size=int(n_dark))
 
-    lin = np.concatenate([lin_s, lin_i, lin_dark])
-    counts = np.zeros(n_cells, dtype=np.uint16)
-    if lin.size:
-        occupied, multiplicity = np.unique(lin, return_counts=True)
-        if multiplicity.max() > MAX_COUNT:
-            raise AccumulatorError(
-                f"per-pixel count {multiplicity.max()} exceeds uint16 range")
-        counts[occupied] = multiplicity.astype(np.uint16)
-    return FrameStack(counts=counts.reshape(n_frames, 2, ny, nx), seed=seed,
-                      detector=detector, fingerprint=fingerprint)
+    cells, multiplicity = np.unique(np.concatenate([lin_s, lin_i, lin_dark]),
+                                    return_counts=True)
+    if cells.size and multiplicity.max() > MAX_COUNT:
+        raise AccumulatorError(
+            f"per-pixel count {multiplicity.max()} exceeds uint16 range")
+    values = multiplicity.astype(np.uint16)
+    shape = (n_frames, 2, ny, nx)
+    return FrameStack(None, seed, detector, fingerprint, shape=shape,
+                      blocks=partial(_event_blocks, shape, cells, values))
 
 
 @dataclass(frozen=True)
@@ -207,11 +349,15 @@ def _pair_statistic(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``a`` and ``b`` are (F, P) and (F, Q) float arrays of per-frame counts.
     """
     f = a.shape[0]
-    b_next = np.roll(b, -1, axis=0)  # cyclic closure keeps exactly F terms
-    same = a.T @ b / f
-    shifted = a.T @ b_next / f
-    same_sq = (a * a).T @ (b * b) / f
-    shifted_sq = (a * a).T @ (b_next * b_next) / f
+
+    def means(u, v):
+        # Frame means of u_f v_f^T and of u_f v_{f+1}^T; the cyclic closure
+        # v_F = v_0 keeps exactly F terms.  No shifted copy is made.
+        return (u.T @ v / f,
+                (u[:-1].T @ v[1:] + np.outer(u[-1], v[0])) / f)
+
+    same, shifted = means(a, b)
+    same_sq, shifted_sq = means(a * a, b * b)
     var_same = np.maximum(same_sq - same**2, 0.0)
     var_shift = np.maximum(shifted_sq - shifted**2, 0.0)
     values = same - shifted
@@ -221,6 +367,21 @@ def _pair_statistic(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return values, stderr
 
 
+def _frame_rows(stack: FrameStack, reduce: Callable,
+                widths: tuple[int, ...]) -> list[np.ndarray]:
+    """Per frame block, ``reduce`` gives one (F_b, width) array per entry
+    of ``widths``; returns each stacked over the whole stack, as a
+    contiguous (n_frames, width) float64 array."""
+    outs = [np.empty((stack.n_frames, width)) for width in widths]
+    f0 = 0
+    for block in stack.blocks():
+        f1 = f0 + len(block)
+        for out, part in zip(outs, reduce(block)):
+            out[f0:f1] = part
+        f0 = f1
+    return outs
+
+
 def coincidence_map(stack: FrameStack, reduction: str = "joint_x",
                     idler_pixel: tuple[int, int] | None = None) -> CoincidenceMap:
     """Reconstruct a coincidence map from a frame stack.
@@ -228,15 +389,19 @@ def coincidence_map(stack: FrameStack, reduction: str = "joint_x",
     reduction = "joint_x": y-sum both planes per frame, estimate the
     (x_s, x_i) pixel-pair statistic.  reduction = "conditional": full 2D
     signal map against a single idler pixel (``idler_pixel`` = (iy, ix),
-    default ROI center).
+    default ROI center).  The stack is read block by block (one block for
+    a dense stack); the per-frame sums are exact (int64 accumulator), so
+    the map does not depend on the blocking.
     """
     if stack.n_frames < 2:
         raise DetectorError("coincidence estimation needs at least 2 frames")
-    counts = stack.counts
-    f, _, ny, nx = counts.shape
+    f, _, ny, nx = stack.shape
     if reduction == "joint_x":
-        ns = counts[:, 0].sum(axis=1, dtype=np.int64).astype(np.float64)
-        ni = counts[:, 1].sum(axis=1, dtype=np.int64).astype(np.float64)
+        # y-sums of each plane.  int64 accumulator: a uint16 one (einsum's
+        # default here) overflows.
+        ns, ni = _frame_rows(
+            stack, lambda b: np.einsum("fpyx->pfx", b, dtype=np.int64),
+            (nx, nx))
         values, stderr = _pair_statistic(ns, ni)
         return CoincidenceMap(values=values, stderr=stderr, n_frames=f,
                               reduction=reduction)
@@ -246,8 +411,10 @@ def coincidence_map(stack: FrameStack, reduction: str = "joint_x",
         iy, ix = idler_pixel
         if not (0 <= iy < ny and 0 <= ix < nx):
             raise DetectorError(f"idler pixel {idler_pixel} outside ROI {(ny, nx)}")
-        ns = counts[:, 0].reshape(f, ny * nx).astype(np.float64)
-        ni = counts[:, 1, iy, ix].astype(np.float64)[:, None]
+        ns, ni = _frame_rows(
+            stack, lambda b: (b[:, 0].reshape(len(b), ny * nx),
+                              b[:, 1, iy, ix, None]),
+            (ny * nx, 1))
         values, stderr = _pair_statistic(ns, ni)
         return CoincidenceMap(values=values.reshape(ny, nx),
                               stderr=stderr.reshape(ny, nx),
@@ -263,8 +430,12 @@ FRAME_MAGIC = "BPFS1"
 
 
 def save_frames(stack: FrameStack, path) -> None:
-    """Write a frame stack; bit-exact round trip with :func:`load_frames`."""
-    f, _, ny, nx = stack.counts.shape
+    """Write a frame stack; bit-exact round trip with :func:`load_frames`.
+
+    The counts are written block by block from the stack's own buffers: a
+    dense stack's array is written without a copy on a little-endian host.
+    """
+    f, _, ny, nx = stack.shape
     header = {
         "magic": FRAME_MAGIC,
         "n_frames": f,
@@ -280,36 +451,62 @@ def save_frames(stack: FrameStack, path) -> None:
             "roi": list(stack.detector.roi),
         },
     }
-    # The counts are written from their own buffer, after the header: no
-    # copy of the stack is made on a little-endian host.
-    counts = np.ascontiguousarray(stack.counts, dtype="<u2")
     _atomic_write(path, json.dumps(header, sort_keys=True).encode("utf-8")
-                  + b"\n", memoryview(counts))
+                  + b"\n", (memoryview(np.ascontiguousarray(block, dtype="<u2"))
+                            for block in stack.blocks()))
+
+
+def _file_blocks(path, offset: int,
+                 shape: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """Blocks of the counts stored at ``offset`` of ``path``, read into
+    one reused buffer."""
+    per = _block_frames(shape)
+    buf = np.empty((per,) + tuple(shape[1:]), dtype="<u2")
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        for f0 in range(0, shape[0], per):
+            block = buf[:min(per, shape[0] - f0)]
+            if fh.readinto(block) != block.nbytes:
+                raise DetectorError(f"{path}: payload ends before frame "
+                                    f"{shape[0]}")
+            yield block.astype(np.uint16, copy=False)  # no-op on little-endian
 
 
 def load_frames(path) -> FrameStack:
-    """Read a frame stack written by :func:`save_frames`.
+    """Open a frame stack written by :func:`save_frames`.
 
-    The payload is read straight into one array of the size the header
-    implies; a short or an over-long payload raises :class:`DetectorError`.
+    The header is checked here, and the payload size against it: a
+    malformed header, a short or an over-long payload raises
+    :class:`DetectorError`.  The counts are read from the file block by
+    block whenever the stack is read (``counts`` reads them all).
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
+        size = os.fstat(fh.fileno()).st_size
+    try:
         header = json.loads(header_line.decode("utf-8"))
-        if header.get("magic") != FRAME_MAGIC:
-            raise DetectorError(f"{path}: not a frame-stack file")
-        shape = (header["n_frames"], header["planes"], header["ny"], header["nx"])
-        counts = np.empty(shape, dtype="<u2")
-        payload = os.fstat(fh.fileno()).st_size - len(header_line)
-        if payload != counts.nbytes:
-            raise DetectorError(
-                f"{path}: payload is {payload} bytes, expected {counts.nbytes}")
-        fh.readinto(counts)
-    counts = counts.astype(np.uint16, copy=False)  # a no-op on little-endian hosts
-    det = header["detector"]
-    detector = DetectorModel(pitch=det["pitch"],
-                             quantum_efficiency=det["quantum_efficiency"],
-                             dark_rate=det["dark_rate"],
-                             roi=tuple(det["roi"]))
-    return FrameStack(counts=counts, seed=header["seed"], detector=detector,
-                      fingerprint=header.get("fingerprint", ""))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DetectorError(f"{path}: not a frame-stack file "
+                            f"(header is not JSON: {exc})") from exc
+    if not isinstance(header, dict) or header.get("magic") != FRAME_MAGIC:
+        raise DetectorError(f"{path}: not a frame-stack file")
+    try:
+        shape = tuple(header[key] for key in ("n_frames", "planes", "ny", "nx"))
+        if not all(isinstance(s, int) and s >= 1 for s in shape):
+            raise ValueError(f"stack shape {shape}")
+        det = header["detector"]
+        detector = DetectorModel(pitch=det["pitch"],
+                                 quantum_efficiency=det["quantum_efficiency"],
+                                 dark_rate=det["dark_rate"],
+                                 roi=tuple(det["roi"]))
+        seed = header["seed"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DetectorError(
+            f"{path}: malformed frame-stack header: {exc!r}") from exc
+    expected = math.prod(shape) * 2
+    if size - len(header_line) != expected:
+        raise DetectorError(f"{path}: payload is {size - len(header_line)} "
+                            f"bytes, expected {expected}")
+    return FrameStack(None, seed, detector, header.get("fingerprint", ""),
+                      shape=shape, blocks=partial(_file_blocks, path,
+                                                  len(header_line), shape))

@@ -201,6 +201,12 @@ def build_config(data: dict) -> RunConfig:
                          for key in _SCHEMA["grid"]})
     if grid.n < 8 or (grid.n & (grid.n - 1)) != 0:
         raise ConfigError(f"grid.n must be a power of two >= 8, got {grid.n}")
+    if not grid.boundary_tol > 0:
+        raise ConfigError(
+            f"grid.boundary_tol: must be > 0, got {grid.boundary_tol!r}")
+    if grid.memory_budget < 1:
+        raise ConfigError(
+            f"grid.memory_budget: must be >= 1 byte, got {grid.memory_budget}")
 
     ent = EntanglementConfig(m=get("entanglement", "m", None))
     if ent.m is not None and (ent.m < 2 or grid.n % ent.m != 0):

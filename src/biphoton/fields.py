@@ -2,8 +2,9 @@
 position-space transform, and reductions to joint/conditional/singles
 distributions.  A rank-R engine writes the amplitude as a sum of separable
 x-pair times y-pair terms (:func:`amplitude_factors`) and gives the
-x-averaged joints, the direct conditional and the singles without the
-4-axis amplitude.
+x-averaged joints, the direct conditional, the singles and the position
+factor tables that camera frames are sampled from without the 4-axis
+amplitude.
 
 Conventions
 -----------
@@ -490,9 +491,10 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     ``error`` is the weighted sum of the dropped coefficients plus a
     rounding term, eps times the weighted sum of all of them.
 
-    Raises :class:`MemoryBudgetError` before allocating when the factors of
-    a trial K (two arrays of n^2 R complex numbers) exceed
-    ``pipeline.memory_budget``.
+    Raises :class:`MemoryBudgetError` before allocating when the tables of
+    a trial K (two arrays of n^2 R complex numbers, the K x K basis, and the
+    K x n^2 sinc and coefficient tables) exceed ``pipeline.memory_budget``,
+    and :class:`GridError` when the weighted coefficients are not finite.
     """
     pump, setup, grid = pipeline.pump, pipeline.setup, pipeline.grid
     ctx = make_context(setup.theta_p, pump.wavelength, pipeline.model)
@@ -515,7 +517,10 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
 
     nodes = CHEB_START
     while True:
-        need = 2 * n * n * nodes * terms * 16
+        # The two factor tables, the K x K basis, and the K x n^2 sinc and
+        # coefficient tables of this trial.
+        need = (2 * n * n * nodes * terms * 16 + nodes * nodes * 8
+                + 2 * nodes * n * n * 8)
         if need > pipeline.memory_budget:
             raise MemoryBudgetError(
                 f"rank-{nodes * terms} amplitude factors need ~{need} bytes "
@@ -531,6 +536,10 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
             axes=(1, 0))
         weight = (np.abs(coeffs * v_x).reshape(nodes, -1).max(axis=1)
                   * v_y.max())
+        if not np.all(np.isfinite(weight)):
+            raise GridError(
+                f"non-finite phase-matching coefficients on the grid "
+                f"(dq = {grid.dq!r}); check the momentum extent")
         if weight[-2:].max() <= CHEB_TOL:
             break
         nodes *= 2
@@ -674,20 +683,22 @@ def _transforms(values: np.ndarray, q: np.ndarray, z: float,
     return np.fft.ifft2(values * (p[:, None] * p[None, :]), axes=(-2, -1))
 
 
-def _x_weighted(factors: AmplitudeFactors) -> np.ndarray:
-    """Tables W_m(q_sx, q_ix) with sum_{q_sy, q_iy} |A|^2 = sum_m |W_m|^2,
-    after any phase p(q_sy) p(q_iy) of unit modulus as well.
+def _gram_weighted(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Tables W_m over the two axes of ``first`` with
+    sum over the axes of ``second`` of |sum_r first_r second_r|^2
+    = sum_m |W_m|^2, after any phase of unit modulus on the axes of
+    ``second`` as well.
 
-    The Gram matrix G_rs = sum y_r y_s^* = U diag(lam) U^H gives
-    sum_{rs} x_r x_s^* G_rs = sum_m lam_m |sum_r U_rm x_r|^2; terms with
-    lam_m <= 0 are rounding and are dropped.
+    The Gram matrix G_rs = sum second_r second_s^* = U diag(lam) U^H gives
+    sum_{rs} first_r first_s^* G_rs = sum_m lam_m |sum_r U_rm first_r|^2;
+    terms with lam_m <= 0 are rounding and are dropped.
     """
-    rank, n = factors.rank, factors.x.shape[-1]
-    y = factors.y.reshape(rank, n * n)
-    lam, u = np.linalg.eigh(y @ y.conj().T)
+    rank, n = first.shape[0], first.shape[-1]
+    other = second.reshape(rank, -1)
+    lam, u = np.linalg.eigh(other @ other.conj().T)
     keep = lam > 0.0
     u = u[:, keep] * np.sqrt(lam[keep])
-    return (u.T @ factors.x.reshape(rank, n * n)).reshape(-1, n, n)
+    return (u.T @ first.reshape(rank, n * n)).reshape(-1, n, n)
 
 
 def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
@@ -699,7 +710,7 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     Parseval over the two y axes, whose propagation phase has unit modulus,
     G is the same at every z, and the position joint at z is the same sum
     over the x-transforms F_x[x_r P_x(z)].  G is diagonalized once
-    (:func:`_x_weighted`), so each z costs one n x n FFT per kept term.
+    (:func:`_gram_weighted`), so each z costs one n x n FFT per kept term.
     The boundary guard and the paraxial check give the verdicts of
     :func:`build_amplitude`.
     """
@@ -707,7 +718,7 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     zs = tuple(float(z) for z in zs)
     factors = amplitude_factors(pipeline)
     peak, ratio = _guarded_peak(pipeline)
-    weighted = _x_weighted(factors)
+    weighted = _gram_weighted(factors.x, factors.y)
     mom = (np.abs(weighted) ** 2).sum(axis=0)
     pos = [(np.abs(_transforms(weighted, grid.q_axis, z, factors.k)) ** 2)
            .sum(axis=0) for z in zs]
@@ -753,3 +764,54 @@ def singles_direct(pipeline: Pipeline, z: float) -> Distribution:
     return Distribution(values=_normalize(values, bin_area),
                         axis_names=("x_s", "y_s"), deltas=(grid.dx, grid.dx),
                         basis="position", units="m")
+
+
+@dataclass(frozen=True)
+class PositionFactors:
+    """The position amplitude at one z as R separable terms,
+
+        psi(x_s, y_s, x_i, y_i) ~ sum_r x[r, x_s, x_i] * y[r, y_s, y_i],
+
+    each table the transform (:func:`_transforms`) of a table of
+    :class:`AmplitudeFactors`, indexed on ``grid.x_axis``.  Exact up to a
+    scale and a phase per point, which |psi|^2 does not see.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    grid: MomentumGrid4
+
+    @property
+    def x_axis(self) -> np.ndarray:
+        return self.grid.x_axis
+
+    @property
+    def y_axis(self) -> np.ndarray:
+        return self.grid.x_axis
+
+    def y_marginal(self) -> np.ndarray:
+        """sum_{x_s, x_i} |psi|^2 over (y_s, y_i), unnormalized: the Gram
+        trick of :func:`_gram_weighted` over the x tables."""
+        return (np.abs(_gram_weighted(self.y, self.x)) ** 2).sum(axis=0)
+
+    def x_weights(self, cells: np.ndarray) -> np.ndarray:
+        """|psi|^2 over the flattened (x_s, x_i) plane, one row per flat
+        (y_s, y_i) index of ``cells``, unnormalized: (len(cells), n^2)."""
+        rank = self.x.shape[0]
+        weights = np.abs(self.y.reshape(rank, -1)[:, cells].T
+                         @ self.x.reshape(rank, -1))
+        weights *= weights
+        return weights
+
+
+def position_factors(pipeline: Pipeline, z: float) -> PositionFactors:
+    """The position amplitude at z as rank-R factor tables, two R x n^2
+    arrays: no N^4 array is allocated.  Runs the boundary guard of
+    :func:`build_amplitude` first, then :func:`amplitude_factors` (its
+    paraxial check and memory budget)."""
+    _guarded_peak(pipeline)
+    factors = amplitude_factors(pipeline)
+    q = pipeline.grid.q_axis
+    return PositionFactors(x=_transforms(factors.x, q, z, factors.k),
+                           y=_transforms(factors.y, q, z, factors.k),
+                           grid=pipeline.grid)

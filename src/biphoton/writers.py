@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -21,10 +22,11 @@ class WriteError(RuntimeError):
     """Refused or failed output write."""
 
 
-def _atomic_write(path, payload: bytes, *buffers) -> None:
-    """Write ``payload``, then each of ``buffers`` (anything exposing the
-    buffer protocol, written without a copy), to a temporary file and
-    rename it to ``path``."""
+def _atomic_write(path, payload: bytes, buffers: Iterable = ()) -> None:
+    """Write ``payload``, then each item of ``buffers`` (anything exposing
+    the buffer protocol, written without a copy), to a temporary file and
+    rename it to ``path``.  ``buffers`` is consumed one item at a time, so
+    a generator may hand out one reused buffer again and again."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

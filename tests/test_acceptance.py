@@ -34,6 +34,7 @@ from biphoton.fields import (
     conditional_position,
     conditional_position_direct,
     momentum_pdf,
+    position_factors,
     position_pdf,
     propagate,
     to_position,
@@ -262,7 +263,11 @@ class TestAcceptance:
         n_pix = 2 * (int(math.ceil(half / pitch)) + 1)
         det = DetectorModel(pitch=pitch, quantum_efficiency=0.6,
                             dark_rate=1e-3, roi=(n_pix, n_pix))
-        stack = synth_frames(dist4, det, mu_pairs=5.0, n_frames=100_000,
+        # Sampled from the rank-R factors, as `frames synth` samples them;
+        # the reference below is the 4D oracle.
+        factors = position_factors(Pipeline(PUMP, SETUP_DEFAULT, grid),
+                                   Z_DEFAULT)
+        stack = synth_frames(factors, det, mu_pairs=5.0, n_frames=100_000,
                              seed=0)
         cmap = coincidence_map(stack, reduction="joint_x")
 

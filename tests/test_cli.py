@@ -179,9 +179,11 @@ class TestCliCommands:
     @pytest.mark.parametrize("data", [
         {"grid": {"n": "abc"}}, {"grid": {"c1": "x"}},
         {"entanglement": {"m": "q"}}, {"coincidence": {"roi": 5}},
-        {"grid": {"n": 16.9}}, {"grid": {"boundary_tol": "nan"}}],
+        {"grid": {"n": 16.9}}, {"grid": {"boundary_tol": "nan"}},
+        {"grid": {"boundary_tol": -1}}, {"grid": {"boundary_tol": 0}},
+        {"grid": {"memory_budget": 0}}],
         ids=["n-text", "c1-text", "m-text", "roi-scalar", "n-fraction",
-             "tol-nan"])
+             "tol-nan", "tol-negative", "tol-zero", "budget-zero"])
     def test_malformed_value_exit2(self, tmp_path, capsys, data):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
@@ -248,9 +250,10 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", [
         ("simulate", "pos"), ("simulate", "mom"), ("ef",),
-        ("scan", "z", "--values", "0mm,5mm"), ("conditional",), ("singles",)],
+        ("scan", "z", "--values", "0mm,5mm"), ("conditional",), ("singles",),
+        ("frames", "synth")],
         ids=["simulate-pos", "simulate-mom", "ef", "scan-z", "conditional",
-             "singles"])
+             "singles", "frames-synth"])
     def test_joint_commands_skip_4d_path(self, tmp_path, monkeypatch,
                                          command):
         from biphoton import fields
@@ -321,6 +324,19 @@ class TestCliCommands:
         csv_head = (tmp_path / "coincidence_xx.csv").read_text().splitlines()[0]
         assert csv_head == f"# fingerprint={stack_header['fingerprint']}"
 
+    @pytest.mark.parametrize("header", [b"not json\n",
+                                        b'{"magic": "BPFS1"}\n'],
+                             ids=["not-json", "magic-only"])
+    def test_coincide_malformed_header_exit3(self, tmp_path, capsys, header):
+        stack = tmp_path / "bad.bpfs"
+        stack.write_bytes(header + b"\x00" * 64)
+        code = self.run("frames", "coincide", "--stack", str(stack),
+                        outdir=tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("coincidence: ") and str(stack) in err
+        assert not (tmp_path / "coincidence_xx.grd").exists()
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))
         assert main(["--n", "16", "simulate", "mom"]) == 0
@@ -361,3 +377,20 @@ class TestFreshProcess:
         report = json.loads((tmp_path / "ef_report.json").read_text())
         assert report["m"] == 256
         assert report["grid"]["interpolation_error"] <= 1e-12
+
+    def test_frames_n128_fit_3gib_address_space(self, tmp_path):
+        cap = 3 * 1024**3
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        res = self.python("-m", "biphoton.cli", "--n", "128", "--frames",
+                          "2000", "--out", str(tmp_path), "frames", "synth",
+                          preexec_fn=limit)
+        assert res.returncode == 0, res.stderr
+        res = self.python("-m", "biphoton.cli", "--out", str(tmp_path),
+                          "frames", "coincide", "--stack",
+                          str(tmp_path / "frames.bpfs"), preexec_fn=limit)
+        assert res.returncode == 0, res.stderr
+        _, header = read_grd(tmp_path / "coincidence_xx.grd")
+        assert header["n_frames"] == 2000

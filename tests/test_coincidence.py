@@ -8,6 +8,8 @@ import pytest
 from scipy import stats
 
 from biphoton.coincidence import (
+    FRAME_BLOCK_BYTES,
+    MAX_COUNT,
     AccumulatorError,
     AliasTable,
     CoincidenceMap,
@@ -16,12 +18,15 @@ from biphoton.coincidence import (
     FrameStack,
     coincidence_map,
     load_frames,
+    sample_pairs,
     save_frames,
     synth_frames,
 )
 from biphoton.fields import (
     MomentumGrid4,
+    Pipeline,
     build_amplitude,
+    position_factors,
     position_pdf,
     propagate,
     to_position,
@@ -38,6 +43,14 @@ def dist4():
     amp = propagate(build_amplitude(grid, PUMP, SETUP, boundary_tol=None),
                     5e-3)
     return position_pdf(to_position(amp))
+
+
+@pytest.fixture(scope="module")
+def factors16():
+    """The rank-R position factors of ``dist4``'s grid and z."""
+    grid = MomentumGrid4.auto(PUMP, SETUP, n=16)
+    return position_factors(Pipeline(PUMP, SETUP, grid, boundary_tol=None),
+                            5e-3)
 
 
 def detector(**kw):
@@ -268,3 +281,118 @@ class TestFrameFile:
         finally:
             tracemalloc.stop()
         assert peak < counts.nbytes // 4
+
+
+class TestFactorSampler:
+    """Frames drawn from the rank-R factors, against the 4D oracle."""
+
+    def test_tables_match_4d_distribution(self, factors16, dist4):
+        n = 16
+        cells = np.arange(n * n)
+        joint = factors16.x_weights(cells)  # rows (y_s, y_i), cols (x_s, x_i)
+        ref = dist4.values.transpose(1, 3, 0, 2).reshape(n * n, n * n)
+        joint, ref = joint / joint.sum(), ref / ref.sum()
+        assert np.abs(joint - ref).max() <= 1e-12 * ref.max()
+        marginal = factors16.y_marginal().ravel()
+        np.testing.assert_allclose(marginal / marginal.sum(), ref.sum(axis=1),
+                                   rtol=0, atol=1e-12 * ref.sum(axis=1).max())
+
+    def test_chi2_against_4d_distribution(self, factors16, dist4):
+        # 2M pairs for each of 8 fixed seeds, binned 4 x 4 x 4 x 4 over
+        # (x_s, y_s, x_i, y_i), against the 4D |psi|^2 of the same grid and
+        # z.  Threshold, fixed in advance: the chi^2 summed over the seeds
+        # has p >= 0.01 on its summed degrees of freedom.
+        n, size = 16, 2_000_000
+        ref = dist4.values.reshape((4, 4) * 4).sum(axis=(1, 3, 5, 7)).ravel()
+        ref /= ref.sum()
+        chi2 = dof = 0.0
+        for seed in range(8):
+            x, y = sample_pairs(factors16, size, np.random.default_rng(seed))
+            sx, ix = np.divmod(x, n)
+            sy, iy = np.divmod(y, n)
+            bins = ((sx // 4 * 4 + sy // 4) * 4 + ix // 4) * 4 + iy // 4
+            observed = np.bincount(bins, minlength=ref.size).astype(float)
+            expected = ref * size
+            keep = expected >= 5
+            observed = np.append(observed[keep], observed[~keep].sum())
+            expected = np.append(expected[keep], expected[~keep].sum())
+            used = expected > 0
+            chi2 += stats.chisquare(observed[used], expected[used])[0]
+            dof += used.sum() - 1
+        assert stats.chi2.sf(chi2, dof) >= 0.01
+
+    def test_seed_gives_byte_identical_stack(self, factors16, tmp_path):
+        det = detector()
+        for name, seed in (("a", 42), ("b", 42), ("c", 43)):
+            save_frames(synth_frames(factors16, det, 5.0, 2000, seed=seed),
+                        tmp_path / name)
+        a, b, c = ((tmp_path / name).read_bytes() for name in "abc")
+        assert a == b
+        assert a != c
+
+    def test_event_stack_blocks_match_counts(self, factors16):
+        # More frames than one block: the zero-filled blocks of the events
+        # concatenate to the dense counts, and hold every event.
+        det = detector(dark_rate=0.05)
+        n_frames = 2 * FRAME_BLOCK_BYTES // (2 * 2 * 24 * 24) + 5
+        stack = synth_frames(factors16, det, 5.0, n_frames, seed=4)
+        blocks = [b.copy() for b in stack.blocks()]
+        assert len(blocks) == 3
+        counts = stack.counts
+        np.testing.assert_array_equal(np.concatenate(blocks), counts)
+        assert counts.shape == (n_frames, 2, 24, 24)
+        assert counts.sum() > 0
+
+
+class TestStreamedReduction:
+    def test_streamed_map_bit_identical_to_in_memory(self, tmp_path):
+        ny, nx = 4, 8
+        per_block = FRAME_BLOCK_BYTES // (2 * 2 * ny * nx)
+        f = 2 * per_block + 123  # three blocks, the last one partial
+        rng = np.random.default_rng(8)
+        counts = rng.poisson(0.3, size=(f, 2, ny, nx)).astype(np.uint16)
+        # A column of MAX_COUNT in every row of half the frames: its y-sum,
+        # 4 * MAX_COUNT, overflows a uint16 accumulator.
+        fire = rng.random(f) < 0.5
+        counts[fire, 0, :, 3] = MAX_COUNT
+        counts[fire, 1, 0, 5] += 1
+        stack = manual_stack(counts)
+        path = tmp_path / "stack.bpfs"
+        save_frames(stack, path)
+        loaded = load_frames(path)
+        for reduction in ("joint_x", "conditional"):
+            streamed = coincidence_map(loaded, reduction=reduction)
+            in_memory = coincidence_map(stack, reduction=reduction)
+            assert np.array_equal(streamed.values, in_memory.values)
+            assert np.array_equal(streamed.stderr, in_memory.stderr)
+
+        ns = counts[:, 0].astype(np.int64).sum(axis=1).astype(float)
+        ni = counts[:, 1].astype(np.int64).sum(axis=1).astype(float)
+        expected = (ns.T @ ni - ns.T @ np.roll(ni, -1, axis=0)) / f
+        values = coincidence_map(loaded).values
+        np.testing.assert_allclose(values, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+        assert values[3, 5] > 0.2 * 4 * MAX_COUNT
+
+    def test_peaks_below_a_quarter_of_the_stack(self, factors16, tmp_path):
+        import tracemalloc
+
+        # A 64 x 64 camera and 5000 frames: an 82 MB stack on disk.
+        det = detector(roi=(64, 64))
+        n_frames = 5000
+        stack_bytes = n_frames * 2 * 64 * 64 * 2
+        path = tmp_path / "stack.bpfs"
+        tracemalloc.start()
+        try:
+            save_frames(synth_frames(factors16, det, 5.0, n_frames, seed=2),
+                        path)
+            _, synth_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            cmap = coincidence_map(load_frames(path))
+            _, coincide_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > stack_bytes
+        assert cmap.n_frames == n_frames
+        assert synth_peak < stack_bytes // 4
+        assert coincide_peak < stack_bytes // 4

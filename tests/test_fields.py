@@ -17,6 +17,7 @@ from biphoton.fields import (
     DegenerateConditionError,
     Distribution,
     EXTENT_C2,
+    GridError,
     MemoryBudgetError,
     MomentumGrid4,
     Pipeline,
@@ -371,10 +372,11 @@ class TestAveragedJointsX:
 
     def test_budget_holds_the_factors(self):
         # Single crystal, n = 32: the interpolation converges at the second
-        # trial, 32 nodes, whose factors (two arrays of 32 complex n x n
-        # tables) need exactly this many bytes.
+        # trial, 32 nodes, whose tables (the factors, two arrays of 32
+        # complex n x n tables; the 32 x 32 basis; the 32 x n^2 sinc and
+        # coefficient tables) need exactly this many bytes.
         grid = MomentumGrid4.auto(PUMP, SETUP, n=32)
-        budget = 2 * 32 * 32 * 32 * 16
+        budget = 2 * 32 * 32 * 32 * 16 + 32 * 32 * 8 + 2 * 32 * 32 * 32 * 8
         one = averaged_joints_x(Pipeline(PUMP, SETUP, grid), self.ZS)
         tight = averaged_joints_x(Pipeline(PUMP, SETUP, grid,
                                            memory_budget=budget), self.ZS)
@@ -563,6 +565,19 @@ class TestRankFactors:
             with pytest.raises(MemoryBudgetError):
                 amplitude_factors(Pipeline(PUMP, SETUP, grid,
                                            memory_budget=1024**2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2
+
+    def test_non_finite_extent_raises_before_allocating(self):
+        # A non-finite extent makes every Chebyshev coefficient non-finite;
+        # the first trial refuses it rather than doubling K without end.
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=16, c2=float("nan"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridError, match="non-finite"):
+                amplitude_factors(Pipeline(PUMP, SETUP, grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
