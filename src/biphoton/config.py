@@ -132,6 +132,22 @@ _SCHEMA = {
 }
 
 
+#: Keys with a range: (section, key, test, rule).  A value outside its
+#: range is a configuration error, raised before any computation.
+_BOUNDS = (
+    ("grid", "c1", lambda v: v > 0, "> 0"),
+    ("grid", "c2", lambda v: v > 0, "> 0"),
+    ("grid", "boundary_tol", lambda v: v > 0, "> 0"),
+    ("grid", "memory_budget", lambda v: v >= 1, ">= 1 byte"),
+    ("coincidence", "pitch", lambda v: v > 0, "> 0"),
+    ("coincidence", "quantum_efficiency", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("coincidence", "dark_rate", lambda v: v >= 0, ">= 0"),
+    ("coincidence", "mu_pairs", lambda v: v >= 0, ">= 0"),
+    ("coincidence", "n_frames", lambda v: v >= 1, ">= 1"),
+    ("coincidence", "seed", lambda v: v >= 0, ">= 0"),
+)
+
+
 def _check_keys(data: dict, schema: dict, path: str = "") -> None:
     for key, sub in data.items():
         where = f"{path}.{key}" if path else key
@@ -201,12 +217,6 @@ def build_config(data: dict) -> RunConfig:
                          for key in _SCHEMA["grid"]})
     if grid.n < 8 or (grid.n & (grid.n - 1)) != 0:
         raise ConfigError(f"grid.n must be a power of two >= 8, got {grid.n}")
-    if not grid.boundary_tol > 0:
-        raise ConfigError(
-            f"grid.boundary_tol: must be > 0, got {grid.boundary_tol!r}")
-    if grid.memory_budget < 1:
-        raise ConfigError(
-            f"grid.memory_budget: must be >= 1 byte, got {grid.memory_budget}")
 
     ent = EntanglementConfig(m=get("entanglement", "m", None))
     if ent.m is not None and (ent.m < 2 or grid.n % ent.m != 0):
@@ -215,11 +225,18 @@ def build_config(data: dict) -> RunConfig:
     roi = get("coincidence", "roi", None)
     if roi is not None:
         roi = tuple(_convert(v, "int", "coincidence.roi") for v in roi)
-        if len(roi) != 2:
-            raise ConfigError("coincidence.roi must be [ny, nx]")
+        if len(roi) != 2 or min(roi) < 1:
+            raise ConfigError(
+                f"coincidence.roi must be [ny, nx] of at least 1 pixel each, "
+                f"got {list(roi)}")
     coin = CoincidenceConfig(**{
         key: get("coincidence", key, getattr(defaults.coincidence, key))
         for key in _SCHEMA["coincidence"] if key != "roi"}, roi=roi)
+    sections = {"grid": grid, "coincidence": coin}
+    for section, key, test, rule in _BOUNDS:
+        value = getattr(sections[section], key)
+        if not test(value):
+            raise ConfigError(f"{section}.{key}: must be {rule}, got {value!r}")
 
     formats = tuple(get("output", "formats", list(defaults.formats)))
     for fmt in formats:

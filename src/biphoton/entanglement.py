@@ -233,8 +233,8 @@ def scan(pipeline: Pipeline, z: float, parameter: str, values,
     Points are evaluated independently in the order given; per-point errors
     are captured in the result instead of aborting the scan.  A z scan
     passes all its z values to one engine pass, which builds the factors
-    once.  A theta_p or d scan swaps the crystal setup and keeps the
-    pipeline's grid.
+    once; an error of that pass is the error of every point.  A theta_p or
+    d scan swaps the crystal setup and keeps the pipeline's grid.
     """
     if parameter not in ("z", "theta_p", "d"):
         raise EntanglementError(f"unknown scan parameter {parameter!r}")
@@ -243,7 +243,12 @@ def scan(pipeline: Pipeline, z: float, parameter: str, values,
     points: list[ScanPoint] = []
 
     if parameter == "z":
-        joints = averaged_joints_x(pipeline, values)
+        try:
+            joints = averaged_joints_x(pipeline, values)
+        except Exception as exc:  # the shared pass fails every point
+            return [ScanPoint(value=float(value), report=None,
+                              error=f"{type(exc).__name__}: {exc}")
+                    for value in values]
 
     for index, value in enumerate(values):
         try:

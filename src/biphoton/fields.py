@@ -57,6 +57,12 @@ MEMORY_BUDGET = 6 * 1024**3
 #: Pessimistic working-set multiple of one N^4 complex array for a transform.
 WORKING_FACTOR = 4
 
+#: N^4 complex arrays' worth alive at once while the 4D amplitude is
+#: sampled: the complex phase (16 bytes a point) beside the real sinc
+#: argument, its quotient and its modulus (8 each) and the series mask (1),
+#: 41 bytes a point, rounded up.
+BUILD_FACTOR = 3
+
 #: Machine epsilon of float64.
 EPS = 2.0**-52
 
@@ -68,6 +74,12 @@ CHEB_START = 16
 #: Chebyshev coefficients count as decayed, and up to which trailing terms
 #: are dropped.  Above the rounding floor of the coefficients (a few EPS).
 CHEB_TOL = 1e-14
+
+#: Multiple of ``CHEB_TOL`` over which a trial's weighted tail on the
+#: envelope ridge rejects it before the full table is sampled.  The ridge is
+#: a subset of the table, and the coefficients' rounding (about 1e-15) is far
+#: below the gap between the two levels.
+SCREEN_MARGIN = 4.0
 
 #: Elements per batched evaluation of the amplitude in the boundary guard.
 CHUNK_ELEMS = 2**20
@@ -206,15 +218,28 @@ def _check_boundary(edge: float, peak: float, boundary_tol: float) -> None:
             f"{boundary_tol:g}; enlarge the momentum extent (c1/c2 or n)")
 
 
+def estimate_build_bytes(grid: MomentumGrid4) -> int:
+    return grid.n**4 * 16 * BUILD_FACTOR
+
+
 def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
                     model: SellmeierModel = BBO,
                     boundary_tol: float | None = BOUNDARY_TOLERANCE,
-                    paraxial: str = "warn") -> BiphotonAmplitude4:
+                    paraxial: str = "warn",
+                    memory_budget: int = MEMORY_BUDGET) -> BiphotonAmplitude4:
     """Sample the momentum amplitude on the grid and L2-normalize it.
 
     Raises :class:`SupportTruncationError` when the boundary magnitude
-    exceeds ``boundary_tol`` times the peak (pass None to skip the check).
+    exceeds ``boundary_tol`` times the peak (pass None to skip the check),
+    and :class:`MemoryBudgetError` before allocating when the N^4 arrays
+    alive at once (:func:`estimate_build_bytes`) exceed ``memory_budget``
+    bytes.
     """
+    need = estimate_build_bytes(grid)
+    if need > memory_budget:
+        raise MemoryBudgetError(
+            f"4D amplitude needs ~{need / 1024**3:.2f} GiB "
+            f"(> budget {memory_budget / 1024**3:.2f} GiB); reduce n")
     ctx = make_context(setup.theta_p, pump.wavelength, model)
     q = grid.q_axis
     # Separable broadcasting: axes (sx, sy, ix, iy).
@@ -433,7 +458,8 @@ class Pipeline:
 
     def momentum_amplitude(self) -> BiphotonAmplitude4:
         return build_amplitude(self.grid, self.pump, self.setup, self.model,
-                               boundary_tol=self.boundary_tol)
+                               boundary_tol=self.boundary_tol,
+                               memory_budget=self.memory_budget)
 
     def position_amplitude(self, z: float,
                            amp: BiphotonAmplitude4 | None = None) -> BiphotonAmplitude4:
@@ -476,6 +502,17 @@ class AmplitudeFactors:
         return self.x.shape[0]
 
 
+def _conjugate_pair(real: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """[real * phase, real * phase^*] stacked on the first axis, written in
+    one array: with ``real`` real, the second half is the exact conjugate
+    of the first."""
+    terms = real.shape[0]
+    out = np.empty((2 * terms,) + phase.shape, dtype=np.complex128)
+    np.multiply(real, phase, out=out[:terms])
+    np.conjugate(out[:terms], out=out[terms:])
+    return out
+
+
 def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     """Rank-R factors of the pipeline's momentum amplitude.
 
@@ -485,11 +522,17 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     sinc h ~ sum_j c_j(a) T_j(t(b)), with K doubled from ``CHEB_START``
     until the two last coefficients, weighted by the envelopes, are below
     ``CHEB_TOL``; trailing terms whose weighted sum stays below it are
-    dropped.  The phase goes into the factors: e^{ih} = e^{iaL/2} e^{ibL/2}
-    for a single crystal, and cos g = (e^{ig} + e^{-ig})/2 with
-    g = (a + b)(L + d)/2 for a double one, which doubles the rank.
-    ``error`` is the weighted sum of the dropped coefficients plus a
-    rounding term, eps times the weighted sum of all of them.
+    dropped.  Each trial K is first screened on the x-pairs of the envelope
+    ridge q_ix = -q_sx: if their weighted tail already exceeds
+    ``SCREEN_MARGIN`` times ``CHEB_TOL``, the full trial would fail, and K
+    doubles without it, so the accepted K and the tables are those of the
+    unscreened doubling.  The phase goes into the factors:
+    e^{ih} = e^{iaL/2} e^{ibL/2} for a single crystal, and
+    cos g = (e^{ig} + e^{-ig})/2 with g = (a + b)(L + d)/2 for a double
+    one, which doubles the rank; the second half of its tables is the
+    conjugate of the first.  ``error`` is the weighted sum of the dropped
+    coefficients plus a rounding term, eps times the weighted sum of all
+    of them.
 
     Raises :class:`MemoryBudgetError` before allocating when the tables of
     a trial K (two arrays of n^2 R complex numbers, the K x K basis, and the
@@ -515,6 +558,24 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     rad = (b.max() - b.min()) / 2.0
     terms = 1 if setup.kind == "single" else 2
 
+    def trial(nodes, a_pairs, v_pairs):
+        # Chebyshev coefficients of the interpolant through sinc h at the
+        # first-kind nodes t_k = cos(theta_k), over the given x-pairs, and
+        # their weighted maxima.
+        theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+        basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
+        basis[0] /= 2.0
+        shift = (rad * half) * np.cos(theta).reshape(
+            (nodes,) + (1,) * a_pairs.ndim)
+        coeffs = np.tensordot(
+            basis, sinc((a_pairs + mid)[None] * half + shift), axes=(1, 0))
+        weight = (np.abs(coeffs * v_pairs).reshape(nodes, -1).max(axis=1)
+                  * v_y.max())
+        return coeffs, weight
+
+    # The envelope ridge q_ix = -q_sx, where v_x = 1: every q_sx but the
+    # first, whose negative is off the grid.
+    ridge = (np.arange(1, n), np.arange(n - 1, 0, -1))
     nodes = CHEB_START
     while True:
         # The two factor tables, the K x K basis, and the K x n^2 sinc and
@@ -525,17 +586,15 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
             raise MemoryBudgetError(
                 f"rank-{nodes * terms} amplitude factors need ~{need} bytes "
                 f"(> budget {pipeline.memory_budget} bytes)")
-        # Chebyshev coefficients of the interpolant through sinc h at the
-        # first-kind nodes t_k = cos(theta_k).
-        theta = np.pi * (np.arange(nodes) + 0.5) / nodes
-        basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
-        basis[0] /= 2.0
-        coeffs = np.tensordot(
-            basis, sinc((a + mid)[None] * half
-                        + (rad * half) * np.cos(theta)[:, None, None]),
-            axes=(1, 0))
-        weight = (np.abs(coeffs * v_x).reshape(nodes, -1).max(axis=1)
-                  * v_y.max())
+        # The ridge is part of the table, so a ridge tail over the margin is
+        # over CHEB_TOL on the table too, whatever the order of rounding:
+        # the full trial would fail.  A non-finite probe compares False and
+        # goes on to the full trial, which raises.
+        probe = trial(nodes, a[ridge], v_x[ridge])[1]
+        if probe[-2:].max() > SCREEN_MARGIN * CHEB_TOL:
+            nodes *= 2
+            continue
+        coeffs, weight = trial(nodes, a, v_x)
         if not np.all(np.isfinite(weight)):
             raise GridError(
                 f"non-finite phase-matching coefficients on the grid "
@@ -562,9 +621,8 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
         y = cheb * (v_y * np.exp(1j * b * half))
     else:
         g = (setup.length + setup.gap) / 2.0
-        e_a, e_b = v_x * np.exp(1j * a * g) / 2.0, v_y * np.exp(1j * b * g)
-        x = np.concatenate([coeffs * e_a, coeffs * e_a.conj()])
-        y = np.concatenate([cheb * e_b, cheb * e_b.conj()])
+        x = _conjugate_pair(coeffs, v_x * np.exp(1j * a * g) / 2.0)
+        y = _conjugate_pair(cheb, v_y * np.exp(1j * b * g))
     return AmplitudeFactors(x=x, y=y, error=error, k=ctx.k_signal)
 
 

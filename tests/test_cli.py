@@ -181,9 +181,14 @@ class TestCliCommands:
         {"entanglement": {"m": "q"}}, {"coincidence": {"roi": 5}},
         {"grid": {"n": 16.9}}, {"grid": {"boundary_tol": "nan"}},
         {"grid": {"boundary_tol": -1}}, {"grid": {"boundary_tol": 0}},
-        {"grid": {"memory_budget": 0}}],
+        {"grid": {"memory_budget": 0}}, {"grid": {"c1": -1}},
+        {"grid": {"c2": -1}}, {"coincidence": {"seed": -1}},
+        {"coincidence": {"mu_pairs": -1}}, {"coincidence": {"n_frames": 0}},
+        {"coincidence": {"quantum_efficiency": 2}}],
         ids=["n-text", "c1-text", "m-text", "roi-scalar", "n-fraction",
-             "tol-nan", "tol-negative", "tol-zero", "budget-zero"])
+             "tol-nan", "tol-negative", "tol-zero", "budget-zero",
+             "c1-negative", "c2-negative", "seed-negative", "mu-negative",
+             "frames-zero", "qe-above-one"])
     def test_malformed_value_exit2(self, tmp_path, capsys, data):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
@@ -192,6 +197,28 @@ class TestCliCommands:
         key, = data[section]
         assert f"config: {section}.{key}: " in capsys.readouterr().err
         assert not (tmp_path / "ef_report.json").exists()
+
+    @pytest.mark.parametrize("flag", [
+        ("--seed", "-1"), ("--mu-pairs", "-1"), ("--frames", "0")],
+        ids=["seed", "mu-pairs", "frames"])
+    def test_camera_flag_out_of_range_exit2(self, tmp_path, capsys, flag):
+        # Refused by the configuration, before the factors are built.
+        assert self.run("--n", "16", *flag, "frames", "synth",
+                        outdir=tmp_path) == 2
+        assert "config: coincidence." in capsys.readouterr().err
+        assert not (tmp_path / "frames.bpfs").exists()
+
+    def test_scan_z_failed_engine_pass_exit3(self, tmp_path, capsys):
+        # The shared engine pass of a z scan fails every point; each is
+        # reported, and the scan still exits 3.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 8, "c1": 0.2, "c2": 0.05}}))
+        assert self.run("--config", str(cfg), "scan", "z", "--values",
+                        "0mm,5mm", outdir=tmp_path) == 3
+        captured = capsys.readouterr()
+        assert captured.out.count("ERROR SupportTruncationError") == 2
+        assert "scan: every point failed" in captured.err
+        assert not (tmp_path / "scan_z.csv").exists()
 
     def test_conflicting_kind_flags_exit2(self, tmp_path):
         code = self.run("--single", "--double", "collinear-angle",

@@ -271,6 +271,16 @@ class TestScan:
         assert points[0].report is not None
         assert points[1].report is None and points[1].error
 
+    def test_z_scan_engine_error_on_every_point(self):
+        # A z scan shares one engine pass; its error is every point's.
+        setup = CrystalSetup.single(5e-3, math.radians(32.9))
+        grid = MomentumGrid4.auto(PUMP, setup, n=8, c1=0.2, c2=0.05)
+        points = scan(Pipeline(PUMP, setup, grid), 5e-3, "z", [0.0, 5e-3])
+        assert [p.value for p in points] == [0.0, 5e-3]
+        for p in points:
+            assert p.report is None
+            assert p.error.startswith("SupportTruncationError: boundary")
+
     def test_unknown_parameter_rejected(self):
         setup = CrystalSetup.single(5e-3, math.radians(32.9))
         with pytest.raises(Exception):

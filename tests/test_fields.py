@@ -30,6 +30,7 @@ from biphoton.fields import (
     build_amplitude,
     conditional_position,
     conditional_position_direct,
+    estimate_build_bytes,
     momentum_pdf,
     pdf,
     position_pdf,
@@ -115,6 +116,35 @@ class TestBuildAmplitude:
         grid = MomentumGrid4(n=8, dq=100.0)  # tiny extent: edge not decayed
         with pytest.raises(SupportTruncationError):
             build_amplitude(grid, PUMP, SETUP, boundary_tol=0.1)
+
+    def test_budget_checked_before_allocating(self):
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=64)
+        need = estimate_build_bytes(grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError):
+                build_amplitude(grid, PUMP, SETUP, memory_budget=need - 1)
+            with pytest.raises(MemoryBudgetError):
+                Pipeline(PUMP, SETUP, grid,
+                         memory_budget=need - 1).momentum_amplitude()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_budget_counts_the_working_set(self, kind):
+        # The estimate bounds what the build holds at once.
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=16)
+        need = estimate_build_bytes(grid)
+        tracemalloc.start()
+        try:
+            build_amplitude(grid, PUMP, setup, memory_budget=need)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
 
 
 class TestPropagate:
@@ -470,6 +500,61 @@ class TestAveragedJointsX:
                 pytest.approx(factors.error / peak, rel=1e-12)
 
 
+def unscreened_factors(pipeline):
+    """(x, y, error) of the rank-R factors with every Chebyshev trial
+    evaluated on the full table and the double crystal's halves joined by
+    concatenation: the reference for the screened build."""
+    from biphoton import dispersion
+    from biphoton.fields import CHEB_START, CHEB_TOL, EPS
+    from biphoton.phasematch import pump_envelope, sinc
+
+    pump, setup, grid = pipeline.pump, pipeline.setup, pipeline.grid
+    ctx = dispersion.make_context(setup.theta_p, pump.wavelength)
+    q, n = grid.q_axis, grid.n
+    rows, cols = q[:, None], q[None, :]
+    a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
+                                     TransverseMomentum(cols, cols),
+                                     ctx, "ignore")
+    v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), pump)
+    v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), pump)
+    half = setup.length / 2.0
+    mid = (b.max() + b.min()) / 2.0
+    rad = (b.max() - b.min()) / 2.0
+    nodes = CHEB_START
+    while True:
+        theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+        basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
+        basis[0] /= 2.0
+        coeffs = np.tensordot(
+            basis, sinc((a + mid)[None] * half
+                        + (rad * half) * np.cos(theta)[:, None, None]),
+            axes=(1, 0))
+        weight = (np.abs(coeffs * v_x).reshape(nodes, -1).max(axis=1)
+                  * v_y.max())
+        if weight[-2:].max() <= CHEB_TOL:
+            break
+        nodes *= 2
+    tail = np.cumsum(weight[::-1])[::-1]
+    kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
+    error = float(tail[kept] + EPS * tail[0])
+    t = (b - mid) / rad
+    cheb = np.empty((kept, n, n))
+    cheb[0] = 1.0
+    if kept > 1:
+        cheb[1] = t
+    for j in range(2, kept):
+        np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
+        cheb[j] -= cheb[j - 2]
+    coeffs = coeffs[:kept]
+    if setup.kind == "single":
+        return (coeffs * (v_x * np.exp(1j * a * half)),
+                cheb * (v_y * np.exp(1j * b * half)), error)
+    g = (setup.length + setup.gap) / 2.0
+    e_a, e_b = v_x * np.exp(1j * a * g) / 2.0, v_y * np.exp(1j * b * g)
+    return (np.concatenate([coeffs * e_a, coeffs * e_a.conj()]),
+            np.concatenate([cheb * e_b, cheb * e_b.conj()]), error)
+
+
 def factor_error(factors, grid, setup):
     """(max |A - sum_r x_r y_r|, max |A|) with A the unnormalized amplitude
     on the 4D broadcast."""
@@ -582,3 +667,48 @@ class TestRankFactors:
         finally:
             tracemalloc.stop()
         assert peak < 1024**2
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("kind", ["single", "double", "wide"])
+    def test_screened_build_matches_unscreened(self, kind, n):
+        # Screening skips only trials that would fail: the accepted K, the
+        # kept terms, the error and every table are those of the full loop.
+        setup = TestAveragedJointsX.setup_of(
+            "single" if kind == "wide" else kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n,
+                                  **(self.WIDE if kind == "wide" else {}))
+        pipe = Pipeline(PUMP, setup, grid)
+        factors = amplitude_factors(pipe)
+        x, y, error = unscreened_factors(pipe)
+        assert factors.rank == x.shape[0]
+        assert factors.error == error
+        assert np.array_equal(factors.x, x)
+        assert np.array_equal(factors.y, y)
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_one_full_trial_at_default_extent(self, kind, monkeypatch):
+        # The K = 16 trial fails on the envelope ridge, so only the K = 32
+        # trial that is kept samples sinc on the full K x n^2 table.
+        import biphoton.fields as fields_module
+        n = 64
+        full = []
+        sinc_of = fields_module.sinc
+
+        def counted(arg):
+            if arg.shape[-2:] == (n, n):
+                full.append(arg.size)
+            return sinc_of(arg)
+
+        monkeypatch.setattr(fields_module, "sinc", counted)
+        setup = TestAveragedJointsX.setup_of(kind)
+        amplitude_factors(Pipeline(PUMP, setup,
+                                   MomentumGrid4.auto(PUMP, setup, n=n)))
+        assert sum(full) == 32 * n * n
+
+    def test_double_second_half_is_conjugate(self):
+        setup = TestAveragedJointsX.setup_of("double")
+        factors = amplitude_factors(Pipeline(
+            PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=32)))
+        half = factors.rank // 2
+        assert np.array_equal(factors.x[half:], factors.x[:half].conj())
+        assert np.array_equal(factors.y[half:], factors.y[:half].conj())
