@@ -264,9 +264,11 @@ def _cmd_frames(cfg: RunConfig, args) -> int:
     stack_path = args.stack
     if args.action == "synth":
         pipe = _pipeline(cfg)
-        source = fields.position_factors(pipe, cfg.z)
         roi = cfg.coincidence.roi or _auto_roi(pipe, cfg.coincidence.pitch)
         detector = cfg.coincidence.detector(roi)
+        # A too-small ROI fails before the guard and the factor build.
+        coin._check_roi(pipe.grid.x_axis, detector)
+        source = fields.position_factors(pipe, cfg.z)
         stack = coin.synth_frames(source, detector, cfg.coincidence.mu_pairs,
                                   cfg.coincidence.n_frames,
                                   cfg.coincidence.seed,

@@ -1,11 +1,11 @@
 """Synthetic single-photon-camera acquisition and coincidence reconstruction.
 
-The forward model draws photon-pair events from the position distribution
-(from its rank-R factor tables, or from a 4D array), thins each photon by the
-detector quantum efficiency, adds per-pixel Poisson dark counts, and
-accumulates integer counts into two detector planes (signal and idler) per
-frame.  Coincidences are recovered with the standard accidental-subtracting
-estimator
+The forward model draws photon-pair events from the position amplitude's
+rank-R factor tables (:class:`fields.PositionFactors`; no 4-axis array is
+read), thins each photon by the detector quantum efficiency, adds per-pixel
+Poisson dark counts, and accumulates integer counts into two detector
+planes (signal and idler) per frame.  Coincidences are recovered with the
+standard accidental-subtracting estimator
 
     C_pq = <n_p n_q>_same-frame - <n_p n_q>_adjacent-frame
 
@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .fields import CHUNK_ELEMS, Distribution
+from .fields import CHUNK_ELEMS, PositionFactors
 from .writers import _atomic_write
 
 
@@ -186,47 +186,17 @@ def _pixel_of(x: np.ndarray, pitch: float, n_pix: int) -> np.ndarray:
     return np.floor(x / pitch).astype(np.int64) + n_pix // 2
 
 
-class _GridSource:
-    """A 4D position :class:`Distribution` with the sampling interface of
-    :class:`fields.PositionFactors`: node axes, the (y_s, y_i) marginal,
-    and rows of (x_s, x_i) weights given flat (y_s, y_i) indices."""
-
-    def __init__(self, dist: Distribution):
-        if dist.values.ndim != 4 or dist.basis != "position":
-            raise DetectorError("synth_frames requires position factors or a "
-                                "4D position distribution")
-        self.values = dist.values  # axes (x_s, y_s, x_i, y_i)
-        nx, ny = self.values.shape[:2]
-        self.x_axis = (np.arange(nx) - nx // 2) * dist.deltas[0]
-        self.y_axis = (np.arange(ny) - ny // 2) * dist.deltas[1]
-
-    def y_marginal(self) -> np.ndarray:
-        return self.values.sum(axis=(0, 2))
-
-    def x_weights(self, cells: np.ndarray) -> np.ndarray:
-        ny = self.y_axis.size
-        return self.values[:, cells // ny, :, cells % ny].reshape(cells.size, -1)
-
-
-def _as_source(source):
-    """``source``, with a 4D distribution wrapped in :class:`_GridSource`."""
-    return _GridSource(source) if isinstance(source, Distribution) else source
-
-
-def sample_pairs(source, n_pairs: int,
+def sample_pairs(source: PositionFactors, n_pairs: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Grid nodes of ``n_pairs`` photon pairs drawn jointly from |psi|^2.
 
-    ``source`` is :class:`fields.PositionFactors` or a 4D position
-    :class:`Distribution`.  The (y_s, y_i) pair is drawn from its marginal
-    with an alias table, then the (x_s, x_i) pair by inverse CDF given it.
-    Returns the flat (x_s, x_i) and flat (y_s, y_i) indices, signal index
-    major.
+    The (y_s, y_i) pair is drawn from the marginal of ``source`` with an
+    alias table, then the (x_s, x_i) pair by inverse CDF given it.  Returns
+    the flat (x_s, x_i) and flat (y_s, y_i) indices, signal index major.
     """
-    source = _as_source(source)
     y_cells = AliasTable(source.y_marginal()).sample(n_pairs, rng)
     x_cells = _draw_given(y_cells, rng.random(n_pairs), source.x_weights,
-                          source.x_axis.size ** 2)
+                          source.grid.n ** 2)
     return x_cells, y_cells
 
 
@@ -264,18 +234,27 @@ def _draw_given(y_cells: np.ndarray, uniforms: np.ndarray,
     return out
 
 
-def synth_frames(source, detector: DetectorModel, mu_pairs: float,
-                 n_frames: int, seed: int, fingerprint: str = "") -> FrameStack:
-    """Generate a stack of synthetic frames from a position distribution.
+def _check_roi(axis: np.ndarray, detector: DetectorModel) -> None:
+    """Raise :class:`DetectorError` unless every node of ``axis``, on both
+    axes of each plane, lands inside the detector's ROI."""
+    half = (min(detector.roi) // 2) * detector.pitch
+    if axis.min() < -half or axis.max() >= half:
+        raise DetectorError(
+            f"ROI {detector.roi} at pitch {detector.pitch * 1e6:.1f} um does not "
+            "cover the distribution support; enlarge the ROI")
 
-    ``source`` is the position amplitude as
-    :class:`fields.PositionFactors` (:func:`fields.position_factors`, what
-    ``frames synth`` uses) or a 4D position :class:`Distribution`.  Per
-    frame, the number of pair events is Poisson(mu_pairs).  Each event's
-    (y_s, y_i) nodes are drawn from their marginal with an alias table,
-    then its (x_s, x_i) nodes by inverse CDF given them (the pair is drawn
-    jointly); each photon survives with probability QE, and Poisson dark
-    counts are added independently to every pixel of both planes.  The
+
+def synth_frames(source: PositionFactors, detector: DetectorModel,
+                 mu_pairs: float, n_frames: int, seed: int,
+                 fingerprint: str = "") -> FrameStack:
+    """Generate a stack of synthetic frames from the position amplitude's
+    factor tables (:func:`fields.position_factors`).
+
+    Per frame, the number of pair events is Poisson(mu_pairs).  Each
+    event's (y_s, y_i) nodes are drawn from their marginal with an alias
+    table, then its (x_s, x_i) nodes by inverse CDF given them (the pair is
+    drawn jointly); each photon survives with probability QE, and Poisson
+    dark counts are added independently to every pixel of both planes.  The
     stack is held as sorted (cell, count) events.  Deterministic for a
     fixed seed.
     """
@@ -283,17 +262,9 @@ def synth_frames(source, detector: DetectorModel, mu_pairs: float,
         raise DetectorError(f"mu_pairs must be >= 0, got {mu_pairs}")
     if n_frames < 1:
         raise DetectorError(f"n_frames must be >= 1, got {n_frames}")
-    source = _as_source(source)
-    x_axis, y_axis = source.x_axis, source.y_axis
+    axis = source.grid.x_axis
+    _check_roi(axis, detector)
     ny, nx = detector.roi
-    # Every grid node must land inside the ROI of its plane.
-    half_x = (nx // 2) * detector.pitch
-    half_y = (ny // 2) * detector.pitch
-    if (x_axis.min() < -half_x or x_axis.max() >= half_x
-            or y_axis.min() < -half_y or y_axis.max() >= half_y):
-        raise DetectorError(
-            f"ROI {detector.roi} at pitch {detector.pitch * 1e6:.1f} um does not "
-            "cover the distribution support; enlarge the ROI")
 
     rng = np.random.default_rng(seed)
     pairs_per_frame = rng.poisson(mu_pairs, size=n_frames)
@@ -301,16 +272,16 @@ def synth_frames(source, detector: DetectorModel, mu_pairs: float,
     frame_of_pair = np.repeat(np.arange(n_frames, dtype=np.int64), pairs_per_frame)
 
     x_cells, y_cells = sample_pairs(source, total_pairs, rng)
-    isy, iiy = np.divmod(y_cells, y_axis.size)
-    isx, iix = np.divmod(x_cells, x_axis.size)
+    isy, iiy = np.divmod(y_cells, axis.size)
+    isx, iix = np.divmod(x_cells, axis.size)
 
     qe = detector.quantum_efficiency
     keep_s = rng.random(total_pairs) < qe
     keep_i = rng.random(total_pairs) < qe
 
     def plane_events(keep, ix_arr, iy_arr, plane):
-        px = _pixel_of(x_axis[ix_arr[keep]], detector.pitch, nx)
-        py = _pixel_of(y_axis[iy_arr[keep]], detector.pitch, ny)
+        px = _pixel_of(axis[ix_arr[keep]], detector.pitch, nx)
+        py = _pixel_of(axis[iy_arr[keep]], detector.pitch, ny)
         f = frame_of_pair[keep]
         return ((f * 2 + plane) * ny + py) * nx + px
 
@@ -431,11 +402,16 @@ FRAME_MAGIC = "BPFS1"
 
 def save_frames(stack: FrameStack, path) -> None:
     """Write a frame stack; bit-exact round trip with :func:`load_frames`.
+    A stack whose detector ROI is not its (ny, nx) raises
+    :class:`DetectorError` before anything is written.
 
     The counts are written block by block from the stack's own buffers: a
     dense stack's array is written without a copy on a little-endian host.
     """
     f, _, ny, nx = stack.shape
+    if tuple(stack.detector.roi) != (ny, nx):
+        raise DetectorError(f"detector ROI {stack.detector.roi} does not match "
+                            f"the stack's (ny, nx) = {(ny, nx)}")
     header = {
         "magic": FRAME_MAGIC,
         "n_frames": f,
@@ -476,7 +452,8 @@ def load_frames(path) -> FrameStack:
     """Open a frame stack written by :func:`save_frames`.
 
     The header is checked here, and the payload size against it: a
-    malformed header, a short or an over-long payload raises
+    malformed header, a detector ROI other than the stack's (ny, nx), a
+    short or an over-long payload raises
     :class:`DetectorError`.  The counts are read from the file block by
     block whenever the stack is read (``counts`` reads them all).
     """
@@ -503,6 +480,9 @@ def load_frames(path) -> FrameStack:
     except (KeyError, TypeError, ValueError) as exc:
         raise DetectorError(
             f"{path}: malformed frame-stack header: {exc!r}") from exc
+    if tuple(detector.roi) != shape[2:]:
+        raise DetectorError(f"{path}: header detector.roi {list(detector.roi)} "
+                            f"does not match (ny, nx) = {list(shape[2:])}")
     expected = math.prod(shape) * 2
     if size - len(header_line) != expected:
         raise DetectorError(f"{path}: payload is {size - len(header_line)} "

@@ -107,8 +107,8 @@ class MomentumGrid4:
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise GridError(f"n must be a power of two >= 8, got {self.n}")
-        if self.dq <= 0:
-            raise GridError(f"dq must be > 0, got {self.dq}")
+        if not (math.isfinite(self.dq) and self.dq > 0):
+            raise GridError(f"dq must be finite and > 0, got {self.dq}")
 
     @property
     def dx(self) -> float:
@@ -725,6 +725,19 @@ def boundary_ratio(pipeline: Pipeline) -> float:
     return _guarded_peak(pipeline)[1]
 
 
+def _guarded_factors(pipeline: Pipeline,
+                     ) -> tuple[AmplitudeFactors, GridDiagnostics]:
+    """The rank-R factors with their diagnostics, after the boundary guard
+    (:func:`_guarded_peak`): a truncated grid raises where
+    :func:`build_amplitude` does, before any factor table is built.  The
+    paraxial check and the memory budget are those of
+    :func:`amplitude_factors`."""
+    peak, ratio = _guarded_peak(pipeline)
+    factors = amplitude_factors(pipeline)
+    return factors, GridDiagnostics(boundary_ratio=ratio, rank=factors.rank,
+                                    interpolation_error=factors.error / peak)
+
+
 def _transforms(values: np.ndarray, q: np.ndarray, z: float,
                 k: float) -> np.ndarray:
     """Centered transform of the two last axes of ``values`` at distance z,
@@ -769,21 +782,16 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     G is the same at every z, and the position joint at z is the same sum
     over the x-transforms F_x[x_r P_x(z)].  G is diagonalized once
     (:func:`_gram_weighted`), so each z costs one n x n FFT per kept term.
-    The boundary guard and the paraxial check give the verdicts of
-    :func:`build_amplitude`.
+    The factors come from :func:`_guarded_factors`.
     """
     grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
-    factors = amplitude_factors(pipeline)
-    peak, ratio = _guarded_peak(pipeline)
+    factors, diagnostics = _guarded_factors(pipeline)
     weighted = _gram_weighted(factors.x, factors.y)
     mom = (np.abs(weighted) ** 2).sum(axis=0)
     pos = [(np.abs(_transforms(weighted, grid.q_axis, z, factors.k)) ** 2)
            .sum(axis=0) for z in zs]
 
-    diagnostics = GridDiagnostics(
-        boundary_ratio=ratio, rank=factors.rank,
-        interpolation_error=factors.error / peak)
     momentum = Distribution(values=_normalize(mom, grid.dq**2),
                             axis_names=("q_sx", "q_ix"),
                             deltas=(grid.dq, grid.dq),
@@ -798,23 +806,21 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
 
 
 def singles_direct(pipeline: Pipeline, z: float) -> Distribution:
-    """One-photon (signal) image at z from the rank-R factors, without the
-    4D array; the value ``singles`` gives on the 4D distribution.
+    """One-photon (signal) image at z from the position factor tables
+    (:func:`position_factors`), without the 4D array; the value ``singles``
+    gives on the 4D distribution.
 
-    With psi = sum_r X_r(x_s, x_i) Y_r(y_s, y_i), X_r and Y_r the
-    transforms of the factors, the image is
+    With psi = sum_r X_r(x_s, x_i) Y_r(y_s, y_i), the image is
     sum_{rs} [sum_{x_i} X_r X_s^*](x_s) [sum_{y_i} Y_r Y_s^*](y_s): two
-    batched R x R Gram products and one matrix product.  Runs the boundary
-    guard of :func:`build_amplitude`.
+    batched R x R Gram products and one matrix product.
     """
     grid = pipeline.grid
-    factors = amplitude_factors(pipeline)
-    _guarded_peak(pipeline)
-    rank, n = factors.rank, grid.n
+    factors = position_factors(pipeline, z)
+    rank, n = factors.x.shape[0], grid.n
 
-    def gram(f: np.ndarray) -> np.ndarray:
+    def gram(t: np.ndarray) -> np.ndarray:
         # (n, R, R): for each signal coordinate, sum over the idler one.
-        t = _transforms(f, grid.q_axis, z, factors.k).transpose(1, 0, 2)
+        t = t.transpose(1, 0, 2)
         return (t @ t.conj().transpose(0, 2, 1)).reshape(n, rank * rank)
 
     values = (gram(factors.x) @ gram(factors.y).T).real
@@ -839,14 +845,6 @@ class PositionFactors:
     y: np.ndarray
     grid: MomentumGrid4
 
-    @property
-    def x_axis(self) -> np.ndarray:
-        return self.grid.x_axis
-
-    @property
-    def y_axis(self) -> np.ndarray:
-        return self.grid.x_axis
-
     def y_marginal(self) -> np.ndarray:
         """sum_{x_s, x_i} |psi|^2 over (y_s, y_i), unnormalized: the Gram
         trick of :func:`_gram_weighted` over the x tables."""
@@ -864,11 +862,8 @@ class PositionFactors:
 
 def position_factors(pipeline: Pipeline, z: float) -> PositionFactors:
     """The position amplitude at z as rank-R factor tables, two R x n^2
-    arrays: no N^4 array is allocated.  Runs the boundary guard of
-    :func:`build_amplitude` first, then :func:`amplitude_factors` (its
-    paraxial check and memory budget)."""
-    _guarded_peak(pipeline)
-    factors = amplitude_factors(pipeline)
+    arrays, from :func:`_guarded_factors`: no N^4 array is allocated."""
+    factors = _guarded_factors(pipeline)[0]
     q = pipeline.grid.q_axis
     return PositionFactors(x=_transforms(factors.x, q, z, factors.k),
                            y=_transforms(factors.y, q, z, factors.k),

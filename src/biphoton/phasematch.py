@@ -49,10 +49,12 @@ class CrystalSetup:
     def __post_init__(self):
         if self.kind not in ("single", "double"):
             raise ConfigurationError(f"crystal kind must be single|double, got {self.kind!r}")
-        if self.length <= 0:
-            raise ConfigurationError(f"crystal length must be > 0, got {self.length}")
-        if self.gap < 0:
-            raise ConfigurationError(f"crystal gap must be >= 0, got {self.gap}")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ConfigurationError(
+                f"crystal length must be finite and > 0, got {self.length}")
+        if not (math.isfinite(self.gap) and self.gap >= 0):
+            raise ConfigurationError(
+                f"crystal gap must be finite and >= 0, got {self.gap}")
         if self.kind == "single" and self.gap != 0:
             raise ConfigurationError("gap is only meaningful for the double configuration")
         if not (0.0 < self.theta_p < math.pi / 2):
@@ -75,10 +77,12 @@ class PumpSpec:
     waist: float
 
     def __post_init__(self):
-        if self.waist <= 0:
-            raise ConfigurationError(f"beam waist must be > 0, got {self.waist}")
-        if self.wavelength <= 0:
-            raise ConfigurationError(f"wavelength must be > 0, got {self.wavelength}")
+        if not (math.isfinite(self.waist) and self.waist > 0):
+            raise ConfigurationError(
+                f"beam waist must be finite and > 0, got {self.waist}")
+        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
+            raise ConfigurationError(
+                f"wavelength must be finite and > 0, got {self.wavelength}")
 
     @property
     def lambda_signal(self) -> float:

@@ -351,6 +351,24 @@ class TestCliCommands:
         csv_head = (tmp_path / "coincidence_xx.csv").read_text().splitlines()[0]
         assert csv_head == f"# fingerprint={stack_header['fingerprint']}"
 
+    def test_frames_small_roi_exit3_before_factors(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # The ROI is checked against the grid before the factor build.
+        from biphoton import fields
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("position_factors reached")
+
+        monkeypatch.setattr(fields, "position_factors", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"coincidence": {"roi": [2, 2]}}))
+        code = self.run("--config", str(cfg), "--n", "16", "--frames", "10",
+                        "frames", "synth", outdir=tmp_path)
+        assert code == 3
+        assert "does not cover the distribution support" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "frames.bpfs").exists()
+
     @pytest.mark.parametrize("header", [b"not json\n",
                                         b'{"magic": "BPFS1"}\n'],
                              ids=["not-json", "magic-only"])

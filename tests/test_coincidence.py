@@ -25,6 +25,7 @@ from biphoton.coincidence import (
 from biphoton.fields import (
     MomentumGrid4,
     Pipeline,
+    PositionFactors,
     build_amplitude,
     position_factors,
     position_pdf,
@@ -98,29 +99,30 @@ class TestAliasTable:
 
 
 class TestSynthFrames:
-    def test_dark_only_mean(self, dist4):
+    def test_dark_only_mean(self, factors16):
         delta = 0.02
         det = detector(dark_rate=delta)
-        stack = synth_frames(dist4, det, mu_pairs=0.0, n_frames=4000, seed=3)
+        stack = synth_frames(factors16, det, mu_pairs=0.0, n_frames=4000,
+                             seed=3)
         n_cells = stack.counts.size
         mean = stack.counts.mean()
         sigma = math.sqrt(delta / n_cells)
         assert abs(mean - delta) <= 3 * sigma
 
-    def test_determinism(self, dist4):
+    def test_determinism(self, factors16):
         det = detector()
-        a = synth_frames(dist4, det, 5.0, 200, seed=42)
-        b = synth_frames(dist4, det, 5.0, 200, seed=42)
+        a = synth_frames(factors16, det, 5.0, 200, seed=42)
+        b = synth_frames(factors16, det, 5.0, 200, seed=42)
         np.testing.assert_array_equal(a.counts, b.counts)
-        c = synth_frames(dist4, det, 5.0, 200, seed=43)
+        c = synth_frames(factors16, det, 5.0, 200, seed=43)
         assert not np.array_equal(a.counts, c.counts)
 
-    def test_singles_chi2_convergence(self, dist4):
+    def test_singles_chi2_convergence(self, factors16, dist4):
         # QE = 1, no dark: empirical signal image is multinomial over pixels
         # with probabilities given by the pixel-aggregated signal marginal.
         det = detector(quantum_efficiency=1.0, dark_rate=0.0)
         n_frames, mu = 20_000, 4.0
-        stack = synth_frames(dist4, det, mu, n_frames, seed=7)
+        stack = synth_frames(factors16, det, mu, n_frames, seed=7)
         observed = stack.counts[:, 0].sum(axis=0).astype(float).ravel()
 
         shape = dist4.values.shape
@@ -141,31 +143,29 @@ class TestSynthFrames:
         chi2, p = stats.chisquare(observed[keep], expected[keep])
         assert p >= 0.05
 
-    def test_totals_linear_in_mu(self, dist4):
+    def test_totals_linear_in_mu(self, factors16):
         det = detector(dark_rate=0.0)
         totals = []
         for mu in (2.0, 4.0):
-            stack = synth_frames(dist4, det, mu, 5000, seed=9)
+            stack = synth_frames(factors16, det, mu, 5000, seed=9)
             totals.append(stack.counts.sum())
         assert totals[1] / totals[0] == pytest.approx(2.0, rel=0.05)
 
-    def test_roi_too_small(self, dist4):
+    def test_roi_too_small(self, factors16):
         with pytest.raises(DetectorError, match="ROI"):
-            synth_frames(dist4, detector(roi=(4, 4)), 5.0, 10, seed=0)
+            synth_frames(factors16, detector(roi=(4, 4)), 5.0, 10, seed=0)
 
     def test_count_overflow_guarded(self):
         # All probability in one grid node, enormous flux: the per-pixel
-        # count must refuse to wrap silently.
-        vals = np.zeros((8, 8, 8, 8))
-        vals[4, 4, 4, 4] = 1.0
-        from biphoton.fields import Distribution
-        dist = Distribution(values=vals / vals.sum() / 1e-5**4,
-                            axis_names=("x_s", "y_s", "x_i", "y_i"),
-                            deltas=(1e-5,) * 4, basis="position", units="m",
-                            normalized=True)
+        # count must refuse to wrap silently.  A rank-1 point mass on an
+        # n = 8 grid of pitch dx = 1e-5.
+        t = np.zeros((1, 8, 8), dtype=complex)
+        t[0, 4, 4] = 1.0
+        point = PositionFactors(x=t, y=t,
+                                grid=MomentumGrid4(8, 2 * np.pi / (8 * 1e-5)))
         det = detector(quantum_efficiency=1.0, dark_rate=0.0)
         with pytest.raises(AccumulatorError):
-            synth_frames(dist, det, mu_pairs=80_000.0, n_frames=1, seed=0)
+            synth_frames(point, det, mu_pairs=80_000.0, n_frames=1, seed=0)
 
 
 class TestCoincidenceMap:
@@ -196,9 +196,9 @@ class TestCoincidenceMap:
         ratio = np.median(half.stderr / full.stderr)
         assert ratio == pytest.approx(math.sqrt(2.0), rel=0.1)
 
-    def test_conditional_reduction_shape(self, dist4):
+    def test_conditional_reduction_shape(self, factors16):
         det = detector()
-        stack = synth_frames(dist4, det, 5.0, 500, seed=1)
+        stack = synth_frames(factors16, det, 5.0, 500, seed=1)
         cmap = coincidence_map(stack, reduction="conditional")
         assert cmap.values.shape == det.roi
         assert cmap.params["idler_pixel"] == [det.roi[0] // 2,
@@ -219,9 +219,9 @@ class TestCoincidenceMap:
 
 
 class TestFrameFile:
-    def test_round_trip_bit_exact(self, dist4, tmp_path):
+    def test_round_trip_bit_exact(self, factors16, tmp_path):
         det = detector()
-        stack = synth_frames(dist4, det, 5.0, 100, seed=17,
+        stack = synth_frames(factors16, det, 5.0, 100, seed=17,
                              fingerprint="deadbeef")
         path = tmp_path / "stack.bpfs"
         save_frames(stack, path)
@@ -231,9 +231,9 @@ class TestFrameFile:
         assert loaded.fingerprint == "deadbeef"
         assert loaded.detector == det
 
-    def test_corrupt_magic_rejected(self, dist4, tmp_path):
+    def test_corrupt_magic_rejected(self, factors16, tmp_path):
         det = detector()
-        stack = synth_frames(dist4, det, 1.0, 4, seed=0)
+        stack = synth_frames(factors16, det, 1.0, 4, seed=0)
         path = tmp_path / "stack.bpfs"
         save_frames(stack, path)
         raw = path.read_bytes()
@@ -241,9 +241,9 @@ class TestFrameFile:
         with pytest.raises(Exception):
             load_frames(path)
 
-    def test_truncated_payload_rejected(self, dist4, tmp_path):
+    def test_truncated_payload_rejected(self, factors16, tmp_path):
         det = detector()
-        stack = synth_frames(dist4, det, 1.0, 4, seed=0)
+        stack = synth_frames(factors16, det, 1.0, 4, seed=0)
         path = tmp_path / "stack.bpfs"
         save_frames(stack, path)
         raw = path.read_bytes()
@@ -251,23 +251,41 @@ class TestFrameFile:
         with pytest.raises(Exception):
             load_frames(path)
 
-    def test_overlong_payload_rejected(self, dist4, tmp_path):
+    def test_overlong_payload_rejected(self, factors16, tmp_path):
         det = detector()
-        stack = synth_frames(dist4, det, 1.0, 4, seed=0)
+        stack = synth_frames(factors16, det, 1.0, 4, seed=0)
         path = tmp_path / "stack.bpfs"
         save_frames(stack, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 16)
         with pytest.raises(DetectorError, match="payload is"):
             load_frames(path)
 
-    def test_file_is_header_then_counts(self, dist4, tmp_path):
-        stack = synth_frames(dist4, detector(), 5.0, 20, seed=3)
+    def test_file_is_header_then_counts(self, factors16, tmp_path):
+        stack = synth_frames(factors16, detector(), 5.0, 20, seed=3)
         path = tmp_path / "stack.bpfs"
         save_frames(stack, path)
         raw = path.read_bytes()
         header_end = raw.index(b"\n") + 1
         assert raw[:header_end].startswith(b'{"detector"')
         assert raw[header_end:] == stack.counts.astype("<u2").tobytes()
+
+    def test_save_refuses_roi_other_than_the_stack(self, tmp_path):
+        counts = np.zeros((3, 2, 1, 16), dtype=np.uint16)
+        stack = manual_stack(counts, det=detector(roi=(24, 24)))
+        path = tmp_path / "stack.bpfs"
+        with pytest.raises(DetectorError, match="ROI"):
+            save_frames(stack, path)
+        assert not path.exists()
+
+    def test_load_rejects_roi_other_than_the_stack(self, tmp_path):
+        counts = np.zeros((3, 2, 1, 16), dtype=np.uint16)
+        path = tmp_path / "stack.bpfs"
+        save_frames(manual_stack(counts), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"roi": [1, 16]', b'"roi": [24, 24]', 1))
+        assert path.read_bytes() != raw
+        with pytest.raises(DetectorError, match="roi"):
+            load_frames(path)
 
     def test_save_makes_no_copy_of_the_stack(self, tmp_path):
         import tracemalloc

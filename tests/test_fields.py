@@ -80,6 +80,11 @@ class TestMomentumGrid4:
         assert grid.q_axis[0] == -40.0
         assert grid.x_axis[4] == 0.0
 
+    @pytest.mark.parametrize("dq", [float("nan"), float("inf")])
+    def test_non_finite_dq_rejected(self, dq):
+        with pytest.raises(GridError, match="finite"):
+            MomentumGrid4(8, dq)
+
     def test_power_of_two_required(self):
         with pytest.raises(Exception):
             MomentumGrid4(n=12, dq=1.0)
@@ -656,17 +661,50 @@ class TestRankFactors:
         assert peak < 1024**2
 
     def test_non_finite_extent_raises_before_allocating(self):
-        # A non-finite extent makes every Chebyshev coefficient non-finite;
-        # the first trial refuses it rather than doubling K without end.
-        grid = MomentumGrid4.auto(PUMP, SETUP, n=16, c2=float("nan"))
+        # A non-finite extent gives a non-finite dq: the grid refuses it.
         tracemalloc.start()
         try:
-            with pytest.raises(GridError, match="non-finite"):
-                amplitude_factors(Pipeline(PUMP, SETUP, grid))
+            with pytest.raises(GridError, match="finite"):
+                MomentumGrid4.auto(PUMP, SETUP, n=16, c2=float("nan"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1024**2
+
+    def test_non_finite_coefficients_raise_before_allocating(self):
+        # A finite but enormous crystal length overflows the sinc argument,
+        # so every Chebyshev coefficient is non-finite; the first trial
+        # refuses it rather than doubling K without end.
+        setup = CrystalSetup.single(1e308, THETA)
+        grid = MomentumGrid4.auto(PUMP, setup, n=16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridError, match="non-finite"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                amplitude_factors(Pipeline(PUMP, setup, grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2
+
+    @pytest.mark.parametrize("route, args", [
+        ("averaged_joints_x", ([0.0],)),
+        ("singles_direct", (5e-3,)),
+        ("position_factors", (5e-3,)),
+    ])
+    def test_guard_runs_before_the_factor_build(self, route, args,
+                                                monkeypatch):
+        # On a truncated grid every guarded route raises the guard's
+        # verdict without building a factor table.
+        import biphoton.fields as fields_module
+
+        def refuse(pipeline):
+            raise AssertionError("amplitude_factors reached")
+
+        monkeypatch.setattr(fields_module, "amplitude_factors", refuse)
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=16, c1=0.2, c2=0.05)
+        with pytest.raises(SupportTruncationError):
+            getattr(fields_module, route)(Pipeline(PUMP, SETUP, grid), *args)
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])

@@ -50,6 +50,17 @@ class TestSetupValidation:
         with pytest.raises(ConfigurationError):
             PumpSpec(355e-9, 0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PumpSpec(355e-9, value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            PumpSpec(value, 507e-6)
+        with pytest.raises(ConfigurationError, match="finite"):
+            CrystalSetup.single(value, THETA)
+        with pytest.raises(ConfigurationError, match="finite"):
+            CrystalSetup.double(1e-3, value, THETA)
+
     def test_signal_wavelength_degenerate(self):
         assert PUMP.lambda_signal == pytest.approx(710e-9, rel=1e-15)
 
