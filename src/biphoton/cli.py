@@ -187,7 +187,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_conditional(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
-    # The 4D build's truncation guard.
+    # The boundary guard: conditional_position_direct runs none of its own.
     fields.boundary_ratio(pipe)
     cond = fields.conditional_position_direct(
         pipe.pump, pipe.setup, cfg.z, pipe.grid, model=pipe.model,

@@ -403,18 +403,22 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     factors A = sum_r X_r(q_sx, q_ix) Y_r(q_sy, q_iy)
     (:func:`amplitude_factors`) and the separable idler phase p_x p_y
     (position and propagation), B = (X p_x)^T (Y p_y): O(R n^2) work and
-    storage.  The signal propagation phase multiplies B once.  Matches
+    storage.  X p_x and Y p_y come straight from the real tables of
+    :func:`_real_factors` (:func:`_contract`), so no complex factor table is
+    built.  The signal propagation phase multiplies B once.  Matches
     ``conditional_position`` of the 4D pipeline on shared grids when rho_i0
     lies on a node.  Raises :class:`MemoryBudgetError` where
     :func:`amplitude_factors` does under ``memory_budget``.
     """
-    factors = amplitude_factors(Pipeline(pump, setup, grid, model,
-                                         memory_budget=memory_budget))
+    real = _real_factors(Pipeline(pump, setup, grid, model,
+                                  memory_budget=memory_budget))
     q = grid.q_axis
     x0, y0 = rho_i0
-    propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
-    b = (factors.x @ (np.exp(1j * q * x0) * propagation)).T \
-        @ (factors.y @ (np.exp(1j * q * y0) * propagation))
+    propagation = np.exp(-1j * q**2 * z / (2.0 * real.k))
+    b = _contract(real.coeffs, real.phase_x, real.conjugate,
+                  np.exp(1j * q * x0) * propagation).T \
+        @ _contract(real.cheb, real.phase_y, real.conjugate,
+                    np.exp(1j * q * y0) * propagation)
     b *= propagation[:, None] * propagation[None, :] * grid.dq**2
     psi = _centered_ift_axis(_centered_ift_axis(b, 0, grid.dq), 1, grid.dq)
     values = np.abs(psi) ** 2
@@ -513,6 +517,55 @@ def _conjugate_pair(real: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return out
 
 
+def _factor_table(real: np.ndarray, phase: np.ndarray,
+                  conjugate: bool) -> np.ndarray:
+    """One complex factor table of :class:`AmplitudeFactors`: real * phase,
+    or with ``conjugate`` its :func:`_conjugate_pair`."""
+    if conjugate:
+        return _conjugate_pair(real, phase)
+    return real * phase
+
+
+def _contract(real: np.ndarray, phase: np.ndarray, conjugate: bool,
+              w: np.ndarray) -> np.ndarray:
+    """_factor_table(real, phase, conjugate) @ w without the complex table:
+    real @ (phase * w), and with ``conjugate`` real @ (phase^* * w) below
+    it, as real products batched over the middle axis; (R, n)."""
+    parts = [phase * w, phase.conj() * w] if conjugate else [phase * w]
+    rhs = np.stack([f(u) for u in parts for f in (np.real, np.imag)],
+                   axis=-1)
+    out = np.matmul(real.transpose(1, 0, 2), rhs)
+    out = out[..., 0::2] + 1j * out[..., 1::2]
+    return out.transpose(2, 1, 0).reshape(-1, real.shape[1])
+
+
+@dataclass(frozen=True)
+class _RealFactors:
+    """The real-table stage of :func:`amplitude_factors`: the factor tables
+    are x = coeffs * phase_x and y = cheb * phase_y per term, each followed
+    by its conjugate when ``conjugate`` (:func:`_factor_table`).  ``coeffs``
+    (K x n x n over (q_sx, q_ix)) and ``cheb`` (K x n x n over
+    (q_sy, q_iy)) are real; ``error`` and ``k`` are those of the factors."""
+
+    coeffs: np.ndarray
+    cheb: np.ndarray
+    phase_x: np.ndarray
+    phase_y: np.ndarray
+    conjugate: bool
+    error: float
+    k: float
+
+    @property
+    def rank(self) -> int:
+        return self.coeffs.shape[0] * (2 if self.conjugate else 1)
+
+    def x(self) -> np.ndarray:
+        return _factor_table(self.coeffs, self.phase_x, self.conjugate)
+
+    def y(self) -> np.ndarray:
+        return _factor_table(self.cheb, self.phase_y, self.conjugate)
+
+
 def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     """Rank-R factors of the pipeline's momentum amplitude.
 
@@ -538,7 +591,16 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     a trial K (two arrays of n^2 R complex numbers, the K x K basis, and the
     K x n^2 sinc and coefficient tables) exceed ``pipeline.memory_budget``,
     and :class:`GridError` when the weighted coefficients are not finite.
+    The tables are built from the real-table stage, :func:`_real_factors`.
     """
+    real = _real_factors(pipeline)
+    return AmplitudeFactors(x=real.x(), y=real.y(), error=real.error,
+                            k=real.k)
+
+
+def _real_factors(pipeline: Pipeline) -> _RealFactors:
+    """The real tables and phases that :func:`amplitude_factors` builds its
+    factors from, with every check it makes."""
     pump, setup, grid = pipeline.pump, pipeline.setup, pipeline.grid
     ctx = make_context(setup.theta_p, pump.wavelength, pipeline.model)
     q, n = grid.q_axis, grid.n
@@ -569,7 +631,9 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
             (nodes,) + (1,) * a_pairs.ndim)
         coeffs = np.tensordot(
             basis, sinc((a_pairs + mid)[None] * half + shift), axes=(1, 0))
-        weight = (np.abs(coeffs * v_pairs).reshape(nodes, -1).max(axis=1)
+        # max |c v| as max(max c v, -min c v): v > 0, no |.| temporary.
+        scaled = (coeffs * v_pairs).reshape(nodes, -1)
+        weight = (np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
                   * v_y.max())
         return coeffs, weight
 
@@ -615,15 +679,16 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     for j in range(2, kept):
         np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
         cheb[j] -= cheb[j - 2]
-    coeffs = coeffs[:kept]
     if setup.kind == "single":
-        x = coeffs * (v_x * np.exp(1j * a * half))
-        y = cheb * (v_y * np.exp(1j * b * half))
+        phase_x = v_x * np.exp(1j * a * half)
+        phase_y = v_y * np.exp(1j * b * half)
     else:
         g = (setup.length + setup.gap) / 2.0
-        x = _conjugate_pair(coeffs, v_x * np.exp(1j * a * g) / 2.0)
-        y = _conjugate_pair(cheb, v_y * np.exp(1j * b * g))
-    return AmplitudeFactors(x=x, y=y, error=error, k=ctx.k_signal)
+        phase_x = v_x * np.exp(1j * a * g) / 2.0
+        phase_y = v_y * np.exp(1j * b * g)
+    return _RealFactors(coeffs=coeffs[:kept], cheb=cheb, phase_x=phase_x,
+                        phase_y=phase_y, conjugate=setup.kind != "single",
+                        error=error, k=ctx.k_signal)
 
 
 @dataclass(frozen=True)
@@ -726,16 +791,24 @@ def boundary_ratio(pipeline: Pipeline) -> float:
 
 
 def _guarded_factors(pipeline: Pipeline,
-                     ) -> tuple[AmplitudeFactors, GridDiagnostics]:
-    """The rank-R factors with their diagnostics, after the boundary guard
+                     ) -> tuple[_RealFactors, GridDiagnostics]:
+    """The real-table stage of the rank-R factors (:func:`_real_factors`)
+    with their diagnostics, after the boundary guard
     (:func:`_guarded_peak`): a truncated grid raises where
     :func:`build_amplitude` does, before any factor table is built.  The
     paraxial check and the memory budget are those of
     :func:`amplitude_factors`."""
     peak, ratio = _guarded_peak(pipeline)
-    factors = amplitude_factors(pipeline)
-    return factors, GridDiagnostics(boundary_ratio=ratio, rank=factors.rank,
-                                    interpolation_error=factors.error / peak)
+    real = _real_factors(pipeline)
+    return real, GridDiagnostics(boundary_ratio=ratio, rank=real.rank,
+                                 interpolation_error=real.error / peak)
+
+
+def _transform_phase(q: np.ndarray, z: float, k: float) -> np.ndarray:
+    """The n x n input phase of :func:`_transforms`."""
+    p = np.exp(-1j * q**2 * z / (2.0 * k))
+    p[1::2] *= -1.0
+    return p[:, None] * p[None, :]
 
 
 def _transforms(values: np.ndarray, q: np.ndarray, z: float,
@@ -749,9 +822,7 @@ def _transforms(values: np.ndarray, q: np.ndarray, z: float,
     ramp (-1)^n folds into the propagation phase, one plain inverse 2D FFT
     per table.
     """
-    p = np.exp(-1j * q**2 * z / (2.0 * k))
-    p[1::2] *= -1.0
-    return np.fft.ifft2(values * (p[:, None] * p[None, :]), axes=(-2, -1))
+    return np.fft.ifft2(values * _transform_phase(q, z, k), axes=(-2, -1))
 
 
 def _gram_weighted(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -786,10 +857,10 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     """
     grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
-    factors, diagnostics = _guarded_factors(pipeline)
-    weighted = _gram_weighted(factors.x, factors.y)
+    real, diagnostics = _guarded_factors(pipeline)
+    weighted = _gram_weighted(real.x(), real.y())
     mom = (np.abs(weighted) ** 2).sum(axis=0)
-    pos = [(np.abs(_transforms(weighted, grid.q_axis, z, factors.k)) ** 2)
+    pos = [(np.abs(_transforms(weighted, grid.q_axis, z, real.k)) ** 2)
            .sum(axis=0) for z in zs]
 
     momentum = Distribution(values=_normalize(mom, grid.dq**2),
@@ -860,11 +931,21 @@ class PositionFactors:
         return weights
 
 
+def _position_table(table: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """:func:`_transforms` of a factor table that is not needed after:
+    phased in place, and freed once transformed."""
+    table *= phase
+    return np.fft.ifft2(table, axes=(-2, -1))
+
+
 def position_factors(pipeline: Pipeline, z: float) -> PositionFactors:
     """The position amplitude at z as rank-R factor tables, two R x n^2
-    arrays, from :func:`_guarded_factors`: no N^4 array is allocated."""
-    factors = _guarded_factors(pipeline)[0]
-    q = pipeline.grid.q_axis
-    return PositionFactors(x=_transforms(factors.x, q, z, factors.k),
-                           y=_transforms(factors.y, q, z, factors.k),
+    arrays, from :func:`_guarded_factors`: no N^4 array is allocated.  Each
+    complex factor table is built from the real-table stage and transformed
+    before the next is built, so at most four tables and the real stage are
+    alive at once."""
+    real = _guarded_factors(pipeline)[0]
+    phase = _transform_phase(pipeline.grid.q_axis, z, real.k)
+    x = _position_table(real.x(), phase)
+    return PositionFactors(x=x, y=_position_table(real.y(), phase),
                            grid=pipeline.grid)

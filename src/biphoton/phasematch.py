@@ -94,8 +94,9 @@ class PumpSpec:
 SINC_SERIES_CUT = 1e-4
 
 
-def _sin_over(sin_x, x):
-    """sin(x)/x given sin(x) and x, with the value 1 at x = 0.
+def _sin_over(sin_x, x, out=None):
+    """sin(x)/x given sin(x) and x, with the value 1 at x = 0, written into
+    ``out`` when given (which may be ``sin_x`` itself).
 
     On |x| < SINC_SERIES_CUT the truncated series 1 - x^2/6 + x^4/120
     replaces the quotient: there sin(x) carries an absolute rounding error
@@ -104,7 +105,7 @@ def _sin_over(sin_x, x):
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(np.divide(sin_x, x))
+        out = np.asarray(np.divide(sin_x, x, out=out))
     small = np.abs(x) < SINC_SERIES_CUT
     if small.any():
         xx = x[small] ** 2
@@ -115,7 +116,8 @@ def _sin_over(sin_x, x):
 def sinc(x):
     """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
     x = np.asarray(x, dtype=float)
-    out = _sin_over(np.sin(x), x)
+    out = np.sin(x, out=np.empty_like(x))
+    out = _sin_over(out, x, out=out)
     if out.ndim == 0:
         return float(out)
     return out

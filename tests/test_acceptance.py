@@ -31,7 +31,6 @@ from biphoton.fields import (
     SupportTruncationError,
     averaged_joint_x,
     build_amplitude,
-    conditional_position,
     conditional_position_direct,
     momentum_pdf,
     position_factors,
@@ -146,9 +145,9 @@ class TestAcceptance:
             t0 = time.perf_counter()
             setup = CrystalSetup.single(5e-3, math.radians(deg))
             grid = MomentumGrid4.auto(PUMP, setup, n=N_DEFAULT)
-            amp = propagate(build_amplitude(grid, PUMP, setup,
-                                            boundary_tol=None), Z_DEFAULT)
-            cond = conditional_position(position_pdf(to_position(amp)))
+            # The route of the CLI's `conditional`; its agreement with the
+            # 4D path at n = 64 is checked in test_fields.
+            cond = conditional_position_direct(PUMP, setup, Z_DEFAULT, grid)
             prof = radial_profile(cond.values, grid.x_axis, grid.dx)
             peak_bins.append(int(np.argmax(prof)))
             per_angle.append(time.perf_counter() - t0)

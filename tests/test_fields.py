@@ -33,6 +33,7 @@ from biphoton.fields import (
     estimate_build_bytes,
     momentum_pdf,
     pdf,
+    position_factors,
     position_pdf,
     propagate,
     singles,
@@ -699,9 +700,9 @@ class TestRankFactors:
         import biphoton.fields as fields_module
 
         def refuse(pipeline):
-            raise AssertionError("amplitude_factors reached")
+            raise AssertionError("factor build reached")
 
-        monkeypatch.setattr(fields_module, "amplitude_factors", refuse)
+        monkeypatch.setattr(fields_module, "_real_factors", refuse)
         grid = MomentumGrid4.auto(PUMP, SETUP, n=16, c1=0.2, c2=0.05)
         with pytest.raises(SupportTruncationError):
             getattr(fields_module, route)(Pipeline(PUMP, SETUP, grid), *args)
@@ -742,6 +743,63 @@ class TestRankFactors:
         amplitude_factors(Pipeline(PUMP, setup,
                                    MomentumGrid4.auto(PUMP, setup, n=n)))
         assert sum(full) == 32 * n * n
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_conditional_builds_no_complex_table(self, kind, monkeypatch):
+        # The direct conditional contracts the real tables with the idler
+        # phases; neither complex factor table is ever built.
+        import biphoton.fields as fields_module
+
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=32)
+        rhos = [(0.0, 0.0), (grid.x_axis[18], grid.x_axis[15]),
+                (0.3 * grid.dx, -1.7 * grid.dx)]
+        refs = [conditional_position_direct(PUMP, setup, 5e-3, grid,
+                                            rho_i0=rho) for rho in rhos]
+
+        def refuse(*args):
+            raise AssertionError("complex factor table built")
+
+        monkeypatch.setattr(fields_module, "_conjugate_pair", refuse)
+        monkeypatch.setattr(fields_module, "_factor_table", refuse)
+        with pytest.raises(AssertionError, match="complex factor table"):
+            amplitude_factors(Pipeline(PUMP, setup, grid))
+        for rho, ref in zip(rhos, refs):
+            got = conditional_position_direct(PUMP, setup, 5e-3, grid,
+                                              rho_i0=rho)
+            assert np.array_equal(got.values, ref.values)
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_real_contraction_matches_tables(self, kind):
+        # The contraction of a real table with w is the complex table's
+        # product with w, to rounding.
+        from biphoton.fields import _contract, _real_factors
+
+        setup = TestAveragedJointsX.setup_of(kind)
+        real = _real_factors(Pipeline(PUMP, setup,
+                                      MomentumGrid4.auto(PUMP, setup, n=32)))
+        rng = np.random.default_rng(5)
+        w = np.exp(2j * np.pi * rng.random(32))
+        for table, values, phase in ((real.x(), real.coeffs, real.phase_x),
+                                     (real.y(), real.cheb, real.phase_y)):
+            got = _contract(values, phase, real.conjugate, w)
+            ref = table @ w
+            assert got.shape == ref.shape == (real.rank, 32)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_position_factors_peak(self):
+        # Each complex table is built from the real-table stage, phased in
+        # place and transformed before the next is built: fewer than five
+        # R n^2 tables are alive at once (six when both were built first).
+        setup = TestAveragedJointsX.setup_of("double")
+        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=128))
+        tracemalloc.start()
+        try:
+            factors = position_factors(pipe, 7.5e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * factors.x.nbytes
 
     def test_double_second_half_is_conjugate(self):
         setup = TestAveragedJointsX.setup_of("double")
