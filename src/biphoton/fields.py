@@ -640,6 +640,12 @@ def _real_factors(pipeline: Pipeline) -> _RealFactors:
     # The envelope ridge q_ix = -q_sx, where v_x = 1: every q_sx but the
     # first, whose negative is off the grid.
     ridge = (np.arange(1, n), np.arange(n - 1, 0, -1))
+    # a and v_x are built from q_sx^2 + q_ix^2 and q_sx + q_ix alone, and
+    # IEEE addition commutes, so both tables equal their transposes exactly.
+    # Every step of a trial works column by column and a max over the
+    # upper triangle is the max over the table: the full trial runs on the
+    # upper-triangle x-pairs, and the kept rows are mirrored to n x n.
+    upper = np.triu_indices(n)
     nodes = CHEB_START
     while True:
         # The two factor tables, the K x K basis, and the K x n^2 sinc and
@@ -658,7 +664,7 @@ def _real_factors(pipeline: Pipeline) -> _RealFactors:
         if probe[-2:].max() > SCREEN_MARGIN * CHEB_TOL:
             nodes *= 2
             continue
-        coeffs, weight = trial(nodes, a, v_x)
+        coeffs, weight = trial(nodes, a[upper], v_x[upper])
         if not np.all(np.isfinite(weight)):
             raise GridError(
                 f"non-finite phase-matching coefficients on the grid "
@@ -669,6 +675,10 @@ def _real_factors(pipeline: Pipeline) -> _RealFactors:
     tail = np.cumsum(weight[::-1])[::-1]
     kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
     error = float(tail[kept] + EPS * tail[0])
+    mirror = np.empty((n, n), dtype=np.intp)
+    mirror[upper] = np.arange(upper[0].size)
+    mirror[upper[::-1]] = mirror[upper]
+    coeffs = np.take(coeffs[:kept], mirror, axis=1)
 
     # T_j(t(b)) by the three-term recurrence, on the y-pair table.
     t = (b - mid) / rad if rad > 0.0 else np.zeros_like(b)
@@ -686,7 +696,7 @@ def _real_factors(pipeline: Pipeline) -> _RealFactors:
         g = (setup.length + setup.gap) / 2.0
         phase_x = v_x * np.exp(1j * a * g) / 2.0
         phase_y = v_y * np.exp(1j * b * g)
-    return _RealFactors(coeffs=coeffs[:kept], cheb=cheb, phase_x=phase_x,
+    return _RealFactors(coeffs=coeffs, cheb=cheb, phase_x=phase_x,
                         phase_y=phase_y, conjugate=setup.kind != "single",
                         error=error, k=ctx.k_signal)
 
@@ -757,22 +767,25 @@ def _guarded_peak(pipeline: Pipeline) -> tuple[float, float]:
 
     :func:`_max_over_pairs` gives the peak over all pairs, then the edge
     (the largest |A| on the 4D hull) over four faces, the running maximum
-    passed from one to the next.  A is exactly symmetric under signal-idler
-    exchange (every term of the mismatch and the envelope is), so the faces
-    with q_sx or q_sy at one end of its axis hold every hull value.
+    passed from one to the next.  A is exactly unchanged when only q_sx and
+    q_ix, or only q_sy and q_iy, are swapped (every term of the mismatch and
+    the envelope is built from sums, which commute), so the upper-triangle
+    pairs (q_s <= q_i) hold every value the full pair list does, and the
+    faces with q_sx or q_sy at one end of its axis hold every hull value.
     """
     ctx = make_context(pipeline.setup.theta_p, pipeline.pump.wavelength,
                        pipeline.model)
     q = pipeline.grid.q_axis
-    every = (np.repeat(q, q.size), np.tile(q, q.size))
-    peak = _max_over_pairs(pipeline, ctx, every, every)
+    upper = np.triu_indices(q.size)
+    half = (q[upper[0]], q[upper[1]])
+    peak = _max_over_pairs(pipeline, ctx, half, half)
     if peak == 0.0:
         raise GridError("amplitude is identically zero on the grid")
     edge = 0.0
     for end in (q[0], q[-1]):
         face = (np.full(q.size, end), q)
-        edge = _max_over_pairs(pipeline, ctx, face, every, edge)
-        edge = _max_over_pairs(pipeline, ctx, every, face, edge)
+        edge = _max_over_pairs(pipeline, ctx, face, half, edge)
+        edge = _max_over_pairs(pipeline, ctx, half, face, edge)
     if pipeline.boundary_tol is not None:
         _check_boundary(edge, peak, pipeline.boundary_tol)
     return peak, edge / peak

@@ -26,7 +26,9 @@ def _atomic_write(path, payload: bytes, buffers: Iterable = ()) -> None:
     """Write ``payload``, then each item of ``buffers`` (anything exposing
     the buffer protocol, written without a copy), to a temporary file and
     rename it to ``path``.  ``buffers`` is consumed one item at a time, so
-    a generator may hand out one reused buffer again and again."""
+    a generator may hand out one reused buffer again and again.  The file
+    gets the mode ``open`` would give it, 0o666 less the umask, not the
+    owner-only mode of the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -34,6 +36,9 @@ def _atomic_write(path, payload: bytes, buffers: Iterable = ()) -> None:
             fh.write(payload)
             for buffer in buffers:
                 fh.write(buffer)
+        umask = os.umask(0)  # read by setting it and putting it back
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

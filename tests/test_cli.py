@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 
@@ -121,6 +122,18 @@ class TestWriters:
             write_grd(values, tmp_path / "bad.grd", ("a", "b"),
                       (1.0, 1.0), "m")
         assert not (tmp_path / "bad.grd").exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+    def test_grd_mode_follows_umask(self, tmp_path, umask):
+        # The temporary file is owner-only; the artifact gets the mode a
+        # plain open() would give it.
+        path = tmp_path / "a.grd"
+        old = os.umask(umask)
+        try:
+            write_grd(np.ones((2, 2)), path, ("a", "b"), (1.0, 1.0), "m")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
     def test_pgm_max_normalized(self, tmp_path):
         values = np.random.default_rng(1).random((9, 9)) * 0.3

@@ -2,6 +2,8 @@
 subtracting coincidence estimator, and the frame-stack file format."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -230,6 +232,17 @@ class TestFrameFile:
         assert loaded.seed == stack.seed
         assert loaded.fingerprint == "deadbeef"
         assert loaded.detector == det
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "stack.bpfs"
+        old = os.umask(umask)
+        try:
+            save_frames(manual_stack(np.zeros((3, 2, 1, 16),
+                                              dtype=np.uint16)), path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
     def test_corrupt_magic_rejected(self, factors16, tmp_path):
         det = detector()

@@ -430,7 +430,8 @@ class TestAveragedJointsX:
             averaged_joints_x(Pipeline(PUMP, SETUP, grid,
                                        memory_budget=1024), [0.0])
 
-    @pytest.mark.parametrize("extent", [
+    #: (kind, n, extent keys) of the boundary-guard tests.
+    EXTENTS = [
         ("single", 8, {}), ("single", 16, {}), ("single", 32, {}),
         ("double", 8, {}), ("double", 16, {}), ("double", 32, {}),
         ("single", 64, {}), ("double", 64, {}),
@@ -439,9 +440,14 @@ class TestAveragedJointsX:
         ("single", 16, {"c2": EXTENT_C2 * 2.2}),
         ("double", 16, {"c2": EXTENT_C2 * 2.2}),
         ("single", 64, {"c2": EXTENT_C2 * 2.2}),
-        ("double", 64, {"c2": EXTENT_C2 * 2.2})],
-        ids=lambda e: f"{e[0]}-{e[1]}" + ("-tight" if "c1" in e[2]
-                                          else "-wide" if e[2] else ""))
+        ("double", 64, {"c2": EXTENT_C2 * 2.2})]
+
+    @staticmethod
+    def extent_id(extent):
+        return f"{extent[0]}-{extent[1]}" + (
+            "-tight" if "c1" in extent[2] else "-wide" if extent[2] else "")
+
+    @pytest.mark.parametrize("extent", EXTENTS, ids=extent_id)
     def test_boundary_ratio_matches_4d_build(self, extent):
         kind, n, extent_keys = extent
         setup = self.setup_of(kind)
@@ -469,6 +475,32 @@ class TestAveragedJointsX:
                     with pytest.raises(SupportTruncationError) as info:
                         run()
                     assert str(info.value) == expected
+
+    @pytest.mark.parametrize("extent", EXTENTS, ids=extent_id)
+    def test_guard_matches_full_pair_walk(self, extent, monkeypatch):
+        # The guard walks the upper-triangle pairs only: the same peak and
+        # ratio, to the last bit, as the walk over every pair, from fewer
+        # evaluated points.
+        import biphoton.fields as fields_module
+
+        evaluated = []
+
+        def counting(*args, **kwargs):
+            out = momentum_amplitude(*args, **kwargs)
+            evaluated.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(fields_module, "momentum_amplitude", counting)
+        kind, n, extent_keys = extent
+        setup = self.setup_of(kind)
+        pipe = Pipeline(PUMP, setup,
+                        MomentumGrid4.auto(PUMP, setup, n=n, **extent_keys),
+                        boundary_tol=None)
+        full = full_pair_peak(pipe)
+        full_points = sum(evaluated)
+        evaluated.clear()
+        assert fields_module._guarded_peak(pipe) == full
+        assert sum(evaluated) < full_points
 
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_boundary_ratio_is_cubic(self, kind, monkeypatch):
@@ -504,6 +536,26 @@ class TestAveragedJointsX:
             assert err / peak <= diag.interpolation_error <= 1e-12
             assert diag.interpolation_error == \
                 pytest.approx(factors.error / peak, rel=1e-12)
+
+
+def full_pair_peak(pipeline):
+    """(peak |A|, edge / peak) of the boundary walk over every pair
+    (q_s, q_i) of each axis, not only the upper triangle: the reference
+    for the guard."""
+    from biphoton import dispersion
+    from biphoton.fields import _max_over_pairs
+
+    ctx = dispersion.make_context(pipeline.setup.theta_p,
+                                  pipeline.pump.wavelength)
+    q = pipeline.grid.q_axis
+    every = (np.repeat(q, q.size), np.tile(q, q.size))
+    peak = _max_over_pairs(pipeline, ctx, every, every)
+    edge = 0.0
+    for end in (q[0], q[-1]):
+        face = (np.full(q.size, end), q)
+        edge = _max_over_pairs(pipeline, ctx, face, every, edge)
+        edge = _max_over_pairs(pipeline, ctx, every, face, edge)
+    return peak, edge / peak
 
 
 def unscreened_factors(pipeline):
@@ -707,15 +759,19 @@ class TestRankFactors:
         with pytest.raises(SupportTruncationError):
             getattr(fields_module, route)(Pipeline(PUMP, SETUP, grid), *args)
 
-    @pytest.mark.parametrize("n", [16, 32, 64])
-    @pytest.mark.parametrize("kind", ["single", "double", "wide"])
+    @pytest.mark.parametrize("kind, n", [
+        (kind, n) for kind in ("single", "double", "wide", "double-wide")
+        for n in (16, 32, 64, 128, 256)
+        if n <= 128 or "wide" not in kind])
     def test_screened_build_matches_unscreened(self, kind, n):
-        # Screening skips only trials that would fail: the accepted K, the
-        # kept terms, the error and every table are those of the full loop.
+        # Screening skips only trials that would fail, and the kept trial
+        # runs on the upper-triangle x-pairs of a symmetric table: the
+        # accepted K, the kept terms, the error and every table are those
+        # of the full loop on the full table.
         setup = TestAveragedJointsX.setup_of(
-            "single" if kind == "wide" else kind)
+            "double" if kind.startswith("double") else "single")
         grid = MomentumGrid4.auto(PUMP, setup, n=n,
-                                  **(self.WIDE if kind == "wide" else {}))
+                                  **(self.WIDE if "wide" in kind else {}))
         pipe = Pipeline(PUMP, setup, grid)
         factors = amplitude_factors(pipe)
         x, y, error = unscreened_factors(pipe)
@@ -724,17 +780,42 @@ class TestRankFactors:
         assert np.array_equal(factors.x, x)
         assert np.array_equal(factors.y, y)
 
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("kind", ["single", "double", "wide"])
+    def test_pair_tables_are_symmetric(self, kind, n):
+        # The factor build runs its trial on the upper triangle of the
+        # x-pair tables and the guard walks upper-triangle pairs: both rest
+        # on a, b and the envelopes equalling their transposes exactly.
+        from biphoton import dispersion
+        from biphoton.phasematch import pump_envelope
+
+        setup = TestAveragedJointsX.setup_of(
+            "single" if kind == "wide" else kind)
+        q = MomentumGrid4.auto(PUMP, setup, n=n,
+                               **(self.WIDE if kind == "wide" else {})).q_axis
+        rows, cols = q[:, None], q[None, :]
+        ctx = dispersion.make_context(setup.theta_p, PUMP.wavelength)
+        a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
+                                         TransverseMomentum(cols, cols),
+                                         ctx, "ignore")
+        v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), PUMP)
+        v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), PUMP)
+        for table in (a, b, v_x, v_y):
+            assert table.shape == (n, n)
+            assert np.array_equal(table, table.T)
+
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_one_full_trial_at_default_extent(self, kind, monkeypatch):
         # The K = 16 trial fails on the envelope ridge, so only the K = 32
-        # trial that is kept samples sinc on the full K x n^2 table.
+        # trial that is kept samples sinc off the ridge, and only on the
+        # n(n+1)/2 upper-triangle x-pairs of the symmetric table.
         import biphoton.fields as fields_module
         n = 64
         full = []
         sinc_of = fields_module.sinc
 
         def counted(arg):
-            if arg.shape[-2:] == (n, n):
+            if arg.shape[1:] != (n - 1,):  # not the ridge probe
                 full.append(arg.size)
             return sinc_of(arg)
 
@@ -742,7 +823,7 @@ class TestRankFactors:
         setup = TestAveragedJointsX.setup_of(kind)
         amplitude_factors(Pipeline(PUMP, setup,
                                    MomentumGrid4.auto(PUMP, setup, n=n)))
-        assert sum(full) == 32 * n * n
+        assert sum(full) == 32 * n * (n + 1) // 2
 
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_conditional_builds_no_complex_table(self, kind, monkeypatch):
