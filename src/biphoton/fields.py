@@ -545,7 +545,9 @@ class _RealFactors:
     are x = coeffs * phase_x and y = cheb * phase_y per term, each followed
     by its conjugate when ``conjugate`` (:func:`_factor_table`).  ``coeffs``
     (K x n x n over (q_sx, q_ix)) and ``cheb`` (K x n x n over
-    (q_sy, q_iy)) are real; ``error`` and ``k`` are those of the factors."""
+    (q_sy, q_iy)) are real; ``coeffs`` is exactly 0 where v_x = 0, since
+    ``phase_x`` carries v_x.  ``error`` and ``k`` are those of the
+    factors."""
 
     coeffs: np.ndarray
     cheb: np.ndarray
@@ -579,7 +581,11 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     ridge q_ix = -q_sx: if their weighted tail already exceeds
     ``SCREEN_MARGIN`` times ``CHEB_TOL``, the full trial would fail, and K
     doubles without it, so the accepted K and the tables are those of the
-    unscreened doubling.  The phase goes into the factors:
+    unscreened doubling.  Trials sample sinc only on the x-pairs where the
+    pump envelope v_x is not 0 (it underflows over most of the table), so
+    the coefficients there are exactly 0; the factors carry v_x, so the
+    tables are those of a trial on every pair.  The phase goes into the
+    factors:
     e^{ih} = e^{iaL/2} e^{ibL/2} for a single crystal, and
     cos g = (e^{ig} + e^{-ig})/2 with g = (a + b)(L + d)/2 for a double
     one, which doubles the rank; the second half of its tables is the
@@ -623,16 +629,22 @@ def _real_factors(pipeline: Pipeline) -> _RealFactors:
     def trial(nodes, a_pairs, v_pairs):
         # Chebyshev coefficients of the interpolant through sinc h at the
         # first-kind nodes t_k = cos(theta_k), over the given x-pairs, and
-        # their weighted maxima.
+        # their weighted maxima.  The factors carry v_x, so sinc is sampled
+        # only where v_pairs != 0 (a NaN envelope stays in), and the
+        # coefficients are exactly 0 elsewhere.  The basis product runs on
+        # every column at its place, which keeps the sampled columns
+        # bit-identical to a trial on all pairs; c v is 0 on the others, so
+        # the maxima skip them.
         theta = np.pi * (np.arange(nodes) + 0.5) / nodes
         basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
         basis[0] /= 2.0
-        shift = (rad * half) * np.cos(theta).reshape(
-            (nodes,) + (1,) * a_pairs.ndim)
-        coeffs = np.tensordot(
-            basis, sinc((a_pairs + mid)[None] * half + shift), axes=(1, 0))
+        live = np.flatnonzero(v_pairs != 0)
+        shift = (rad * half) * np.cos(theta)[:, None]
+        samples = np.zeros((nodes, a_pairs.size))
+        samples[:, live] = sinc((a_pairs[live] + mid)[None] * half + shift)
+        coeffs = np.tensordot(basis, samples, axes=(1, 0))
         # max |c v| as max(max c v, -min c v): v > 0, no |.| temporary.
-        scaled = (coeffs * v_pairs).reshape(nodes, -1)
+        scaled = coeffs[:, live] * v_pairs[live]
         weight = (np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
                   * v_y.max())
         return coeffs, weight
@@ -649,7 +661,8 @@ def _real_factors(pipeline: Pipeline) -> _RealFactors:
     nodes = CHEB_START
     while True:
         # The two factor tables, the K x K basis, and the K x n^2 sinc and
-        # coefficient tables of this trial.
+        # coefficient tables of this trial: the full tables still, although
+        # the trial samples only the upper-triangle pairs where v_x != 0.
         need = (2 * n * n * nodes * terms * 16 + nodes * nodes * 8
                 + 2 * nodes * n * n * 8)
         if need > pipeline.memory_budget:
@@ -825,7 +838,7 @@ def _transform_phase(q: np.ndarray, z: float, k: float) -> np.ndarray:
 
 
 def _transforms(values: np.ndarray, q: np.ndarray, z: float,
-                k: float) -> np.ndarray:
+                k: float, phased: np.ndarray) -> np.ndarray:
     """Centered transform of the two last axes of ``values`` at distance z,
     up to a phase that depends on the output point only.
 
@@ -833,9 +846,11 @@ def _transforms(values: np.ndarray, q: np.ndarray, z: float,
     F[u] F[w]^*, in which that phase cancels: so the output ramp and the
     constant phase of the centered transform are left out, and its input
     ramp (-1)^n folds into the propagation phase, one plain inverse 2D FFT
-    per table.
+    per table.  The phased input is written into ``phased``, a complex
+    array of the shape of ``values``, so a caller can reuse it.
     """
-    return np.fft.ifft2(values * _transform_phase(q, z, k), axes=(-2, -1))
+    np.multiply(values, _transform_phase(q, z, k), out=phased)
+    return np.fft.ifft2(phased, axes=(-2, -1))
 
 
 def _gram_weighted(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -866,15 +881,22 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     G is the same at every z, and the position joint at z is the same sum
     over the x-transforms F_x[x_r P_x(z)].  G is diagonalized once
     (:func:`_gram_weighted`), so each z costs one n x n FFT per kept term.
-    The factors come from :func:`_guarded_factors`.
+    The phased input and |.|^2 of every z go into two buffers allocated
+    once.  The factors come from :func:`_guarded_factors`.
     """
     grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
     real, diagnostics = _guarded_factors(pipeline)
     weighted = _gram_weighted(real.x(), real.y())
     mom = (np.abs(weighted) ** 2).sum(axis=0)
-    pos = [(np.abs(_transforms(weighted, grid.q_axis, z, real.k)) ** 2)
-           .sum(axis=0) for z in zs]
+    phased = np.empty_like(weighted)
+    power = np.empty(weighted.shape)
+    pos = []
+    for z in zs:
+        np.abs(_transforms(weighted, grid.q_axis, z, real.k, phased),
+               out=power)
+        power *= power
+        pos.append(power.sum(axis=0))
 
     momentum = Distribution(values=_normalize(mom, grid.dq**2),
                             axis_names=("q_sx", "q_ix"),

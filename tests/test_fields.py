@@ -613,6 +613,49 @@ def unscreened_factors(pipeline):
             np.concatenate([cheb * e_b, cheb * e_b.conj()]), error)
 
 
+def triangle_coeffs(pipeline):
+    """(coeffs, v_x): the kept Chebyshev coefficients of the factor build
+    with every trial sampling sinc on all n(n+1)/2 upper-triangle x-pairs,
+    mirrored to K x n x n, and the x-pair envelope: the reference for the
+    build that samples only where v_x != 0."""
+    from biphoton import dispersion
+    from biphoton.fields import CHEB_START, CHEB_TOL
+    from biphoton.phasematch import pump_envelope, sinc
+
+    pump, setup, grid = pipeline.pump, pipeline.setup, pipeline.grid
+    ctx = dispersion.make_context(setup.theta_p, pump.wavelength)
+    q, n = grid.q_axis, grid.n
+    rows, cols = q[:, None], q[None, :]
+    a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
+                                     TransverseMomentum(cols, cols),
+                                     ctx, "ignore")
+    v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), pump)
+    v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), pump)
+    half = setup.length / 2.0
+    mid = (b.max() + b.min()) / 2.0
+    rad = (b.max() - b.min()) / 2.0
+    upper = np.triu_indices(n)
+    nodes = CHEB_START
+    while True:
+        theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+        basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
+        basis[0] /= 2.0
+        coeffs = np.tensordot(
+            basis, sinc((a[upper] + mid)[None] * half
+                        + (rad * half) * np.cos(theta)[:, None]),
+            axes=(1, 0))
+        weight = np.abs(coeffs * v_x[upper]).max(axis=1) * v_y.max()
+        if weight[-2:].max() <= CHEB_TOL:
+            break
+        nodes *= 2
+    tail = np.cumsum(weight[::-1])[::-1]
+    kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
+    mirror = np.empty((n, n), dtype=np.intp)
+    mirror[upper] = np.arange(upper[0].size)
+    mirror[upper[::-1]] = mirror[upper]
+    return np.take(coeffs[:kept], mirror, axis=1), v_x
+
+
 def factor_error(factors, grid, setup):
     """(max |A - sum_r x_r y_r|, max |A|) with A the unnormalized amplitude
     on the 4D broadcast."""
@@ -782,6 +825,27 @@ class TestRankFactors:
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])
+    def test_coefficients_only_on_the_envelope_support(self, kind, n):
+        # The kept trial samples sinc only where v_x != 0: there the
+        # coefficients have the bytes of a trial on every upper-triangle
+        # pair, and elsewhere they are exactly 0.
+        from biphoton.fields import _real_factors
+
+        setup = TestAveragedJointsX.setup_of(
+            "single" if kind == "wide" else kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n,
+                                  **(self.WIDE if kind == "wide" else {}))
+        pipe = Pipeline(PUMP, setup, grid)
+        got = _real_factors(pipe).coeffs
+        ref, v_x = triangle_coeffs(pipe)
+        support = v_x != 0
+        assert 0 < np.count_nonzero(support) < n * n
+        assert got.shape == ref.shape
+        assert got[:, support].tobytes() == ref[:, support].tobytes()
+        assert np.all(got[:, ~support] == 0.0)
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("kind", ["single", "double", "wide"])
     def test_pair_tables_are_symmetric(self, kind, n):
         # The factor build runs its trial on the upper triangle of the
         # x-pair tables and the guard walks upper-triangle pairs: both rest
@@ -808,8 +872,9 @@ class TestRankFactors:
     def test_one_full_trial_at_default_extent(self, kind, monkeypatch):
         # The K = 16 trial fails on the envelope ridge, so only the K = 32
         # trial that is kept samples sinc off the ridge, and only on the
-        # n(n+1)/2 upper-triangle x-pairs of the symmetric table.
+        # upper-triangle x-pairs of the symmetric table where v_x != 0.
         import biphoton.fields as fields_module
+        from biphoton.phasematch import pump_envelope
         n = 64
         full = []
         sinc_of = fields_module.sinc
@@ -821,9 +886,15 @@ class TestRankFactors:
 
         monkeypatch.setattr(fields_module, "sinc", counted)
         setup = TestAveragedJointsX.setup_of(kind)
-        amplitude_factors(Pipeline(PUMP, setup,
-                                   MomentumGrid4.auto(PUMP, setup, n=n)))
-        assert sum(full) == 32 * n * (n + 1) // 2
+        grid = MomentumGrid4.auto(PUMP, setup, n=n)
+        amplitude_factors(Pipeline(PUMP, setup, grid))
+        q = grid.q_axis
+        upper = np.triu_indices(n)
+        v_x = pump_envelope(TransverseMomentum(q[upper[0]] + q[upper[1]],
+                                               0.0), PUMP)
+        support = np.count_nonzero(v_x)
+        assert support == {"single": 675, "double": 339}[kind]
+        assert sum(full) == 32 * support
 
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_conditional_builds_no_complex_table(self, kind, monkeypatch):

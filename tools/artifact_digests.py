@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the artifacts the ``biphoton`` CLI writes.
+
+    python3 tools/artifact_digests.py [--src DIR] > digests.txt
+
+Runs ``ef``, ``scan z`` (0, 5, 10 mm), ``simulate pos``, ``simulate mom``,
+``singles``, ``conditional``, ``frames synth`` (500 frames, seed 3) and
+``frames coincide`` in process, at n = 16, 32 and 64, for the default
+single crystal and the 1 mm + 4 mm double crystal, each configuration into
+its own directory.  Prints one ``sha256  path`` line per artifact, the path
+relative to the output directory, in sorted order: a claim that two trees
+write the same bytes is a ``diff`` of two runs, one with ``--src`` set to
+the other tree's ``src`` directory.
+
+``--src`` is the directory ``biphoton`` is imported from (default: the
+``src`` beside this script).  The artifacts go to a temporary directory
+that is removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+CRYSTALS = {
+    "single": [],
+    "double": ["--double", "--L", "1mm", "--d", "4mm"],
+}
+SIZES = (16, 32, 64)
+COMMANDS = (
+    ["ef"],
+    ["scan", "z", "--values", "0mm,5mm,10mm"],
+    ["simulate", "pos"],
+    ["simulate", "mom"],
+    ["singles"],
+    ["conditional"],
+    ["frames", "synth"],
+)
+FRAMES = ["--frames", "500", "--seed", "3"]
+
+
+def write_artifacts(main, out: str) -> None:
+    """Run every command of every configuration into ``out``."""
+    for crystal, flags in CRYSTALS.items():
+        for n in SIZES:
+            where = os.path.join(out, f"{crystal}-n{n}")
+            common = ["--out", where, "--n", str(n)] + flags + FRAMES
+            runs = [common + command for command in COMMANDS]
+            runs.append(common + ["frames", "coincide", "--stack",
+                                  os.path.join(where, "frames.bpfs")])
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                if code != 0:
+                    raise SystemExit(f"biphoton {' '.join(argv)} exited "
+                                     f"{code}")
+
+
+def digests(out: str) -> list[str]:
+    """``sha256  path`` for every file under ``out``, sorted by path."""
+    lines = []
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append((os.path.relpath(path, out), digest))
+    return [f"{digest}  {path}" for path, digest in sorted(lines)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"),
+                        help="directory to import biphoton from")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from biphoton.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory(prefix="artifact-digests-") as out:
+        write_artifacts(cli_main, out)
+        for line in digests(out):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
