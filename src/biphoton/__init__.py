@@ -23,19 +23,6 @@ from .phasematch import (
     pump_envelope,
     sinc,
 )
-from .fields import (
-    BiphotonAmplitude4,
-    Distribution,
-    MomentumGrid4,
-    Pipeline,
-    averaged_joint_x,
-    build_amplitude,
-    conditional_position,
-    momentum_pdf,
-    position_pdf,
-    propagate,
-    singles,
-    to_position,
-)
+from .fields import Distribution, MomentumGrid4, Pipeline
 
 __version__ = "0.1.0"

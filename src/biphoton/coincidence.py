@@ -73,12 +73,12 @@ class FrameStack:
     """Per-frame photon counts of shape (n_frames, 2, ny, nx), planes
     (signal, idler), uint16.
 
-    ``FrameStack(counts, seed, detector)`` holds a dense array, which is
-    its one block.  :func:`synth_frames` gives a stack held as sorted
-    events and :func:`load_frames` one that reads its file; both yield
-    consecutive blocks of whole frames, of about ``FRAME_BLOCK_BYTES``,
-    through one reused buffer.  ``counts`` is the dense array, built on
-    demand for those two.
+    ``FrameStack(counts, seed, detector)`` holds a dense array and yields
+    views of it.  :func:`synth_frames` gives a stack held as sorted events
+    and :func:`load_frames` one that reads its file; both fill one reused
+    buffer.  All three yield the same consecutive blocks of whole frames,
+    of about ``FRAME_BLOCK_BYTES`` (:func:`_block_frames`).  ``counts`` is
+    the dense array, built on demand for the last two.
     """
 
     def __init__(self, counts: np.ndarray | None, seed: int,
@@ -88,7 +88,7 @@ class FrameStack:
         if counts is not None:
             if counts.dtype != np.uint16:
                 raise DetectorError("counts must be uint16")
-            shape, blocks = counts.shape, partial(iter, (counts,))
+            shape, blocks = counts.shape, partial(_dense_blocks, counts)
         if len(shape) != 4 or shape[1] != 2:
             raise DetectorError(f"counts shape must be (F, 2, ny, nx), got {shape}")
         self.shape = tuple(int(s) for s in shape)
@@ -123,6 +123,12 @@ class FrameStack:
 def _block_frames(shape: tuple[int, ...]) -> int:
     """Frames per block of a stack of ``shape``: at least one."""
     return max(1, FRAME_BLOCK_BYTES // (2 * math.prod(shape[1:])))
+
+
+def _dense_blocks(counts: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of ``counts`` in the blocks of :func:`_block_frames`."""
+    per = _block_frames(counts.shape)
+    return (counts[f0:f0 + per] for f0 in range(0, len(counts), per))
 
 
 def _event_blocks(shape: tuple[int, ...], cells: np.ndarray,
@@ -314,43 +320,49 @@ class CoincidenceMap:
     params: dict = field(default_factory=dict)
 
 
-def _pair_statistic(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_statistic(blocks: Iterator[tuple[np.ndarray, np.ndarray]],
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Mean same-frame minus mean adjacent-frame outer products, with SE.
 
-    ``a`` and ``b`` are (F, P) and (F, Q) float arrays of per-frame counts.
+    ``blocks`` yields (a, b) for consecutive blocks of frames: (F_b, P) and
+    (F_b, Q) integer arrays of per-frame counts.  The frame sums of
+    u_f v_f^T and u_f v_{f+1}^T, for (u, v) = (a, b) and (a^2, b^2), are
+    accumulated block by block: each block's last row of u meets the next
+    block's first row of v, and the cyclic closure v_F = v_0 keeps exactly
+    F terms.  Every product is an integer, and the sums are exact in
+    float64 while they stay below 2^53, so the result does not depend on
+    the blocking or the order of summation.
     """
-    f = a.shape[0]
-
-    def means(u, v):
-        # Frame means of u_f v_f^T and of u_f v_{f+1}^T; the cyclic closure
-        # v_F = v_0 keeps exactly F terms.  No shifted copy is made.
-        return (u.T @ v / f,
-                (u[:-1].T @ v[1:] + np.outer(u[-1], v[0])) / f)
-
-    same, shifted = means(a, b)
-    same_sq, shifted_sq = means(a * a, b * b)
-    var_same = np.maximum(same_sq - same**2, 0.0)
-    var_shift = np.maximum(shifted_sq - shifted**2, 0.0)
-    values = same - shifted
+    f = 0
+    for a, b in blocks:
+        if f == 0:
+            # [0]: the counts, [1]: their squares.
+            same = np.zeros((2, a.shape[1], b.shape[1]))
+            shifted = np.zeros_like(same)
+            head, tail = np.empty((2, b.shape[1])), np.empty((2, a.shape[1]))
+        u, v = a.astype(np.float64), b.astype(np.float64)
+        for m in range(2):
+            if m:
+                u *= u
+                v *= v
+            if f == 0:
+                head[m] = v[0]
+            else:
+                shifted[m] += np.outer(tail[m], v[0])
+            same[m] += u.T @ v
+            shifted[m] += u[:-1].T @ v[1:]
+            tail[m] = u[-1]
+        f += len(u)
+    shifted += tail[:, :, None] * head[:, None, :]
+    same /= f
+    shifted /= f
+    var_same = np.maximum(same[1] - same[0]**2, 0.0)
+    var_shift = np.maximum(shifted[1] - shifted[0]**2, 0.0)
+    values = same[0] - shifted[0]
     stderr = np.sqrt((var_same + var_shift) / f)
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(stderr))):
         raise AccumulatorError("non-finite accumulator in coincidence estimator")
     return values, stderr
-
-
-def _frame_rows(stack: FrameStack, reduce: Callable,
-                widths: tuple[int, ...]) -> list[np.ndarray]:
-    """Per frame block, ``reduce`` gives one (F_b, width) array per entry
-    of ``widths``; returns each stacked over the whole stack, as a
-    contiguous (n_frames, width) float64 array."""
-    outs = [np.empty((stack.n_frames, width)) for width in widths]
-    f0 = 0
-    for block in stack.blocks():
-        f1 = f0 + len(block)
-        for out, part in zip(outs, reduce(block)):
-            out[f0:f1] = part
-        f0 = f1
-    return outs
 
 
 def coincidence_map(stack: FrameStack, reduction: str = "joint_x",
@@ -360,9 +372,9 @@ def coincidence_map(stack: FrameStack, reduction: str = "joint_x",
     reduction = "joint_x": y-sum both planes per frame, estimate the
     (x_s, x_i) pixel-pair statistic.  reduction = "conditional": full 2D
     signal map against a single idler pixel (``idler_pixel`` = (iy, ix),
-    default ROI center).  The stack is read block by block (one block for
-    a dense stack); the per-frame sums are exact (int64 accumulator), so
-    the map does not depend on the blocking.
+    default ROI center).  The stack is read and reduced block by block, in
+    the same blocks however it is held, with one block's float64 working
+    set; the per-frame sums are exact (int64 accumulator).
     """
     if stack.n_frames < 2:
         raise DetectorError("coincidence estimation needs at least 2 frames")
@@ -370,10 +382,9 @@ def coincidence_map(stack: FrameStack, reduction: str = "joint_x",
     if reduction == "joint_x":
         # y-sums of each plane.  int64 accumulator: a uint16 one (einsum's
         # default here) overflows.
-        ns, ni = _frame_rows(
-            stack, lambda b: np.einsum("fpyx->pfx", b, dtype=np.int64),
-            (nx, nx))
-        values, stderr = _pair_statistic(ns, ni)
+        values, stderr = _pair_statistic(
+            np.einsum("fpyx->pfx", b, dtype=np.int64)
+            for b in stack.blocks())
         return CoincidenceMap(values=values, stderr=stderr, n_frames=f,
                               reduction=reduction)
     if reduction == "conditional":
@@ -382,11 +393,9 @@ def coincidence_map(stack: FrameStack, reduction: str = "joint_x",
         iy, ix = idler_pixel
         if not (0 <= iy < ny and 0 <= ix < nx):
             raise DetectorError(f"idler pixel {idler_pixel} outside ROI {(ny, nx)}")
-        ns, ni = _frame_rows(
-            stack, lambda b: (b[:, 0].reshape(len(b), ny * nx),
-                              b[:, 1, iy, ix, None]),
-            (ny * nx, 1))
-        values, stderr = _pair_statistic(ns, ni)
+        values, stderr = _pair_statistic(
+            (b[:, 0].reshape(len(b), ny * nx), b[:, 1, iy, ix, None])
+            for b in stack.blocks())
         return CoincidenceMap(values=values.reshape(ny, nx),
                               stderr=stderr.reshape(ny, nx),
                               n_frames=f, reduction=reduction,

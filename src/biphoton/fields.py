@@ -404,20 +404,20 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     (:func:`amplitude_factors`) and the separable idler phase p_x p_y
     (position and propagation), B = (X p_x)^T (Y p_y): O(R n^2) work and
     storage.  X p_x and Y p_y come straight from the real tables of
-    :func:`_real_factors` (:func:`_contract`), so no complex factor table is
-    built.  The signal propagation phase multiplies B once.  Matches
+    :class:`AmplitudeFactors` (:func:`_contract`), so no complex factor
+    table is built.  The signal propagation phase multiplies B once.  Matches
     ``conditional_position`` of the 4D pipeline on shared grids when rho_i0
     lies on a node.  Raises :class:`MemoryBudgetError` where
     :func:`amplitude_factors` does under ``memory_budget``.
     """
-    real = _real_factors(Pipeline(pump, setup, grid, model,
-                                  memory_budget=memory_budget))
+    factors = amplitude_factors(Pipeline(pump, setup, grid, model,
+                                         memory_budget=memory_budget))
     q = grid.q_axis
     x0, y0 = rho_i0
-    propagation = np.exp(-1j * q**2 * z / (2.0 * real.k))
-    b = _contract(real.coeffs, real.phase_x, real.conjugate,
+    propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
+    b = _contract(factors.coeffs, factors.phase_x, factors.conjugate,
                   np.exp(1j * q * x0) * propagation).T \
-        @ _contract(real.cheb, real.phase_y, real.conjugate,
+        @ _contract(factors.cheb, factors.phase_y, factors.conjugate,
                     np.exp(1j * q * y0) * propagation)
     b *= propagation[:, None] * propagation[None, :] * grid.dq**2
     psi = _centered_ift_axis(_centered_ift_axis(b, 0, grid.dq), 1, grid.dq)
@@ -491,63 +491,16 @@ class AmplitudeFactors:
 
         A(q_sx, q_sy, q_ix, q_iy) = sum_r x[r, sx, ix] * y[r, sy, iy],
 
-    unnormalized, as :func:`phasematch.momentum_amplitude` gives it.
-    ``error`` bounds max |A - sum_r x_r y_r| over the grid in the same units
-    (|A| <= 1), and ``k`` is the propagation wavenumber n_so K_s0.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    error: float
-    k: float
-
-    @property
-    def rank(self) -> int:
-        return self.x.shape[0]
-
-
-def _conjugate_pair(real: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """[real * phase, real * phase^*] stacked on the first axis, written in
-    one array: with ``real`` real, the second half is the exact conjugate
-    of the first."""
-    terms = real.shape[0]
-    out = np.empty((2 * terms,) + phase.shape, dtype=np.complex128)
-    np.multiply(real, phase, out=out[:terms])
-    np.conjugate(out[:terms], out=out[terms:])
-    return out
-
-
-def _factor_table(real: np.ndarray, phase: np.ndarray,
-                  conjugate: bool) -> np.ndarray:
-    """One complex factor table of :class:`AmplitudeFactors`: real * phase,
-    or with ``conjugate`` its :func:`_conjugate_pair`."""
-    if conjugate:
-        return _conjugate_pair(real, phase)
-    return real * phase
-
-
-def _contract(real: np.ndarray, phase: np.ndarray, conjugate: bool,
-              w: np.ndarray) -> np.ndarray:
-    """_factor_table(real, phase, conjugate) @ w without the complex table:
-    real @ (phase * w), and with ``conjugate`` real @ (phase^* * w) below
-    it, as real products batched over the middle axis; (R, n)."""
-    parts = [phase * w, phase.conj() * w] if conjugate else [phase * w]
-    rhs = np.stack([f(u) for u in parts for f in (np.real, np.imag)],
-                   axis=-1)
-    out = np.matmul(real.transpose(1, 0, 2), rhs)
-    out = out[..., 0::2] + 1j * out[..., 1::2]
-    return out.transpose(2, 1, 0).reshape(-1, real.shape[1])
-
-
-@dataclass(frozen=True)
-class _RealFactors:
-    """The real-table stage of :func:`amplitude_factors`: the factor tables
-    are x = coeffs * phase_x and y = cheb * phase_y per term, each followed
-    by its conjugate when ``conjugate`` (:func:`_factor_table`).  ``coeffs``
-    (K x n x n over (q_sx, q_ix)) and ``cheb`` (K x n x n over
+    unnormalized, as :func:`phasematch.momentum_amplitude` gives it.  The
+    complex tables are built on demand (:meth:`x`, :meth:`y`) from real
+    ones: x = coeffs * phase_x and y = cheb * phase_y per term, each
+    followed by its conjugate when ``conjugate`` (:func:`_complex_table`).
+    ``coeffs`` (K x n x n over (q_sx, q_ix)) and ``cheb`` (K x n x n over
     (q_sy, q_iy)) are real; ``coeffs`` is exactly 0 where v_x = 0, since
-    ``phase_x`` carries v_x.  ``error`` and ``k`` are those of the
-    factors."""
+    ``phase_x`` carries v_x.  ``error`` bounds max |A - sum_r x_r y_r| over
+    the grid in the same units (|A| <= 1), and ``k`` is the propagation
+    wavenumber n_so K_s0.
+    """
 
     coeffs: np.ndarray
     cheb: np.ndarray
@@ -562,10 +515,38 @@ class _RealFactors:
         return self.coeffs.shape[0] * (2 if self.conjugate else 1)
 
     def x(self) -> np.ndarray:
-        return _factor_table(self.coeffs, self.phase_x, self.conjugate)
+        return _complex_table(self.coeffs, self.phase_x, self.conjugate)
 
     def y(self) -> np.ndarray:
-        return _factor_table(self.cheb, self.phase_y, self.conjugate)
+        return _complex_table(self.cheb, self.phase_y, self.conjugate)
+
+
+def _complex_table(real: np.ndarray, phase: np.ndarray,
+                   conjugate: bool) -> np.ndarray:
+    """One complex factor table of :class:`AmplitudeFactors`: real * phase,
+    or with ``conjugate`` [real * phase, real * phase^*] stacked on the
+    first axis, written in one array: with ``real`` real, the second half
+    is the exact conjugate of the first."""
+    if not conjugate:
+        return real * phase
+    terms = real.shape[0]
+    out = np.empty((2 * terms,) + phase.shape, dtype=np.complex128)
+    np.multiply(real, phase, out=out[:terms])
+    np.conjugate(out[:terms], out=out[terms:])
+    return out
+
+
+def _contract(real: np.ndarray, phase: np.ndarray, conjugate: bool,
+              w: np.ndarray) -> np.ndarray:
+    """_complex_table(real, phase, conjugate) @ w without the complex table:
+    real @ (phase * w), and with ``conjugate`` real @ (phase^* * w) below
+    it, as real products batched over the middle axis; (R, n)."""
+    parts = [phase * w, phase.conj() * w] if conjugate else [phase * w]
+    rhs = np.stack([f(u) for u in parts for f in (np.real, np.imag)],
+                   axis=-1)
+    out = np.matmul(real.transpose(1, 0, 2), rhs)
+    out = out[..., 0::2] + 1j * out[..., 1::2]
+    return out.transpose(2, 1, 0).reshape(-1, real.shape[1])
 
 
 def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
@@ -597,16 +578,9 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     a trial K (two arrays of n^2 R complex numbers, the K x K basis, and the
     K x n^2 sinc and coefficient tables) exceed ``pipeline.memory_budget``,
     and :class:`GridError` when the weighted coefficients are not finite.
-    The tables are built from the real-table stage, :func:`_real_factors`.
+    The complex tables are built only when :meth:`AmplitudeFactors.x` and
+    :meth:`AmplitudeFactors.y` are called.
     """
-    real = _real_factors(pipeline)
-    return AmplitudeFactors(x=real.x(), y=real.y(), error=real.error,
-                            k=real.k)
-
-
-def _real_factors(pipeline: Pipeline) -> _RealFactors:
-    """The real tables and phases that :func:`amplitude_factors` builds its
-    factors from, with every check it makes."""
     pump, setup, grid = pipeline.pump, pipeline.setup, pipeline.grid
     ctx = make_context(setup.theta_p, pump.wavelength, pipeline.model)
     q, n = grid.q_axis, grid.n
@@ -709,9 +683,9 @@ def _real_factors(pipeline: Pipeline) -> _RealFactors:
         g = (setup.length + setup.gap) / 2.0
         phase_x = v_x * np.exp(1j * a * g) / 2.0
         phase_y = v_y * np.exp(1j * b * g)
-    return _RealFactors(coeffs=coeffs, cheb=cheb, phase_x=phase_x,
-                        phase_y=phase_y, conjugate=setup.kind != "single",
-                        error=error, k=ctx.k_signal)
+    return AmplitudeFactors(coeffs=coeffs, cheb=cheb, phase_x=phase_x,
+                            phase_y=phase_y, conjugate=setup.kind != "single",
+                            error=error, k=ctx.k_signal)
 
 
 @dataclass(frozen=True)
@@ -817,40 +791,40 @@ def boundary_ratio(pipeline: Pipeline) -> float:
 
 
 def _guarded_factors(pipeline: Pipeline,
-                     ) -> tuple[_RealFactors, GridDiagnostics]:
-    """The real-table stage of the rank-R factors (:func:`_real_factors`)
-    with their diagnostics, after the boundary guard
-    (:func:`_guarded_peak`): a truncated grid raises where
-    :func:`build_amplitude` does, before any factor table is built.  The
-    paraxial check and the memory budget are those of
-    :func:`amplitude_factors`."""
+                     ) -> tuple[AmplitudeFactors, GridDiagnostics]:
+    """The rank-R factors (:func:`amplitude_factors`) with their
+    diagnostics, after the boundary guard (:func:`_guarded_peak`): a
+    truncated grid raises where :func:`build_amplitude` does, before any
+    factor table is built."""
     peak, ratio = _guarded_peak(pipeline)
-    real = _real_factors(pipeline)
-    return real, GridDiagnostics(boundary_ratio=ratio, rank=real.rank,
-                                 interpolation_error=real.error / peak)
+    factors = amplitude_factors(pipeline)
+    return factors, GridDiagnostics(boundary_ratio=ratio, rank=factors.rank,
+                                    interpolation_error=factors.error / peak)
 
 
 def _transform_phase(q: np.ndarray, z: float, k: float) -> np.ndarray:
-    """The n x n input phase of :func:`_transforms`."""
+    """The n x n input phase of :func:`_transform` at distance z."""
     p = np.exp(-1j * q**2 * z / (2.0 * k))
     p[1::2] *= -1.0
     return p[:, None] * p[None, :]
 
 
-def _transforms(values: np.ndarray, q: np.ndarray, z: float,
-                k: float, phased: np.ndarray) -> np.ndarray:
-    """Centered transform of the two last axes of ``values`` at distance z,
-    up to a phase that depends on the output point only.
+def _transform(table: np.ndarray, phase: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Centered transform of the two last axes of ``table`` at the distance
+    of ``phase`` (:func:`_transform_phase`), up to a phase that depends on
+    the output point only.
 
     Callers use |F[...]|^2 and sums over the output axes of products
     F[u] F[w]^*, in which that phase cancels: so the output ramp and the
     constant phase of the centered transform are left out, and its input
     ramp (-1)^n folds into the propagation phase, one plain inverse 2D FFT
-    per table.  The phased input is written into ``phased``, a complex
-    array of the shape of ``values``, so a caller can reuse it.
+    per table.  The phased input is written into ``out``, a complex array
+    of the shape of ``table``: a reused buffer, or ``table`` itself when it
+    is not needed after.
     """
-    np.multiply(values, _transform_phase(q, z, k), out=phased)
-    return np.fft.ifft2(phased, axes=(-2, -1))
+    np.multiply(table, phase, out=out)
+    return np.fft.ifft2(out, axes=(-2, -1))
 
 
 def _gram_weighted(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -886,15 +860,15 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     """
     grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
-    real, diagnostics = _guarded_factors(pipeline)
-    weighted = _gram_weighted(real.x(), real.y())
+    factors, diagnostics = _guarded_factors(pipeline)
+    weighted = _gram_weighted(factors.x(), factors.y())
     mom = (np.abs(weighted) ** 2).sum(axis=0)
     phased = np.empty_like(weighted)
     power = np.empty(weighted.shape)
     pos = []
     for z in zs:
-        np.abs(_transforms(weighted, grid.q_axis, z, real.k, phased),
-               out=power)
+        phase = _transform_phase(grid.q_axis, z, factors.k)
+        np.abs(_transform(weighted, phase, phased), out=power)
         power *= power
         pos.append(power.sum(axis=0))
 
@@ -942,7 +916,7 @@ class PositionFactors:
 
         psi(x_s, y_s, x_i, y_i) ~ sum_r x[r, x_s, x_i] * y[r, y_s, y_i],
 
-    each table the transform (:func:`_transforms`) of a table of
+    each table the transform (:func:`_transform`) of a table of
     :class:`AmplitudeFactors`, indexed on ``grid.x_axis``.  Exact up to a
     scale and a phase per point, which |psi|^2 does not see.
     """
@@ -966,21 +940,16 @@ class PositionFactors:
         return weights
 
 
-def _position_table(table: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """:func:`_transforms` of a factor table that is not needed after:
-    phased in place, and freed once transformed."""
-    table *= phase
-    return np.fft.ifft2(table, axes=(-2, -1))
-
-
 def position_factors(pipeline: Pipeline, z: float) -> PositionFactors:
     """The position amplitude at z as rank-R factor tables, two R x n^2
     arrays, from :func:`_guarded_factors`: no N^4 array is allocated.  Each
-    complex factor table is built from the real-table stage and transformed
-    before the next is built, so at most four tables and the real stage are
-    alive at once."""
-    real = _guarded_factors(pipeline)[0]
-    phase = _transform_phase(pipeline.grid.q_axis, z, real.k)
-    x = _position_table(real.x(), phase)
-    return PositionFactors(x=x, y=_position_table(real.y(), phase),
-                           grid=pipeline.grid)
+    complex factor table is built from the real tables, phased in place and
+    transformed, and freed, before the next is built, so at most four tables
+    and the real ones are alive at once."""
+    factors = _guarded_factors(pipeline)[0]
+    phase = _transform_phase(pipeline.grid.q_axis, z, factors.k)
+    x = factors.x()
+    x = _transform(x, phase, x)
+    y = factors.y()
+    y = _transform(y, phase, y)
+    return PositionFactors(x=x, y=y, grid=pipeline.grid)

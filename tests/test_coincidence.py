@@ -405,6 +405,57 @@ class TestStreamedReduction:
                                    atol=1e-12 * np.abs(expected).max())
         assert values[3, 5] > 0.2 * 4 * MAX_COUNT
 
+    def test_pair_statistic_streams_exactly(self, tmp_path):
+        # Eight full blocks and a partial one: both reductions equal a dense
+        # numpy reference bit for bit, and the conditional one holds less
+        # than the stack (it held four times the stack when the signal
+        # plane of every frame was kept at once).
+        import tracemalloc
+
+        ny, nx = 16, 16
+        f = 8 * (FRAME_BLOCK_BYTES // (2 * 2 * ny * nx)) + 77
+        rng = np.random.default_rng(11)
+        counts = rng.poisson(0.05, size=(f, 2, ny, nx)).astype(np.uint16)
+        # Pairs between a few signal pixels and the centre idler pixel.
+        pair = rng.poisson(0.2, size=f).astype(np.uint16)
+        counts[:, 0, 5, 9] += pair
+        counts[:, 0, 10, 2] += pair
+        counts[:, 1, ny // 2, nx // 2] += pair
+        path = tmp_path / "stack.bpfs"
+        save_frames(manual_stack(counts), path)
+        stack_bytes = counts.nbytes
+        maps, peaks = {}, {}
+        for reduction in ("joint_x", "conditional"):
+            loaded = load_frames(path)
+            tracemalloc.start()
+            try:
+                maps[reduction] = coincidence_map(loaded, reduction=reduction)
+                peaks[reduction] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def reference(a, b):
+            a, b = a.astype(float), b.astype(float)
+            nxt = np.roll(b, -1, axis=0)
+            same, shifted = a.T @ b / f, a.T @ nxt / f
+            a *= a
+            same_sq, shifted_sq = a.T @ (b * b) / f, a.T @ (nxt * nxt) / f
+            var = (np.maximum(same_sq - same**2, 0.0)
+                   + np.maximum(shifted_sq - shifted**2, 0.0))
+            return same - shifted, np.sqrt(var / f)
+
+        sums = counts.sum(axis=2, dtype=np.int64)
+        refs = {"joint_x": reference(sums[:, 0], sums[:, 1]),
+                "conditional": reference(
+                    counts[:, 0].reshape(f, ny * nx),
+                    counts[:, 1, ny // 2, nx // 2, None])}
+        for reduction, (values, stderr) in refs.items():
+            got = maps[reduction]
+            assert np.array_equal(got.values.reshape(values.shape), values)
+            assert np.array_equal(got.stderr.reshape(stderr.shape), stderr)
+            assert peaks[reduction] < stack_bytes
+        assert maps["conditional"].values[5, 9] > 0.1
+
     def test_peaks_below_a_quarter_of_the_stack(self, factors16, tmp_path):
         import tracemalloc
 

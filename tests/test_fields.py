@@ -664,7 +664,7 @@ def factor_error(factors, grid, setup):
         TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
         TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
         PUMP, setup, paraxial="ignore")
-    err = np.abs(np.einsum("rac,rbd->abcd", factors.x, factors.y)
+    err = np.abs(np.einsum("rac,rbd->abcd", factors.x(), factors.y())
                  - values).max()
     return float(err), float(np.abs(values).max())
 
@@ -797,7 +797,7 @@ class TestRankFactors:
         def refuse(pipeline):
             raise AssertionError("factor build reached")
 
-        monkeypatch.setattr(fields_module, "_real_factors", refuse)
+        monkeypatch.setattr(fields_module, "amplitude_factors", refuse)
         grid = MomentumGrid4.auto(PUMP, SETUP, n=16, c1=0.2, c2=0.05)
         with pytest.raises(SupportTruncationError):
             getattr(fields_module, route)(Pipeline(PUMP, SETUP, grid), *args)
@@ -820,8 +820,8 @@ class TestRankFactors:
         x, y, error = unscreened_factors(pipe)
         assert factors.rank == x.shape[0]
         assert factors.error == error
-        assert np.array_equal(factors.x, x)
-        assert np.array_equal(factors.y, y)
+        assert np.array_equal(factors.x(), x)
+        assert np.array_equal(factors.y(), y)
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])
@@ -829,14 +829,12 @@ class TestRankFactors:
         # The kept trial samples sinc only where v_x != 0: there the
         # coefficients have the bytes of a trial on every upper-triangle
         # pair, and elsewhere they are exactly 0.
-        from biphoton.fields import _real_factors
-
         setup = TestAveragedJointsX.setup_of(
             "single" if kind == "wide" else kind)
         grid = MomentumGrid4.auto(PUMP, setup, n=n,
                                   **(self.WIDE if kind == "wide" else {}))
         pipe = Pipeline(PUMP, setup, grid)
-        got = _real_factors(pipe).coeffs
+        got = amplitude_factors(pipe).coeffs
         ref, v_x = triangle_coeffs(pipe)
         support = v_x != 0
         assert 0 < np.count_nonzero(support) < n * n
@@ -912,10 +910,11 @@ class TestRankFactors:
         def refuse(*args):
             raise AssertionError("complex factor table built")
 
-        monkeypatch.setattr(fields_module, "_conjugate_pair", refuse)
-        monkeypatch.setattr(fields_module, "_factor_table", refuse)
-        with pytest.raises(AssertionError, match="complex factor table"):
-            amplitude_factors(Pipeline(PUMP, setup, grid))
+        monkeypatch.setattr(fields_module, "_complex_table", refuse)
+        factors = amplitude_factors(Pipeline(PUMP, setup, grid))
+        for table in (factors.x, factors.y):
+            with pytest.raises(AssertionError, match="complex factor table"):
+                table()
         for rho, ref in zip(rhos, refs):
             got = conditional_position_direct(PUMP, setup, 5e-3, grid,
                                               rho_i0=rho)
@@ -925,22 +924,23 @@ class TestRankFactors:
     def test_real_contraction_matches_tables(self, kind):
         # The contraction of a real table with w is the complex table's
         # product with w, to rounding.
-        from biphoton.fields import _contract, _real_factors
+        from biphoton.fields import _contract
 
         setup = TestAveragedJointsX.setup_of(kind)
-        real = _real_factors(Pipeline(PUMP, setup,
-                                      MomentumGrid4.auto(PUMP, setup, n=32)))
+        factors = amplitude_factors(Pipeline(
+            PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=32)))
         rng = np.random.default_rng(5)
         w = np.exp(2j * np.pi * rng.random(32))
-        for table, values, phase in ((real.x(), real.coeffs, real.phase_x),
-                                     (real.y(), real.cheb, real.phase_y)):
-            got = _contract(values, phase, real.conjugate, w)
+        for table, values, phase in (
+                (factors.x(), factors.coeffs, factors.phase_x),
+                (factors.y(), factors.cheb, factors.phase_y)):
+            got = _contract(values, phase, factors.conjugate, w)
             ref = table @ w
-            assert got.shape == ref.shape == (real.rank, 32)
+            assert got.shape == ref.shape == (factors.rank, 32)
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_position_factors_peak(self):
-        # Each complex table is built from the real-table stage, phased in
+        # Each complex table is built from the real tables, phased in
         # place and transformed before the next is built: fewer than five
         # R n^2 tables are alive at once (six when both were built first).
         setup = TestAveragedJointsX.setup_of("double")
@@ -958,5 +958,6 @@ class TestRankFactors:
         factors = amplitude_factors(Pipeline(
             PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=32)))
         half = factors.rank // 2
-        assert np.array_equal(factors.x[half:], factors.x[:half].conj())
-        assert np.array_equal(factors.y[half:], factors.y[:half].conj())
+        x, y = factors.x(), factors.y()
+        assert np.array_equal(x[half:], x[:half].conj())
+        assert np.array_equal(y[half:], y[:half].conj())
