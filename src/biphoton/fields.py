@@ -403,12 +403,12 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     factors A = sum_r X_r(q_sx, q_ix) Y_r(q_sy, q_iy)
     (:func:`amplitude_factors`) and the separable idler phase p_x p_y
     (position and propagation), B = (X p_x)^T (Y p_y): O(R n^2) work and
-    storage.  X p_x and Y p_y come straight from the real tables of
-    :class:`AmplitudeFactors` (:func:`_contract`), so no complex factor
-    table is built.  The signal propagation phase multiplies B once.  Matches
-    ``conditional_position`` of the 4D pipeline on shared grids when rho_i0
-    lies on a node.  Raises :class:`MemoryBudgetError` where
-    :func:`amplitude_factors` does under ``memory_budget``.
+    storage.  X p_x and Y p_y come straight from the real band tables of
+    :class:`AmplitudeFactors` (:func:`_contract`, K n W values each), so no
+    complex factor table is built.  The signal propagation phase multiplies
+    B once.  Matches ``conditional_position`` of the 4D pipeline on shared
+    grids when rho_i0 lies on a node.  Raises :class:`MemoryBudgetError`
+    where :func:`amplitude_factors` does under ``memory_budget``.
     """
     factors = amplitude_factors(Pipeline(pump, setup, grid, model,
                                          memory_budget=memory_budget))
@@ -416,9 +416,9 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     x0, y0 = rho_i0
     propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
     b = _contract(factors.coeffs, factors.phase_x, factors.conjugate,
-                  np.exp(1j * q * x0) * propagation).T \
+                  np.exp(1j * q * x0) * propagation, factors.s_lo).T \
         @ _contract(factors.cheb, factors.phase_y, factors.conjugate,
-                    np.exp(1j * q * y0) * propagation)
+                    np.exp(1j * q * y0) * propagation, factors.s_lo)
     b *= propagation[:, None] * propagation[None, :] * grid.dq**2
     psi = _centered_ift_axis(_centered_ift_axis(b, 0, grid.dq), 1, grid.dq)
     values = np.abs(psi) ** 2
@@ -492,14 +492,21 @@ class AmplitudeFactors:
         A(q_sx, q_sy, q_ix, q_iy) = sum_r x[r, sx, ix] * y[r, sy, iy],
 
     unnormalized, as :func:`phasematch.momentum_amplitude` gives it.  The
-    complex tables are built on demand (:meth:`x`, :meth:`y`) from real
-    ones: x = coeffs * phase_x and y = cheb * phase_y per term, each
+    complex n x n tables are built on demand (:meth:`x`, :meth:`y`) from
+    real ones: x = coeffs * phase_x and y = cheb * phase_y per term, each
     followed by its conjugate when ``conjugate`` (:func:`_complex_table`).
-    ``coeffs`` (K x n x n over (q_sx, q_ix)) and ``cheb`` (K x n x n over
+
+    The real tables hold only the pump-envelope band.  The envelope depends
+    on q_s + q_i alone, so the pairs of grid indices (i, j) where it is not
+    0 lie on the anti-diagonals s_lo <= i + j < s_lo + W; off them the
+    amplitude is exactly 0.  Entry k of row i holds the pair
+    (i, s_lo - i + k) (:func:`_band`), and the entries whose column falls
+    off the grid are 0 in ``coeffs`` and in both phase tables.  ``coeffs``
+    (K x n x W over (q_sx, q_ix)) and ``cheb`` (K x n x W over
     (q_sy, q_iy)) are real; ``coeffs`` is exactly 0 where v_x = 0, since
-    ``phase_x`` carries v_x.  ``error`` bounds max |A - sum_r x_r y_r| over
-    the grid in the same units (|A| <= 1), and ``k`` is the propagation
-    wavenumber n_so K_s0.
+    ``phase_x`` (n x W) carries v_x, as ``phase_y`` carries v_y.  ``error``
+    bounds max |A - sum_r x_r y_r| over the grid in the same units
+    (|A| <= 1), and ``k`` is the propagation wavenumber n_so K_s0.
     """
 
     coeffs: np.ndarray
@@ -509,44 +516,82 @@ class AmplitudeFactors:
     conjugate: bool
     error: float
     k: float
+    s_lo: int
 
     @property
     def rank(self) -> int:
         return self.coeffs.shape[0] * (2 if self.conjugate else 1)
 
     def x(self) -> np.ndarray:
-        return _complex_table(self.coeffs, self.phase_x, self.conjugate)
+        return _complex_table(self.coeffs, self.phase_x, self.conjugate,
+                              self.s_lo)
 
     def y(self) -> np.ndarray:
-        return _complex_table(self.cheb, self.phase_y, self.conjugate)
+        return _complex_table(self.cheb, self.phase_y, self.conjugate,
+                              self.s_lo)
 
 
-def _complex_table(real: np.ndarray, phase: np.ndarray,
-                   conjugate: bool) -> np.ndarray:
-    """One complex factor table of :class:`AmplitudeFactors`: real * phase,
-    or with ``conjugate`` [real * phase, real * phase^*] stacked on the
-    first axis, written in one array: with ``real`` real, the second half
-    is the exact conjugate of the first."""
-    if not conjugate:
-        return real * phase
-    terms = real.shape[0]
-    out = np.empty((2 * terms,) + phase.shape, dtype=np.complex128)
-    np.multiply(real, phase, out=out[:terms])
-    np.conjugate(out[:terms], out=out[terms:])
+def _band(n: int, s_lo: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, valid), both n x width, of the band layout of
+    :class:`AmplitudeFactors`: entry k of row i is the pair
+    (i, s_lo - i + k), ``valid`` where that column lies on the grid, and
+    ``cols`` the column clipped to the grid."""
+    cols = s_lo - np.arange(n)[:, None] + np.arange(width)
+    valid = (cols >= 0) & (cols < n)
+    return np.clip(cols, 0, n - 1, out=cols), valid
+
+
+def _complex_table(real: np.ndarray, phase: np.ndarray, conjugate: bool,
+                   s_lo: int) -> np.ndarray:
+    """One complex factor table of :class:`AmplitudeFactors` over all n x n
+    pairs: real * phase on the band and 0 off it, or with ``conjugate``
+    [real * phase, real * phase^*] stacked on the first axis, written in
+    one array: with ``real`` real, the second half is the exact conjugate
+    of the first.
+
+    Band entry (i, k) is the flat offset i (n - 1) + s_lo + k of an n x n
+    table.  A band narrower than the grid puts no two entries at one
+    offset, and an entry whose column is off the grid lands on a pair off
+    the band, where the table is 0 and it writes its 0: so the band is a
+    strided view of the table, written in one call.  A band as wide as the
+    grid (an envelope not 0 on half the anti-diagonals or more, as on a
+    truncated extent) is scattered entry by entry.
+    """
+    terms, n, width = real.shape
+    out = np.zeros((terms * (2 if conjugate else 1), n, n),
+                   dtype=np.complex128)
+    if width < n:
+        item = out.itemsize
+        band = np.lib.stride_tricks.as_strided(
+            out.reshape(-1)[s_lo:], shape=(out.shape[0], n, width),
+            strides=(n * n * item, (n - 1) * item, item))
+        np.multiply(real, phase, out=band[:terms])
+        if conjugate:
+            np.conjugate(band[:terms], out=band[terms:])
+        return out
+    cols, valid = _band(n, s_lo, width)
+    out[:terms, np.nonzero(valid)[0], cols[valid]] = (real[:, valid]
+                                                      * phase[valid])
+    if conjugate:
+        np.conjugate(out[:terms], out=out[terms:])
     return out
 
 
 def _contract(real: np.ndarray, phase: np.ndarray, conjugate: bool,
-              w: np.ndarray) -> np.ndarray:
-    """_complex_table(real, phase, conjugate) @ w without the complex table:
+              w: np.ndarray, s_lo: int) -> np.ndarray:
+    """_complex_table(real, phase, conjugate, s_lo) @ w without the complex
+    table: w is gathered onto the band (:func:`_band`), then
     real @ (phase * w), and with ``conjugate`` real @ (phase^* * w) below
-    it, as real products batched over the middle axis; (R, n)."""
+    it, runs as real products batched over the rows, (K, W) @ (W, 4) a
+    row; (R, n).  The band entries off the grid carry phase 0."""
+    n, width = phase.shape
+    w = w[_band(n, s_lo, width)[0]]
     parts = [phase * w, phase.conj() * w] if conjugate else [phase * w]
     rhs = np.stack([f(u) for u in parts for f in (np.real, np.imag)],
                    axis=-1)
     out = np.matmul(real.transpose(1, 0, 2), rhs)
     out = out[..., 0::2] + 1j * out[..., 1::2]
-    return out.transpose(2, 1, 0).reshape(-1, real.shape[1])
+    return out.transpose(2, 1, 0).reshape(-1, n)
 
 
 def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
@@ -572,14 +617,19 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     one, which doubles the rank; the second half of its tables is the
     conjugate of the first.  ``error`` is the weighted sum of the dropped
     coefficients plus a rounding term, eps times the weighted sum of all
-    of them.
+    of them.  The coefficients, the polynomials and the phases are stored
+    on the band of anti-diagonals that holds every pair where an envelope
+    is not 0 (see :class:`AmplitudeFactors`), W = s_hi - s_lo + 1 pairs a
+    row, so the recurrence and the complex exponentials run on n W values.
 
     Raises :class:`MemoryBudgetError` before allocating when the tables of
-    a trial K (two arrays of n^2 R complex numbers, the K x K basis, and the
-    K x n^2 sinc and coefficient tables) exceed ``pipeline.memory_budget``,
-    and :class:`GridError` when the weighted coefficients are not finite.
-    The complex tables are built only when :meth:`AmplitudeFactors.x` and
-    :meth:`AmplitudeFactors.y` are called.
+    a trial K (the K x n(n+1)/2 sinc and coefficient tables, the K x K
+    basis, and the K x n x W coefficient and polynomial tables with the two
+    n x W phase tables) exceed ``pipeline.memory_budget``, and
+    :class:`GridError` when the weighted coefficients are not finite.
+    The complex tables are built, and budgeted (:func:`_guarded_factors`),
+    only when :meth:`AmplitudeFactors.x` and :meth:`AmplitudeFactors.y`
+    are called.
     """
     pump, setup, grid = pipeline.pump, pipeline.setup, pipeline.grid
     ctx = make_context(setup.theta_p, pump.wavelength, pipeline.model)
@@ -595,6 +645,13 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
                                      ctx, "ignore")
     v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), pump)
     v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), pump)
+    # The band: the anti-diagonals from the least to the largest i + j of
+    # a pair where an envelope is not 0 (a NaN envelope stays in; the
+    # pairs q_i = -q_s, where it is 1, keep the band from being empty).
+    support = np.flatnonzero((v_x != 0) | (v_y != 0))
+    sums = support // n + support % n
+    s_lo = int(sums.min())
+    width = int(sums.max()) - s_lo + 1
     half = setup.length / 2.0
     mid = (b.max() + b.min()) / 2.0
     rad = (b.max() - b.min()) / 2.0
@@ -617,6 +674,7 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
         samples = np.zeros((nodes, a_pairs.size))
         samples[:, live] = sinc((a_pairs[live] + mid)[None] * half + shift)
         coeffs = np.tensordot(basis, samples, axes=(1, 0))
+        del samples  # two K x n(n+1)/2 tables at a time, as budgeted
         # max |c v| as max(max c v, -min c v): v > 0, no |.| temporary.
         scaled = coeffs[:, live] * v_pairs[live]
         weight = (np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
@@ -630,15 +688,14 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     # IEEE addition commutes, so both tables equal their transposes exactly.
     # Every step of a trial works column by column and a max over the
     # upper triangle is the max over the table: the full trial runs on the
-    # upper-triangle x-pairs, and the kept rows are mirrored to n x n.
+    # upper-triangle x-pairs, and the band gathers the kept rows from it.
     upper = np.triu_indices(n)
     nodes = CHEB_START
     while True:
-        # The two factor tables, the K x K basis, and the K x n^2 sinc and
-        # coefficient tables of this trial: the full tables still, although
-        # the trial samples only the upper-triangle pairs where v_x != 0.
-        need = (2 * n * n * nodes * terms * 16 + nodes * nodes * 8
-                + 2 * nodes * n * n * 8)
+        # The K x n(n+1)/2 sinc and coefficient tables and the K x K basis
+        # of this trial, and the band tables it would leave.
+        need = (2 * nodes * upper[0].size * 8 + nodes * nodes * 8
+                + 2 * nodes * n * width * 8 + 2 * n * width * 16)
         if need > pipeline.memory_budget:
             raise MemoryBudgetError(
                 f"rank-{nodes * terms} amplitude factors need ~{need} bytes "
@@ -662,30 +719,40 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     tail = np.cumsum(weight[::-1])[::-1]
     kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
     error = float(tail[kept] + EPS * tail[0])
-    mirror = np.empty((n, n), dtype=np.intp)
-    mirror[upper] = np.arange(upper[0].size)
-    mirror[upper[::-1]] = mirror[upper]
-    coeffs = np.take(coeffs[:kept], mirror, axis=1)
 
-    # T_j(t(b)) by the three-term recurrence, on the y-pair table.
+    # Band entry (i, k) is the pair (row, col) = (i, col[i, k]); its
+    # coefficients are those of the upper-triangle pair (lo, hi), the
+    # column lo n - lo (lo - 1)/2 + hi - lo in the order of np.triu_indices.
+    col, valid = _band(n, s_lo, width)
+    row = np.arange(n)[:, None]
+    lo, hi = np.minimum(row, col), np.maximum(row, col)
+    coeffs = np.take(coeffs[:kept], lo * n - lo * (lo - 1) // 2 + hi - lo,
+                     axis=1)
+    coeffs[:, ~valid] = 0.0
+
+    # T_j(t(b)) by the three-term recurrence, on the y-pair band.
+    b = b[row, col]
     t = (b - mid) / rad if rad > 0.0 else np.zeros_like(b)
-    cheb = np.empty((kept, n, n))
+    cheb = np.empty((kept, n, width))
     cheb[0] = 1.0
     if kept > 1:
         cheb[1] = t
     for j in range(2, kept):
         np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
         cheb[j] -= cheb[j - 2]
+    a = a[row, col]
+    env_x = np.where(valid, v_x[row, col], 0.0)
+    env_y = np.where(valid, v_y[row, col], 0.0)
     if setup.kind == "single":
-        phase_x = v_x * np.exp(1j * a * half)
-        phase_y = v_y * np.exp(1j * b * half)
+        phase_x = env_x * np.exp(1j * a * half)
+        phase_y = env_y * np.exp(1j * b * half)
     else:
         g = (setup.length + setup.gap) / 2.0
-        phase_x = v_x * np.exp(1j * a * g) / 2.0
-        phase_y = v_y * np.exp(1j * b * g)
+        phase_x = env_x * np.exp(1j * a * g) / 2.0
+        phase_y = env_y * np.exp(1j * b * g)
     return AmplitudeFactors(coeffs=coeffs, cheb=cheb, phase_x=phase_x,
                             phase_y=phase_y, conjugate=setup.kind != "single",
-                            error=error, k=ctx.k_signal)
+                            error=error, k=ctx.k_signal, s_lo=s_lo)
 
 
 @dataclass(frozen=True)
@@ -795,9 +862,17 @@ def _guarded_factors(pipeline: Pipeline,
     """The rank-R factors (:func:`amplitude_factors`) with their
     diagnostics, after the boundary guard (:func:`_guarded_peak`): a
     truncated grid raises where :func:`build_amplitude` does, before any
-    factor table is built."""
+    factor table is built.  Every route through here builds both complex
+    R x n^2 tables (:meth:`AmplitudeFactors.x`, :meth:`AmplitudeFactors.y`),
+    so it raises :class:`MemoryBudgetError` when they exceed
+    ``pipeline.memory_budget``, before either is built."""
     peak, ratio = _guarded_peak(pipeline)
     factors = amplitude_factors(pipeline)
+    need = 2 * factors.rank * pipeline.grid.n**2 * 16
+    if need > pipeline.memory_budget:
+        raise MemoryBudgetError(
+            f"rank-{factors.rank} complex factor tables need ~{need} bytes "
+            f"(> budget {pipeline.memory_budget} bytes)")
     return factors, GridDiagnostics(boundary_ratio=ratio, rank=factors.rank,
                                     interpolation_error=factors.error / peak)
 

@@ -407,12 +407,12 @@ class TestAveragedJointsX:
             assert self.max_rel_err(ref.values, got.values) <= 1e-12
 
     def test_budget_holds_the_factors(self):
-        # Single crystal, n = 32: the interpolation converges at the second
-        # trial, 32 nodes, whose tables (the factors, two arrays of 32
-        # complex n x n tables; the 32 x 32 basis; the 32 x n^2 sinc and
-        # coefficient tables) need exactly this many bytes.
+        # Single crystal, n = 32: the joints build the two complex R x n^2
+        # factor tables, which need exactly this many bytes, more than the
+        # real tables of any trial of the factor build.
         grid = MomentumGrid4.auto(PUMP, SETUP, n=32)
-        budget = 2 * 32 * 32 * 32 * 16 + 32 * 32 * 8 + 2 * 32 * 32 * 32 * 8
+        rank = amplitude_factors(Pipeline(PUMP, SETUP, grid)).rank
+        budget = 2 * rank * 32 * 32 * 16
         one = averaged_joints_x(Pipeline(PUMP, SETUP, grid), self.ZS)
         tight = averaged_joints_x(Pipeline(PUMP, SETUP, grid,
                                            memory_budget=budget), self.ZS)
@@ -745,7 +745,8 @@ class TestRankFactors:
 
     def test_budget_checked_before_allocating(self):
         grid = MomentumGrid4.auto(PUMP, SETUP, n=64)
-        # The first trial's factors need 2 * 64^2 * 16 * 16 bytes = 2 MiB.
+        # The K = 16 trial fails on the ridge; the tables of the K = 32
+        # trial need about 1.9 MB.
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetError):
@@ -826,21 +827,27 @@ class TestRankFactors:
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])
     def test_coefficients_only_on_the_envelope_support(self, kind, n):
-        # The kept trial samples sinc only where v_x != 0: there the
-        # coefficients have the bytes of a trial on every upper-triangle
-        # pair, and elsewhere they are exactly 0.
+        # The kept trial samples sinc only where v_x != 0, and the band of
+        # anti-diagonals from the least to the largest i + j of those pairs
+        # holds them: there the band coefficients have the bytes of a trial
+        # on every upper-triangle pair, and elsewhere they are exactly 0.
         setup = TestAveragedJointsX.setup_of(
             "single" if kind == "wide" else kind)
         grid = MomentumGrid4.auto(PUMP, setup, n=n,
                                   **(self.WIDE if kind == "wide" else {}))
         pipe = Pipeline(PUMP, setup, grid)
-        got = amplitude_factors(pipe).coeffs
+        factors = amplitude_factors(pipe)
+        got = factors.coeffs
         ref, v_x = triangle_coeffs(pipe)
-        support = v_x != 0
-        assert 0 < np.count_nonzero(support) < n * n
-        assert got.shape == ref.shape
-        assert got[:, support].tobytes() == ref[:, support].tobytes()
-        assert np.all(got[:, ~support] == 0.0)
+        rows, cols = np.nonzero(v_x)
+        assert 0 < rows.size < n * n
+        band = rows + cols - factors.s_lo
+        assert got.shape == (ref.shape[0], n, band.max() + 1)
+        assert band.min() == 0
+        assert got[:, rows, band].tobytes() == ref[:, rows, cols].tobytes()
+        off = np.ones(got.shape[1:], dtype=bool)
+        off[rows, band] = False
+        assert np.all(got[:, off] == 0.0)
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])
@@ -922,8 +929,8 @@ class TestRankFactors:
 
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_real_contraction_matches_tables(self, kind):
-        # The contraction of a real table with w is the complex table's
-        # product with w, to rounding.
+        # The contraction of a real band table with w is the complex
+        # table's product with w, to rounding.
         from biphoton.fields import _contract
 
         setup = TestAveragedJointsX.setup_of(kind)
@@ -934,10 +941,111 @@ class TestRankFactors:
         for table, values, phase in (
                 (factors.x(), factors.coeffs, factors.phase_x),
                 (factors.y(), factors.cheb, factors.phase_y)):
-            got = _contract(values, phase, factors.conjugate, w)
+            got = _contract(values, phase, factors.conjugate, w,
+                            factors.s_lo)
             ref = table @ w
             assert got.shape == ref.shape == (factors.rank, 32)
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_band_wider_than_the_grid(self, kind):
+        # On a grid far too small for the envelope, v_x is nowhere 0 and
+        # the band holds all 2n - 1 anti-diagonals: the complex tables are
+        # scattered entry by entry, with the values of the full build.
+        from biphoton.fields import _contract
+
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=16, c1=0.2, c2=0.05)
+        pipe = Pipeline(PUMP, setup, grid)
+        factors = amplitude_factors(pipe)
+        assert factors.coeffs.shape[2] == 2 * 16 - 1
+        x, y, _ = unscreened_factors(pipe)
+        assert np.array_equal(factors.x(), x)
+        assert np.array_equal(factors.y(), y)
+        w = np.exp(2j * np.pi * np.random.default_rng(6).random(16))
+        got = _contract(factors.coeffs, factors.phase_x, factors.conjugate,
+                        w, factors.s_lo)
+        assert np.abs(got - x @ w).max() <= 1e-14 * np.abs(x @ w).max()
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_conditional_matches_dense_tables(self, kind, n):
+        # Beyond the reach of the 4D oracle: the conditional from the band
+        # contractions against the same sums over the complex n x n tables.
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n)
+        factors = amplitude_factors(Pipeline(PUMP, setup, grid))
+        x, y = factors.x(), factors.y()
+        q, z = grid.q_axis, 7.5e-3
+        propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
+        for node in ((n // 2, n // 2), (n // 2 + 3, n // 2 - 2)):
+            x0, y0 = grid.x_axis[node[0]], grid.x_axis[node[1]]
+            b = ((x @ (np.exp(1j * q * x0) * propagation)).T
+                 @ (y @ (np.exp(1j * q * y0) * propagation)))
+            b *= propagation[:, None] * propagation[None, :]
+            psi = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(b)))
+            ref = np.abs(psi) ** 2
+            ref /= ref.sum() * grid.dx**2
+            got = conditional_position_direct(PUMP, setup, z, grid,
+                                              rho_i0=(x0, y0))
+            assert self.rel_err(ref, got.values) <= 1e-13
+
+    def test_conditional_budget_counts_the_band(self, monkeypatch):
+        # The direct conditional builds no complex table, so a budget below
+        # the two complex R x n^2 tables holds it, and its peak stays under
+        # the real tables the factor build counts: the K x n(n+1)/2 sinc
+        # and coefficient tables of the kept trial, the K x K basis, and
+        # the K x n x W coefficient and polynomial tables with the two
+        # n x W phase tables.
+        import biphoton.fields as fields_module
+
+        n = 256
+        setup = TestAveragedJointsX.setup_of("double")
+        grid = MomentumGrid4.auto(PUMP, setup, n=n)
+        nodes = []
+        sinc_of = fields_module.sinc
+
+        def counted(arg):
+            if arg.shape[1:] != (n - 1,):  # not the ridge probe
+                nodes.append(arg.shape[0])
+            return sinc_of(arg)
+
+        monkeypatch.setattr(fields_module, "sinc", counted)
+        tracemalloc.start()
+        try:
+            got = conditional_position_direct(PUMP, setup, 7.5e-3, grid,
+                                              memory_budget=100e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        ref = conditional_position_direct(PUMP, setup, 7.5e-3, grid)
+        assert np.array_equal(got.values, ref.values)
+        factors = amplitude_factors(Pipeline(PUMP, setup, grid))
+        k, width = nodes[-1], factors.coeffs.shape[2]
+        estimate = (2 * k * n * (n + 1) // 2 * 8 + k * k * 8
+                    + 2 * k * n * width * 8 + 2 * n * width * 16)
+        assert peak < estimate < 100e6 < 2 * factors.rank * n * n * 16
+
+    @pytest.mark.parametrize("route, args", [
+        ("averaged_joints_x", ([0.0],)),
+        ("position_factors", (7.5e-3,)),
+    ])
+    def test_budget_refuses_the_complex_tables(self, route, args,
+                                               monkeypatch):
+        # The routes that build both complex R x n^2 tables check them
+        # against the budget before either is built.
+        import biphoton.fields as fields_module
+
+        def refuse(*args):
+            raise AssertionError("complex factor table built")
+
+        monkeypatch.setattr(fields_module, "_complex_table", refuse)
+        setup = TestAveragedJointsX.setup_of("double")
+        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=256),
+                        memory_budget=100e6)
+        with pytest.raises(MemoryBudgetError, match="complex factor tables"):
+            getattr(fields_module, route)(pipe, *args)
 
     def test_position_factors_peak(self):
         # Each complex table is built from the real tables, phased in
