@@ -402,13 +402,14 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     B(q_s) = sum_{q_i} A(q_s, q_i) exp(i q_i . rho_i0).  With the rank-R
     factors A = sum_r X_r(q_sx, q_ix) Y_r(q_sy, q_iy)
     (:func:`amplitude_factors`) and the separable idler phase p_x p_y
-    (position and propagation), B = (X p_x)^T (Y p_y): O(R n^2) work and
-    storage.  X p_x and Y p_y come straight from the real band tables of
-    :class:`AmplitudeFactors` (:func:`_contract`, K n W values each), so no
-    complex factor table is built.  The signal propagation phase multiplies
-    B once.  Matches ``conditional_position`` of the 4D pipeline on shared
-    grids when rho_i0 lies on a node.  Raises :class:`MemoryBudgetError`
-    where :func:`amplitude_factors` does under ``memory_budget``.
+    (position and propagation), B = (X p_x)^T (Y p_y).  X p_x and Y p_y come
+    straight from the real band tables of :class:`AmplitudeFactors`
+    (:func:`_contract`, O(K n W) work and storage each), so no complex
+    factor table is built; B and its transform are n x n.  The signal
+    propagation phase multiplies B once.  Matches ``conditional_position``
+    of the 4D pipeline on shared grids when rho_i0 lies on a node.  Raises
+    :class:`MemoryBudgetError` where :func:`amplitude_factors` does under
+    ``memory_budget``.
     """
     factors = amplitude_factors(Pipeline(pump, setup, grid, model,
                                          memory_budget=memory_budget))
@@ -606,12 +607,17 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     dropped.  Each trial K is first screened on the x-pairs of the envelope
     ridge q_ix = -q_sx: if their weighted tail already exceeds
     ``SCREEN_MARGIN`` times ``CHEB_TOL``, the full trial would fail, and K
-    doubles without it, so the accepted K and the tables are those of the
-    unscreened doubling.  Trials sample sinc only on the x-pairs where the
-    pump envelope v_x is not 0 (it underflows over most of the table), so
-    the coefficients there are exactly 0; the factors carry v_x, so the
-    tables are those of a trial on every pair.  The phase goes into the
-    factors:
+    doubles without it, so the accepted K is that of the unscreened
+    doubling.  The pair tables are built once, on the n(n+1)/2
+    upper-triangle pairs of the exactly symmetric full tables.  A trial
+    samples sinc, and multiplies it by the K x K basis, only on the L
+    upper-triangle x-pairs where the pump envelope v_x is not 0 (it
+    underflows over most of the table): the factors carry v_x, so the
+    coefficients of the other pairs are exactly 0, which the band tables
+    hold without computing them.  A product over those columns alone moves
+    the last bits of some coefficients against one over the whole table;
+    the accepted K, the kept terms, ``error`` and the polynomial tables
+    are unchanged by it.  The phase goes into the factors:
     e^{ih} = e^{iaL/2} e^{ibL/2} for a single crystal, and
     cos g = (e^{ig} + e^{-ig})/2 with g = (a + b)(L + d)/2 for a double
     one, which doubles the rank; the second half of its tables is the
@@ -622,10 +628,11 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     is not 0 (see :class:`AmplitudeFactors`), W = s_hi - s_lo + 1 pairs a
     row, so the recurrence and the complex exponentials run on n W values.
 
-    Raises :class:`MemoryBudgetError` before allocating when the tables of
-    a trial K (the K x n(n+1)/2 sinc and coefficient tables, the K x K
-    basis, and the K x n x W coefficient and polynomial tables with the two
-    n x W phase tables) exceed ``pipeline.memory_budget``, and
+    Raises :class:`MemoryBudgetError` before a trial K allocates when the
+    tables the build holds with it (the triangle pair tables, the trial's
+    K x L tables and the K x K basis, and the K x n x W coefficient and
+    polynomial tables with the n x W phase, index and pair tables) exceed
+    ``pipeline.memory_budget``, and
     :class:`GridError` when the weighted coefficients are not finite.
     The complex tables are built, and budgeted (:func:`_guarded_factors`),
     only when :meth:`AmplitudeFactors.x` and :meth:`AmplitudeFactors.y`
@@ -638,18 +645,25 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
         TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
         TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
         ctx, "warn")
-    # Pair tables: a and v_x over (q_sx, q_ix), b and v_y over (q_sy, q_iy).
-    rows, cols = q[:, None], q[None, :]
-    a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
-                                     TransverseMomentum(cols, cols),
+    # Pair tables on the n(n+1)/2 upper-triangle pairs (i <= j), in the
+    # order of np.triu_indices: a over (q_sx, q_ix), b over (q_sy, q_iy),
+    # and the envelope v, which is v_x and v_y alike (the other component
+    # of q_s + q_i is 0, and 0 + x = x).  Every one is built from
+    # q_s^2 + q_i^2 and q_s + q_i alone, and IEEE addition commutes, so
+    # the full tables equal their transposes exactly: the triangle holds
+    # each of their values, and a max over it is the max over the table.
+    rows, cols = np.triu_indices(n)
+    a, b = dispersion.mismatch_split(TransverseMomentum(q[rows], q[rows]),
+                                     TransverseMomentum(q[cols], q[cols]),
                                      ctx, "ignore")
-    v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), pump)
-    v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), pump)
-    # The band: the anti-diagonals from the least to the largest i + j of
-    # a pair where an envelope is not 0 (a NaN envelope stays in; the
-    # pairs q_i = -q_s, where it is 1, keep the band from being empty).
-    support = np.flatnonzero((v_x != 0) | (v_y != 0))
-    sums = support // n + support % n
+    v = pump_envelope(TransverseMomentum(q[rows] + q[cols], 0.0), pump)
+    # The live pairs, where v is not 0 (a NaN envelope stays in, so the
+    # trial raises on it), and the band: the anti-diagonals from their
+    # least to their largest i + j (the pairs q_i = -q_s, where v = 1,
+    # keep it from being empty).
+    live = np.flatnonzero(v != 0)
+    sums = rows[live] + cols[live]
+    del rows, cols
     s_lo = int(sums.min())
     width = int(sums.max()) - s_lo + 1
     half = setup.length / 2.0
@@ -657,45 +671,46 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     rad = (b.max() - b.min()) / 2.0
     terms = 1 if setup.kind == "single" else 2
 
+    def column(lo, hi):
+        # The upper-triangle column of the pair (lo, hi), lo <= hi.
+        return lo * n - lo * (lo - 1) // 2 + hi - lo
+
     def trial(nodes, a_pairs, v_pairs):
         # Chebyshev coefficients of the interpolant through sinc h at the
-        # first-kind nodes t_k = cos(theta_k), over the given x-pairs, and
-        # their weighted maxima.  The factors carry v_x, so sinc is sampled
-        # only where v_pairs != 0 (a NaN envelope stays in), and the
-        # coefficients are exactly 0 elsewhere.  The basis product runs on
-        # every column at its place, which keeps the sampled columns
-        # bit-identical to a trial on all pairs; c v is 0 on the others, so
-        # the maxima skip them.
+        # first-kind nodes t_k = cos(theta_k), over the given x-pairs, where
+        # v is not 0, and their weighted maxima.  The factors carry v_x, so
+        # the coefficients of the other pairs are exactly 0 and none of
+        # their columns is sampled or multiplied.
         theta = np.pi * (np.arange(nodes) + 0.5) / nodes
         basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
         basis[0] /= 2.0
-        live = np.flatnonzero(v_pairs != 0)
         shift = (rad * half) * np.cos(theta)[:, None]
-        samples = np.zeros((nodes, a_pairs.size))
-        samples[:, live] = sinc((a_pairs[live] + mid)[None] * half + shift)
-        coeffs = np.tensordot(basis, samples, axes=(1, 0))
-        del samples  # two K x n(n+1)/2 tables at a time, as budgeted
+        samples = sinc((a_pairs + mid)[None] * half + shift)
+        coeffs = basis @ samples
+        del samples
         # max |c v| as max(max c v, -min c v): v > 0, no |.| temporary.
-        scaled = coeffs[:, live] * v_pairs[live]
+        scaled = coeffs * v_pairs
         weight = (np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
-                  * v_y.max())
+                  * v.max())
         return coeffs, weight
 
-    # The envelope ridge q_ix = -q_sx, where v_x = 1: every q_sx but the
+    # The envelope ridge q_ix = -q_sx, where v = 1: every q_sx but the
     # first, whose negative is off the grid.
-    ridge = (np.arange(1, n), np.arange(n - 1, 0, -1))
-    # a and v_x are built from q_sx^2 + q_ix^2 and q_sx + q_ix alone, and
-    # IEEE addition commutes, so both tables equal their transposes exactly.
-    # Every step of a trial works column by column and a max over the
-    # upper triangle is the max over the table: the full trial runs on the
-    # upper-triangle x-pairs, and the band gathers the kept rows from it.
-    upper = np.triu_indices(n)
+    ridge = np.arange(1, n)
+    ridge = column(np.minimum(ridge, n - ridge), np.maximum(ridge, n - ridge))
+    a_live, v_live = a[live], v[live]
     nodes = CHEB_START
     while True:
-        # The K x n(n+1)/2 sinc and coefficient tables and the K x K basis
-        # of this trial, and the band tables it would leave.
-        need = (2 * nodes * upper[0].size * 8 + nodes * nodes * 8
-                + 2 * nodes * n * width * 8 + 2 * n * width * 16)
+        # What the build holds from here on: the three triangle pair
+        # tables, the live columns and their a and v; the trial's three
+        # K x L tables (the sinc argument, the samples and |argument| while
+        # sinc runs, the coefficients beside the samples or the weighted
+        # coefficients after) and the K x K basis; then the band tables it
+        # would leave (two K x n x W real, two n x W complex) and, while
+        # they are built, eight n x W index and pair tables.
+        need = (8 * (3 * a.size + 3 * live.size + 3 * nodes * live.size
+                     + nodes * nodes + 2 * nodes * n * width + 8 * n * width)
+                + 2 * n * width * 16)
         if need > pipeline.memory_budget:
             raise MemoryBudgetError(
                 f"rank-{nodes * terms} amplitude factors need ~{need} bytes "
@@ -704,11 +719,11 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
         # over CHEB_TOL on the table too, whatever the order of rounding:
         # the full trial would fail.  A non-finite probe compares False and
         # goes on to the full trial, which raises.
-        probe = trial(nodes, a[ridge], v_x[ridge])[1]
+        probe = trial(nodes, a[ridge], v[ridge])[1]
         if probe[-2:].max() > SCREEN_MARGIN * CHEB_TOL:
             nodes *= 2
             continue
-        coeffs, weight = trial(nodes, a[upper], v_x[upper])
+        coeffs, weight = trial(nodes, a_live, v_live)
         if not np.all(np.isfinite(weight)):
             raise GridError(
                 f"non-finite phase-matching coefficients on the grid "
@@ -720,18 +735,22 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
     error = float(tail[kept] + EPS * tail[0])
 
-    # Band entry (i, k) is the pair (row, col) = (i, col[i, k]); its
-    # coefficients are those of the upper-triangle pair (lo, hi), the
-    # column lo n - lo (lo - 1)/2 + hi - lo in the order of np.triu_indices.
+    # Band entry (i, k) is the pair (i, col[i, k]), the upper-triangle
+    # column of (min, max) of the two; its coefficients are those of that
+    # column's place among the live ones, and 0 where it has none (v = 0)
+    # or lies off the grid.
     col, valid = _band(n, s_lo, width)
     row = np.arange(n)[:, None]
-    lo, hi = np.minimum(row, col), np.maximum(row, col)
-    coeffs = np.take(coeffs[:kept], lo * n - lo * (lo - 1) // 2 + hi - lo,
-                     axis=1)
-    coeffs[:, ~valid] = 0.0
+    pair = column(np.minimum(row, col), np.maximum(row, col))
+    at = np.searchsorted(live, pair)
+    np.minimum(at, live.size - 1, out=at)
+    held = valid & (live[at] == pair)
+    coeffs = np.take(coeffs[:kept], np.where(held, at, 0), axis=1)
+    coeffs[:, ~held] = 0.0
+    del at, held
 
     # T_j(t(b)) by the three-term recurrence, on the y-pair band.
-    b = b[row, col]
+    b = b[pair]
     t = (b - mid) / rad if rad > 0.0 else np.zeros_like(b)
     cheb = np.empty((kept, n, width))
     cheb[0] = 1.0
@@ -740,16 +759,15 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     for j in range(2, kept):
         np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
         cheb[j] -= cheb[j - 2]
-    a = a[row, col]
-    env_x = np.where(valid, v_x[row, col], 0.0)
-    env_y = np.where(valid, v_y[row, col], 0.0)
+    a = a[pair]
+    env = np.where(valid, v[pair], 0.0)
     if setup.kind == "single":
-        phase_x = env_x * np.exp(1j * a * half)
-        phase_y = env_y * np.exp(1j * b * half)
+        phase_x = env * np.exp(1j * a * half)
+        phase_y = env * np.exp(1j * b * half)
     else:
         g = (setup.length + setup.gap) / 2.0
-        phase_x = env_x * np.exp(1j * a * g) / 2.0
-        phase_y = env_y * np.exp(1j * b * g)
+        phase_x = env * np.exp(1j * a * g) / 2.0
+        phase_y = env * np.exp(1j * b * g)
     return AmplitudeFactors(coeffs=coeffs, cheb=cheb, phase_x=phase_x,
                             phase_y=phase_y, conjugate=setup.kind != "single",
                             error=error, k=ctx.k_signal, s_lo=s_lo)

@@ -9,14 +9,18 @@ Times, with ``time.perf_counter`` after a second of untimed calls, each of:
   z = 7.5 mm, n = 64, 128 and 256;
 - ``amplitude_factors`` followed by ``x()`` and ``y()``, for the default
   single crystal at n = 256 and 512 and the double crystal at n = 256;
+- ``amplitude_factors`` alone, for the double crystal at n = 256 and 1024
+  and the single crystal at n = 512, with the ``tracemalloc`` peak of one
+  more call;
 - a 15-point ``averaged_joints_x`` (z = 0, 2.5, ..., 35 mm) for the
   single crystal at n = 256.
 
-Prints one line per case: its name, the median in milliseconds and the
-number of timed calls.  An A/B comparison of two trees is two runs, one
-with ``--src`` set to the other tree's ``src`` directory, as for
-``tools/artifact_digests.py``.  ``--src`` is the directory ``biphoton`` is
-imported from (default: the ``src`` beside this script).
+Prints one line per case: its name, the median in milliseconds, the
+number of timed calls and, where there is one, the traced peak in MB.  An
+A/B comparison of two trees is two runs, one with ``--src`` set to the
+other tree's ``src`` directory, as for ``tools/artifact_digests.py``.
+``--src`` is the directory ``biphoton`` is imported from (default: the
+``src`` beside this script).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -53,8 +58,18 @@ def median_ms(call, repeats: int) -> float:
     return 1e3 * statistics.median(times)
 
 
+def peak_mb(call) -> float:
+    """``tracemalloc`` peak of one ``call()``, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def cases():
-    """(name, call, repeats) of every timed case."""
+    """(name, call, repeats, traced) of every timed case."""
     from biphoton import fields
     from biphoton.config import parse_config
 
@@ -79,15 +94,21 @@ def cases():
 
     for n, repeats in ((64, 41), (128, 21), (256, 9)):
         yield (f"conditional_position_direct double n={n}",
-               conditional(pipeline(n, DOUBLE)), repeats)
+               conditional(pipeline(n, DOUBLE)), repeats, False)
     for kind, crystal, n, repeats in (("single", None, 256, 9),
                                       ("single", None, 512, 5),
                                       ("double", DOUBLE, 256, 9)):
         yield (f"amplitude_factors+x()+y() {kind} n={n}",
-               tables(pipeline(n, crystal)), repeats)
+               tables(pipeline(n, crystal)), repeats, False)
+    for kind, crystal, n, repeats in (("double", DOUBLE, 256, 9),
+                                      ("single", None, 512, 5),
+                                      ("double", DOUBLE, 1024, 5)):
+        pipe = pipeline(n, crystal)
+        yield (f"amplitude_factors {kind} n={n}",
+               lambda pipe=pipe: fields.amplitude_factors(pipe), repeats, True)
     pipe = pipeline(256)
     yield ("averaged_joints_x 15 z single n=256",
-           lambda: fields.averaged_joints_x(pipe, SCAN_Z), 3)
+           lambda: fields.averaged_joints_x(pipe, SCAN_Z), 3, False)
 
 
 def main(argv=None) -> int:
@@ -96,9 +117,12 @@ def main(argv=None) -> int:
                         help="directory to import biphoton from")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    for name, call, repeats in cases():
-        print(f"{name:<44} {median_ms(call, repeats):10.2f} ms  "
-              f"(median of {repeats})", flush=True)
+    for name, call, repeats, traced in cases():
+        line = (f"{name:<44} {median_ms(call, repeats):10.2f} ms  "
+                f"(median of {repeats})")
+        if traced:
+            line += f"  peak {peak_mb(call):.1f} MB"
+        print(line, flush=True)
     return 0
 
 
