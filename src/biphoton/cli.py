@@ -9,6 +9,7 @@ output directory; --out overrides it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -36,22 +37,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory (default: "
                                       "$BIPHOTON_OUTDIR or '.')")
-    parser.add_argument("--wavelength", help="pump wavelength, e.g. 355nm")
-    parser.add_argument("--waist", help="pump beam waist, e.g. 507um")
-    parser.add_argument("--theta-p", dest="theta_p",
+    # Each option below but --single, --double and --z sets the config key
+    # its dest names, "section.key".
+    parser.add_argument("--wavelength", dest="pump.wavelength",
+                        help="pump wavelength, e.g. 355nm")
+    parser.add_argument("--waist", dest="pump.waist",
+                        help="pump beam waist, e.g. 507um")
+    parser.add_argument("--theta-p", dest="crystal.theta_p",
                         help="phase-matching angle, e.g. 32.9deg")
-    parser.add_argument("--L", dest="length", help="crystal length, e.g. 5mm")
+    parser.add_argument("--L", dest="crystal.length",
+                        help="crystal length, e.g. 5mm")
     parser.add_argument("--single", action="store_true",
                         help="single-crystal source")
     parser.add_argument("--double", action="store_true",
                         help="double-crystal source")
-    parser.add_argument("--d", dest="gap", help="double-crystal gap, e.g. 2mm")
+    parser.add_argument("--d", dest="crystal.gap",
+                        help="double-crystal gap, e.g. 2mm")
     parser.add_argument("--z", help="propagation distance, e.g. 5mm")
-    parser.add_argument("--n", type=int, help="grid points per axis (power of two)")
-    parser.add_argument("--m", type=int, help="entropy bins per party")
-    parser.add_argument("--seed", type=int, help="frame-synthesis RNG seed")
-    parser.add_argument("--frames", type=int, help="number of synthetic frames")
-    parser.add_argument("--mu-pairs", dest="mu_pairs", type=float,
+    parser.add_argument("--n", dest="grid.n", type=int,
+                        help="grid points per axis (power of two)")
+    parser.add_argument("--m", dest="entanglement.m", type=int,
+                        help="entropy bins per party")
+    parser.add_argument("--seed", dest="coincidence.seed", type=int,
+                        help="frame-synthesis RNG seed")
+    parser.add_argument("--frames", dest="coincidence.n_frames", type=int,
+                        help="number of synthetic frames")
+    parser.add_argument("--mu-pairs", dest="coincidence.mu_pairs", type=float,
                         help="mean photon pairs per frame")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("singles", help="one-photon (signal) image")
     sub.add_parser("ef", help="entanglement-of-formation lower bound")
     p_scan = sub.add_parser("scan", help="ef_min parameter scan")
-    p_scan.add_argument("parameter", choices=["z", "theta", "d"])
+    p_scan.add_argument("parameter", choices=_SCAN)
     p_scan.add_argument("--values", required=True,
                         help="comma-separated values, e.g. 2mm,4mm,6mm")
     p_frames = sub.add_parser("frames", help="synthetic camera pipeline")
@@ -78,29 +89,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _overrides_from_args(args) -> dict:
     over: dict = {}
-
-    def put(section, key, value):
-        if value is not None:
+    for path, value in vars(args).items():
+        if "." in path and value is not None:
+            section, key = path.split(".")
             over.setdefault(section, {})[key] = value
-
-    put("pump", "wavelength", args.wavelength)
-    put("pump", "waist", args.waist)
-    put("crystal", "theta_p", args.theta_p)
-    put("crystal", "length", args.length)
     if args.single and args.double:
         raise ConfigError("--single and --double are mutually exclusive")
-    if args.single:
-        put("crystal", "kind", "single")
-    if args.double:
-        put("crystal", "kind", "double")
-    put("crystal", "gap", args.gap)
+    if args.single or args.double:
+        over.setdefault("crystal", {})["kind"] = ("single" if args.single
+                                                  else "double")
     if args.z is not None:
         over["z"] = args.z
-    put("grid", "n", args.n)
-    put("entanglement", "m", args.m)
-    put("coincidence", "seed", args.seed)
-    put("coincidence", "n_frames", args.frames)
-    put("coincidence", "mu_pairs", args.mu_pairs)
     outdir = args.out or os.environ.get("BIPHOTON_OUTDIR")
     if outdir:
         over.setdefault("output", {})["dir"] = outdir
@@ -115,23 +114,22 @@ def _pipeline(cfg: RunConfig) -> fields.Pipeline:
                            memory_budget=cfg.grid.memory_budget)
 
 
-def _write_2d(dist: fields.Distribution, stem: str, cfg: RunConfig) -> list[str]:
+def _write_2d(dist: fields.Distribution, stem: str, cfg: RunConfig) -> None:
+    """Write ``dist`` in each configured format and print each path."""
     fp = cfg.fingerprint()
     os.makedirs(cfg.outdir, exist_ok=True)
-    written = []
     base = os.path.join(cfg.outdir, stem)
     if "grd" in cfg.formats:
         writers.write_grd(dist.values, base + ".grd", dist.axis_names,
                           dist.deltas, dist.units, fingerprint=fp)
-        written.append(base + ".grd")
+        print(f"wrote {base}.grd")
     if "csv" in cfg.formats:
         writers.write_csv(dist.values, base + ".csv", dist.axis_names,
                           fingerprint=fp)
-        written.append(base + ".csv")
+        print(f"wrote {base}.csv")
     if "pgm" in cfg.formats:
         writers.write_pgm(dist.values, base + ".pgm", fingerprint=fp)
-        written.append(base + ".pgm")
-    return written
+        print(f"wrote {base}.pgm")
 
 
 def _auto_roi(pipe: fields.Pipeline, pitch: float) -> tuple[int, int]:
@@ -180,8 +178,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
     else:
         dist = fields.averaged_joints_x(pipe, [cfg.z]).position[0]
         stem = "joint_pos_av"
-    for path in _write_2d(dist, stem, cfg):
-        print(f"wrote {path}")
+    _write_2d(dist, stem, cfg)
     return EXIT_OK
 
 
@@ -192,16 +189,12 @@ def _cmd_conditional(cfg: RunConfig, args) -> int:
     cond = fields.conditional_position_direct(
         pipe.pump, pipe.setup, cfg.z, pipe.grid, model=pipe.model,
         memory_budget=pipe.memory_budget)
-    for path in _write_2d(cond, "conditional_pos", cfg):
-        print(f"wrote {path}")
+    _write_2d(cond, "conditional_pos", cfg)
     return EXIT_OK
 
 
 def _cmd_singles(cfg: RunConfig, args) -> int:
-    pipe = _pipeline(cfg)
-    for path in _write_2d(fields.singles_direct(pipe, cfg.z), "singles_pos",
-                          cfg):
-        print(f"wrote {path}")
+    _write_2d(fields.singles_direct(_pipeline(cfg), cfg.z), "singles_pos", cfg)
     return EXIT_OK
 
 
@@ -209,19 +202,8 @@ def _cmd_ef(cfg: RunConfig, args) -> int:
     report = entanglement.ef_min_at(_pipeline(cfg), cfg.z,
                                     m=cfg.entanglement.m,
                                     fingerprint=cfg.fingerprint())
-    out = {
-        "m": report.m,
-        "ef_min_ebits": report.ef_min,
-        "h_pos_joint": report.h_pos_joint,
-        "h_pos_idler": report.h_pos_idler,
-        "h_pos_conditional": report.h_pos_conditional,
-        "h_mom_joint": report.h_mom_joint,
-        "h_mom_idler": report.h_mom_idler,
-        "h_mom_conditional": report.h_mom_conditional,
-        "fingerprint": report.fingerprint,
-        "params": report.params,
-        "grid": report.grid,
-    }
+    out = dataclasses.asdict(report)
+    out["ef_min_ebits"] = out.pop("ef_min")
     os.makedirs(cfg.outdir, exist_ok=True)
     path = os.path.join(cfg.outdir, "ef_report.json")
     writers._atomic_write(path, json.dumps(out, indent=2, sort_keys=True)
@@ -231,14 +213,18 @@ def _cmd_ef(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+#: Scan parameter on the command line -> (name in entanglement.scan, kind).
+_SCAN = {"z": ("z", "length"), "theta": ("theta_p", "angle"),
+         "d": ("d", "length")}
+
+
 def _cmd_scan(cfg: RunConfig, args) -> int:
     parameter = args.parameter
-    kind = {"z": "length", "theta": "angle", "d": "length"}[parameter]
+    param_name, kind = _SCAN[parameter]
     values = [parse_quantity(tok, kind, f"scan.{parameter}")
               for tok in args.values.split(",") if tok.strip()]
     if not values:
         raise ConfigError("scan requires at least one value")
-    param_name = {"z": "z", "theta": "theta_p", "d": "d"}[parameter]
     points = entanglement.scan(_pipeline(cfg), cfg.z, param_name, values,
                                m=cfg.entanglement.m,
                                fingerprint=cfg.fingerprint())
@@ -310,15 +296,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = _overrides_from_args(args)
-        cfg = parse_config(args.config, overrides)
-    except (ConfigError, ConfigurationError) as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        cfg = parse_config(args.config, _overrides_from_args(args))
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ConfigurationError) as exc:
+    except ConfigurationError as exc:  # ConfigError included
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DispersionError, fields.GridError, fields.DegenerateConditionError,

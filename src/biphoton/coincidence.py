@@ -59,12 +59,14 @@ class DetectorModel:
     roi: tuple[int, int] = (32, 32)  # (ny, nx) pixels per plane
 
     def __post_init__(self):
-        if self.pitch <= 0:
-            raise DetectorError(f"pixel pitch must be > 0, got {self.pitch}")
+        if not (math.isfinite(self.pitch) and self.pitch > 0):
+            raise DetectorError(
+                f"pixel pitch must be finite and > 0, got {self.pitch}")
         if not (0.0 <= self.quantum_efficiency <= 1.0):
             raise DetectorError(f"QE must lie in [0, 1], got {self.quantum_efficiency}")
-        if self.dark_rate < 0:
-            raise DetectorError(f"dark rate must be >= 0, got {self.dark_rate}")
+        if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0):
+            raise DetectorError(
+                f"dark rate must be finite and >= 0, got {self.dark_rate}")
         if min(self.roi) < 1:
             raise DetectorError(f"ROI must be at least 1x1 pixels, got {self.roi}")
 

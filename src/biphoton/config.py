@@ -28,8 +28,8 @@ class ConfigError(ConfigurationError):
 def parse_quantity(value, kind: str, key: str = "") -> float:
     """Parse a config value of the given kind ("length" | "angle" | "number").
 
-    Numbers are taken as SI; strings must carry a unit suffix.  The result
-    must be finite.
+    Numbers, and strings without a unit suffix, are taken as SI.  The
+    result must be finite.
     """
     units = {"length": _LENGTH_UNITS, "angle": _ANGLE_UNITS,
              "number": {}}.get(kind)
@@ -117,35 +117,33 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+#: Each key's kind, then its range if it has one: "> a", ">= a [unit]" or
+#: "in [a, b]".  A value outside its range is a configuration error, raised
+#: before any computation.
 _SCHEMA = {
     "pump": {"wavelength": "length", "waist": "length"},
     "crystal": {"kind": "str", "length": "length", "gap": "length",
                 "theta_p": "angle"},
     "z": "length",
-    "grid": {"n": "int", "c1": "float", "c2": "float",
-             "boundary_tol": "float", "memory_budget": "int"},
+    "grid": {"n": "int", "c1": "float > 0", "c2": "float > 0",
+             "boundary_tol": "float > 0", "memory_budget": "int >= 1 byte"},
     "entanglement": {"m": "int"},
-    "coincidence": {"pitch": "length", "quantum_efficiency": "float",
-                    "dark_rate": "float", "roi": "list", "mu_pairs": "float",
-                    "n_frames": "int", "seed": "int"},
+    "coincidence": {"pitch": "length > 0",
+                    "quantum_efficiency": "float in [0, 1]",
+                    "dark_rate": "float >= 0", "roi": "list",
+                    "mu_pairs": "float >= 0", "n_frames": "int >= 1",
+                    "seed": "int >= 0"},
     "output": {"dir": "str", "formats": "list"},
 }
 
 
-#: Keys with a range: (section, key, test, rule).  A value outside its
-#: range is a configuration error, raised before any computation.
-_BOUNDS = (
-    ("grid", "c1", lambda v: v > 0, "> 0"),
-    ("grid", "c2", lambda v: v > 0, "> 0"),
-    ("grid", "boundary_tol", lambda v: v > 0, "> 0"),
-    ("grid", "memory_budget", lambda v: v >= 1, ">= 1 byte"),
-    ("coincidence", "pitch", lambda v: v > 0, "> 0"),
-    ("coincidence", "quantum_efficiency", lambda v: 0 <= v <= 1, "in [0, 1]"),
-    ("coincidence", "dark_rate", lambda v: v >= 0, ">= 0"),
-    ("coincidence", "mu_pairs", lambda v: v >= 0, ">= 0"),
-    ("coincidence", "n_frames", lambda v: v >= 1, ">= 1"),
-    ("coincidence", "seed", lambda v: v >= 0, ">= 0"),
-)
+def _in_range(value, rule: str) -> bool:
+    op, bound = rule.split(" ", 1)
+    if op == "in":
+        low, high = json.loads(bound)
+        return low <= value <= high
+    bound = float(bound.split()[0])
+    return {">": value > bound, ">=": value >= bound}[op]
 
 
 def _check_keys(data: dict, schema: dict, path: str = "") -> None:
@@ -192,33 +190,33 @@ def build_config(data: dict) -> RunConfig:
         table = data.get(section, {})
         if key not in table or (table[key] is None and default is None):
             return default
-        return _convert(table[key], _SCHEMA[section][key], f"{section}.{key}")
+        kind, _, rule = _SCHEMA[section][key].partition(" ")
+        value = _convert(table[key], kind, f"{section}.{key}")
+        if rule and not _in_range(value, rule):
+            raise ConfigError(f"{section}.{key}: must be {rule}, got {value!r}")
+        return value
 
-    pump = PumpSpec(
-        wavelength=get("pump", "wavelength", defaults.pump.wavelength),
-        waist=get("pump", "waist", defaults.pump.waist))
+    def build(section: str, default, **fixed):
+        # The section's object, each key not in ``fixed`` got as above.
+        return type(default)(**fixed, **{
+            key: get(section, key, getattr(default, key))
+            for key in _SCHEMA[section] if key not in fixed})
+
+    pump = build("pump", defaults.pump)
 
     kind = get("crystal", "kind", defaults.setup.kind)
-    if kind not in ("single", "double"):
-        raise ConfigError(f"crystal.kind must be single|double, got {kind!r}")
     if kind == "single" and "gap" in data.get("crystal", {}):
         raise ConfigError("crystal.gap requires crystal.kind = double")
     try:
-        setup = CrystalSetup(
-            kind=kind,
-            length=get("crystal", "length", defaults.setup.length),
-            gap=get("crystal", "gap", 0.0),
-            theta_p=get("crystal", "theta_p", defaults.setup.theta_p),
-        )
+        setup = build("crystal", defaults.setup, kind=kind)
     except ConfigurationError as exc:
         raise ConfigError(f"crystal: {exc}") from exc
 
-    grid = GridConfig(**{key: get("grid", key, getattr(defaults.grid, key))
-                         for key in _SCHEMA["grid"]})
+    grid = build("grid", defaults.grid)
     if grid.n < 8 or (grid.n & (grid.n - 1)) != 0:
         raise ConfigError(f"grid.n must be a power of two >= 8, got {grid.n}")
 
-    ent = EntanglementConfig(m=get("entanglement", "m", None))
+    ent = build("entanglement", defaults.entanglement)
     if ent.m is not None and (ent.m < 2 or grid.n % ent.m != 0):
         raise ConfigError(f"entanglement.m must divide grid.n, got {ent.m}")
 
@@ -229,14 +227,7 @@ def build_config(data: dict) -> RunConfig:
             raise ConfigError(
                 f"coincidence.roi must be [ny, nx] of at least 1 pixel each, "
                 f"got {list(roi)}")
-    coin = CoincidenceConfig(**{
-        key: get("coincidence", key, getattr(defaults.coincidence, key))
-        for key in _SCHEMA["coincidence"] if key != "roi"}, roi=roi)
-    sections = {"grid": grid, "coincidence": coin}
-    for section, key, test, rule in _BOUNDS:
-        value = getattr(sections[section], key)
-        if not test(value):
-            raise ConfigError(f"{section}.{key}: must be {rule}, got {value!r}")
+    coin = build("coincidence", defaults.coincidence, roi=roi)
 
     formats = tuple(get("output", "formats", list(defaults.formats)))
     for fmt in formats:

@@ -160,11 +160,6 @@ class BiphotonAmplitude4:
         if self.values.shape != (n, n, n, n):
             raise GridError(f"values shape {self.values.shape} != {(n,) * 4}")
 
-    @property
-    def bin_volume(self) -> float:
-        d = self.grid.dq if self.basis == "momentum" else self.grid.dx
-        return d**4
-
 
 @dataclass(frozen=True)
 class Distribution:
@@ -188,9 +183,6 @@ class Distribution:
     @property
     def bin_volume(self) -> float:
         return float(np.prod(self.deltas))
-
-    def total(self) -> float:
-        return float(self.values.sum() * self.bin_volume)
 
 
 def _normalize(values: np.ndarray, bin_volume: float) -> np.ndarray:
@@ -225,7 +217,6 @@ def estimate_build_bytes(grid: MomentumGrid4) -> int:
 def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
                     model: SellmeierModel = BBO,
                     boundary_tol: float | None = BOUNDARY_TOLERANCE,
-                    paraxial: str = "warn",
                     memory_budget: int = MEMORY_BUDGET) -> BiphotonAmplitude4:
     """Sample the momentum amplitude on the grid and L2-normalize it.
 
@@ -246,7 +237,7 @@ def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
     values = momentum_amplitude(
         TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
         TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
-        pump, setup, ctx=ctx, paraxial=paraxial)
+        pump, setup, ctx=ctx)
     values = np.asarray(values, dtype=np.complex128)
 
     peak = float(np.abs(values).max())
@@ -362,8 +353,8 @@ class DegenerateConditionError(ValueError):
     """Conditioning slice carries numerically no probability."""
 
 
-def conditional_position(dist4: Distribution, rho_i0=(0.0, 0.0),
-                         axes=None) -> Distribution:
+def conditional_position(dist4: Distribution,
+                         rho_i0=(0.0, 0.0)) -> Distribution:
     """Signal distribution conditioned on idler detection at rho_i0.
 
     The idler point is snapped to the nearest grid node (camera-pixel
@@ -371,13 +362,9 @@ def conditional_position(dist4: Distribution, rho_i0=(0.0, 0.0),
     """
     if dist4.values.ndim != 4:
         raise GridError("conditional_position requires a 4D distribution")
-    n = dist4.values.shape[2]
-    if axes is None:
-        axes = [(np.arange(n) - n // 2) * dist4.deltas[2],
-                (np.arange(dist4.values.shape[3]) - dist4.values.shape[3] // 2)
-                * dist4.deltas[3]]
-    ix = int(np.argmin(np.abs(axes[0] - rho_i0[0])))
-    iy = int(np.argmin(np.abs(axes[1] - rho_i0[1])))
+    ix, iy = (int(np.argmin(np.abs((np.arange(n) - n // 2) * delta - rho)))
+              for n, delta, rho in zip(dist4.values.shape[2:],
+                                       dist4.deltas[2:], rho_i0))
     sl = dist4.values[:, :, ix, iy]
     total4 = dist4.values.sum()
     if sl.sum() < 1e-12 * total4:

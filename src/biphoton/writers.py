@@ -55,12 +55,14 @@ def write_grd(values: np.ndarray, path, axis_names, deltas, units: str,
               fingerprint: str = "", extra: dict | None = None) -> None:
     """Write a GRD1 grid file."""
     values = np.asarray(values, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
     _require_finite(values, path)
+    _require_finite(deltas, path)
     header = {
         "magic": GRD_MAGIC,
         "shape": list(values.shape),
         "axes": list(axis_names),
-        "deltas": list(float(d) for d in deltas),
+        "deltas": deltas.tolist(),
         "units": units,
         "fingerprint": fingerprint,
     }

@@ -76,6 +76,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"crystal": {"gap": "2mm"}})
 
+    @pytest.mark.parametrize("data", [
+        {"grid": {"memory_budget": 1}}, {"coincidence": {"dark_rate": 0}},
+        {"coincidence": {"quantum_efficiency": 0}},
+        {"coincidence": {"quantum_efficiency": 1}},
+        {"coincidence": {"mu_pairs": 0}}, {"coincidence": {"n_frames": 1}},
+        {"coincidence": {"seed": 0}}],
+        ids=["budget-1", "dark-0", "qe-0", "qe-1", "mu-0", "frames-1",
+             "seed-0"])
+    def test_range_edges_accepted(self, data):
+        section, = data
+        (key, value), = data[section].items()
+        assert getattr(getattr(build_config(data), section), key) == value
+
     def test_unknown_key_names_path(self):
         with pytest.raises(ConfigError, match="waistt"):
             build_config({"pump": {"waistt": "507um"}})
@@ -123,6 +136,14 @@ class TestWriters:
                       (1.0, 1.0), "m")
         assert not (tmp_path / "bad.grd").exists()
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_grd_refuses_non_finite_deltas(self, tmp_path, delta):
+        # The header is JSON: NaN or Infinity in it is not.
+        with pytest.raises(WriteError):
+            write_grd(np.ones((2, 2)), tmp_path / "bad.grd", ("a", "b"),
+                      (1.0, delta), "m")
+        assert not (tmp_path / "bad.grd").exists()
+
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
     def test_grd_mode_follows_umask(self, tmp_path, umask):
         # The temporary file is owner-only; the artifact gets the mode a
@@ -155,6 +176,22 @@ class TestWriters:
         assert len(data) == 4  # header row + 3 data rows
         assert "x_s" in data[0]
         assert len(data[1].split(",")) == len(values[0])
+
+
+def test_every_config_flag_names_a_schema_key():
+    # A flag's dest is its config path, "section.key"; every other option
+    # of the top-level parser is one of the known few.
+    from biphoton import cli, config
+
+    others = set()
+    for action in cli._build_parser()._actions:
+        if "." in action.dest:
+            section, key = action.dest.split(".")
+            assert key in config._SCHEMA[section], action.option_strings
+        else:
+            others.add(action.dest)
+    assert others == {"help", "config", "out", "single", "double", "z",
+                      "command"}
 
 
 class TestCliCommands:
@@ -393,6 +430,25 @@ class TestCliCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("coincidence: ") and str(stack) in err
+        assert not (tmp_path / "coincidence_xx.grd").exists()
+
+    @pytest.mark.parametrize("key", ["pitch", "dark_rate"])
+    def test_coincide_non_finite_detector_exit3(self, tmp_path, capsys, key):
+        # json reads NaN; the detector refuses it, so no GRD is written.
+        from biphoton.coincidence import DetectorModel, FrameStack, save_frames
+
+        stack = tmp_path / "frames.bpfs"
+        save_frames(FrameStack(np.zeros((3, 2, 4, 4), dtype=np.uint16), 0,
+                               DetectorModel(roi=(4, 4))), stack)
+        raw = stack.read_bytes()
+        end = raw.index(b"\n")
+        header = json.loads(raw[:end])
+        header["detector"][key] = math.nan
+        stack.write_bytes(json.dumps(header).encode("utf-8") + raw[end:])
+        code = self.run("frames", "coincide", "--stack", str(stack),
+                        outdir=tmp_path)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("coincidence: ")
         assert not (tmp_path / "coincidence_xx.grd").exists()
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):

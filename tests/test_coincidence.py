@@ -1,6 +1,7 @@
 """Synthetic camera pipeline tests: frame statistics, the accidental-
 subtracting coincidence estimator, and the frame-stack file format."""
 
+import json
 import math
 import os
 import stat
@@ -76,6 +77,13 @@ class TestDetectorModel:
             detector(dark_rate=-1e-3)
         with pytest.raises(DetectorError):
             detector(pitch=0.0)
+
+    @pytest.mark.parametrize("key", ["pitch", "dark_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_non_finite_fields(self, key, value):
+        with pytest.raises(DetectorError, match="finite"):
+            detector(**{key: value})
 
 
 class TestAliasTable:
@@ -298,6 +306,19 @@ class TestFrameFile:
         path.write_bytes(raw.replace(b'"roi": [1, 16]', b'"roi": [24, 24]', 1))
         assert path.read_bytes() != raw
         with pytest.raises(DetectorError, match="roi"):
+            load_frames(path)
+
+    @pytest.mark.parametrize("key", ["pitch", "dark_rate"])
+    def test_load_rejects_non_finite_detector(self, tmp_path, key):
+        # json reads NaN and Infinity; the detector does not take them.
+        path = tmp_path / "stack.bpfs"
+        save_frames(manual_stack(np.zeros((3, 2, 1, 16))), path)
+        raw = path.read_bytes()
+        end = raw.index(b"\n")
+        header = json.loads(raw[:end])
+        header["detector"][key] = math.nan
+        path.write_bytes(json.dumps(header).encode("utf-8") + raw[end:])
+        with pytest.raises(DetectorError, match="finite"):
             load_frames(path)
 
     def test_save_makes_no_copy_of_the_stack(self, tmp_path):

@@ -6,11 +6,13 @@
 Runs ``ef``, ``scan z`` (0, 5, 10 mm), ``simulate pos``, ``simulate mom``,
 ``singles``, ``conditional``, ``frames synth`` (500 frames, seed 3) and
 ``frames coincide`` in process, at n = 16, 32 and 64, for the default
-single crystal and the 1 mm + 4 mm double crystal, each configuration into
-its own directory.  Prints one ``sha256  path`` line per artifact, the path
-relative to the output directory, in sorted order: a claim that two trees
-write the same bytes is a ``diff`` of two runs, one with ``--src`` set to
-the other tree's ``src`` directory.
+single crystal, the 1 mm + 4 mm double crystal, and a single crystal set
+by every flag that names a config key, each at a value other than its
+default; each configuration writes into its own directory.  Prints one
+``sha256  path`` line per artifact, the path relative to the output
+directory, in sorted order: a claim that two trees write the same bytes
+is a ``diff`` of two runs, one with ``--src`` set to the other tree's
+``src`` directory.
 
 ``--src`` is the directory ``biphoton`` is imported from (default: the
 ``src`` beside this script).  The artifacts go to a temporary directory
@@ -29,9 +31,12 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-CRYSTALS = {
+CONFIGS = {
     "single": [],
     "double": ["--double", "--L", "1mm", "--d", "4mm"],
+    "flags": ["--single", "--wavelength", "354nm", "--waist", "480um",
+              "--theta-p", "33.0deg", "--L", "4mm", "--z", "6mm", "--m", "8",
+              "--mu-pairs", "3"],
 }
 SIZES = (16, 32, 64)
 COMMANDS = (
@@ -48,9 +53,9 @@ FRAMES = ["--frames", "500", "--seed", "3"]
 
 def write_artifacts(main, out: str) -> None:
     """Run every command of every configuration into ``out``."""
-    for crystal, flags in CRYSTALS.items():
+    for name, flags in CONFIGS.items():
         for n in SIZES:
-            where = os.path.join(out, f"{crystal}-n{n}")
+            where = os.path.join(out, f"{name}-n{n}")
             common = ["--out", where, "--n", str(n)] + flags + FRAMES
             runs = [common + command for command in COMMANDS]
             runs.append(common + ["frames", "coincide", "--stack",
