@@ -159,14 +159,18 @@ def _cmd_phasematch_map(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     names = ("q_x", "q_y")
     deltas = (pipe.grid.dq, pipe.grid.dq)
-    writers.write_grd(dkz, os.path.join(cfg.outdir, "delta_kz.grd"),
-                      names, deltas, "rad/m", fingerprint=fp)
-    writers.write_grd(phi_mag, os.path.join(cfg.outdir, "phi_mag.grd"),
-                      names, deltas, "dimensionless", fingerprint=fp)
+    # Both maps as GRD, |Phi| also as a PGM preview; no CSV.
+    if "grd" in cfg.formats:
+        for stem, values, units in (("delta_kz", dkz, "rad/m"),
+                                    ("phi_mag", phi_mag, "dimensionless")):
+            path = os.path.join(cfg.outdir, stem + ".grd")
+            writers.write_grd(values, path, names, deltas, units,
+                              fingerprint=fp)
+            print(f"wrote {path}")
     if "pgm" in cfg.formats:
-        writers.write_pgm(phi_mag, os.path.join(cfg.outdir, "phi_mag.pgm"),
-                          fingerprint=fp)
-    print(f"wrote delta_kz.grd and phi_mag.grd to {cfg.outdir}")
+        path = os.path.join(cfg.outdir, "phi_mag.pgm")
+        writers.write_pgm(phi_mag, path, fingerprint=fp)
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -270,12 +274,16 @@ def _cmd_frames(cfg: RunConfig, args) -> int:
     # The map describes the stack: its pitch and fingerprint, not the config's.
     pitch, fp = stack.detector.pitch, stack.fingerprint
     base = os.path.join(cfg.outdir, "coincidence_xx")
-    writers.write_grd(cmap.values, base + ".grd", ("x_s", "x_i"),
-                      (pitch, pitch), "counts^2/frame", fingerprint=fp,
-                      extra={"n_frames": cmap.n_frames})
-    writers.write_csv(cmap.values, base + ".csv", ("x_s", "x_i"),
-                      fingerprint=fp)
-    print(f"wrote {base}.grd and {base}.csv")
+    # GRD and CSV; no PGM preview of a signed map.
+    if "grd" in cfg.formats:
+        writers.write_grd(cmap.values, base + ".grd", ("x_s", "x_i"),
+                          (pitch, pitch), "counts^2/frame", fingerprint=fp,
+                          extra={"n_frames": cmap.n_frames})
+        print(f"wrote {base}.grd")
+    if "csv" in cfg.formats:
+        writers.write_csv(cmap.values, base + ".csv", ("x_s", "x_i"),
+                          fingerprint=fp)
+        print(f"wrote {base}.csv")
     return EXIT_OK
 
 

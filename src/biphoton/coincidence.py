@@ -10,8 +10,8 @@ standard accidental-subtracting estimator
     C_pq = <n_p n_q>_same-frame - <n_p n_q>_adjacent-frame
 
 where the adjacent-frame (cyclically closed) product estimates the
-uncorrelated background.  Stacks are sparse; they are written, read and
-reduced in blocks of whole frames, never as one dense array.
+uncorrelated background.  Synthesized stacks are held as per-pair pixels,
+loaded ones as their file, and all are read in blocks of whole frames.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .fields import CHUNK_ELEMS, PositionFactors
+from .fields import PositionFactors
 from .writers import _atomic_write
 
 
@@ -43,6 +43,11 @@ MAX_COUNT = np.iinfo(np.uint16).max
 #: Bytes of one frame block: stacks are written, read and reduced in blocks
 #: of whole frames of about this size, each through one reused buffer.
 FRAME_BLOCK_BYTES = 4 * 1024**2
+
+#: Elements of a table chunk of the x-draw (1 MiB complex), and draws in a
+#: batch.  A chunk has at least R rows (one R x n^2 factor table), so that
+#: each product reads the x table for at least as many rows as it has terms.
+DRAW_CHUNK_ELEMS = 2**16
 
 
 @dataclass(frozen=True)
@@ -76,11 +81,11 @@ class FrameStack:
     (signal, idler), uint16.
 
     ``FrameStack(counts, seed, detector)`` holds a dense array and yields
-    views of it.  :func:`synth_frames` gives a stack held as sorted events
+    views of it.  :func:`synth_frames` gives one built from per-pair pixels
     and :func:`load_frames` one that reads its file; both fill one reused
-    buffer.  All three yield the same consecutive blocks of whole frames,
-    of about ``FRAME_BLOCK_BYTES`` (:func:`_block_frames`).  ``counts`` is
-    the dense array, built on demand for the last two.
+    buffer.  All three yield the same consecutive blocks of whole frames, of
+    about ``FRAME_BLOCK_BYTES`` (:func:`_block_frames`).  ``counts`` is the
+    dense array, built on demand for the last two.
     """
 
     def __init__(self, counts: np.ndarray | None, seed: int,
@@ -133,22 +138,34 @@ def _dense_blocks(counts: np.ndarray) -> Iterator[np.ndarray]:
     return (counts[f0:f0 + per] for f0 in range(0, len(counts), per))
 
 
-def _event_blocks(shape: tuple[int, ...], cells: np.ndarray,
-                  values: np.ndarray) -> Iterator[np.ndarray]:
-    """Blocks of the stack that holds ``values`` at the sorted flat indices
-    ``cells`` and zero elsewhere, filled into one reused buffer."""
+def _block_counts(shape, offsets, pixels, keep, dark) -> Iterator[tuple]:
+    """(frames, sorted flat cells, counts) of each block of the stack whose
+    frame f holds pairs offsets[f]:offsets[f + 1], each photon's pixel in
+    its plane and detection in the (signal, idler) rows of ``pixels`` and
+    ``keep``, and dark counts at the sorted flat cells ``dark``."""
     n_frames, frame = shape[0], math.prod(shape[1:])
     per = _block_frames(shape)
-    starts = np.arange(0, n_frames, per)
-    edges = np.searchsorted(cells, np.append(starts, n_frames) * frame)
-    buf = np.empty((per,) + tuple(shape[1:]), dtype=np.uint16)
-    for k, f0 in enumerate(starts):
-        block = buf[:min(per, n_frames - f0)]
-        flat = block.reshape(-1)
+    for f0 in range(0, n_frames, per):
+        f1 = min(f0 + per, n_frames)
+        lo, hi = offsets[f0], offsets[f1]
+        first = np.repeat(np.arange(f1 - f0) * frame,  # of each pair's frame
+                          np.diff(offsets[f0:f1 + 1]))
+        d0, d1 = np.searchsorted(dark, (f0 * frame, f1 * frame))
+        events = [dark[d0:d1] - f0 * frame]
+        for k in range(2):
+            kept = keep[k, lo:hi]
+            events.append(first[kept] + pixels[k, lo:hi][kept] + k * frame // 2)
+        yield (f1 - f0, *np.unique(np.concatenate(events), return_counts=True))
+
+
+def _event_blocks(shape: tuple[int, ...], *state) -> Iterator[np.ndarray]:
+    """The blocks of :func:`_block_counts`, filled into one reused buffer."""
+    buf = np.empty((_block_frames(shape),) + tuple(shape[1:]), dtype=np.uint16)
+    for frames, cells, counts in _block_counts(shape, *state):
+        flat = buf[:frames].reshape(-1)
         flat.fill(0)
-        lo, hi = edges[k], edges[k + 1]
-        flat[cells[lo:hi] - f0 * frame] = values[lo:hi]
-        yield block
+        flat[cells] = counts
+        yield buf[:frames]
 
 
 class AliasTable:
@@ -191,7 +208,7 @@ class AliasTable:
 
 def _pixel_of(x: np.ndarray, pitch: float, n_pix: int) -> np.ndarray:
     """Map positions to pixel indices with pixel 0 starting at -n_pix/2 * pitch."""
-    return np.floor(x / pitch).astype(np.int64) + n_pix // 2
+    return np.floor(x / pitch).astype(np.int32) + n_pix // 2
 
 
 def sample_pairs(source: PositionFactors, n_pairs: int,
@@ -200,46 +217,47 @@ def sample_pairs(source: PositionFactors, n_pairs: int,
 
     The (y_s, y_i) pair is drawn from the marginal of ``source`` with an
     alias table, then the (x_s, x_i) pair by inverse CDF given it.  Returns
-    the flat (x_s, x_i) and flat (y_s, y_i) indices, signal index major.
+    the flat int32 (x_s, x_i) and (y_s, y_i) indices, signal index major.
     """
     y_cells = AliasTable(source.y_marginal()).sample(n_pairs, rng)
-    x_cells = _draw_given(y_cells, rng.random(n_pairs), source.x_weights,
-                          source.grid.n ** 2)
-    return x_cells, y_cells
+    y_cells = y_cells.astype(np.int32)
+    return _draw_given(y_cells, rng.random(n_pairs), source), y_cells
 
 
 def _draw_given(y_cells: np.ndarray, uniforms: np.ndarray,
-                x_weights: Callable, size: int) -> np.ndarray:
+                source: PositionFactors) -> np.ndarray:
     """One x-pair index per draw, by inverse CDF from the row of
-    ``x_weights`` of its y-pair, with the draw's uniform.
+    ``source.x_weights`` of its y-pair, with the draw's uniform.
 
-    Draws are sorted by (y-pair + uniform); the tables of the distinct
-    y-pairs are built in chunks of at most ``CHUNK_ELEMS`` elements, each
-    row's CDF normalized and offset by its row number, so one
-    ``searchsorted`` of (row + uniform) reads the chunk in order.
+    Draws are grouped by y-pair; the tables of the distinct y-pairs are
+    built in chunks of ``DRAW_CHUNK_ELEMS`` elements or R rows, each CDF
+    normalized and offset by the y-pair's index among the distinct ones, so
+    one ``searchsorted`` of (index + uniform) reads a chunk for its draws.
     """
-    order = np.argsort(y_cells + uniforms)
-    cells, u = y_cells[order], uniforms[order]
-    starts = np.flatnonzero(np.diff(cells, prepend=-1))  # one per y-pair
-    edges = np.append(starts, cells.size)
-    distinct = cells[starts]
-    found = np.empty(cells.size, dtype=np.int64)
-    rows = max(1, CHUNK_ELEMS // size)
+    counts = np.bincount(y_cells)
+    distinct = np.flatnonzero(counts)
+    edges = np.append(0, np.cumsum(counts[distinct]))
+    index = np.zeros(counts.size, dtype=np.int32)
+    index[distinct] = np.arange(distinct.size)
+    order = np.argsort(y_cells).astype(np.int32)  # grouped by y-pair
+    found = np.empty(y_cells.size, dtype=np.int32)
+    size, rank = source.grid.n ** 2, source.x.shape[0]
+    rows = max(DRAW_CHUNK_ELEMS // size, rank)
     for c0 in range(0, distinct.size, rows):
         c1 = min(c0 + rows, distinct.size)
-        cdf = x_weights(distinct[c0:c1])
+        cdf = source.x_weights(distinct[c0:c1])
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        cdf += np.arange(c1 - c0)[:, None]
-        lo, hi = edges[c0], edges[c1]
-        row = np.repeat(np.arange(c1 - c0), np.diff(edges[c0:c1 + 1]))
-        index = np.searchsorted(cdf.ravel(), row + u[lo:hi], side="right")
-        # row + u rounds to row + 1 for u within an ulp of 1: keep such a
-        # draw in its own row.
-        found[lo:hi] = np.minimum(index - row * size, size - 1)
-    out = np.empty_like(found)
-    out[order] = found
-    return out
+        cdf += np.arange(c0, c1)[:, None]
+        for lo in range(edges[c0], edges[c1], DRAW_CHUNK_ELEMS):
+            take = order[lo:min(lo + DRAW_CHUNK_ELEMS, edges[c1])]
+            row = index[y_cells[take]]
+            at = np.searchsorted(cdf.ravel(), row + uniforms[take],
+                                 side="right")
+            # row + u rounds to row + 1 for u within an ulp of 1: keep such
+            # a draw in its own row.
+            found[take] = np.minimum(at - (row - c0) * size, size - 1)
+    return found
 
 
 def _check_roi(axis: np.ndarray, detector: DetectorModel) -> None:
@@ -263,7 +281,8 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     table, then its (x_s, x_i) nodes by inverse CDF given them (the pair is
     drawn jointly); each photon survives with probability QE, and Poisson
     dark counts are added independently to every pixel of both planes.  The
-    stack is held as sorted (cell, count) events.  Deterministic for a
+    stack keeps per-pair pixels and detections, the pairs' frame offsets and
+    the sorted dark cells (:func:`_block_counts`).  Deterministic for a
     fixed seed.
     """
     if mu_pairs < 0:
@@ -273,42 +292,35 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     axis = source.grid.x_axis
     _check_roi(axis, detector)
     ny, nx = detector.roi
+    shape = (n_frames, 2, ny, nx)
 
     rng = np.random.default_rng(seed)
-    pairs_per_frame = rng.poisson(mu_pairs, size=n_frames)
-    total_pairs = int(pairs_per_frame.sum())
-    frame_of_pair = np.repeat(np.arange(n_frames, dtype=np.int64), pairs_per_frame)
-
+    offsets = np.append(0, np.cumsum(rng.poisson(mu_pairs, size=n_frames)))
+    total_pairs = int(offsets[-1])
     x_cells, y_cells = sample_pairs(source, total_pairs, rng)
-    isy, iiy = np.divmod(y_cells, axis.size)
-    isx, iix = np.divmod(x_cells, axis.size)
-
+    # py * nx + px of each grid node pair, signal index major.
+    px, py = (_pixel_of(axis, detector.pitch, nx),
+              _pixel_of(axis, detector.pitch, ny) * nx)
+    n = axis.size
+    pixels = np.stack([py[y_cells // n] + px[x_cells // n],
+                       py[y_cells % n] + px[x_cells % n]])
+    del x_cells, y_cells
     qe = detector.quantum_efficiency
-    keep_s = rng.random(total_pairs) < qe
-    keep_i = rng.random(total_pairs) < qe
-
-    def plane_events(keep, ix_arr, iy_arr, plane):
-        px = _pixel_of(axis[ix_arr[keep]], detector.pitch, nx)
-        py = _pixel_of(axis[iy_arr[keep]], detector.pitch, ny)
-        f = frame_of_pair[keep]
-        return ((f * 2 + plane) * ny + py) * nx + px
-
-    lin_s = plane_events(keep_s, isx, isy, 0)
-    lin_i = plane_events(keep_i, iix, iiy, 1)
-
-    n_cells = n_frames * 2 * ny * nx
+    keep = np.stack([rng.random(total_pairs) < qe,
+                     rng.random(total_pairs) < qe])
     n_dark = rng.poisson(detector.dark_rate * 2 * ny * nx * n_frames)
-    lin_dark = rng.integers(0, n_cells, size=int(n_dark))
-
-    cells, multiplicity = np.unique(np.concatenate([lin_s, lin_i, lin_dark]),
-                                    return_counts=True)
-    if cells.size and multiplicity.max() > MAX_COUNT:
-        raise AccumulatorError(
-            f"per-pixel count {multiplicity.max()} exceeds uint16 range")
-    values = multiplicity.astype(np.uint16)
-    shape = (n_frames, 2, ny, nx)
+    dark = np.sort(rng.integers(0, n_frames * 2 * ny * nx, size=int(n_dark)))
+    state = (offsets, pixels, keep, dark)
+    # A cell's count in a frame is at most the frame's pairs plus its dark
+    # counts: count exactly only where that bound exceeds MAX_COUNT.
+    worst = np.diff(offsets + np.searchsorted(
+        dark, np.arange(n_frames + 1) * (2 * ny * nx))).max()
+    if worst > MAX_COUNT:
+        worst = max(c.max(initial=0) for *_, c in _block_counts(shape, *state))
+    if worst > MAX_COUNT:
+        raise AccumulatorError(f"per-pixel count {worst} exceeds uint16 range")
     return FrameStack(None, seed, detector, fingerprint, shape=shape,
-                      blocks=partial(_event_blocks, shape, cells, values))
+                      blocks=partial(_event_blocks, shape, *state))
 
 
 @dataclass(frozen=True)
@@ -423,21 +435,9 @@ def save_frames(stack: FrameStack, path) -> None:
     if tuple(stack.detector.roi) != (ny, nx):
         raise DetectorError(f"detector ROI {stack.detector.roi} does not match "
                             f"the stack's (ny, nx) = {(ny, nx)}")
-    header = {
-        "magic": FRAME_MAGIC,
-        "n_frames": f,
-        "planes": 2,
-        "ny": ny,
-        "nx": nx,
-        "seed": stack.seed,
-        "fingerprint": stack.fingerprint,
-        "detector": {
-            "pitch": stack.detector.pitch,
-            "quantum_efficiency": stack.detector.quantum_efficiency,
-            "dark_rate": stack.detector.dark_rate,
-            "roi": list(stack.detector.roi),
-        },
-    }
+    header = {"magic": FRAME_MAGIC, "n_frames": f, "planes": 2, "ny": ny,
+              "nx": nx, "seed": stack.seed, "fingerprint": stack.fingerprint,
+              "detector": asdict(stack.detector)}
     _atomic_write(path, json.dumps(header, sort_keys=True).encode("utf-8")
                   + b"\n", (memoryview(np.ascontiguousarray(block, dtype="<u2"))
                             for block in stack.blocks()))

@@ -401,6 +401,43 @@ class TestCliCommands:
         csv_head = (tmp_path / "coincidence_xx.csv").read_text().splitlines()[0]
         assert csv_head == f"# fingerprint={stack_header['fingerprint']}"
 
+    @pytest.mark.parametrize("formats, expected", [
+        (None, {"delta_kz.grd", "phi_mag.grd", "phi_mag.pgm"}),
+        (["csv"], set()),
+        (["grd"], {"delta_kz.grd", "phi_mag.grd"}),
+        (["pgm", "csv"], {"phi_mag.pgm"}),
+    ], ids=["default", "csv", "grd", "pgm-csv"])
+    def test_phasematch_map_follows_formats(self, tmp_path, formats,
+                                            expected):
+        out = tmp_path / "out"
+        args = ["--n", "16", "phasematch-map"]
+        if formats is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"output": {"formats": formats}}))
+            args = ["--config", str(cfg)] + args
+        assert self.run(*args, outdir=out) == 0
+        assert set(os.listdir(out)) == expected
+
+    @pytest.mark.parametrize("formats, expected", [
+        (None, {"coincidence_xx.grd", "coincidence_xx.csv"}),
+        (["csv"], {"coincidence_xx.csv"}),
+        (["grd", "pgm"], {"coincidence_xx.grd"}),
+        (["pgm"], set()),
+    ], ids=["default", "csv", "grd-pgm", "pgm"])
+    def test_coincide_follows_formats(self, tmp_path, formats, expected):
+        stack = tmp_path / "frames.bpfs"
+        code = self.run("--n", "16", "--frames", "20", "frames", "synth",
+                        "--stack", str(stack), outdir=tmp_path)
+        assert code == 0
+        out = tmp_path / "out"
+        args = ["frames", "coincide", "--stack", str(stack)]
+        if formats is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"output": {"formats": formats}}))
+            args = ["--config", str(cfg)] + args
+        assert self.run(*args, outdir=out) == 0
+        assert set(os.listdir(out)) == expected
+
     def test_frames_small_roi_exit3_before_factors(self, tmp_path, capsys,
                                                    monkeypatch):
         # The ROI is checked against the grid before the factor build.

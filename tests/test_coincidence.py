@@ -64,6 +64,40 @@ def detector(**kw):
     return DetectorModel(**base)
 
 
+def reference_counts(source, det, mu_pairs, n_frames, seed):
+    """The dense counts of ``synth_frames(source, det, mu_pairs, n_frames,
+    seed)`` built from the same draws as one sorted list of every event of
+    the stack, counted by one global ``np.unique``: the reference for the
+    block builder."""
+    axis = source.grid.x_axis
+    ny, nx = det.roi
+    rng = np.random.default_rng(seed)
+    pairs_per_frame = rng.poisson(mu_pairs, size=n_frames)
+    total = int(pairs_per_frame.sum())
+    frame_of_pair = np.repeat(np.arange(n_frames), pairs_per_frame)
+    x_cells, y_cells = sample_pairs(source, total, rng)
+    isy, iiy = np.divmod(y_cells.astype(np.int64), axis.size)
+    isx, iix = np.divmod(x_cells.astype(np.int64), axis.size)
+    keep_s = rng.random(total) < det.quantum_efficiency
+    keep_i = rng.random(total) < det.quantum_efficiency
+
+    def events(keep, ix, iy, plane):
+        px = np.floor(axis[ix[keep]] / det.pitch).astype(np.int64) + nx // 2
+        py = np.floor(axis[iy[keep]] / det.pitch).astype(np.int64) + ny // 2
+        return ((frame_of_pair[keep] * 2 + plane) * ny + py) * nx + px
+
+    n_cells = n_frames * 2 * ny * nx
+    n_dark = rng.poisson(det.dark_rate * 2 * ny * nx * n_frames)
+    dark = rng.integers(0, n_cells, size=int(n_dark))
+    cells, counts = np.unique(np.concatenate([events(keep_s, isx, isy, 0),
+                                              events(keep_i, iix, iiy, 1),
+                                              dark]), return_counts=True)
+    assert counts.max(initial=0) <= MAX_COUNT
+    out = np.zeros(n_cells, dtype=np.uint16)
+    out[cells] = counts
+    return out.reshape(n_frames, 2, ny, nx)
+
+
 def manual_stack(counts, seed=0, det=None):
     return FrameStack(counts=counts.astype(np.uint16), seed=seed,
                       detector=det or detector(roi=counts.shape[2:]))
@@ -394,6 +428,61 @@ class TestFactorSampler:
         np.testing.assert_array_equal(np.concatenate(blocks), counts)
         assert counts.shape == (n_frames, 2, 24, 24)
         assert counts.sum() > 0
+
+
+class TestBlockBuilder:
+    """The blocks of a synthesized stack, built from per-pair pixels,
+    against one global count of every event (:func:`reference_counts`)."""
+
+    # Two full 24 x 24 blocks and a partial one.
+    MULTI = 2 * FRAME_BLOCK_BYTES // (2 * 2 * 24 * 24) + 7
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dark_rate, qe", [(0.0, 1.0), (0.05, 1.0),
+                                               (0.05, 0.6)])
+    @pytest.mark.parametrize("n_frames", [1, MULTI])
+    @pytest.mark.parametrize("mu_pairs", [0.3, 5.0])
+    def test_blocks_match_global_count(self, factors16, seed, dark_rate, qe,
+                                       n_frames, mu_pairs):
+        det = detector(dark_rate=dark_rate, quantum_efficiency=qe)
+        stack = synth_frames(factors16, det, mu_pairs, n_frames, seed=seed)
+        blocks = [b.copy() for b in stack.blocks()]
+        assert len(blocks) == (3 if n_frames == self.MULTI else 1)
+        ref = reference_counts(factors16, det, mu_pairs, n_frames, seed)
+        assert np.concatenate(blocks).tobytes() == ref.tobytes()
+        if n_frames > 1 and mu_pairs < 1:
+            # Some frames hold no pair.
+            pairs = np.random.default_rng(seed).poisson(mu_pairs, n_frames)
+            assert (pairs == 0).any()
+
+    def test_exact_count_past_the_frame_bound(self, factors16):
+        # More pairs in a frame than MAX_COUNT: the cheap bound fails, the
+        # exact count of each block passes, and the stack is built.
+        det = detector(quantum_efficiency=1.0)
+        stack = synth_frames(factors16, det, 70_000.0, 2, seed=3)
+        ref = reference_counts(factors16, det, 70_000.0, 2, 3)
+        assert np.random.default_rng(3).poisson(70_000.0, 2).max() > MAX_COUNT
+        assert stack.counts.tobytes() == ref.tobytes()
+
+    def test_memory_grows_under_40_bytes_a_pair(self, factors16):
+        # The tracemalloc peak of synth_frames and one pass over its blocks,
+        # at 20 000 and 100 000 frames.  Bound, fixed in advance: 40 bytes
+        # per extra sampled pair.
+        import tracemalloc
+
+        det = detector()
+        pairs, peaks = [], []
+        for n_frames in (20_000, 100_000):
+            tracemalloc.start()
+            try:
+                for _ in synth_frames(factors16, det, 5.0, n_frames,
+                                      seed=6).blocks():
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            pairs.append(np.random.default_rng(6).poisson(5.0, n_frames).sum())
+        assert (peaks[1] - peaks[0]) / (pairs[1] - pairs[0]) < 40
 
 
 class TestStreamedReduction:

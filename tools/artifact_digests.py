@@ -8,7 +8,10 @@ Runs ``ef``, ``scan z`` (0, 5, 10 mm), ``simulate pos``, ``simulate mom``,
 ``frames coincide`` in process, at n = 16, 32 and 64, for the default
 single crystal, the 1 mm + 4 mm double crystal, and a single crystal set
 by every flag that names a config key, each at a value other than its
-default; each configuration writes into its own directory.  Prints one
+default.  It also runs ``frames synth`` and ``frames coincide`` alone on
+stacks of three frame blocks (12 000 frames at n = 16, 4000 at n = 32,
+seed 5), so the check crosses block edges.  Each configuration writes
+into its own directory.  Prints one
 ``sha256  path`` line per artifact, the path relative to the output
 directory, in sorted order: a claim that two trees write the same bytes
 is a ``diff`` of two runs, one with ``--src`` set to the other tree's
@@ -46,9 +49,27 @@ COMMANDS = (
     ["simulate", "mom"],
     ["singles"],
     ["conditional"],
-    ["frames", "synth"],
 )
 FRAMES = ["--frames", "500", "--seed", "3"]
+#: n -> frames of a stack of three 4 MiB blocks at the default ROI (5349
+#: frames a block at n = 16, 1820 at n = 32).
+LONG_FRAMES = {16: 12_000, 32: 4000}
+
+
+def run(main, argvs) -> None:
+    """Run each argv through ``main``; exit unless every one succeeds."""
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"biphoton {' '.join(argv)} exited {code}")
+
+
+def frames_runs(where: str, common: list[str]) -> list[list[str]]:
+    """``frames synth`` then ``frames coincide`` on its stack."""
+    return [common + ["frames", "synth"],
+            common + ["frames", "coincide", "--stack",
+                      os.path.join(where, "frames.bpfs")]]
 
 
 def write_artifacts(main, out: str) -> None:
@@ -57,15 +78,12 @@ def write_artifacts(main, out: str) -> None:
         for n in SIZES:
             where = os.path.join(out, f"{name}-n{n}")
             common = ["--out", where, "--n", str(n)] + flags + FRAMES
-            runs = [common + command for command in COMMANDS]
-            runs.append(common + ["frames", "coincide", "--stack",
-                                  os.path.join(where, "frames.bpfs")])
-            for argv in runs:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = main(argv)
-                if code != 0:
-                    raise SystemExit(f"biphoton {' '.join(argv)} exited "
-                                     f"{code}")
+            run(main, [common + command for command in COMMANDS]
+                + frames_runs(where, common))
+    for n, frames in LONG_FRAMES.items():
+        where = os.path.join(out, f"long-n{n}")
+        run(main, frames_runs(where, ["--out", where, "--n", str(n),
+                                      "--frames", str(frames), "--seed", "5"]))
 
 
 def digests(out: str) -> list[str]:
