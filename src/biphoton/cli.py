@@ -21,7 +21,7 @@ from . import coincidence as coin
 from . import dispersion, entanglement, fields, writers
 from .config import ConfigError, RunConfig, parse_config, parse_quantity
 from .dispersion import DispersionError
-from .phasematch import ConfigurationError
+from .phasematch import ConfigurationError, phi_of_mismatch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,22 +114,25 @@ def _pipeline(cfg: RunConfig) -> fields.Pipeline:
                            memory_budget=cfg.grid.memory_budget)
 
 
-def _write_2d(dist: fields.Distribution, stem: str, cfg: RunConfig) -> None:
-    """Write ``dist`` in each configured format and print each path."""
-    fp = cfg.fingerprint()
+def _write_2d(cfg: RunConfig, stem: str, values: np.ndarray, names, deltas,
+              units: str, formats=("grd", "csv", "pgm"),
+              fingerprint: str | None = None, extra=None) -> None:
+    """Write a 2D map in each of ``formats`` (those the artifact allows, in
+    this order) that the config asks for, and print each path.  The
+    fingerprint defaults to the config's; ``extra`` goes into the GRD
+    header."""
+    fp = cfg.fingerprint() if fingerprint is None else fingerprint
     os.makedirs(cfg.outdir, exist_ok=True)
-    base = os.path.join(cfg.outdir, stem)
-    if "grd" in cfg.formats:
-        writers.write_grd(dist.values, base + ".grd", dist.axis_names,
-                          dist.deltas, dist.units, fingerprint=fp)
-        print(f"wrote {base}.grd")
-    if "csv" in cfg.formats:
-        writers.write_csv(dist.values, base + ".csv", dist.axis_names,
-                          fingerprint=fp)
-        print(f"wrote {base}.csv")
-    if "pgm" in cfg.formats:
-        writers.write_pgm(dist.values, base + ".pgm", fingerprint=fp)
-        print(f"wrote {base}.pgm")
+    for fmt in (f for f in formats if f in cfg.formats):
+        path = os.path.join(cfg.outdir, f"{stem}.{fmt}")
+        if fmt == "grd":
+            writers.write_grd(values, path, names, deltas, units,
+                              fingerprint=fp, extra=extra)
+        elif fmt == "csv":
+            writers.write_csv(values, path, names, fingerprint=fp)
+        else:
+            writers.write_pgm(values, path, fingerprint=fp)
+        print(f"wrote {path}")
 
 
 def _auto_roi(pipe: fields.Pipeline, pitch: float) -> tuple[int, int]:
@@ -151,26 +154,14 @@ def _cmd_phasematch_map(cfg: RunConfig, args) -> int:
     q = pipe.grid.q_axis
     qx = q[:, None]
     qy = q[None, :]
-    from .phasematch import phi_of_mismatch
     dkz = dispersion.delta_kz(dispersion.TransverseMomentum(qx, qy),
                               dispersion.TransverseMomentum(-qx, -qy), ctx)
     phi_mag = np.abs(phi_of_mismatch(dkz, cfg.setup))
-    fp = cfg.fingerprint()
-    os.makedirs(cfg.outdir, exist_ok=True)
-    names = ("q_x", "q_y")
-    deltas = (pipe.grid.dq, pipe.grid.dq)
     # Both maps as GRD, |Phi| also as a PGM preview; no CSV.
-    if "grd" in cfg.formats:
-        for stem, values, units in (("delta_kz", dkz, "rad/m"),
-                                    ("phi_mag", phi_mag, "dimensionless")):
-            path = os.path.join(cfg.outdir, stem + ".grd")
-            writers.write_grd(values, path, names, deltas, units,
-                              fingerprint=fp)
-            print(f"wrote {path}")
-    if "pgm" in cfg.formats:
-        path = os.path.join(cfg.outdir, "phi_mag.pgm")
-        writers.write_pgm(phi_mag, path, fingerprint=fp)
-        print(f"wrote {path}")
+    deltas = (pipe.grid.dq, pipe.grid.dq)
+    _write_2d(cfg, "delta_kz", dkz, ("q_x", "q_y"), deltas, "rad/m", ("grd",))
+    _write_2d(cfg, "phi_mag", phi_mag, ("q_x", "q_y"), deltas,
+              "dimensionless", ("grd", "pgm"))
     return EXIT_OK
 
 
@@ -182,7 +173,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
     else:
         dist = fields.averaged_joints_x(pipe, [cfg.z]).position[0]
         stem = "joint_pos_av"
-    _write_2d(dist, stem, cfg)
+    _write_2d(cfg, stem, dist.values, dist.axis_names, dist.deltas, dist.units)
     return EXIT_OK
 
 
@@ -193,12 +184,15 @@ def _cmd_conditional(cfg: RunConfig, args) -> int:
     cond = fields.conditional_position_direct(
         pipe.pump, pipe.setup, cfg.z, pipe.grid, model=pipe.model,
         memory_budget=pipe.memory_budget)
-    _write_2d(cond, "conditional_pos", cfg)
+    _write_2d(cfg, "conditional_pos", cond.values, cond.axis_names,
+              cond.deltas, cond.units)
     return EXIT_OK
 
 
 def _cmd_singles(cfg: RunConfig, args) -> int:
-    _write_2d(fields.singles_direct(_pipeline(cfg), cfg.z), "singles_pos", cfg)
+    dist = fields.singles_direct(_pipeline(cfg), cfg.z)
+    _write_2d(cfg, "singles_pos", dist.values, dist.axis_names, dist.deltas,
+              dist.units)
     return EXIT_OK
 
 
@@ -271,19 +265,12 @@ def _cmd_frames(cfg: RunConfig, args) -> int:
         raise ConfigError("frames coincide requires --stack")
     stack = coin.load_frames(stack_path)
     cmap = coin.coincidence_map(stack, reduction="joint_x")
-    # The map describes the stack: its pitch and fingerprint, not the config's.
-    pitch, fp = stack.detector.pitch, stack.fingerprint
-    base = os.path.join(cfg.outdir, "coincidence_xx")
-    # GRD and CSV; no PGM preview of a signed map.
-    if "grd" in cfg.formats:
-        writers.write_grd(cmap.values, base + ".grd", ("x_s", "x_i"),
-                          (pitch, pitch), "counts^2/frame", fingerprint=fp,
-                          extra={"n_frames": cmap.n_frames})
-        print(f"wrote {base}.grd")
-    if "csv" in cfg.formats:
-        writers.write_csv(cmap.values, base + ".csv", ("x_s", "x_i"),
-                          fingerprint=fp)
-        print(f"wrote {base}.csv")
+    # The map describes the stack: its pitch and fingerprint, not the
+    # config's.  GRD and CSV; no PGM preview of a signed map.
+    pitch = stack.detector.pitch
+    _write_2d(cfg, "coincidence_xx", cmap.values, ("x_s", "x_i"),
+              (pitch, pitch), "counts^2/frame", ("grd", "csv"),
+              fingerprint=stack.fingerprint, extra={"n_frames": cmap.n_frames})
     return EXIT_OK
 
 

@@ -197,24 +197,22 @@ def build_discrete_joints(pipeline: Pipeline, z: float, m: int | None = None
 
 
 def _report(pipeline: Pipeline, joints: AveragedJoints, index: int,
-            m: int | None, fingerprint: str,
-            params: dict | None = None) -> EfReport:
+            m: int | None, fingerprint: str) -> EfReport:
     """ef_min at the index-th z of ``joints``, with the grid diagnostics."""
     z = joints.z[index]
     pos, mom = _discrete(pipeline, joints.position[index], joints.momentum, m)
     setup = pipeline.setup
-    merged = {"z": z, "theta_p": setup.theta_p, "kind": setup.kind,
+    params = {"z": z, "theta_p": setup.theta_p, "kind": setup.kind,
               "length": setup.length, "gap": setup.gap}
-    merged.update(params or {})
-    report = ef_min(pos, mom, fingerprint=fingerprint, params=merged)
+    report = ef_min(pos, mom, fingerprint=fingerprint, params=params)
     return replace(report, grid=asdict(joints.diagnostics))
 
 
 def ef_min_at(pipeline: Pipeline, z: float, m: int | None = None,
-              fingerprint: str = "", params: dict | None = None) -> EfReport:
+              fingerprint: str = "") -> EfReport:
     """End-to-end ef_min for one configuration."""
     return _report(pipeline, averaged_joints_x(pipeline, [z]), 0, m,
-                   fingerprint, params)
+                   fingerprint)
 
 
 @dataclass(frozen=True)

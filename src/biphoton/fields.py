@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import BBO, SellmeierModel, TransverseMomentum, make_context
-from .phasematch import (CrystalSetup, PumpSpec, momentum_amplitude,
-                         pump_envelope, sinc)
+from .phasematch import (CrystalSetup, PumpSpec, _phi_split,
+                         momentum_amplitude, pump_envelope, sinc)
 from . import dispersion
 
 TWO_PI = 2.0 * math.pi
@@ -165,8 +165,8 @@ class BiphotonAmplitude4:
 class Distribution:
     """Non-negative probability array with axis metadata.
 
-    ``deltas`` are per-axis bin widths; when ``normalized`` the values sum to
-    one under the product bin volume.
+    ``deltas`` are per-axis bin widths; the values sum to one under the
+    product bin volume.
     """
 
     values: np.ndarray
@@ -174,7 +174,6 @@ class Distribution:
     deltas: tuple[float, ...]
     basis: str
     units: str
-    normalized: bool = True
 
     def __post_init__(self):
         if self.values.ndim != len(self.axis_names) or self.values.ndim != len(self.deltas):
@@ -582,6 +581,34 @@ def _contract(real: np.ndarray, phase: np.ndarray, conjugate: bool,
     return out.transpose(2, 1, 0).reshape(-1, n)
 
 
+def _pair_tables(pipeline: Pipeline):
+    """(ctx, rows, cols, a, b, v): pair tables on the n(n+1)/2
+    upper-triangle pairs (i <= j), in the order of np.triu_indices (rows,
+    cols): a over (q_sx, q_ix), b over (q_sy, q_iy), and the envelope v,
+    which is v_x and v_y alike (the other component of q_s + q_i is 0,
+    and 0 + x = x).  Every one is built from q_s^2 + q_i^2 and q_s + q_i
+    alone, and IEEE addition commutes, so the full tables equal their
+    transposes exactly: the triangle holds each of their values, and a
+    max over it is the max over the table.  Raises
+    :class:`MemoryBudgetError` before allocating when eleven pair arrays
+    exceed ``pipeline.memory_budget``: ten are alive while the mismatch is
+    built (indices, coordinates, their sums and temporaries)."""
+    n, pump = pipeline.grid.n, pipeline.pump
+    need = 88 * (n * (n + 1) // 2)
+    if need > pipeline.memory_budget:
+        raise MemoryBudgetError(f"pair tables need ~{need} bytes (> budget "
+                                f"{pipeline.memory_budget} bytes)")
+    ctx = make_context(pipeline.setup.theta_p, pump.wavelength,
+                       pipeline.model)
+    rows, cols = np.triu_indices(n)
+    q_s, q_i = pipeline.grid.q_axis[rows], pipeline.grid.q_axis[cols]
+    a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
+                                     TransverseMomentum(q_i, q_i),
+                                     ctx, "ignore")
+    v = pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pump)
+    return ctx, rows, cols, a, b, v
+
+
 def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     """Rank-R factors of the pipeline's momentum amplitude.
 
@@ -595,16 +622,16 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     ridge q_ix = -q_sx: if their weighted tail already exceeds
     ``SCREEN_MARGIN`` times ``CHEB_TOL``, the full trial would fail, and K
     doubles without it, so the accepted K is that of the unscreened
-    doubling.  The pair tables are built once, on the n(n+1)/2
-    upper-triangle pairs of the exactly symmetric full tables.  A trial
-    samples sinc, and multiplies it by the K x K basis, only on the L
-    upper-triangle x-pairs where the pump envelope v_x is not 0 (it
-    underflows over most of the table): the factors carry v_x, so the
-    coefficients of the other pairs are exactly 0, which the band tables
-    hold without computing them.  A product over those columns alone moves
-    the last bits of some coefficients against one over the whole table;
-    the accepted K, the kept terms, ``error`` and the polynomial tables
-    are unchanged by it.  The phase goes into the factors:
+    doubling.  The pair tables are built once, on the upper-triangle
+    pairs (:func:`_pair_tables`).  A trial samples sinc, and multiplies it
+    by the K x K basis, only on the L upper-triangle x-pairs where the
+    pump envelope v_x is not 0 (it underflows over most of the table):
+    the factors carry v_x, so the coefficients of the other pairs are
+    exactly 0, which the band tables hold without computing them.  A
+    product over those columns alone moves the last bits of some
+    coefficients against one over the whole table; the accepted K, the
+    kept terms, ``error`` and the polynomial tables are unchanged by it.
+    The phase goes into the factors:
     e^{ih} = e^{iaL/2} e^{ibL/2} for a single crystal, and
     cos g = (e^{ig} + e^{-ig})/2 with g = (a + b)(L + d)/2 for a double
     one, which doubles the rank; the second half of its tables is the
@@ -615,35 +642,23 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     is not 0 (see :class:`AmplitudeFactors`), W = s_hi - s_lo + 1 pairs a
     row, so the recurrence and the complex exponentials run on n W values.
 
-    Raises :class:`MemoryBudgetError` before a trial K allocates when the
-    tables the build holds with it (the triangle pair tables, the trial's
-    K x L tables and the K x K basis, and the K x n x W coefficient and
-    polynomial tables with the n x W phase, index and pair tables) exceed
-    ``pipeline.memory_budget``, and
-    :class:`GridError` when the weighted coefficients are not finite.
+    Raises :class:`MemoryBudgetError` where :func:`_pair_tables` does, and
+    before a trial K allocates when the tables the build holds with it
+    (the triangle pair tables, the trial's K x L tables and the K x K
+    basis, and the K x n x W coefficient and polynomial tables with the
+    n x W phase, index and pair tables) exceed ``pipeline.memory_budget``,
+    and :class:`GridError` when the weighted coefficients are not finite.
     The complex tables are built, and budgeted (:func:`_guarded_factors`),
     only when :meth:`AmplitudeFactors.x` and :meth:`AmplitudeFactors.y`
     are called.
     """
-    pump, setup, grid = pipeline.pump, pipeline.setup, pipeline.grid
-    ctx = make_context(setup.theta_p, pump.wavelength, pipeline.model)
+    setup, grid = pipeline.setup, pipeline.grid
+    ctx, rows, cols, a, b, v = _pair_tables(pipeline)
     q, n = grid.q_axis, grid.n
     dispersion._check_paraxial_all(
         TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
         TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
         ctx, "warn")
-    # Pair tables on the n(n+1)/2 upper-triangle pairs (i <= j), in the
-    # order of np.triu_indices: a over (q_sx, q_ix), b over (q_sy, q_iy),
-    # and the envelope v, which is v_x and v_y alike (the other component
-    # of q_s + q_i is 0, and 0 + x = x).  Every one is built from
-    # q_s^2 + q_i^2 and q_s + q_i alone, and IEEE addition commutes, so
-    # the full tables equal their transposes exactly: the triangle holds
-    # each of their values, and a max over it is the max over the table.
-    rows, cols = np.triu_indices(n)
-    a, b = dispersion.mismatch_split(TransverseMomentum(q[rows], q[rows]),
-                                     TransverseMomentum(q[cols], q[cols]),
-                                     ctx, "ignore")
-    v = pump_envelope(TransverseMomentum(q[rows] + q[cols], 0.0), pump)
     # The live pairs, where v is not 0 (a NaN envelope stays in, so the
     # trial raises on it), and the band: the anti-diagonals from their
     # least to their largest i + j (the pairs q_i = -q_s, where v = 1,
@@ -786,10 +801,11 @@ class AveragedJoints:
     diagnostics: GridDiagnostics
 
 
-def _max_over_pairs(pipeline: Pipeline, ctx, x_pairs, y_pairs,
+def _max_over_pairs(setup: CrystalSetup, x_pairs, y_pairs,
                     best: float = 0.0) -> float:
-    """max(best, max |A|) over every x-pair (q_sx, q_ix) of ``x_pairs``
-    with every y-pair (q_sy, q_iy) of ``y_pairs``, exactly.
+    """max(best, max |A|) over every x-pair of ``x_pairs`` with every y-pair
+    of ``y_pairs``, exactly: each is a part of the mismatch and the
+    envelope, (a, v_x) or (b, v_y), on some pairs of :func:`_pair_tables`.
 
     |A| <= v_x v_y since |Phi| <= 1.  Both lists are sorted by decreasing
     envelope; each chunk of y-pairs is evaluated against only the x-pairs
@@ -797,13 +813,9 @@ def _max_over_pairs(pipeline: Pipeline, ctx, x_pairs, y_pairs,
     maximum, and the walk stops when none can.  Chunks hold at most
     sqrt(len y-pairs) rows, so the first sets the running maximum early.
     """
-    pump = pipeline.pump
-    (sx, ix), (sy, iy) = x_pairs, y_pairs
-    v_x = pump_envelope(TransverseMomentum(sx + ix, 0.0), pump)
-    v_y = pump_envelope(TransverseMomentum(0.0, sy + iy), pump)
+    (a, v_x), (b, v_y) = x_pairs, y_pairs
     ox, oy = np.argsort(-v_x, kind="stable"), np.argsort(-v_y, kind="stable")
-    sx, ix, v_x = sx[ox][None], ix[ox][None], v_x[ox]
-    sy, iy, v_y = sy[oy][:, None], iy[oy][:, None], v_y[oy]
+    a, v_x, b, v_y = a[ox], v_x[ox], b[oy], v_y[oy]
     rows = math.isqrt(v_y.size)
     lo = 0
     while lo < v_y.size:
@@ -812,10 +824,8 @@ def _max_over_pairs(pipeline: Pipeline, ctx, x_pairs, y_pairs,
         if live == 0:
             break
         hi = lo + max(1, min(rows, CHUNK_ELEMS // live))
-        values = momentum_amplitude(
-            TransverseMomentum(sx[:, :live], sy[lo:hi]),
-            TransverseMomentum(ix[:, :live], iy[lo:hi]),
-            pump, pipeline.setup, ctx=ctx, paraxial="ignore")
+        values = _phi_split(a[None, :live], b[lo:hi, None], setup,
+                            (v_x[None, :live], v_y[lo:hi, None]))
         best = max(best, float(np.abs(values).max()))
         lo = hi
     return best
@@ -824,27 +834,21 @@ def _max_over_pairs(pipeline: Pipeline, ctx, x_pairs, y_pairs,
 def _guarded_peak(pipeline: Pipeline) -> tuple[float, float]:
     """(peak |A|, edge / peak); raises where :func:`build_amplitude` does.
 
-    :func:`_max_over_pairs` gives the peak over all pairs, then the edge
-    (the largest |A| on the 4D hull) over four faces, the running maximum
-    passed from one to the next.  A is exactly unchanged when only q_sx and
-    q_ix, or only q_sy and q_iy, are swapped (every term of the mismatch and
-    the envelope is built from sums, which commute), so the upper-triangle
-    pairs (q_s <= q_i) hold every value the full pair list does, and the
-    faces with q_sx or q_sy at one end of its axis hold every hull value.
+    :func:`_max_over_pairs` walks the pair tables of :func:`_pair_tables`
+    for the peak, then for the edge (the largest |A| on the 4D hull), the
+    running maximum passed on.  A is exactly unchanged when only q_sx and
+    q_ix, or only q_sy and q_iy, are swapped, so the upper triangle holds
+    every value of all pairs, and its first row and last column (a
+    coordinate at an end of its axis) every value on the faces of one
+    axis pair: the edge walks them as x-pairs, then as y-pairs.
     """
-    ctx = make_context(pipeline.setup.theta_p, pipeline.pump.wavelength,
-                       pipeline.model)
-    q = pipeline.grid.q_axis
-    upper = np.triu_indices(q.size)
-    half = (q[upper[0]], q[upper[1]])
-    peak = _max_over_pairs(pipeline, ctx, half, half)
+    _, rows, cols, a, b, v = _pair_tables(pipeline)
+    peak = _max_over_pairs(pipeline.setup, (a, v), (b, v))
     if peak == 0.0:
         raise GridError("amplitude is identically zero on the grid")
-    edge = 0.0
-    for end in (q[0], q[-1]):
-        face = (np.full(q.size, end), q)
-        edge = _max_over_pairs(pipeline, ctx, face, half, edge)
-        edge = _max_over_pairs(pipeline, ctx, half, face, edge)
+    face = np.flatnonzero((rows == 0) | (cols == pipeline.grid.n - 1))
+    edge = _max_over_pairs(pipeline.setup, (a[face], v[face]), (b, v))
+    edge = _max_over_pairs(pipeline.setup, (a, v), (b[face], v[face]), edge)
     if pipeline.boundary_tol is not None:
         _check_boundary(edge, peak, pipeline.boundary_tol)
     return peak, edge / peak
@@ -853,11 +857,13 @@ def _guarded_peak(pipeline: Pipeline) -> tuple[float, float]:
 def boundary_ratio(pipeline: Pipeline) -> float:
     """The boundary guard of :func:`build_amplitude` without the 4D array.
 
-    Peak and edge come from one exact walk (:func:`_guarded_peak`) that
-    evaluates only the points whose envelope bound v_x v_y can still raise
-    the running maximum: well under n^3 when the pump envelope decays across
-    the grid.  Raises :class:`SupportTruncationError` on the same
-    configurations, with the same message; returns the ratio edge / peak.
+    Peak and edge come from exact walks (:func:`_guarded_peak`) over the
+    pair tables of the factor build, which evaluate only the points whose
+    envelope bound v_x v_y can still raise the running maximum: well under
+    n^3 when the pump envelope decays across the grid.  Raises
+    :class:`SupportTruncationError` on the same configurations, with the
+    same message, and :class:`MemoryBudgetError` where
+    :func:`_pair_tables` does; returns the ratio edge / peak.
     """
     return _guarded_peak(pipeline)[1]
 

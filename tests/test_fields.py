@@ -285,7 +285,7 @@ class TestReductions:
         vals /= vals.sum() * grid.dx**4
         dist4 = Distribution(values=vals, axis_names=("x_s", "y_s", "x_i", "y_i"),
                              deltas=(grid.dx,) * 4, basis="position",
-                             units="m", normalized=True)
+                             units="m")
         joint = averaged_joint_x(dist4)
         outer = np.outer(joint.values.sum(axis=1),
                          joint.values.sum(axis=0)) * joint.deltas[0] * \
@@ -302,7 +302,7 @@ class TestReductions:
         vals /= vals.sum() * grid.dx**4
         dist4 = Distribution(values=vals, axis_names=("x_s", "y_s", "x_i", "y_i"),
                              deltas=(grid.dx,) * 4, basis="position",
-                             units="m", normalized=True)
+                             units="m")
         cond = conditional_position(dist4)
         marg = s_part / (s_part.sum() * grid.dx**2)
         np.testing.assert_allclose(cond.values, marg, rtol=1e-10)
@@ -356,7 +356,7 @@ class TestReductions:
         vals /= vals.sum() * grid.dx**4
         dist4 = Distribution(values=vals, axis_names=("x_s", "y_s", "x_i", "y_i"),
                              deltas=(grid.dx,) * 4, basis="position",
-                             units="m", normalized=True)
+                             units="m")
         with pytest.raises(DegenerateConditionError):
             conditional_position(dist4)
 
@@ -368,7 +368,7 @@ class TestReductions:
         swapped = Distribution(
             values=np.transpose(dist4.values, (2, 3, 0, 1)),
             axis_names=dist4.axis_names, deltas=dist4.deltas,
-            basis=dist4.basis, units=dist4.units, normalized=True)
+            basis=dist4.basis, units=dist4.units)
         np.testing.assert_allclose(s.values, singles(swapped).values,
                                    atol=1e-12)
 
@@ -477,6 +477,23 @@ class TestAveragedJointsX:
                         run()
                     assert str(info.value) == expected
 
+    @staticmethod
+    def count_points(monkeypatch):
+        """A list that gets the number of points of every evaluation of the
+        amplitude in the boundary walk (``fields._phi_split``)."""
+        import biphoton.fields as fields_module
+        from biphoton.phasematch import _phi_split
+
+        evaluated = []
+
+        def counting(*args, **kwargs):
+            out = _phi_split(*args, **kwargs)
+            evaluated.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(fields_module, "_phi_split", counting)
+        return evaluated
+
     @pytest.mark.parametrize("extent", EXTENTS, ids=extent_id)
     def test_guard_matches_full_pair_walk(self, extent, monkeypatch):
         # The guard walks the upper-triangle pairs only: the same peak and
@@ -484,14 +501,7 @@ class TestAveragedJointsX:
         # evaluated points.
         import biphoton.fields as fields_module
 
-        evaluated = []
-
-        def counting(*args, **kwargs):
-            out = momentum_amplitude(*args, **kwargs)
-            evaluated.append(np.size(out))
-            return out
-
-        monkeypatch.setattr(fields_module, "momentum_amplitude", counting)
+        evaluated = self.count_points(monkeypatch)
         kind, n, extent_keys = extent
         setup = self.setup_of(kind)
         pipe = Pipeline(PUMP, setup,
@@ -508,22 +518,48 @@ class TestAveragedJointsX:
         # The walk evaluates only the points whose envelope bound v_x v_y
         # can still raise the running maximum of the peak or of the hull:
         # at n = 256, fewer than half the n^3 points of one hull face.
-        import biphoton.fields as fields_module
-
-        evaluated = []
-
-        def counting(*args, **kwargs):
-            out = momentum_amplitude(*args, **kwargs)
-            evaluated.append(np.size(out))
-            return out
-
-        monkeypatch.setattr(fields_module, "momentum_amplitude", counting)
+        evaluated = self.count_points(monkeypatch)
         setup = self.setup_of(kind)
         for n, bound in ((32, 5 * 32**3), (64, 5 * 64**3), (256, 256**3 // 2)):
             evaluated.clear()
             boundary_ratio(Pipeline(PUMP, setup,
                                     MomentumGrid4.auto(PUMP, setup, n=n)))
             assert sum(evaluated) <= bound
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_guard_walks_the_pair_tables(self, kind, monkeypatch):
+        # The guard evaluates the amplitude from the pair tables of the
+        # factor build, not through momentum_amplitude.
+        import biphoton.fields as fields_module
+
+        setup = self.setup_of(kind)
+        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=32))
+        ref = fields_module._guarded_peak(pipe)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("momentum_amplitude called")
+
+        monkeypatch.setattr(fields_module, "momentum_amplitude", refuse)
+        assert fields_module._guarded_peak(pipe) == ref
+        assert boundary_ratio(pipe) == ref[1]
+
+    @pytest.mark.parametrize("route", ["boundary_ratio", "averaged_joints_x"])
+    def test_guard_budget_checked_before_allocating(self, route):
+        # At n = 1024 the pair tables alone need about 46 MB: under a 1 MB
+        # budget the guard refuses them before the walk allocates.
+        import biphoton.fields as fields_module
+
+        pipe = Pipeline(PUMP, SETUP, MomentumGrid4.auto(PUMP, SETUP, n=1024),
+                        memory_budget=1024**2)
+        args = ([0.0],) if route == "averaged_joints_x" else ()
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError, match="pair tables"):
+                getattr(fields_module, route)(pipe, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2
 
     def test_diagnostics(self):
         for kind in ("single", "double"):
@@ -541,21 +577,26 @@ class TestAveragedJointsX:
 
 def full_pair_peak(pipeline):
     """(peak |A|, edge / peak) of the boundary walk over every pair
-    (q_s, q_i) of each axis, not only the upper triangle: the reference
-    for the guard."""
+    (q_s, q_i) of each axis, the mismatch and the envelope built on all n^2
+    pairs, and over every face of the 4D hull: the reference for the
+    guard, which takes the upper triangle and its first row and last
+    column."""
     from biphoton import dispersion
     from biphoton.fields import _max_over_pairs
+    from biphoton.phasematch import pump_envelope
 
     ctx = dispersion.make_context(pipeline.setup.theta_p,
                                   pipeline.pump.wavelength)
     q = pipeline.grid.q_axis
-    every = (np.repeat(q, q.size), np.tile(q, q.size))
-    peak = _max_over_pairs(pipeline, ctx, every, every)
-    edge = 0.0
-    for end in (q[0], q[-1]):
-        face = (np.full(q.size, end), q)
-        edge = _max_over_pairs(pipeline, ctx, face, every, edge)
-        edge = _max_over_pairs(pipeline, ctx, every, face, edge)
+    q_s, q_i = np.repeat(q, q.size), np.tile(q, q.size)
+    a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
+                                     TransverseMomentum(q_i, q_i),
+                                     ctx, "ignore")
+    v = pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pipeline.pump)
+    peak = _max_over_pairs(pipeline.setup, (a, v), (b, v))
+    face = np.isin(q_s, q[[0, -1]]) | np.isin(q_i, q[[0, -1]])
+    edge = _max_over_pairs(pipeline.setup, (a[face], v[face]), (b, v))
+    edge = _max_over_pairs(pipeline.setup, (a, v), (b[face], v[face]), edge)
     return peak, edge / peak
 
 

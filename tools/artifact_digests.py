@@ -13,9 +13,13 @@ stacks of three frame blocks (12 000 frames at n = 16, 4000 at n = 32,
 seed 5), so the check crosses block edges.  Each configuration writes
 into its own directory.  Prints one
 ``sha256  path`` line per artifact, the path relative to the output
-directory, in sorted order: a claim that two trees write the same bytes
-is a ``diff`` of two runs, one with ``--src`` set to the other tree's
-``src`` directory.
+directory, in sorted order.  Then it runs commands that must fail, ``ef``
+and ``conditional`` on a truncated extent and ``ef``, ``conditional`` and
+``frames synth`` under a 1024-byte memory budget, and prints one
+``exit <code>`` line for each with the last line it wrote to stderr.  A
+claim that two trees write the same bytes and refuse the same runs is a
+``diff`` of two runs, one with ``--src`` set to the other tree's ``src``
+directory.
 
 ``--src`` is the directory ``biphoton`` is imported from (default: the
 ``src`` beside this script).  The artifacts go to a temporary directory
@@ -28,6 +32,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -54,6 +59,16 @@ FRAMES = ["--frames", "500", "--seed", "3"]
 #: n -> frames of a stack of three 4 MiB blocks at the default ROI (5349
 #: frames a block at n = 16, 1820 at n = 32).
 LONG_FRAMES = {16: 12_000, 32: 4000}
+#: (name, config, command) of the runs that must fail.
+TRUNCATED = {"grid": {"n": 16, "c1": 0.2, "c2": 0.05}}
+BUDGET = {"grid": {"memory_budget": 1024}}
+REFUSALS = (
+    ("truncated", TRUNCATED, ["ef"]),
+    ("truncated", TRUNCATED, ["conditional"]),
+    ("budget", BUDGET, ["ef"]),
+    ("budget", BUDGET, ["conditional"]),
+    ("budget", BUDGET, ["frames", "synth"]),
+)
 
 
 def run(main, argvs) -> None:
@@ -86,6 +101,27 @@ def write_artifacts(main, out: str) -> None:
                                       "--frames", str(frames), "--seed", "5"]))
 
 
+def refusals(main, out: str) -> list[str]:
+    """``exit <code>`` and the last stderr line of each of ``REFUSALS``,
+    run with ``out`` as the output directory; exit if one succeeds."""
+    os.makedirs(out)
+    lines = []
+    for name, data, command in REFUSALS:
+        config = os.path.join(out, f"{name}.json")
+        with open(config, "w") as fh:
+            json.dump(data, fh)
+        argv = ["--config", config, "--out", out] + command
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            raise SystemExit(f"biphoton {' '.join(argv)} succeeded")
+        last = (err.getvalue().splitlines() or [""])[-1]
+        lines.append(f"exit {code}  {name} {' '.join(command)}: {last}")
+    return lines
+
+
 def digests(out: str) -> list[str]:
     """``sha256  path`` for every file under ``out``, sorted by path."""
     lines = []
@@ -109,6 +145,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as out:
         write_artifacts(cli_main, out)
         for line in digests(out):
+            print(line)
+        for line in refusals(cli_main, os.path.join(out, "refusals")):
             print(line)
     return 0
 
