@@ -81,9 +81,6 @@ CHEB_TOL = 1e-14
 #: below the gap between the two levels.
 SCREEN_MARGIN = 4.0
 
-#: Elements per batched evaluation of the amplitude in the boundary guard.
-CHUNK_ELEMS = 2**20
-
 
 class GridError(ValueError):
     """Grid construction or grid/operation mismatch."""
@@ -436,8 +433,8 @@ def singles(dist4: Distribution) -> Distribution:
 class Pipeline:
     """Convenience bundle: one source configuration plus its grid and context.
 
-    Builds the momentum amplitude once; position-space quantities at any z
-    are derived by (cheap) phase multiplication plus transform.
+    Each 4D method builds the momentum amplitude; position-space quantities
+    at z are derived from it by (cheap) phase multiplication plus transform.
     """
 
     pump: PumpSpec
@@ -452,21 +449,15 @@ class Pipeline:
                                boundary_tol=self.boundary_tol,
                                memory_budget=self.memory_budget)
 
-    def position_amplitude(self, z: float,
-                           amp: BiphotonAmplitude4 | None = None) -> BiphotonAmplitude4:
-        if amp is None:
-            amp = self.momentum_amplitude()
-        amp = propagate(amp, z)
+    def position_amplitude(self, z: float) -> BiphotonAmplitude4:
+        amp = propagate(self.momentum_amplitude(), z)
         return to_position(amp, memory_budget=self.memory_budget)
 
-    def momentum_distribution(self, amp: BiphotonAmplitude4 | None = None) -> Distribution:
-        if amp is None:
-            amp = self.momentum_amplitude()
-        return momentum_pdf(amp)
+    def momentum_distribution(self) -> Distribution:
+        return momentum_pdf(self.momentum_amplitude())
 
-    def position_distribution(self, z: float,
-                              amp: BiphotonAmplitude4 | None = None) -> Distribution:
-        return position_pdf(self.position_amplitude(z, amp))
+    def position_distribution(self, z: float) -> Distribution:
+        return position_pdf(self.position_amplitude(z))
 
 
 # --- rank-R engine: the amplitude as a sum of separable x/y terms ----------
@@ -582,31 +573,51 @@ def _contract(real: np.ndarray, phase: np.ndarray, conjugate: bool,
 
 
 def _pair_tables(pipeline: Pipeline):
-    """(ctx, rows, cols, a, b, v): pair tables on the n(n+1)/2
-    upper-triangle pairs (i <= j), in the order of np.triu_indices (rows,
-    cols): a over (q_sx, q_ix), b over (q_sy, q_iy), and the envelope v,
-    which is v_x and v_y alike (the other component of q_s + q_i is 0,
-    and 0 + x = x).  Every one is built from q_s^2 + q_i^2 and q_s + q_i
-    alone, and IEEE addition commutes, so the full tables equal their
-    transposes exactly: the triangle holds each of their values, and a
-    max over it is the max over the table.  Raises
-    :class:`MemoryBudgetError` before allocating when eleven pair arrays
-    exceed ``pipeline.memory_budget``: ten are alive while the mismatch is
-    built (indices, coordinates, their sums and temporaries)."""
-    n, pump = pipeline.grid.n, pipeline.pump
-    need = 88 * (n * (n + 1) // 2)
+    """(ctx, s_lo, cols, a, b, v, b_span): pair tables on the band of
+    :func:`_band` that holds every pair where the envelope is not 0, each
+    entry evaluated at its own pair (i, cols[i, k]): a over (q_sx, q_ix),
+    b over (q_sy, q_iy), and the envelope v (0 off the grid), which is v_x
+    and v_y alike (the other component of q_s + q_i is 0, and 0 + x = x).
+    Each is built from q_s^2 + q_i^2 and q_s + q_i alone, and IEEE addition
+    commutes, so the n x n tables equal their transposes exactly.
+    ``b_span`` is b's (min, max) over all n^2 pairs, which lie on middle
+    and end pairs: b falls as q_s^2 + q_i^2 grows along an anti-diagonal.
+    v falls with |q_s + q_i|, the same along an anti-diagonal to a few ulps:
+    it is 0 on every anti-diagonal farther from the ridge (i + j = n) than
+    one whose middle pair has v = 0, so the band is built one anti-diagonal
+    past the live middle pairs, then trimmed.  Raises MemoryBudgetError
+    before allocating it when 160 bytes an entry exceed the budget: 88
+    while the tables are built or walked, 72 a point of the guard's chunks."""
+    n, pump, q = pipeline.grid.n, pipeline.pump, pipeline.grid.q_axis
+    ctx = make_context(pipeline.setup.theta_p, pump.wavelength,
+                       pipeline.model)
+
+    def tables(rows, cols):
+        q_s, q_i = q[rows], q[cols]
+        a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
+                                         TransverseMomentum(q_i, q_i),
+                                         ctx, "ignore")
+        return a, b, pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pump)
+
+    # The middle pair of each anti-diagonal s, then its end pair.
+    s = np.arange(2 * n - 1)
+    ends = np.maximum(s - n + 1, 0)
+    _, b_span, v = tables(np.concatenate([s // 2, ends]),
+                          np.concatenate([s - s // 2, s - ends]))
+    live = np.flatnonzero(v[:s.size] != 0)
+    s_lo = max(int(live[0]) - 1, 0)
+    width = min(int(live[-1]) + 1, s[-1]) - s_lo + 1
+    need = 160 * n * width
     if need > pipeline.memory_budget:
         raise MemoryBudgetError(f"pair tables need ~{need} bytes (> budget "
                                 f"{pipeline.memory_budget} bytes)")
-    ctx = make_context(pipeline.setup.theta_p, pump.wavelength,
-                       pipeline.model)
-    rows, cols = np.triu_indices(n)
-    q_s, q_i = pipeline.grid.q_axis[rows], pipeline.grid.q_axis[cols]
-    a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
-                                     TransverseMomentum(q_i, q_i),
-                                     ctx, "ignore")
-    v = pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pump)
-    return ctx, rows, cols, a, b, v
+    cols, valid = _band(n, s_lo, width)
+    a, b, v = tables(np.arange(n)[:, None], cols)
+    v[~valid] = 0.0
+    live = np.flatnonzero((v != 0).any(axis=0))
+    band = slice(live[0], live[-1] + 1)
+    return (ctx, s_lo + int(live[0]), cols[:, band], a[:, band],
+            b[:, band], v[:, band], (b_span.min(), b_span.max()))
 
 
 def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
@@ -622,12 +633,12 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     ridge q_ix = -q_sx: if their weighted tail already exceeds
     ``SCREEN_MARGIN`` times ``CHEB_TOL``, the full trial would fail, and K
     doubles without it, so the accepted K is that of the unscreened
-    doubling.  The pair tables are built once, on the upper-triangle
-    pairs (:func:`_pair_tables`).  A trial samples sinc, and multiplies it
-    by the K x K basis, only on the L upper-triangle x-pairs where the
-    pump envelope v_x is not 0 (it underflows over most of the table):
-    the factors carry v_x, so the coefficients of the other pairs are
-    exactly 0, which the band tables hold without computing them.  A
+    doubling.  The pair tables are built once, on the envelope band
+    (:func:`_pair_tables`).  A trial samples sinc, and multiplies it by the
+    K x K basis, only on the L x-pairs of the band's upper half (i <= j)
+    where the pump envelope v_x is not 0 (it underflows over most of the
+    table): the factors carry v_x, so the coefficients of the other pairs
+    are exactly 0; the lower half takes those of the mirrored pairs.  A
     product over those columns alone moves the last bits of some
     coefficients against one over the whole table; the accepted K, the
     kept terms, ``error`` and the polynomial tables are unchanged by it.
@@ -638,44 +649,35 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     conjugate of the first.  ``error`` is the weighted sum of the dropped
     coefficients plus a rounding term, eps times the weighted sum of all
     of them.  The coefficients, the polynomials and the phases are stored
-    on the band of anti-diagonals that holds every pair where an envelope
-    is not 0 (see :class:`AmplitudeFactors`), W = s_hi - s_lo + 1 pairs a
-    row, so the recurrence and the complex exponentials run on n W values.
+    on the band (see :class:`AmplitudeFactors`), W pairs a row, so the
+    recurrence and the complex exponentials run on n W values.
 
     Raises :class:`MemoryBudgetError` where :func:`_pair_tables` does, and
     before a trial K allocates when the tables the build holds with it
-    (the triangle pair tables, the trial's K x L tables and the K x K
-    basis, and the K x n x W coefficient and polynomial tables with the
-    n x W phase, index and pair tables) exceed ``pipeline.memory_budget``,
+    (the band pair tables, the trial's K x L tables and the K x K basis,
+    and the K x n x W coefficient and polynomial tables with the n x W
+    phase, index and mask tables) exceed ``pipeline.memory_budget``,
     and :class:`GridError` when the weighted coefficients are not finite.
     The complex tables are built, and budgeted (:func:`_guarded_factors`),
     only when :meth:`AmplitudeFactors.x` and :meth:`AmplitudeFactors.y`
     are called.
     """
     setup, grid = pipeline.setup, pipeline.grid
-    ctx, rows, cols, a, b, v = _pair_tables(pipeline)
-    q, n = grid.q_axis, grid.n
+    ctx, s_lo, cols, a, b, v, (b_min, b_max) = _pair_tables(pipeline)
+    q, n, width = grid.q_axis, grid.n, v.shape[1]
     dispersion._check_paraxial_all(
         TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
         TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
         ctx, "warn")
-    # The live pairs, where v is not 0 (a NaN envelope stays in, so the
-    # trial raises on it), and the band: the anti-diagonals from their
-    # least to their largest i + j (the pairs q_i = -q_s, where v = 1,
-    # keep it from being empty).
-    live = np.flatnonzero(v != 0)
-    sums = rows[live] + cols[live]
-    del rows, cols
-    s_lo = int(sums.min())
-    width = int(sums.max()) - s_lo + 1
+    # The live x-pairs: the band's upper half where v is not 0 (a NaN
+    # envelope stays in, so the trial raises on it), in the order of the
+    # upper-triangle pairs (i, j), row by row.
+    live = v != 0
+    upper = live & (np.arange(n)[:, None] <= cols)
     half = setup.length / 2.0
-    mid = (b.max() + b.min()) / 2.0
-    rad = (b.max() - b.min()) / 2.0
+    mid = (b_max + b_min) / 2.0
+    rad = (b_max - b_min) / 2.0
     terms = 1 if setup.kind == "single" else 2
-
-    def column(lo, hi):
-        # The upper-triangle column of the pair (lo, hi), lo <= hi.
-        return lo * n - lo * (lo - 1) // 2 + hi - lo
 
     def trial(nodes, a_pairs, v_pairs):
         # Chebyshev coefficients of the interpolant through sinc h at the
@@ -696,22 +698,22 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
                   * v.max())
         return coeffs, weight
 
-    # The envelope ridge q_ix = -q_sx, where v = 1: every q_sx but the
-    # first, whose negative is off the grid.
-    ridge = np.arange(1, n)
-    ridge = column(np.minimum(ridge, n - ridge), np.maximum(ridge, n - ridge))
-    a_live, v_live = a[live], v[live]
+    # The envelope ridge q_ix = -q_sx, where v = 1: anti-diagonal n, every
+    # q_sx but the first, whose negative is off the grid.
+    ridge = n - s_lo
+    a_live, v_live = a[upper], v[upper]
     nodes = CHEB_START
     while True:
-        # What the build holds from here on: the three triangle pair
-        # tables, the live columns and their a and v; the trial's three
-        # K x L tables (the sinc argument, the samples and |argument| while
-        # sinc runs, the coefficients beside the samples or the weighted
+        # What the build holds from here on: the three band pair tables,
+        # the live pairs' a and v and their mask; the trial's three K x L
+        # tables (the sinc argument, the samples and |argument| while sinc
+        # runs, the coefficients beside the samples or the weighted
         # coefficients after) and the K x K basis; then the band tables it
         # would leave (two K x n x W real, two n x W complex) and, while
-        # they are built, eight n x W index and pair tables.
-        need = (8 * (3 * a.size + 3 * live.size + 3 * nodes * live.size
-                     + nodes * nodes + 2 * nodes * n * width + 8 * n * width)
+        # they are built, eight n x W index, mask and pair tables.
+        need = (8 * (3 * n * width + 3 * a_live.size
+                     + 3 * nodes * a_live.size + nodes * nodes
+                     + 2 * nodes * n * width + 8 * n * width)
                 + 2 * n * width * 16)
         if need > pipeline.memory_budget:
             raise MemoryBudgetError(
@@ -721,7 +723,7 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
         # over CHEB_TOL on the table too, whatever the order of rounding:
         # the full trial would fail.  A non-finite probe compares False and
         # goes on to the full trial, which raises.
-        probe = trial(nodes, a[ridge], v[ridge])[1]
+        probe = trial(nodes, a[1:, ridge], v[1:, ridge])[1]
         if probe[-2:].max() > SCREEN_MARGIN * CHEB_TOL:
             nodes *= 2
             continue
@@ -737,22 +739,16 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
     error = float(tail[kept] + EPS * tail[0])
 
-    # Band entry (i, k) is the pair (i, col[i, k]), the upper-triangle
-    # column of (min, max) of the two; its coefficients are those of that
-    # column's place among the live ones, and 0 where it has none (v = 0)
-    # or lies off the grid.
-    col, valid = _band(n, s_lo, width)
-    row = np.arange(n)[:, None]
-    pair = column(np.minimum(row, col), np.maximum(row, col))
-    at = np.searchsorted(live, pair)
-    np.minimum(at, live.size - 1, out=at)
-    held = valid & (live[at] == pair)
-    coeffs = np.take(coeffs[:kept], np.where(held, at, 0), axis=1)
-    coeffs[:, ~held] = 0.0
-    del at, held
+    # The upper half takes the kept coefficients, and a lower-half entry
+    # (i, k), the pair (i, j = cols[i, k]), those of its mirror (j, k) on the
+    # same anti-diagonal; 0 where v is 0 or the pair is off the grid.
+    table = np.zeros((kept, n, width))
+    table[:, upper] = coeffs[:kept]
+    del coeffs, a_live, v_live
+    lower = live & ~upper
+    table[:, lower] = table[:, cols[lower], np.nonzero(lower)[1]]
 
     # T_j(t(b)) by the three-term recurrence, on the y-pair band.
-    b = b[pair]
     t = (b - mid) / rad if rad > 0.0 else np.zeros_like(b)
     cheb = np.empty((kept, n, width))
     cheb[0] = 1.0
@@ -761,16 +757,14 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     for j in range(2, kept):
         np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
         cheb[j] -= cheb[j - 2]
-    a = a[pair]
-    env = np.where(valid, v[pair], 0.0)
     if setup.kind == "single":
-        phase_x = env * np.exp(1j * a * half)
-        phase_y = env * np.exp(1j * b * half)
+        phase_x = v * np.exp(1j * a * half)
+        phase_y = v * np.exp(1j * b * half)
     else:
         g = (setup.length + setup.gap) / 2.0
-        phase_x = env * np.exp(1j * a * g) / 2.0
-        phase_y = env * np.exp(1j * b * g)
-    return AmplitudeFactors(coeffs=coeffs, cheb=cheb, phase_x=phase_x,
+        phase_x = v * np.exp(1j * a * g) / 2.0
+        phase_y = v * np.exp(1j * b * g)
+    return AmplitudeFactors(coeffs=table, cheb=cheb, phase_x=phase_x,
                             phase_y=phase_y, conjugate=setup.kind != "single",
                             error=error, k=ctx.k_signal, s_lo=s_lo)
 
@@ -801,21 +795,20 @@ class AveragedJoints:
     diagnostics: GridDiagnostics
 
 
-def _max_over_pairs(setup: CrystalSetup, x_pairs, y_pairs,
+def _max_over_pairs(setup: CrystalSetup, x_pairs, y_pairs, elems: int,
                     best: float = 0.0) -> float:
     """max(best, max |A|) over every x-pair of ``x_pairs`` with every y-pair
     of ``y_pairs``, exactly: each is a part of the mismatch and the
-    envelope, (a, v_x) or (b, v_y), on some pairs of :func:`_pair_tables`.
+    envelope, (a, v_x) or (b, v_y), on some pairs of :func:`_pair_tables`,
+    sorted by decreasing envelope.
 
-    |A| <= v_x v_y since |Phi| <= 1.  Both lists are sorted by decreasing
-    envelope; each chunk of y-pairs is evaluated against only the x-pairs
-    whose bound, with room for rounding, can still exceed the running
-    maximum, and the walk stops when none can.  Chunks hold at most
-    sqrt(len y-pairs) rows, so the first sets the running maximum early.
+    |A| <= v_x v_y since |Phi| <= 1.  Each chunk of y-pairs is evaluated
+    against only the x-pairs whose bound, with room for rounding, can still
+    exceed the running maximum, and the walk stops when none can.  Chunks
+    hold at most sqrt(len y-pairs) rows, so the first sets the running
+    maximum early, and at most ``elems`` points unless one row holds more.
     """
     (a, v_x), (b, v_y) = x_pairs, y_pairs
-    ox, oy = np.argsort(-v_x, kind="stable"), np.argsort(-v_y, kind="stable")
-    a, v_x, b, v_y = a[ox], v_x[ox], b[oy], v_y[oy]
     rows = math.isqrt(v_y.size)
     lo = 0
     while lo < v_y.size:
@@ -823,7 +816,7 @@ def _max_over_pairs(setup: CrystalSetup, x_pairs, y_pairs,
         live = int(np.count_nonzero(bound > best))
         if live == 0:
             break
-        hi = lo + max(1, min(rows, CHUNK_ELEMS // live))
+        hi = lo + max(1, min(rows, elems // live))
         values = _phi_split(a[None, :live], b[lo:hi, None], setup,
                             (v_x[None, :live], v_y[lo:hi, None]))
         best = max(best, float(np.abs(values).max()))
@@ -837,18 +830,24 @@ def _guarded_peak(pipeline: Pipeline) -> tuple[float, float]:
     :func:`_max_over_pairs` walks the pair tables of :func:`_pair_tables`
     for the peak, then for the edge (the largest |A| on the 4D hull), the
     running maximum passed on.  A is exactly unchanged when only q_sx and
-    q_ix, or only q_sy and q_iy, are swapped, so the upper triangle holds
-    every value of all pairs, and its first row and last column (a
-    coordinate at an end of its axis) every value on the faces of one
-    axis pair: the edge walks them as x-pairs, then as y-pairs.
+    q_ix, or only q_sy and q_iy, are swapped, so the band's upper half
+    where v is not 0, sorted once by decreasing v, holds every nonzero
+    |A|, and its entries with i = 0 or cols = n - 1 (a coordinate at an end
+    of its axis) every one on the faces of one axis pair: the edge walks
+    them as x-pairs, then as y-pairs, at most n W points a chunk.
     """
-    _, rows, cols, a, b, v = _pair_tables(pipeline)
-    peak = _max_over_pairs(pipeline.setup, (a, v), (b, v))
+    n, setup = pipeline.grid.n, pipeline.setup
+    _, _, cols, a, b, v, _ = _pair_tables(pipeline)
+    rows = np.arange(n)[:, None]
+    upper = (rows <= cols) & (v != 0)
+    order = np.argsort(-v[upper], kind="stable")
+    face = ((rows == 0) | (cols == n - 1))[upper][order]
+    a, b, v = a[upper][order], b[upper][order], v[upper][order]
+    peak = _max_over_pairs(setup, (a, v), (b, v), cols.size)
     if peak == 0.0:
         raise GridError("amplitude is identically zero on the grid")
-    face = np.flatnonzero((rows == 0) | (cols == pipeline.grid.n - 1))
-    edge = _max_over_pairs(pipeline.setup, (a[face], v[face]), (b, v))
-    edge = _max_over_pairs(pipeline.setup, (a, v), (b[face], v[face]), edge)
+    edge = _max_over_pairs(setup, (a[face], v[face]), (b, v), cols.size)
+    edge = _max_over_pairs(setup, (a, v), (b[face], v[face]), cols.size, edge)
     if pipeline.boundary_tol is not None:
         _check_boundary(edge, peak, pipeline.boundary_tol)
     return peak, edge / peak

@@ -6,6 +6,7 @@ FFT path.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -496,9 +497,9 @@ class TestAveragedJointsX:
 
     @pytest.mark.parametrize("extent", EXTENTS, ids=extent_id)
     def test_guard_matches_full_pair_walk(self, extent, monkeypatch):
-        # The guard walks the upper-triangle pairs only: the same peak and
-        # ratio, to the last bit, as the walk over every pair, from fewer
-        # evaluated points.
+        # The guard walks the band's upper half where the envelope is not 0:
+        # the same peak and ratio, to the last bit, as the walk over every
+        # pair, from fewer evaluated points.
         import biphoton.fields as fields_module
 
         evaluated = self.count_points(monkeypatch)
@@ -561,6 +562,67 @@ class TestAveragedJointsX:
             tracemalloc.stop()
         assert peak < 1024**2
 
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_guard_walk_within_its_budget(self, kind, n, monkeypatch):
+        # The pair tables' check counts one point of the walk an entry, and
+        # a chunk of the walk holds at most one point an entry: under the
+        # least budget the check admits, the guard's traced peak stays
+        # within it, with the ratio of the default budget; one byte less is
+        # refused before the walk.
+        import biphoton.fields as fields_module
+
+        setup = self.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n)
+        with pytest.raises(MemoryBudgetError, match="pair tables") as info:
+            boundary_ratio(Pipeline(PUMP, setup, grid, memory_budget=1))
+        need = int(re.search(r"~(\d+) bytes", str(info.value)).group(1))
+        tracemalloc.start()
+        try:
+            got = boundary_ratio(Pipeline(PUMP, setup, grid,
+                                          memory_budget=need))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
+        assert got == boundary_ratio(Pipeline(PUMP, setup, grid))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("boundary walk reached")
+
+        monkeypatch.setattr(fields_module, "_max_over_pairs", refuse)
+        with pytest.raises(MemoryBudgetError, match="pair tables"):
+            boundary_ratio(Pipeline(PUMP, setup, grid,
+                                    memory_budget=need - 1))
+
+    @pytest.mark.parametrize("extent", EXTENTS + [
+        (kind, n, {}) for kind in ("single", "double") for n in (128, 256, 512)
+    ], ids=extent_id)
+    def test_band_tables_match_full_pairs(self, extent):
+        # The pair tables hold the anti-diagonals from the least to the
+        # largest i + j of the pairs where v != 0, each valid entry with the
+        # bits of the n x n tables at its pair and v = 0 off the grid, and
+        # the Chebyshev interval is b's extremes over all n^2 pairs.
+        from biphoton.fields import _band, _pair_tables
+
+        kind, n, extent_keys = extent
+        setup = self.setup_of(kind)
+        pipe = Pipeline(PUMP, setup,
+                        MomentumGrid4.auto(PUMP, setup, n=n, **extent_keys))
+        _, s_lo, cols, a, b, v, (b_min, b_max) = _pair_tables(pipe)
+        ref_a, ref_b, ref_v = full_pair_tables(setup, pipe.grid.q_axis)
+        sums = np.add.outer(np.arange(n), np.arange(n))[ref_v != 0]
+        assert s_lo == sums.min()
+        assert v.shape == (n, sums.max() - s_lo + 1)
+        assert (b_min.hex(), b_max.hex()) == (ref_b.min().hex(),
+                                              ref_b.max().hex())
+        band_cols, valid = _band(n, s_lo, v.shape[1])
+        assert np.array_equal(cols, band_cols)
+        rows = np.nonzero(valid)[0]
+        for got, ref in ((a, ref_a), (b, ref_b), (v, ref_v)):
+            assert got[valid].tobytes() == ref[rows, cols[valid]].tobytes()
+        assert np.all(v[~valid] == 0.0)
+
     def test_diagnostics(self):
         for kind in ("single", "double"):
             setup = self.setup_of(kind)
@@ -579,8 +641,8 @@ def full_pair_peak(pipeline):
     """(peak |A|, edge / peak) of the boundary walk over every pair
     (q_s, q_i) of each axis, the mismatch and the envelope built on all n^2
     pairs, and over every face of the 4D hull: the reference for the
-    guard, which takes the upper triangle and its first row and last
-    column."""
+    guard, which takes the band's upper half and its entries with i = 0 or
+    j = n - 1."""
     from biphoton import dispersion
     from biphoton.fields import _max_over_pairs
     from biphoton.phasematch import pump_envelope
@@ -593,11 +655,29 @@ def full_pair_peak(pipeline):
                                      TransverseMomentum(q_i, q_i),
                                      ctx, "ignore")
     v = pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pipeline.pump)
-    peak = _max_over_pairs(pipeline.setup, (a, v), (b, v))
+    order = np.argsort(-v, kind="stable")
+    q_s, q_i, a, b, v = q_s[order], q_i[order], a[order], b[order], v[order]
+    elems = 2**20
+    peak = _max_over_pairs(pipeline.setup, (a, v), (b, v), elems)
     face = np.isin(q_s, q[[0, -1]]) | np.isin(q_i, q[[0, -1]])
-    edge = _max_over_pairs(pipeline.setup, (a[face], v[face]), (b, v))
-    edge = _max_over_pairs(pipeline.setup, (a, v), (b[face], v[face]), edge)
+    edge = _max_over_pairs(pipeline.setup, (a[face], v[face]), (b, v), elems)
+    edge = _max_over_pairs(pipeline.setup, (a, v), (b[face], v[face]), elems,
+                           edge)
     return peak, edge / peak
+
+
+def full_pair_tables(setup, q):
+    """(a, b, v) of the factor build on all n x n pairs (q_s, q_i) of one
+    axis: a over (q_sx, q_ix), b over (q_sy, q_iy), and the envelope."""
+    from biphoton import dispersion
+    from biphoton.phasematch import pump_envelope
+
+    rows, cols = q[:, None], q[None, :]
+    ctx = dispersion.make_context(setup.theta_p, PUMP.wavelength)
+    a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
+                                     TransverseMomentum(cols, cols),
+                                     ctx, "ignore")
+    return a, b, pump_envelope(TransverseMomentum(rows + cols, 0.0), PUMP)
 
 
 def unscreened_factors(pipeline):
@@ -709,14 +789,14 @@ def envelope_x(pipeline):
 
 def factor_need(pipeline, nodes, width):
     """The bytes the factor build counts for a trial of ``nodes`` terms and
-    a band ``width`` wide: the three n(n+1)/2 triangle pair tables, the L
-    live pairs (v_x != 0) with their a and v, the trial's three K x L
-    tables and the K x K basis, the two K x n x W band tables, eight n x W
-    index and pair tables and the two n x W complex phase tables."""
+    a band ``width`` wide: the three n x W band pair tables, the L live
+    pairs (i <= j and v_x != 0) with their a and v, the trial's three
+    K x L tables and the K x K basis, the two K x n x W band tables, eight
+    n x W index, mask and pair tables and the two n x W complex phase
+    tables."""
     n = pipeline.grid.n
-    upper = np.triu_indices(n)
-    live = np.count_nonzero(envelope_x(pipeline)[upper])
-    return (8 * (3 * upper[0].size + 3 * live + 3 * nodes * live
+    live = np.count_nonzero(envelope_x(pipeline)[np.triu_indices(n)])
+    return (8 * (3 * n * width + 3 * live + 3 * nodes * live
                  + nodes * nodes + 2 * nodes * n * width + 8 * n * width)
             + 2 * n * width * 16)
 
@@ -925,10 +1005,11 @@ class TestRankFactors:
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])
     def test_pair_tables_are_symmetric(self, kind, n):
-        # The factor build evaluates its pair tables on the upper triangle
-        # alone, with one envelope for v_x and v_y, and the guard walks
-        # upper-triangle pairs: both rest on a, b and the envelopes
-        # equalling their transposes, and v_y equalling v_x, exactly.
+        # The factor build samples its trial on the band's upper half alone
+        # and mirrors it onto the lower half, with one envelope for v_x and
+        # v_y, and the guard walks the band's upper half: both rest on a, b
+        # and the envelopes equalling their transposes, and v_y equalling
+        # v_x, exactly.
         from biphoton import dispersion
         from biphoton.phasematch import pump_envelope
 
@@ -1108,8 +1189,8 @@ class TestRankFactors:
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])
     def test_factor_build_peak_under_its_budget(self, kind, monkeypatch):
         # The build holds no K x n(n+1)/2 table: its traced peak stays under
-        # what it counts, with the K x L live columns of the trial in place
-        # of the whole triangle.
+        # what it counts, the n x W band pair tables and the K x L live
+        # columns of the trial.
         n = 256
         setup = TestAveragedJointsX.setup_of(
             "single" if kind == "wide" else kind)

@@ -8,10 +8,13 @@ Runs ``ef``, ``scan z`` (0, 5, 10 mm), ``simulate pos``, ``simulate mom``,
 ``frames coincide`` in process, at n = 16, 32 and 64, for the default
 single crystal, the 1 mm + 4 mm double crystal, and a single crystal set
 by every flag that names a config key, each at a value other than its
-default.  It also runs ``frames synth`` and ``frames coincide`` alone on
-stacks of three frame blocks (12 000 frames at n = 16, 4000 at n = 32,
-seed 5), so the check crosses block edges.  Each configuration writes
-into its own directory.  Prints one
+default; and at n = 16 and 32 for the double crystal on a wide momentum
+extent, ``grid.c2`` = 3.3 from a config file, where the pump-envelope
+band is one and three anti-diagonals wide and the rank is 134 and 140.
+It also runs ``frames synth`` and ``frames
+coincide`` alone on stacks of three frame blocks (12 000 frames at
+n = 16, 4000 at n = 32, seed 5), so the check crosses block edges.  Each
+configuration writes into its own directory.  Prints one
 ``sha256  path`` line per artifact, the path relative to the output
 directory, in sorted order.  Then it runs commands that must fail, ``ef``
 and ``conditional`` on a truncated extent and ``ef``, ``conditional`` and
@@ -22,8 +25,8 @@ claim that two trees write the same bytes and refuse the same runs is a
 directory.
 
 ``--src`` is the directory ``biphoton`` is imported from (default: the
-``src`` beside this script).  The artifacts go to a temporary directory
-that is removed at the end.
+``src`` beside this script).  The artifacts and config files go to a
+temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ COMMANDS = (
     ["singles"],
     ["conditional"],
 )
+#: (name, config, flags, sizes) of the configuration set by a config file:
+#: a narrow envelope band and a large rank.
+WIDE = ("double-wide", {"grid": {"c2": 3.3}}, CONFIGS["double"], (16, 32))
 FRAMES = ["--frames", "500", "--seed", "3"]
 #: n -> frames of a stack of three 4 MiB blocks at the default ROI (5349
 #: frames a block at n = 16, 1820 at n = 32).
@@ -87,10 +93,16 @@ def frames_runs(where: str, common: list[str]) -> list[list[str]]:
                       os.path.join(where, "frames.bpfs")]]
 
 
-def write_artifacts(main, out: str) -> None:
-    """Run every command of every configuration into ``out``."""
-    for name, flags in CONFIGS.items():
-        for n in SIZES:
+def write_artifacts(main, out: str, config: str) -> None:
+    """Run every command of every configuration into ``out``, with the
+    config file of ``WIDE`` written to ``config``."""
+    name, data, flags, sizes = WIDE
+    with open(config, "w") as fh:
+        json.dump(data, fh)
+    configs = [(name, flags, SIZES) for name, flags in CONFIGS.items()]
+    configs.append((name, ["--config", config] + flags, sizes))
+    for name, flags, sizes in configs:
+        for n in sizes:
             where = os.path.join(out, f"{name}-n{n}")
             common = ["--out", where, "--n", str(n)] + flags + FRAMES
             run(main, [common + command for command in COMMANDS]
@@ -142,11 +154,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from biphoton.cli import main as cli_main
 
-    with tempfile.TemporaryDirectory(prefix="artifact-digests-") as out:
-        write_artifacts(cli_main, out)
+    with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
+        out = os.path.join(tmp, "artifacts")
+        write_artifacts(cli_main, out, os.path.join(tmp, "wide.json"))
         for line in digests(out):
             print(line)
-        for line in refusals(cli_main, os.path.join(out, "refusals")):
+        for line in refusals(cli_main, os.path.join(tmp, "refusals")):
             print(line)
     return 0
 
