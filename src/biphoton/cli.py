@@ -179,11 +179,8 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_conditional(cfg: RunConfig, args) -> int:
     pipe = _pipeline(cfg)
-    # The boundary guard: conditional_position_direct runs none of its own.
-    fields.boundary_ratio(pipe)
-    cond = fields.conditional_position_direct(
-        pipe.pump, pipe.setup, cfg.z, pipe.grid, model=pipe.model,
-        memory_budget=pipe.memory_budget)
+    cond = fields._conditional_direct(pipe, fields._guarded_factors(pipe)[0],
+                                      cfg.z)
     _write_2d(cfg, "conditional_pos", cond.values, cond.axis_names,
               cond.deltas, cond.units)
     return EXIT_OK

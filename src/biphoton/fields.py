@@ -392,10 +392,16 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     propagation phase multiplies B once.  Matches ``conditional_position``
     of the 4D pipeline on shared grids when rho_i0 lies on a node.  Raises
     :class:`MemoryBudgetError` where :func:`amplitude_factors` does under
-    ``memory_budget``.
+    ``memory_budget``.  Runs no boundary guard (:func:`_guarded_factors`).
     """
-    factors = amplitude_factors(Pipeline(pump, setup, grid, model,
-                                         memory_budget=memory_budget))
+    pipe = Pipeline(pump, setup, grid, model, memory_budget=memory_budget)
+    return _conditional_direct(pipe, amplitude_factors(pipe), z, rho_i0)
+
+
+def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
+                        z: float, rho_i0=(0.0, 0.0)) -> Distribution:
+    """:func:`conditional_position_direct` from the pipeline's factors."""
+    grid = pipeline.grid
     q = grid.q_axis
     x0, y0 = rho_i0
     propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
@@ -410,10 +416,8 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateConditionError(
             f"conditional amplitude at rho_i0 = {rho_i0} carries no probability")
-    bin_area = grid.dx * grid.dx
-    return Distribution(values=_normalize(values, bin_area),
-                        axis_names=("x_s", "y_s"),
-                        deltas=(grid.dx, grid.dx),
+    return Distribution(values=_normalize(values, grid.dx * grid.dx),
+                        axis_names=("x_s", "y_s"), deltas=(grid.dx, grid.dx),
                         basis="position", units="m")
 
 
@@ -658,12 +662,15 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     and the K x n x W coefficient and polynomial tables with the n x W
     phase, index and mask tables) exceed ``pipeline.memory_budget``,
     and :class:`GridError` when the weighted coefficients are not finite.
-    The complex tables are built, and budgeted (:func:`_guarded_factors`),
-    only when :meth:`AmplitudeFactors.x` and :meth:`AmplitudeFactors.y`
-    are called.
-    """
+    Only :meth:`AmplitudeFactors.x` and :meth:`AmplitudeFactors.y` build
+    the complex tables, and the routes that call them budget them."""
+    return _build_factors(pipeline, _pair_tables(pipeline))
+
+
+def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
+    """:func:`amplitude_factors` on the pipeline's :func:`_pair_tables`."""
     setup, grid = pipeline.setup, pipeline.grid
-    ctx, s_lo, cols, a, b, v, (b_min, b_max) = _pair_tables(pipeline)
+    ctx, s_lo, cols, a, b, v, (b_min, b_max) = tables
     q, n, width = grid.q_axis, grid.n, v.shape[1]
     dispersion._check_paraxial_all(
         TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
@@ -824,20 +831,22 @@ def _max_over_pairs(setup: CrystalSetup, x_pairs, y_pairs, elems: int,
     return best
 
 
-def _guarded_peak(pipeline: Pipeline) -> tuple[float, float]:
-    """(peak |A|, edge / peak); raises where :func:`build_amplitude` does.
+def _guarded_peak(pipeline: Pipeline, tables) -> tuple[float, float]:
+    """(peak |A|, edge / peak) without the 4D array; raises where
+    :func:`build_amplitude` does, with its message.
 
-    :func:`_max_over_pairs` walks the pair tables of :func:`_pair_tables`
-    for the peak, then for the edge (the largest |A| on the 4D hull), the
-    running maximum passed on.  A is exactly unchanged when only q_sx and
-    q_ix, or only q_sy and q_iy, are swapped, so the band's upper half
-    where v is not 0, sorted once by decreasing v, holds every nonzero
-    |A|, and its entries with i = 0 or cols = n - 1 (a coordinate at an end
-    of its axis) every one on the faces of one axis pair: the edge walks
-    them as x-pairs, then as y-pairs, at most n W points a chunk.
+    :func:`_max_over_pairs` walks the pipeline's pair tables ``tables``
+    (:func:`_pair_tables`) for the peak, then for the edge (the largest |A|
+    on the 4D hull), the running maximum passed on.  A is exactly unchanged
+    when only q_sx and q_ix, or only q_sy and q_iy, are swapped, so the
+    band's upper half where v is not 0, sorted once by decreasing v, holds
+    every nonzero |A|, and its entries with i = 0 or cols = n - 1 (a
+    coordinate at an end of its axis) every one on the faces of one axis
+    pair: the edge walks them as x-pairs, then as y-pairs, at most n W
+    points a chunk.
     """
     n, setup = pipeline.grid.n, pipeline.setup
-    _, _, cols, a, b, v, _ = _pair_tables(pipeline)
+    _, _, cols, a, b, v, _ = tables
     rows = np.arange(n)[:, None]
     upper = (rows <= cols) & (v != 0)
     order = np.argsort(-v[upper], kind="stable")
@@ -853,38 +862,28 @@ def _guarded_peak(pipeline: Pipeline) -> tuple[float, float]:
     return peak, edge / peak
 
 
-def boundary_ratio(pipeline: Pipeline) -> float:
-    """The boundary guard of :func:`build_amplitude` without the 4D array.
-
-    Peak and edge come from exact walks (:func:`_guarded_peak`) over the
-    pair tables of the factor build, which evaluate only the points whose
-    envelope bound v_x v_y can still raise the running maximum: well under
-    n^3 when the pump envelope decays across the grid.  Raises
-    :class:`SupportTruncationError` on the same configurations, with the
-    same message, and :class:`MemoryBudgetError` where
-    :func:`_pair_tables` does; returns the ratio edge / peak.
-    """
-    return _guarded_peak(pipeline)[1]
-
-
 def _guarded_factors(pipeline: Pipeline,
                      ) -> tuple[AmplitudeFactors, GridDiagnostics]:
     """The rank-R factors (:func:`amplitude_factors`) with their
-    diagnostics, after the boundary guard (:func:`_guarded_peak`): a
-    truncated grid raises where :func:`build_amplitude` does, before any
-    factor table is built.  Every route through here builds both complex
-    R x n^2 tables (:meth:`AmplitudeFactors.x`, :meth:`AmplitudeFactors.y`),
-    so it raises :class:`MemoryBudgetError` when they exceed
-    ``pipeline.memory_budget``, before either is built."""
-    peak, ratio = _guarded_peak(pipeline)
-    factors = amplitude_factors(pipeline)
+    diagnostics, the one entry of the CLI into the engine: the boundary
+    guard (:func:`_guarded_peak`) walks the pair tables (:func:`_pair_tables`,
+    built once) before the factor build reads them, so a truncated grid
+    raises where :func:`build_amplitude` does, before any factor table."""
+    tables = _pair_tables(pipeline)
+    peak, ratio = _guarded_peak(pipeline, tables)
+    factors = _build_factors(pipeline, tables)
+    return factors, GridDiagnostics(boundary_ratio=ratio, rank=factors.rank,
+                                    interpolation_error=factors.error / peak)
+
+
+def _check_complex(pipeline: Pipeline, factors: AmplitudeFactors) -> None:
+    """Refuse, before either is built, both complex R x n^2 tables
+    (:meth:`AmplitudeFactors.x`, :meth:`AmplitudeFactors.y`) over budget."""
     need = 2 * factors.rank * pipeline.grid.n**2 * 16
     if need > pipeline.memory_budget:
         raise MemoryBudgetError(
             f"rank-{factors.rank} complex factor tables need ~{need} bytes "
             f"(> budget {pipeline.memory_budget} bytes)")
-    return factors, GridDiagnostics(boundary_ratio=ratio, rank=factors.rank,
-                                    interpolation_error=factors.error / peak)
 
 
 def _transform_phase(q: np.ndarray, z: float, k: float) -> np.ndarray:
@@ -946,6 +945,7 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
     factors, diagnostics = _guarded_factors(pipeline)
+    _check_complex(pipeline, factors)
     weighted = _gram_weighted(factors.x(), factors.y())
     mom = (np.abs(weighted) ** 2).sum(axis=0)
     phased = np.empty_like(weighted)
@@ -1032,6 +1032,7 @@ def position_factors(pipeline: Pipeline, z: float) -> PositionFactors:
     transformed, and freed, before the next is built, so at most four tables
     and the real ones are alive at once."""
     factors = _guarded_factors(pipeline)[0]
+    _check_complex(pipeline, factors)
     phase = _transform_phase(pipeline.grid.q_axis, z, factors.k)
     x = factors.x()
     x = _transform(x, phase, x)

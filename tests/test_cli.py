@@ -321,7 +321,7 @@ class TestCliCommands:
         def degenerate(*args, **kwargs):
             raise fields.DegenerateConditionError("no probability")
 
-        monkeypatch.setattr(fields, "conditional_position_direct", degenerate)
+        monkeypatch.setattr(fields, "_conditional_direct", degenerate)
         assert self.run("--n", "16", "conditional", outdir=tmp_path) == 3
         assert "fields: no probability" in capsys.readouterr().err
 

@@ -28,7 +28,6 @@ from biphoton.fields import (
     amplitude_factors,
     averaged_joint_x,
     averaged_joints_x,
-    boundary_ratio,
     build_amplitude,
     conditional_position,
     conditional_position_direct,
@@ -47,6 +46,14 @@ from biphoton.phasematch import CrystalSetup, PumpSpec, momentum_amplitude
 PUMP = PumpSpec(355e-9, 507e-6)
 THETA = math.radians(32.9)
 SETUP = CrystalSetup.single(5e-3, THETA)
+
+
+def boundary_ratio(pipeline):
+    """edge / peak of the boundary guard (``fields._guarded_peak``) on the
+    pipeline's pair tables, which it builds (``fields._pair_tables``)."""
+    from biphoton.fields import _guarded_peak, _pair_tables
+
+    return _guarded_peak(pipeline, _pair_tables(pipeline))[1]
 
 
 def small_amplitude(n=8, boundary_tol=None):
@@ -500,7 +507,7 @@ class TestAveragedJointsX:
         # The guard walks the band's upper half where the envelope is not 0:
         # the same peak and ratio, to the last bit, as the walk over every
         # pair, from fewer evaluated points.
-        import biphoton.fields as fields_module
+        from biphoton.fields import _guarded_peak, _pair_tables
 
         evaluated = self.count_points(monkeypatch)
         kind, n, extent_keys = extent
@@ -511,7 +518,7 @@ class TestAveragedJointsX:
         full = full_pair_peak(pipe)
         full_points = sum(evaluated)
         evaluated.clear()
-        assert fields_module._guarded_peak(pipe) == full
+        assert _guarded_peak(pipe, _pair_tables(pipe)) == full
         assert sum(evaluated) < full_points
 
     @pytest.mark.parametrize("kind", ["single", "double"])
@@ -535,28 +542,28 @@ class TestAveragedJointsX:
 
         setup = self.setup_of(kind)
         pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=32))
-        ref = fields_module._guarded_peak(pipe)
+        tables = fields_module._pair_tables(pipe)
+        ref = fields_module._guarded_peak(pipe, tables)
 
         def refuse(*args, **kwargs):
             raise AssertionError("momentum_amplitude called")
 
         monkeypatch.setattr(fields_module, "momentum_amplitude", refuse)
-        assert fields_module._guarded_peak(pipe) == ref
+        assert fields_module._guarded_peak(pipe, tables) == ref
         assert boundary_ratio(pipe) == ref[1]
 
     @pytest.mark.parametrize("route", ["boundary_ratio", "averaged_joints_x"])
     def test_guard_budget_checked_before_allocating(self, route):
         # At n = 1024 the pair tables alone need about 46 MB: under a 1 MB
         # budget the guard refuses them before the walk allocates.
-        import biphoton.fields as fields_module
-
         pipe = Pipeline(PUMP, SETUP, MomentumGrid4.auto(PUMP, SETUP, n=1024),
                         memory_budget=1024**2)
         args = ([0.0],) if route == "averaged_joints_x" else ()
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetError, match="pair tables"):
-                getattr(fields_module, route)(pipe, *args)
+                {"boundary_ratio": boundary_ratio,
+                 "averaged_joints_x": averaged_joints_x}[route](pipe, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -940,10 +947,10 @@ class TestRankFactors:
         # verdict without building a factor table.
         import biphoton.fields as fields_module
 
-        def refuse(pipeline):
+        def refuse(pipeline, tables):
             raise AssertionError("factor build reached")
 
-        monkeypatch.setattr(fields_module, "amplitude_factors", refuse)
+        monkeypatch.setattr(fields_module, "_build_factors", refuse)
         grid = MomentumGrid4.auto(PUMP, SETUP, n=16, c1=0.2, c2=0.05)
         with pytest.raises(SupportTruncationError):
             getattr(fields_module, route)(Pipeline(PUMP, SETUP, grid), *args)
