@@ -39,3 +39,17 @@ def test_child_setup_runs(workload):
     proc = run_python(os.path.join(PERFBENCH, "child.py"), "setup",
                       json.dumps({"workload": workload, "seed": 1}))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_child_conditional_runs(tmp_path):
+    # The conditional mode calls fields.conditional_position_direct
+    # positionally, untimed once and then for at least one timed call.
+    out = tmp_path / "conditional.npy"
+    proc = run_python(os.path.join(PERFBENCH, "child.py"), "conditional",
+                      json.dumps({"seed": 1, "seconds": 0, "out": str(out)}))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert len(result["times"]) == 1
+    assert result["checks"] == {"finite": True, "non_negative": True,
+                                "normalized": True}
+    assert out.exists()

@@ -342,6 +342,30 @@ class TestCliCommands:
         monkeypatch.setattr(fields, "build_amplitude", refuse)
         assert self.run("--n", "16", *command, outdir=tmp_path) == 0
 
+    @pytest.mark.parametrize("command", [
+        ("ef",), ("scan", "z", "--values", "0mm,5mm,10mm"), ("simulate", "pos"),
+        ("simulate", "mom"), ("singles",), ("conditional",),
+        ("frames", "synth")],
+        ids=["ef", "scan-z", "simulate-pos", "simulate-mom", "singles",
+             "conditional", "frames-synth"])
+    def test_one_pair_table_pass_per_command(self, tmp_path, monkeypatch,
+                                             command):
+        # The boundary guard and the factor build read one set of pair
+        # tables: one fields._pair_tables call per configuration.
+        from biphoton import fields
+
+        calls = []
+        build = fields._pair_tables
+
+        def counted(pipeline):
+            calls.append(pipeline)
+            return build(pipeline)
+
+        monkeypatch.setattr(fields, "_pair_tables", counted)
+        assert self.run("--n", "32", "--frames", "100", *command,
+                        outdir=tmp_path) == 0
+        assert len(calls) == 1
+
     def test_ef_report_grid_diagnostics(self, tmp_path):
         for out in ("a", "b"):
             assert self.run("--n", "16", "ef", outdir=tmp_path / out) == 0
