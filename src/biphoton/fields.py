@@ -206,6 +206,14 @@ def _check_boundary(edge: float, peak: float, boundary_tol: float) -> None:
             f"{boundary_tol:g}; enlarge the momentum extent (c1/c2 or n)")
 
 
+def _check_budget(pipeline: Pipeline, need: int, what: str) -> None:
+    """Raise :class:`MemoryBudgetError` when ``what`` needs more than
+    ``pipeline.memory_budget`` bytes."""
+    if need > pipeline.memory_budget:
+        raise MemoryBudgetError(f"{what} need ~{need} bytes (> budget "
+                                f"{pipeline.memory_budget} bytes)")
+
+
 def estimate_build_bytes(grid: MomentumGrid4) -> int:
     return grid.n**4 * 16 * BUILD_FACTOR
 
@@ -392,7 +400,8 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     propagation phase multiplies B once.  Matches ``conditional_position``
     of the 4D pipeline on shared grids when rho_i0 lies on a node.  Raises
     :class:`MemoryBudgetError` where :func:`amplitude_factors` does under
-    ``memory_budget``.  Runs no boundary guard (:func:`_guarded_factors`).
+    ``memory_budget``, and when its own tables beside the factors exceed
+    it.  Runs no boundary guard (:func:`_guarded_factors`).
     """
     pipe = Pipeline(pump, setup, grid, model, memory_budget=memory_budget)
     return _conditional_direct(pipe, amplitude_factors(pipe), z, rho_i0)
@@ -400,8 +409,15 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
 
 def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
                         z: float, rho_i0=(0.0, 0.0)) -> Distribution:
-    """:func:`conditional_position_direct` from the pipeline's factors."""
+    """:func:`conditional_position_direct` from the pipeline's factors.
+    Raises :class:`MemoryBudgetError` before it allocates when its tables
+    beside the real ones of ``factors`` exceed the budget: the two R x n
+    contractions with room for their temporaries (two more R x n and six
+    n x W tables), and B with its transform (four n x n), all complex."""
     grid = pipeline.grid
+    n, width = grid.n, factors.phase_x.shape[1]
+    own = 4 * factors.rank * n + 6 * n * width + 4 * n * n
+    _check_budget(pipeline, factors.nbytes + 16 * own, "conditional tables")
     q = grid.q_axis
     x0, y0 = rho_i0
     propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
@@ -503,6 +519,11 @@ class AmplitudeFactors:
     @property
     def rank(self) -> int:
         return self.coeffs.shape[0] * (2 if self.conjugate else 1)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(t.nbytes for t in (self.coeffs, self.cheb, self.phase_x,
+                                      self.phase_y))
 
     def x(self) -> np.ndarray:
         return _complex_table(self.coeffs, self.phase_x, self.conjugate,
@@ -611,10 +632,7 @@ def _pair_tables(pipeline: Pipeline):
     live = np.flatnonzero(v[:s.size] != 0)
     s_lo = max(int(live[0]) - 1, 0)
     width = min(int(live[-1]) + 1, s[-1]) - s_lo + 1
-    need = 160 * n * width
-    if need > pipeline.memory_budget:
-        raise MemoryBudgetError(f"pair tables need ~{need} bytes (> budget "
-                                f"{pipeline.memory_budget} bytes)")
+    _check_budget(pipeline, 160 * n * width, "pair tables")
     cols, valid = _band(n, s_lo, width)
     a, b, v = tables(np.arange(n)[:, None], cols)
     v[~valid] = 0.0
@@ -657,11 +675,12 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     recurrence and the complex exponentials run on n W values.
 
     Raises :class:`MemoryBudgetError` where :func:`_pair_tables` does, and
-    before a trial K allocates when the tables the build holds with it
-    (the band pair tables, the trial's K x L tables and the K x K basis,
-    and the K x n x W coefficient and polynomial tables with the n x W
-    phase, index and mask tables) exceed ``pipeline.memory_budget``,
-    and :class:`GridError` when the weighted coefficients are not finite.
+    before each stage of the build allocates when the pair tables and that
+    stage exceed ``pipeline.memory_budget``: a trial K (its K x L tables
+    and the K x K basis), then the band tables of the kept terms (the
+    K x n x W coefficient and polynomial tables with n x W phase tables
+    and temporaries); and :class:`GridError` when the weighted
+    coefficients are not finite.
     Only :meth:`AmplitudeFactors.x` and :meth:`AmplitudeFactors.y` build
     the complex tables, and the routes that call them budget them."""
     return _build_factors(pipeline, _pair_tables(pipeline))
@@ -709,23 +728,19 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     # q_sx but the first, whose negative is off the grid.
     ridge = n - s_lo
     a_live, v_live = a[upper], v[upper]
+    # The build holds the four n x W pair tables (cols, a, b, v) beside one
+    # of two stages, each checked before it allocates.
+    pairs, size = 32 * n * width, a_live.size
     nodes = CHEB_START
     while True:
-        # What the build holds from here on: the three band pair tables,
-        # the live pairs' a and v and their mask; the trial's three K x L
-        # tables (the sinc argument, the samples and |argument| while sinc
-        # runs, the coefficients beside the samples or the weighted
-        # coefficients after) and the K x K basis; then the band tables it
-        # would leave (two K x n x W real, two n x W complex) and, while
-        # they are built, eight n x W index, mask and pair tables.
-        need = (8 * (3 * n * width + 3 * a_live.size
-                     + 3 * nodes * a_live.size + nodes * nodes
-                     + 2 * nodes * n * width + 8 * n * width)
-                + 2 * n * width * 16)
-        if need > pipeline.memory_budget:
-            raise MemoryBudgetError(
-                f"rank-{nodes * terms} amplitude factors need ~{need} bytes "
-                f"(> budget {pipeline.memory_budget} bytes)")
+        # The trial: its three K x L tables (the sinc argument, the samples
+        # and |argument| while sinc runs, the coefficients beside the
+        # samples or the weighted coefficients after) with sinc's K x L
+        # mask, the K x K basis and its argument, three L tables (the live
+        # pairs' a and v, a's shift) and the n x W masks.
+        _check_budget(pipeline, pairs + 25 * nodes * size
+                      + 8 * (2 * nodes * nodes + 3 * size + n * width),
+                      f"rank-{nodes * terms} amplitude factors")
         # The ridge is part of the table, so a ridge tail over the margin is
         # over CHEB_TOL on the table too, whatever the order of rounding:
         # the full trial would fail.  A non-finite probe compares False and
@@ -745,6 +760,14 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     tail = np.cumsum(weight[::-1])[::-1]
     kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
     error = float(tail[kept] + EPS * tail[0])
+    # The band tables of the kept terms: the coefficient table beside the
+    # trial's coefficients and the live pairs' a and v, then beside the
+    # polynomial table, t, the two n x W complex phase tables and room for
+    # three complex temporaries (the gathered lower half is smaller).
+    banded = kept * n * width + max((nodes + 2) * size,
+                                    (kept + 11) * n * width)
+    _check_budget(pipeline, pairs + 8 * banded,
+                  f"rank-{kept * terms} amplitude factors")
 
     # The upper half takes the kept coefficients, and a lower-half entry
     # (i, k), the pair (i, j = cols[i, k]), those of its mirror (j, k) on the
@@ -876,14 +899,16 @@ def _guarded_factors(pipeline: Pipeline,
                                     interpolation_error=factors.error / peak)
 
 
-def _check_complex(pipeline: Pipeline, factors: AmplitudeFactors) -> None:
-    """Refuse, before either is built, both complex R x n^2 tables
-    (:meth:`AmplitudeFactors.x`, :meth:`AmplitudeFactors.y`) over budget."""
-    need = 2 * factors.rank * pipeline.grid.n**2 * 16
-    if need > pipeline.memory_budget:
-        raise MemoryBudgetError(
-            f"rank-{factors.rank} complex factor tables need ~{need} bytes "
-            f"(> budget {pipeline.memory_budget} bytes)")
+def _check_complex(pipeline: Pipeline, factors: AmplitudeFactors,
+                   tables: float) -> None:
+    """Refuse, before any complex factor table is built, a route whose
+    largest stage holds ``tables`` complex R x n^2 tables beside the real
+    tables of ``factors``, with room for four complex n x n and four R x R
+    tables (phases, sums, the Gram matrix and its eigenvectors)."""
+    n, rank = pipeline.grid.n, factors.rank
+    need = factors.nbytes + math.ceil(16 * (tables * rank * n * n
+                                            + 4 * (n * n + rank * rank)))
+    _check_budget(pipeline, need, f"rank-{rank} complex factor tables")
 
 
 def _transform_phase(q: np.ndarray, z: float, k: float) -> np.ndarray:
@@ -945,7 +970,10 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
     factors, diagnostics = _guarded_factors(pipeline)
-    _check_complex(pipeline, factors)
+    # x, y and y^* while the Gram matrix is formed; then, per z, the
+    # weighted tables, the phased buffer, |.|^2 and the two passes of the
+    # FFT.
+    _check_complex(pipeline, factors, 4.5 if zs else 3)
     weighted = _gram_weighted(factors.x(), factors.y())
     mom = (np.abs(weighted) ** 2).sum(axis=0)
     phased = np.empty_like(weighted)
@@ -1032,7 +1060,11 @@ def position_factors(pipeline: Pipeline, z: float) -> PositionFactors:
     transformed, and freed, before the next is built, so at most four tables
     and the real ones are alive at once."""
     factors = _guarded_factors(pipeline)[0]
-    _check_complex(pipeline, factors)
+    # Y, its two FFT passes and the transformed X; or, in the Gram
+    # reduction of singles_direct, X, Y, the conjugate of one and two
+    # n x R x R Gram tables.
+    _check_complex(pipeline, factors,
+                   max(4, 3 + 2 * factors.rank / pipeline.grid.n))
     phase = _transform_phase(pipeline.grid.q_axis, z, factors.k)
     x = factors.x()
     x = _transform(x, phase, x)

@@ -343,9 +343,9 @@ class TestCliCommands:
         assert self.run("--n", "16", *command, outdir=tmp_path) == 0
 
     @pytest.mark.parametrize("command", [
-        ("ef",), ("scan", "z", "--values", "0mm,5mm,10mm"), ("simulate", "pos"),
-        ("simulate", "mom"), ("singles",), ("conditional",),
-        ("frames", "synth")],
+        ("ef",), ("scan", "z", "--values", "0mm,5mm,10mm"),
+        ("simulate", "pos"), ("simulate", "mom"), ("singles",),
+        ("conditional",), ("frames", "synth")],
         ids=["ef", "scan-z", "simulate-pos", "simulate-mom", "singles",
              "conditional", "frames-synth"])
     def test_one_pair_table_pass_per_command(self, tmp_path, monkeypatch,

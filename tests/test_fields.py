@@ -19,6 +19,7 @@ from biphoton.fields import (
     Distribution,
     EPS,
     EXTENT_C2,
+    MEMORY_BUDGET,
     GridError,
     MemoryBudgetError,
     MomentumGrid4,
@@ -416,12 +417,13 @@ class TestAveragedJointsX:
             assert self.max_rel_err(ref.values, got.values) <= 1e-12
 
     def test_budget_holds_the_factors(self):
-        # Single crystal, n = 32: the joints build the two complex R x n^2
-        # factor tables, which need exactly this many bytes, more than the
-        # real tables of any trial of the factor build.
+        # Single crystal, n = 32: the joints' largest stage, the complex
+        # R x n^2 tables with the Gram and transform buffers, needs more
+        # than the real tables of any trial of the factor build; under it
+        # the joints keep their bits.
         grid = MomentumGrid4.auto(PUMP, SETUP, n=32)
-        rank = amplitude_factors(Pipeline(PUMP, SETUP, grid)).rank
-        budget = 2 * rank * 32 * 32 * 16
+        budget = least_budget(lambda budget: averaged_joints_x(
+            Pipeline(PUMP, SETUP, grid, memory_budget=budget), self.ZS))
         one = averaged_joints_x(Pipeline(PUMP, SETUP, grid), self.ZS)
         tight = averaged_joints_x(Pipeline(PUMP, SETUP, grid,
                                            memory_budget=budget), self.ZS)
@@ -429,7 +431,7 @@ class TestAveragedJointsX:
         assert np.array_equal(one.momentum.values, tight.momentum.values)
         for a, b in zip(one.position, tight.position):
             assert np.array_equal(a.values, b.values)
-        with pytest.raises(MemoryBudgetError):
+        with pytest.raises(MemoryBudgetError, match="complex factor tables"):
             averaged_joints_x(Pipeline(PUMP, SETUP, grid,
                                        memory_budget=budget - 1), self.ZS)
 
@@ -794,18 +796,34 @@ def envelope_x(pipeline):
                          pipeline.pump)
 
 
-def factor_need(pipeline, nodes, width):
-    """The bytes the factor build counts for a trial of ``nodes`` terms and
-    a band ``width`` wide: the three n x W band pair tables, the L live
-    pairs (i <= j and v_x != 0) with their a and v, the trial's three
-    K x L tables and the K x K basis, the two K x n x W band tables, eight
-    n x W index, mask and pair tables and the two n x W complex phase
-    tables."""
+def factor_need(pipeline, nodes, kept, width):
+    """The bytes the factor build counts for its last trial of ``nodes``
+    terms, ``kept`` of them kept, on a band ``width`` wide: the four n x W
+    pair tables beside the larger of two stages.  The trial: 25 bytes a
+    point of its K x L tables over the L live pairs (i <= j and
+    v_x != 0), two K x K tables, three L tables and one n x W table.  The
+    band: the kept K x n x W coefficient table beside the trial's K x L
+    coefficients and two L tables, or beside the kept polynomial table and
+    11 n x W tables."""
     n = pipeline.grid.n
     live = np.count_nonzero(envelope_x(pipeline)[np.triu_indices(n)])
-    return (8 * (3 * n * width + 3 * live + 3 * nodes * live
-                 + nodes * nodes + 2 * nodes * n * width + 8 * n * width)
-            + 2 * n * width * 16)
+    trial = 25 * nodes * live + 8 * (2 * nodes**2 + 3 * live + n * width)
+    band = 8 * (kept * n * width + max((nodes + 2) * live,
+                                       (kept + 11) * n * width))
+    return 32 * n * width + max(trial, band)
+
+
+def least_budget(call):
+    """The least ``memory_budget`` under which ``call(budget)`` runs: each
+    refusal names the bytes of the check that refused, so the budget is
+    raised to them until no check refuses."""
+    budget = 1
+    while True:
+        try:
+            call(budget)
+            return budget
+        except MemoryBudgetError as exc:
+            budget = int(re.search(r"~(\d+) bytes", str(exc)).group(1))
 
 
 def factor_error(factors, grid, setup):
@@ -897,17 +915,17 @@ class TestRankFactors:
 
     def test_budget_checked_before_allocating(self):
         grid = MomentumGrid4.auto(PUMP, SETUP, n=64)
-        # The K = 16 trial fails on the ridge; the K = 32 build needs
-        # about 1.5 MB.
+        # The K = 16 trial fails on the ridge; the K = 32 trial needs
+        # about 0.63 MB.
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetError):
                 amplitude_factors(Pipeline(PUMP, SETUP, grid,
-                                           memory_budget=1024**2))
+                                           memory_budget=512 * 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1024**2
+        assert peak < 512 * 1024
 
     def test_non_finite_extent_raises_before_allocating(self):
         # A non-finite extent gives a non-finite dq: the grid refuses it.
@@ -1154,6 +1172,16 @@ class TestRankFactors:
             assert self.rel_err(ref, got.values) <= 1e-13
 
     @staticmethod
+    def traced(call):
+        """(call(), tracemalloc peak of the call)."""
+        tracemalloc.start()
+        try:
+            got = call()
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
     def traced_nodes(monkeypatch, n, call):
         """(call(), tracemalloc peak of the call, K of its kept trial)."""
         import biphoton.fields as fields_module
@@ -1177,27 +1205,40 @@ class TestRankFactors:
         return got, peak, nodes[-1]
 
     def test_conditional_budget_counts_the_band(self, monkeypatch):
-        # The direct conditional builds no complex table, so a budget below
-        # the two complex R x n^2 tables holds it, and its peak stays under
-        # the tables the factor build counts (factor_need).
+        # The direct conditional builds no complex table: the least budget
+        # it admits counts the factor build, the real band tables and its
+        # own R x n and n x n tables, under a tenth of the two complex
+        # R x n^2 tables, and its traced peak stays within it; one byte
+        # less is refused before the transform.
+        import biphoton.fields as fields_module
+
         n = 256
         setup = TestAveragedJointsX.setup_of("double")
         grid = MomentumGrid4.auto(PUMP, setup, n=n)
-        got, peak, k = self.traced_nodes(
-            monkeypatch, n, lambda: conditional_position_direct(
-                PUMP, setup, 7.5e-3, grid, memory_budget=100e6))
-        ref = conditional_position_direct(PUMP, setup, 7.5e-3, grid)
-        assert np.array_equal(got.values, ref.values)
-        pipe = Pipeline(PUMP, setup, grid)
-        factors = amplitude_factors(pipe)
-        estimate = factor_need(pipe, k, factors.coeffs.shape[2])
-        assert peak < estimate < 100e6 < 2 * factors.rank * n * n * 16
+
+        def run(budget):
+            return conditional_position_direct(PUMP, setup, 7.5e-3, grid,
+                                               memory_budget=budget)
+
+        budget = least_budget(run)
+        got, peak = self.traced(lambda: run(budget))
+        assert np.array_equal(got.values, run(MEMORY_BUDGET).values)
+        rank = amplitude_factors(Pipeline(PUMP, setup, grid)).rank
+        assert peak <= budget < 2 * rank * n * n * 16 / 10
+
+        def refuse(*args):
+            raise AssertionError("transform reached")
+
+        monkeypatch.setattr(fields_module, "_centered_ift_axis", refuse)
+        with pytest.raises(MemoryBudgetError, match="conditional tables"):
+            run(budget - 1)
 
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])
     def test_factor_build_peak_under_its_budget(self, kind, monkeypatch):
-        # The build holds no K x n(n+1)/2 table: its traced peak stays under
-        # what it counts, the n x W band pair tables and the K x L live
-        # columns of the trial.
+        # The build holds no K x n(n+1)/2 table, and it counts the larger of
+        # its two stages, not their sum: its traced peak stays under what
+        # it counts (factor_need, the least budget it admits), and at or
+        # above nine tenths of it.
         n = 256
         setup = TestAveragedJointsX.setup_of(
             "single" if kind == "wide" else kind)
@@ -1206,8 +1247,13 @@ class TestRankFactors:
         pipe = Pipeline(PUMP, setup, grid)
         factors, peak, k = self.traced_nodes(
             monkeypatch, n, lambda: amplitude_factors(pipe))
-        need = factor_need(pipe, k, factors.coeffs.shape[2])
-        assert peak < need
+        need = factor_need(pipe, k, factors.coeffs.shape[0],
+                           factors.coeffs.shape[2])
+        assert 0.9 * need <= peak < need
+        amplitude_factors(Pipeline(PUMP, setup, grid, memory_budget=need))
+        with pytest.raises(MemoryBudgetError, match="amplitude factors"):
+            amplitude_factors(Pipeline(PUMP, setup, grid,
+                                       memory_budget=need - 1))
 
     @pytest.mark.parametrize("route, args", [
         ("averaged_joints_x", ([0.0],)),
@@ -1228,6 +1274,41 @@ class TestRankFactors:
                         memory_budget=100e6)
         with pytest.raises(MemoryBudgetError, match="complex factor tables"):
             getattr(fields_module, route)(pipe, *args)
+
+    @pytest.mark.parametrize("route, args", [
+        ("averaged_joints_x", ([0.0, 7.5e-3],)),
+        ("averaged_joints_x", ([],)),
+        ("position_factors", (7.5e-3,)),
+        ("singles_direct", (7.5e-3,)),
+    ], ids=["averaged_joints_x-2z", "averaged_joints_x-0z",
+            "position_factors", "singles_direct"])
+    @pytest.mark.parametrize("kind", ["single", "double", "wide"])
+    def test_complex_routes_within_their_budget(self, kind, route, args,
+                                                monkeypatch):
+        # Each route that builds the complex tables counts its largest
+        # stage: under the least budget it admits, its traced peak stays
+        # within it; one byte less is refused before any complex table is
+        # built.
+        import biphoton.fields as fields_module
+
+        setup = TestAveragedJointsX.setup_of(
+            "single" if kind == "wide" else kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=128,
+                                  **(self.WIDE if kind == "wide" else {}))
+
+        def run(budget):
+            return getattr(fields_module, route)(
+                Pipeline(PUMP, setup, grid, memory_budget=budget), *args)
+
+        budget = least_budget(run)
+        assert self.traced(lambda: run(budget))[1] <= budget
+
+        def refuse(*args):
+            raise AssertionError("complex factor table built")
+
+        monkeypatch.setattr(fields_module, "_complex_table", refuse)
+        with pytest.raises(MemoryBudgetError, match="complex factor tables"):
+            run(budget - 1)
 
     def test_position_factors_peak(self):
         # Each complex table is built from the real tables, phased in
