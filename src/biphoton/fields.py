@@ -680,9 +680,9 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     and the K x K basis), then the band tables of the kept terms (the
     K x n x W coefficient and polynomial tables with n x W phase tables
     and temporaries); and :class:`GridError` when the weighted
-    coefficients are not finite.
-    Only :meth:`AmplitudeFactors.x` and :meth:`AmplitudeFactors.y` build
-    the complex tables, and the routes that call them budget them."""
+    coefficients are not finite.  Only :meth:`AmplitudeFactors.x` and
+    :meth:`AmplitudeFactors.y` build the complex tables, and the routes
+    that call them budget them."""
     return _build_factors(pipeline, _pair_tables(pipeline))
 
 

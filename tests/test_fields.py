@@ -1195,14 +1195,7 @@ class TestRankFactors:
             return sinc_of(arg)
 
         monkeypatch.setattr(fields_module, "sinc", counted)
-        tracemalloc.start()
-        try:
-            got = call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            monkeypatch.undo()
-        return got, peak, nodes[-1]
+        return (*TestRankFactors.traced(call), nodes[-1])
 
     def test_conditional_budget_counts_the_band(self, monkeypatch):
         # The direct conditional builds no complex table: the least budget
