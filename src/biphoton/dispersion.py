@@ -21,10 +21,13 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 #: Allowed values for the paraxiality guard mode.
-PARAXIAL_MODES = ("ignore", "warn", "error")
+PARAXIAL_MODES = ("ignore", "warn")
 
-#: Default |q|/k ratio above which the paraxial expansion is considered unsafe.
+#: |q|/k ratio above which the paraxial expansion is considered unsafe.
 PARAXIAL_RATIO = 0.2
+
+#: Absolute tolerance, in radians, of the collinear phase-matching angle.
+COLLINEAR_TOL = 1e-8
 
 
 class DispersionError(ValueError):
@@ -33,10 +36,6 @@ class DispersionError(ValueError):
 
 class WavelengthRangeError(DispersionError):
     """Wavelength outside the validity window of the index model."""
-
-
-class ParaxialityError(DispersionError):
-    """Transverse momentum too large for the paraxial expansion."""
 
 
 class NoCollinearMatchError(DispersionError):
@@ -65,65 +64,21 @@ BBO = SellmeierModel(
 )
 
 
-def load_sellmeier(path) -> SellmeierModel:
-    """Load a Sellmeier coefficient set from a plain-text key-value file.
-
-    Schema (``#`` comments and blank lines ignored, ``key = value`` pairs)::
-
-        name = BBO
-        ordinary = 2.7405 0.0184 0.0179 0.0155
-        extraordinary = 2.3730 0.0128 0.0156 0.0044
-        lambda_min_um = 0.22
-        lambda_max_um = 1.40
-
-    The four numbers per polarization are (a, b, c, d) of
-    n^2 = a + b/(lam^2 - c) - d*lam^2 with lam in micrometers.
-    """
-    entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DispersionError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            entries[key] = value
-
-    def quad(key: str) -> tuple[float, float, float, float]:
-        try:
-            parts = tuple(float(tok) for tok in entries[key].split())
-        except KeyError:
-            raise DispersionError(f"{path}: missing key '{key}'") from None
-        if len(parts) != 4:
-            raise DispersionError(f"{path}: '{key}' needs exactly 4 numbers")
-        return parts  # type: ignore[return-value]
-
-    return SellmeierModel(
-        ordinary=quad("ordinary"),
-        extraordinary=quad("extraordinary"),
-        lambda_min=float(entries.get("lambda_min_um", 0.22)) * 1e-6,
-        lambda_max=float(entries.get("lambda_max_um", 1.40)) * 1e-6,
-        name=entries.get("name", "custom"),
-    )
-
-
-def refractive_index(polarization: str, wavelength: float,
-                     model: SellmeierModel = BBO) -> float:
-    """Principal refractive index at ``wavelength`` (meters).
+def refractive_index(polarization: str, wavelength: float) -> float:
+    """Principal refractive index of ``BBO`` at ``wavelength`` (meters).
 
     ``polarization`` is "ordinary"/"o" or "extraordinary"/"e".
     """
     if polarization in ("o", "ordinary"):
-        a, b, c, d = model.ordinary
+        a, b, c, d = BBO.ordinary
     elif polarization in ("e", "extraordinary"):
-        a, b, c, d = model.extraordinary
+        a, b, c, d = BBO.extraordinary
     else:
         raise DispersionError(f"unknown polarization {polarization!r}")
-    if not (model.lambda_min <= wavelength <= model.lambda_max):
+    if not (BBO.lambda_min <= wavelength <= BBO.lambda_max):
         raise WavelengthRangeError(
-            f"wavelength {wavelength * 1e9:.1f} nm outside {model.name} validity "
-            f"window [{model.lambda_min * 1e9:.0f}, {model.lambda_max * 1e9:.0f}] nm"
+            f"wavelength {wavelength * 1e9:.1f} nm outside {BBO.name} validity "
+            f"window [{BBO.lambda_min * 1e9:.0f}, {BBO.lambda_max * 1e9:.0f}] nm"
         )
     lam_um = wavelength * 1e6
     n_sq = a + b / (lam_um**2 - c) - d * lam_um**2
@@ -147,8 +102,7 @@ class PumpAnisotropy:
     eta: float
 
 
-def pump_coefficients(theta_p: float, lambda_p: float,
-                      model: SellmeierModel = BBO) -> PumpAnisotropy:
+def pump_coefficients(theta_p: float, lambda_p: float) -> PumpAnisotropy:
     """Anisotropy coefficients of an extraordinary pump at angle theta_p.
 
     theta_p is the angle between the pump propagation direction and the
@@ -156,8 +110,8 @@ def pump_coefficients(theta_p: float, lambda_p: float,
     """
     if not (0.0 <= theta_p <= math.pi / 2):
         raise DispersionError(f"theta_p={theta_p} outside [0, pi/2]")
-    n_po = refractive_index("o", lambda_p, model)
-    n_pe = refractive_index("e", lambda_p, model)
+    n_po = refractive_index("o", lambda_p)
+    n_pe = refractive_index("e", lambda_p)
     s, c = math.sin(theta_p), math.cos(theta_p)
     denom_sq = n_po**2 * s**2 + n_pe**2 * c**2
     denom = math.sqrt(denom_sq)
@@ -198,31 +152,29 @@ class PhaseMatchContext:
         return self.coeffs.eta * self.K_p0
 
 
-def make_context(theta_p: float, lambda_p: float,
-                 model: SellmeierModel = BBO) -> PhaseMatchContext:
+def make_context(theta_p: float, lambda_p: float) -> PhaseMatchContext:
     """Build the cached working point for the degenerate configuration."""
     lambda_s = 2.0 * lambda_p
     return PhaseMatchContext(
         theta_p=theta_p,
         lambda_p=lambda_p,
         lambda_s=lambda_s,
-        n_po=refractive_index("o", lambda_p, model),
-        n_pe=refractive_index("e", lambda_p, model),
-        n_so=refractive_index("o", lambda_s, model),
-        coeffs=pump_coefficients(theta_p, lambda_p, model),
+        n_po=refractive_index("o", lambda_p),
+        n_pe=refractive_index("e", lambda_p),
+        n_so=refractive_index("o", lambda_s),
+        coeffs=pump_coefficients(theta_p, lambda_p),
         K_p0=TWO_PI / lambda_p,
         K_s0=TWO_PI / lambda_s,
     )
 
 
-def _check_paraxial(q_sq_max: float, k: float, mode: str, label: str,
-                    ratio: float = PARAXIAL_RATIO) -> None:
+def _check_paraxial(q_sq_max: float, k: float, label: str) -> None:
+    ratio = PARAXIAL_RATIO
     if q_sq_max > (ratio * k) ** 2:
-        msg = (f"{label}: |q| = {math.sqrt(q_sq_max):.3e} rad/m exceeds "
-               f"{ratio:g} * k = {ratio * k:.3e} rad/m; paraxial expansion unsafe")
-        if mode == "error":
-            raise ParaxialityError(msg)
-        warnings.warn(msg, stacklevel=4)
+        warnings.warn(
+            f"{label}: |q| = {math.sqrt(q_sq_max):.3e} rad/m exceeds "
+            f"{ratio:g} * k = {ratio * k:.3e} rad/m; paraxial expansion unsafe",
+            stacklevel=4)
 
 
 def _max_of_sum(x, y) -> float:
@@ -250,10 +202,10 @@ def _check_paraxial_all(q_s: TransverseMomentum, q_i: TransverseMomentum,
         raise DispersionError(f"paraxial mode must be one of {PARAXIAL_MODES}")
     sx, sy = np.asarray(q_s.qx), np.asarray(q_s.qy)
     ix, iy = np.asarray(q_i.qx), np.asarray(q_i.qy)
-    _check_paraxial(_max_of_sum(sx**2, sy**2), ctx.k_signal, mode, "signal")
-    _check_paraxial(_max_of_sum(ix**2, iy**2), ctx.k_signal, mode, "idler")
+    _check_paraxial(_max_of_sum(sx**2, sy**2), ctx.k_signal, "signal")
+    _check_paraxial(_max_of_sum(ix**2, iy**2), ctx.k_signal, "idler")
     _check_paraxial(_max_of_sum((sx + ix) ** 2, (sy + iy) ** 2),
-                    ctx.k_pump_z0, mode, "pump")
+                    ctx.k_pump_z0, "pump")
 
 
 def longitudinal_wavevectors(q_s: TransverseMomentum, q_i: TransverseMomentum,
@@ -329,25 +281,18 @@ def _bisect(f, lo: float, hi: float, f_lo: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def collinear_angle(lambda_p: float, lambda_s: float | None = None,
-                    model: SellmeierModel = BBO, tol: float = 1e-8) -> float:
+def collinear_angle(lambda_p: float) -> float:
     """Phase-matching angle where the on-axis mismatch vanishes, in radians.
 
-    Solves delta_kz(0, 0; theta) = 0 by bracketed root finding over
-    (0, pi/2) to absolute tolerance ``tol``.  ``lambda_s`` defaults to the
-    degenerate 2 * lambda_p; a non-degenerate signal determines the idler
-    through energy conservation.
+    Solves delta_kz(0, 0; theta) = 0 for the degenerate signal and idler,
+    2 * lambda_p each, by bracketed root finding over (0, pi/2) to absolute
+    tolerance ``COLLINEAR_TOL``.
     """
-    if lambda_s is None:
-        lambda_s = 2.0 * lambda_p
-    lambda_i = 1.0 / (1.0 / lambda_p - 1.0 / lambda_s)
-    n_s = refractive_index("o", lambda_s, model)
-    n_i = refractive_index("o", lambda_i, model)
-    k_dc = n_s * TWO_PI / lambda_s + n_i * TWO_PI / lambda_i
+    lambda_s = 2.0 * lambda_p
+    k_dc = 2.0 * refractive_index("o", lambda_s) * TWO_PI / lambda_s
 
     def mismatch(theta: float) -> float:
-        eta = pump_coefficients(theta, lambda_p, model).eta
-        return k_dc - eta * TWO_PI / lambda_p
+        return k_dc - pump_coefficients(theta, lambda_p).eta * TWO_PI / lambda_p
 
     thetas = np.linspace(1e-9, math.pi / 2 - 1e-9, 181)
     vals = [mismatch(t) for t in thetas]
@@ -355,7 +300,7 @@ def collinear_angle(lambda_p: float, lambda_s: float | None = None,
         if flo == 0.0:
             return float(lo)
         if flo * fhi < 0.0:
-            return _bisect(mismatch, float(lo), float(hi), flo, tol)
+            return _bisect(mismatch, float(lo), float(hi), flo, COLLINEAR_TOL)
     raise NoCollinearMatchError(
         f"no collinear phase matching for pump {lambda_p * 1e9:.1f} nm -> "
         f"signal {lambda_s * 1e9:.1f} nm in (0, pi/2)"

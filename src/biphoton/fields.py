@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import BBO, SellmeierModel, TransverseMomentum, make_context
+from .dispersion import TransverseMomentum, make_context
 from .phasematch import (CrystalSetup, PumpSpec, _phi_split,
                          momentum_amplitude, pump_envelope, sinc)
 from . import dispersion
@@ -121,14 +121,13 @@ class MomentumGrid4:
 
     @classmethod
     def auto(cls, pump: PumpSpec, setup: CrystalSetup, n: int = DEFAULT_N,
-             c1: float = EXTENT_C1, c2: float = EXTENT_C2,
-             model: SellmeierModel = BBO) -> "MomentumGrid4":
+             c1: float = EXTENT_C1, c2: float = EXTENT_C2) -> "MomentumGrid4":
         """Choose dq so the grid covers pump envelope plus phase-matching ring.
 
         The half-extent is q_max = c1/w0 + c2 * sqrt(4*pi / (L lam_s / (2*pi n_so))),
         the second term being the momentum scale of the first sinc zero.
         """
-        n_so = dispersion.refractive_index("o", pump.lambda_signal, model)
+        n_so = dispersion.refractive_index("o", pump.lambda_signal)
         ring = math.sqrt(4.0 * math.pi * TWO_PI * n_so
                          / (setup.length * pump.lambda_signal))
         q_max = c1 / pump.waist + c2 * ring
@@ -219,7 +218,6 @@ def estimate_build_bytes(grid: MomentumGrid4) -> int:
 
 
 def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
-                    model: SellmeierModel = BBO,
                     boundary_tol: float | None = BOUNDARY_TOLERANCE,
                     memory_budget: int = MEMORY_BUDGET) -> BiphotonAmplitude4:
     """Sample the momentum amplitude on the grid and L2-normalize it.
@@ -235,7 +233,7 @@ def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
         raise MemoryBudgetError(
             f"4D amplitude needs ~{need / 1024**3:.2f} GiB "
             f"(> budget {memory_budget / 1024**3:.2f} GiB); reduce n")
-    ctx = make_context(setup.theta_p, pump.wavelength, model)
+    ctx = make_context(setup.theta_p, pump.wavelength)
     q = grid.q_axis
     # Separable broadcasting: axes (sx, sy, ix, iy).
     values = momentum_amplitude(
@@ -384,7 +382,6 @@ def conditional_position(dist4: Distribution,
 def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
                                 z: float, grid: MomentumGrid4,
                                 rho_i0=(0.0, 0.0),
-                                model: SellmeierModel = BBO,
                                 memory_budget: int = MEMORY_BUDGET,
                                 ) -> Distribution:
     """Conditional signal distribution without the 4D transform.
@@ -403,7 +400,7 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     ``memory_budget``, and when its own tables beside the factors exceed
     it.  Runs no boundary guard (:func:`_guarded_factors`).
     """
-    pipe = Pipeline(pump, setup, grid, model, memory_budget=memory_budget)
+    pipe = Pipeline(pump, setup, grid, memory_budget=memory_budget)
     return _conditional_direct(pipe, amplitude_factors(pipe), z, rho_i0)
 
 
@@ -460,12 +457,11 @@ class Pipeline:
     pump: PumpSpec
     setup: CrystalSetup
     grid: MomentumGrid4
-    model: SellmeierModel = BBO
     boundary_tol: float | None = BOUNDARY_TOLERANCE
     memory_budget: int = MEMORY_BUDGET
 
     def momentum_amplitude(self) -> BiphotonAmplitude4:
-        return build_amplitude(self.grid, self.pump, self.setup, self.model,
+        return build_amplitude(self.grid, self.pump, self.setup,
                                boundary_tol=self.boundary_tol,
                                memory_budget=self.memory_budget)
 
@@ -614,8 +610,7 @@ def _pair_tables(pipeline: Pipeline):
     before allocating it when 160 bytes an entry exceed the budget: 88
     while the tables are built or walked, 72 a point of the guard's chunks."""
     n, pump, q = pipeline.grid.n, pipeline.pump, pipeline.grid.q_axis
-    ctx = make_context(pipeline.setup.theta_p, pump.wavelength,
-                       pipeline.model)
+    ctx = make_context(pipeline.setup.theta_p, pump.wavelength)
 
     def tables(rows, cols):
         q_s, q_i = q[rows], q[cols]
@@ -930,10 +925,14 @@ def _transform(table: np.ndarray, phase: np.ndarray,
     ramp (-1)^n folds into the propagation phase, one plain inverse 2D FFT
     per table.  The phased input is written into ``out``, a complex array
     of the shape of ``table``: a reused buffer, or ``table`` itself when it
-    is not needed after.
+    is not needed after.  The FFT runs as two 1D passes in ``out``, last
+    axis first, the order of ``np.fft.ifft2``, and is returned in it: no
+    table is allocated.  (``ifft2`` with ``out`` aliasing its input returns
+    a fresh array and leaves ``out`` holding a wrong intermediate.)
     """
     np.multiply(table, phase, out=out)
-    return np.fft.ifft2(out, axes=(-2, -1))
+    np.fft.ifft(out, axis=-1, out=out)
+    return np.fft.ifft(out, axis=-2, out=out)
 
 
 def _gram_weighted(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -964,16 +963,15 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     G is the same at every z, and the position joint at z is the same sum
     over the x-transforms F_x[x_r P_x(z)].  G is diagonalized once
     (:func:`_gram_weighted`), so each z costs one n x n FFT per kept term.
-    The phased input and |.|^2 of every z go into two buffers allocated
-    once.  The factors come from :func:`_guarded_factors`.
+    The phased input, its transform and |.|^2 of every z go into two
+    buffers allocated once.  The factors come from :func:`_guarded_factors`.
     """
     grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
     factors, diagnostics = _guarded_factors(pipeline)
     # x, y and y^* while the Gram matrix is formed; then, per z, the
-    # weighted tables, the phased buffer, |.|^2 and the two passes of the
-    # FFT.
-    _check_complex(pipeline, factors, 4.5 if zs else 3)
+    # weighted tables, the phased buffer transformed in place and |.|^2.
+    _check_complex(pipeline, factors, 3)
     weighted = _gram_weighted(factors.x(), factors.y())
     mom = (np.abs(weighted) ** 2).sum(axis=0)
     phased = np.empty_like(weighted)
@@ -1008,15 +1006,18 @@ def singles_direct(pipeline: Pipeline, z: float) -> Distribution:
     batched R x R Gram products and one matrix product.
     """
     grid = pipeline.grid
-    factors = position_factors(pipeline, z)
-    rank, n = factors.x.shape[0], grid.n
+    factors = _guarded_factors(pipeline)[0]
+    rank, n = factors.rank, grid.n
+    # X, Y, the conjugate of one and two n x R x R Gram tables.
+    _check_complex(pipeline, factors, 3 + 2 * rank / n)
+    tables = _position_factors(pipeline, factors, z)
 
     def gram(t: np.ndarray) -> np.ndarray:
         # (n, R, R): for each signal coordinate, sum over the idler one.
         t = t.transpose(1, 0, 2)
         return (t @ t.conj().transpose(0, 2, 1)).reshape(n, rank * rank)
 
-    values = (gram(factors.x) @ gram(factors.y).T).real
+    values = (gram(tables.x) @ gram(tables.y).T).real
     bin_area = grid.dx * grid.dx
     return Distribution(values=_normalize(values, bin_area),
                         axis_names=("x_s", "y_s"), deltas=(grid.dx, grid.dx),
@@ -1056,15 +1057,17 @@ class PositionFactors:
 def position_factors(pipeline: Pipeline, z: float) -> PositionFactors:
     """The position amplitude at z as rank-R factor tables, two R x n^2
     arrays, from :func:`_guarded_factors`: no N^4 array is allocated.  Each
-    complex factor table is built from the real tables, phased in place and
-    transformed, and freed, before the next is built, so at most four tables
-    and the real ones are alive at once."""
-    factors = _guarded_factors(pipeline)[0]
-    # Y, its two FFT passes and the transformed X; or, in the Gram
-    # reduction of singles_direct, X, Y, the conjugate of one and two
-    # n x R x R Gram tables.
-    _check_complex(pipeline, factors,
-                   max(4, 3 + 2 * factors.rank / pipeline.grid.n))
+    complex factor table is built from the real tables and phased and
+    transformed in place, so at most the two tables and the real ones are
+    alive at once."""
+    return _position_factors(pipeline, _guarded_factors(pipeline)[0], z)
+
+
+def _position_factors(pipeline: Pipeline, factors: AmplitudeFactors,
+                      z: float) -> PositionFactors:
+    """:func:`position_factors` from the pipeline's factors."""
+    # The transformed X beside Y.
+    _check_complex(pipeline, factors, 2)
     phase = _transform_phase(pipeline.grid.q_axis, z, factors.k)
     x = factors.x()
     x = _transform(x, phase, x)

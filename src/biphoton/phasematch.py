@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import (
-    BBO,
     PhaseMatchContext,
-    SellmeierModel,
     TransverseMomentum,
     make_context,
     mismatch_split,
@@ -167,7 +165,6 @@ def phi_of_mismatch(dkz, setup: CrystalSetup):
 
 def momentum_amplitude(q_s: TransverseMomentum, q_i: TransverseMomentum,
                        pump: PumpSpec, setup: CrystalSetup,
-                       model: SellmeierModel = BBO,
                        ctx: PhaseMatchContext | None = None,
                        paraxial: str = "warn"):
     """Unnormalized two-photon momentum amplitude V(q_s + q_i) * Phi(q_s, q_i).
@@ -177,7 +174,7 @@ def momentum_amplitude(q_s: TransverseMomentum, q_i: TransverseMomentum,
     computed on its own broadcast shape.  Real for a double crystal.
     """
     if ctx is None:
-        ctx = make_context(setup.theta_p, pump.wavelength, model)
+        ctx = make_context(setup.theta_p, pump.wavelength)
     elif not math.isclose(ctx.lambda_p, pump.wavelength):
         raise ConfigurationError("context wavelength disagrees with pump")
     a, b = mismatch_split(q_s, q_i, ctx, paraxial)

@@ -1,4 +1,4 @@
-"""Crystal-optics tests: Sellmeier indices, pump anisotropy coefficients,
+"""Crystal-optics tests: BBO Sellmeier indices, pump anisotropy coefficients,
 longitudinal wavevectors, phase mismatch, and the collinear angle root-find.
 
 Golden values were computed independently with 50-digit mpmath evaluation of
@@ -14,14 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton.dispersion import (
-    BBO,
+    DispersionError,
     NoCollinearMatchError,
-    ParaxialityError,
+    SellmeierModel,
     TransverseMomentum,
     WavelengthRangeError,
     collinear_angle,
     delta_kz,
-    load_sellmeier,
     longitudinal_wavevectors,
     make_context,
     mismatch_split,
@@ -74,25 +73,6 @@ class TestRefractiveIndex:
     def test_bad_polarization_raises(self):
         with pytest.raises(ValueError):
             refractive_index("diagonal", LAMBDA_S)
-
-
-class TestSellmeierFile:
-    def test_packaged_file_matches_builtin(self, tmp_path):
-        import biphoton.dispersion as disp
-        import importlib.resources as res
-
-        with res.as_file(res.files("biphoton") / "data" / "bbo.sellmeier") as p:
-            model = load_sellmeier(p)
-        assert model.ordinary == BBO.ordinary
-        assert model.extraordinary == BBO.extraordinary
-        assert model.lambda_min == pytest.approx(BBO.lambda_min, rel=1e-12)
-        assert model.lambda_max == pytest.approx(BBO.lambda_max, rel=1e-12)
-
-    def test_missing_key_rejected(self, tmp_path):
-        p = tmp_path / "bad.sellmeier"
-        p.write_text("ordinary_a = 2.7405\n")
-        with pytest.raises(Exception):
-            load_sellmeier(p)
 
 
 class TestPumpCoefficients:
@@ -169,9 +149,16 @@ class TestWavevectors:
         assert (kpz_a - kpz_b) == pytest.approx(-2 * alpha * 3e4, rel=1e-12)
 
     def test_paraxial_guard(self):
+        # |q_s| = 0.5 k trips the signal guard, and |q_p| = |q_s| is over
+        # 0.2 eta K_p0 (about 0.4 k at the collinear angle): the pump's.
         big = TransverseMomentum(0.5 * self.ctx.k_signal, 0.0)
         zero = TransverseMomentum(0.0, 0.0)
-        with pytest.raises(ParaxialityError):
+        assert tripped(longitudinal_wavevectors, big, zero, self.ctx) == [
+            "signal", "pump"]
+        assert tripped(longitudinal_wavevectors, big, zero, self.ctx,
+                       paraxial="ignore") == []
+        # The modes are "ignore" and "warn"; any other is refused.
+        with pytest.raises(DispersionError, match="paraxial mode"):
             longitudinal_wavevectors(big, zero, self.ctx, paraxial="error")
 
 
@@ -248,19 +235,26 @@ class TestCollinearAngle:
         K_p0 = 2 * math.pi / LAMBDA_P
         assert abs(delta_kz(zero, zero, ctx)) < 1e-6 * K_p0
 
-    def test_no_bracket_error(self):
-        # Synthetic positive-uniaxial, dispersionless model: delta_kz(0,0)
-        # never changes sign inside (0, pi/2), so no match exists.
-        from biphoton.dispersion import SellmeierModel
+    def test_no_bracket_error(self, monkeypatch):
+        # Positive-uniaxial synthetic model in place of the BBO constants:
+        # eta >= n_po(355) = 1.652 for every theta while n_so(710) = 1.609,
+        # so delta_kz(0,0) < 0 on all of (0, pi/2) and no bracket exists.
+        import biphoton.dispersion as dispersion
 
-        # Positive-uniaxial synthetic model: eta >= n_po(355) = 1.652 for
-        # every theta while n_so(710) = 1.609, so delta_kz(0,0) < 0 on all
-        # of (0, pi/2) and no bracket exists.
-        model = SellmeierModel(ordinary=(2.56, 0.0184, 0.0179, 0.0155),
-                               extraordinary=(2.89, 0.0128, 0.0156, 0.0044),
-                               name="synthetic")
+        monkeypatch.setattr(dispersion, "BBO", SellmeierModel(
+            ordinary=(2.56, 0.0184, 0.0179, 0.0155),
+            extraordinary=(2.89, 0.0128, 0.0156, 0.0044), name="synthetic"))
         with pytest.raises(NoCollinearMatchError):
-            collinear_angle(LAMBDA_P, model=model)
+            collinear_angle(LAMBDA_P)
+
+
+def tripped(evaluate, *args, **kwargs):
+    """The labels of the paraxial guards ``evaluate(*args, **kwargs)``
+    warns of, in order: no warning escapes the list."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evaluate(*args, **kwargs)
+    return [str(w.message).split(":")[0] for w in caught]
 
 
 def _longdouble_mismatch(q_s, q_i, ctx):
@@ -313,12 +307,12 @@ class TestMismatchSplit:
                                      np.zeros(3)[None, :]),
                   TransverseMomentum(q, 0.0))]
         for q_s, q_i in cases:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                delta_kz(q_s, q_i, ctx)
-            assert [str(w.message).split(":")[0] for w in caught] == ["pump"]
-            with pytest.raises(ParaxialityError, match="pump"):
-                delta_kz(q_s, q_i, ctx, paraxial="error")
+            assert tripped(delta_kz, q_s, q_i, ctx) == ["pump"]
+            # A caller that wants the trip to raise sets a warnings filter.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(UserWarning, match="pump"):
+                    delta_kz(q_s, q_i, ctx)
 
     def test_shared_axis_takes_true_maximum(self):
         # x and y components on one axis: the sum of their maxima (0.045 k^2)
@@ -327,6 +321,4 @@ class TestMismatchSplit:
         ctx = make_context(math.radians(32.9), LAMBDA_P)
         x = 0.15 * ctx.k_signal
         q_s = TransverseMomentum(np.array([0.0, x]), np.array([x, 0.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            delta_kz(q_s, TransverseMomentum(0.0, 0.0), ctx, paraxial="error")
+        assert tripped(delta_kz, q_s, TransverseMomentum(0.0, 0.0), ctx) == []

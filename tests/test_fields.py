@@ -1317,6 +1317,43 @@ class TestRankFactors:
             tracemalloc.stop()
         assert peak < 5 * factors.x.nbytes
 
+    @pytest.mark.parametrize("route, args, tables", [
+        ("averaged_joints_x", ([0.0, 7.5e-3],), 3.1),
+        ("position_factors", (7.5e-3,), 2.2),
+    ])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_transforms_allocate_no_table(self, kind, route, args, tables):
+        # The FFT runs in place: beyond the real tables, the joints peak at
+        # x, y and y^* (3 complex R x n^2 tables) and the position factors
+        # at the two transformed tables, where a fresh FFT output and its
+        # intermediate added two more.
+        import biphoton.fields as fields_module
+
+        setup = TestAveragedJointsX.setup_of(kind)
+        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=128))
+        factors = amplitude_factors(pipe)
+        peak = self.traced(
+            lambda: getattr(fields_module, route)(pipe, *args))[1]
+        table = factors.rank * pipe.grid.n**2 * 16
+        assert peak - factors.nbytes <= tables * table
+
+    def test_transform_is_ifft2_of_the_phased_table(self):
+        # Two in-place 1D passes give np.fft.ifft2's bits, into a separate
+        # buffer and into the table itself.
+        from biphoton.fields import _transform, _transform_phase
+
+        rng = np.random.default_rng(7)
+        for n in (8, 16, 32, 64, 128, 256):
+            q = MomentumGrid4.auto(PUMP, SETUP, n=n).q_axis
+            phase = _transform_phase(q, 7.5e-3, 1.47e7)
+            table = (rng.standard_normal((3, n, n))
+                     + 1j * rng.standard_normal((3, n, n)))
+            ref = np.fft.ifft2(table * phase, axes=(-2, -1))
+            out = np.empty_like(table)
+            assert _transform(table, phase, out) is out
+            assert np.array_equal(out, ref)
+            assert np.array_equal(_transform(table, phase, table), ref)
+
     def test_double_second_half_is_conjugate(self):
         setup = TestAveragedJointsX.setup_of("double")
         factors = amplitude_factors(Pipeline(

@@ -4,25 +4,25 @@
     python3 tools/artifact_digests.py [--src DIR] > digests.txt
 
 Runs ``ef``, ``scan z`` (0, 5, 10 mm), ``simulate pos``, ``simulate mom``,
-``singles``, ``conditional``, ``frames synth`` (500 frames, seed 3) and
-``frames coincide`` in process, at n = 16, 32 and 64, for the default
-single crystal, the 1 mm + 4 mm double crystal, and a single crystal set
-by every flag that names a config key, each at a value other than its
-default; and at n = 16 and 32 for the double crystal on a wide momentum
-extent, ``grid.c2`` = 3.3 from a config file, where the pump-envelope
-band is one and three anti-diagonals wide and the rank is 134 and 140.
-It also runs ``frames synth`` and ``frames
-coincide`` alone on stacks of three frame blocks (12 000 frames at
-n = 16, 4000 at n = 32, seed 5), so the check crosses block edges.  Each
-configuration writes into its own directory.  Prints one
-``sha256  path`` line per artifact, the path relative to the output
-directory, in sorted order.  Then it runs commands that must fail, ``ef``
-and ``conditional`` on a truncated extent and ``ef``, ``conditional`` and
-``frames synth`` under a 1024-byte memory budget, and prints one
-``exit <code>`` line for each with the last line it wrote to stderr.  A
-claim that two trees write the same bytes and refuse the same runs is a
-``diff`` of two runs, one with ``--src`` set to the other tree's ``src``
-directory.
+``singles``, ``conditional``, ``phasematch-map``, ``frames synth`` (500
+frames, seed 3) and ``frames coincide`` in process, at n = 16, 32 and 64,
+for the default single crystal, the 1 mm + 4 mm double crystal, and a
+single crystal set by every flag that names a config key, each at a value
+other than its default; and at n = 16 and 32 for the double crystal on a
+wide momentum extent, ``grid.c2`` = 3.3 from a config file, where the
+pump-envelope band is one and three anti-diagonals wide and the rank is
+134 and 140.  It also runs ``frames synth`` and ``frames coincide`` alone
+on stacks of three frame blocks (12 000 frames at n = 16, 4000 at n = 32,
+seed 5), so the check crosses block edges.  Each configuration writes into
+its own directory.  Prints one ``sha256  path`` line per artifact, the path
+relative to the output directory, in sorted order.  Then it prints the
+line ``collinear-angle`` writes for each configuration, after its name.
+Then it runs commands that must fail, ``ef`` and ``conditional`` on a
+truncated extent and ``ef``, ``conditional`` and ``frames synth`` under a
+1024-byte memory budget, and prints one ``exit <code>`` line for each with
+the last line it wrote to stderr.  A claim that two trees write the same
+bytes and refuse the same runs is a ``diff`` of two runs, one with
+``--src`` set to the other tree's ``src`` directory.
 
 ``--src`` is the directory ``biphoton`` is imported from (default: the
 ``src`` beside this script).  The artifacts and config files go to a
@@ -57,6 +57,7 @@ COMMANDS = (
     ["simulate", "mom"],
     ["singles"],
     ["conditional"],
+    ["phasematch-map"],
 )
 #: (name, config, flags, sizes) of the configuration set by a config file:
 #: a narrow envelope band and a large rank.
@@ -77,13 +78,18 @@ REFUSALS = (
 )
 
 
-def run(main, argvs) -> None:
-    """Run each argv through ``main``; exit unless every one succeeds."""
+def run(main, argvs) -> list[str]:
+    """Run each argv through ``main``; exit unless every one succeeds.
+    Returns what each printed."""
+    printed = []
     for argv in argvs:
-        with contextlib.redirect_stdout(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             code = main(argv)
         if code != 0:
             raise SystemExit(f"biphoton {' '.join(argv)} exited {code}")
+        printed.append(out.getvalue())
+    return printed
 
 
 def frames_runs(where: str, common: list[str]) -> list[list[str]]:
@@ -93,15 +99,19 @@ def frames_runs(where: str, common: list[str]) -> list[list[str]]:
                       os.path.join(where, "frames.bpfs")]]
 
 
-def write_artifacts(main, out: str, config: str) -> None:
+def write_artifacts(main, out: str, config: str) -> list[str]:
     """Run every command of every configuration into ``out``, with the
-    config file of ``WIDE`` written to ``config``."""
+    config file of ``WIDE`` written to ``config``.  Returns the
+    ``collinear-angle`` line of each configuration."""
     name, data, flags, sizes = WIDE
     with open(config, "w") as fh:
         json.dump(data, fh)
     configs = [(name, flags, SIZES) for name, flags in CONFIGS.items()]
     configs.append((name, ["--config", config] + flags, sizes))
+    angles = []
     for name, flags, sizes in configs:
+        printed = run(main, [flags + ["collinear-angle"]])[0]
+        angles.append(f"collinear-angle {name}: {printed.strip()}")
         for n in sizes:
             where = os.path.join(out, f"{name}-n{n}")
             common = ["--out", where, "--n", str(n)] + flags + FRAMES
@@ -111,6 +121,7 @@ def write_artifacts(main, out: str, config: str) -> None:
         where = os.path.join(out, f"long-n{n}")
         run(main, frames_runs(where, ["--out", where, "--n", str(n),
                                       "--frames", str(frames), "--seed", "5"]))
+    return angles
 
 
 def refusals(main, out: str) -> list[str]:
@@ -156,8 +167,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         out = os.path.join(tmp, "artifacts")
-        write_artifacts(cli_main, out, os.path.join(tmp, "wide.json"))
-        for line in digests(out):
+        angles = write_artifacts(cli_main, out, os.path.join(tmp, "wide.json"))
+        for line in digests(out) + angles:
             print(line)
         for line in refusals(cli_main, os.path.join(tmp, "refusals")):
             print(line)
