@@ -412,15 +412,15 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
     contractions with room for their temporaries (two more R x n and six
     n x W tables), and B with its transform (four n x n), all complex."""
     grid = pipeline.grid
-    n, width = grid.n, factors.phase_x.shape[1]
+    n, width = grid.n, factors.phase_x.shape[2]
     own = 4 * factors.rank * n + 6 * n * width + 4 * n * n
     _check_budget(pipeline, factors.nbytes + 16 * own, "conditional tables")
     q = grid.q_axis
     x0, y0 = rho_i0
-    propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
-    b = _contract(factors.coeffs, factors.phase_x, factors.conjugate,
+    propagation = _propagation(q, z, factors.k)
+    b = _contract(factors.coeffs, factors.phase_x,
                   np.exp(1j * q * x0) * propagation, factors.s_lo).T \
-        @ _contract(factors.cheb, factors.phase_y, factors.conjugate,
+        @ _contract(factors.cheb, factors.phase_y,
                     np.exp(1j * q * y0) * propagation, factors.s_lo)
     b *= propagation[:, None] * propagation[None, :] * grid.dq**2
     psi = _centered_ift_axis(_centered_ift_axis(b, 0, grid.dq), 1, grid.dq)
@@ -487,8 +487,10 @@ class AmplitudeFactors:
 
     unnormalized, as :func:`phasematch.momentum_amplitude` gives it.  The
     complex n x n tables are built on demand (:meth:`x`, :meth:`y`) from
-    real ones: x = coeffs * phase_x and y = cheb * phase_y per term, each
-    followed by its conjugate when ``conjugate`` (:func:`_complex_table`).
+    real ones: x = coeffs * phase_x and y = cheb * phase_y, every
+    coefficient or polynomial table times every phase row, the rows
+    outermost (:func:`_complex_table`).  A single crystal has one phase
+    row, a double crystal two, the second the conjugate of the first.
 
     The real tables hold only the pump-envelope band.  The envelope depends
     on q_s + q_i alone, so the pairs of grid indices (i, j) where it is not
@@ -498,7 +500,8 @@ class AmplitudeFactors:
     off the grid are 0 in ``coeffs`` and in both phase tables.  ``coeffs``
     (K x n x W over (q_sx, q_ix)) and ``cheb`` (K x n x W over
     (q_sy, q_iy)) are real; ``coeffs`` is exactly 0 where v_x = 0, since
-    ``phase_x`` (n x W) carries v_x, as ``phase_y`` carries v_y.  ``error``
+    ``phase_x`` (P x n x W) carries v_x, as ``phase_y`` carries v_y.  The
+    rank is P K.  ``error``
     bounds max |A - sum_r x_r y_r| over the grid in the same units
     (|A| <= 1), and ``k`` is the propagation wavenumber n_so K_s0.
     """
@@ -507,14 +510,13 @@ class AmplitudeFactors:
     cheb: np.ndarray
     phase_x: np.ndarray
     phase_y: np.ndarray
-    conjugate: bool
     error: float
     k: float
     s_lo: int
 
     @property
     def rank(self) -> int:
-        return self.coeffs.shape[0] * (2 if self.conjugate else 1)
+        return self.phase_x.shape[0] * self.coeffs.shape[0]
 
     @property
     def nbytes(self) -> int:
@@ -522,12 +524,10 @@ class AmplitudeFactors:
                                       self.phase_y))
 
     def x(self) -> np.ndarray:
-        return _complex_table(self.coeffs, self.phase_x, self.conjugate,
-                              self.s_lo)
+        return _complex_table(self.coeffs, self.phase_x, self.s_lo)
 
     def y(self) -> np.ndarray:
-        return _complex_table(self.cheb, self.phase_y, self.conjugate,
-                              self.s_lo)
+        return _complex_table(self.cheb, self.phase_y, self.s_lo)
 
 
 def _band(n: int, s_lo: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -540,13 +540,11 @@ def _band(n: int, s_lo: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(cols, 0, n - 1, out=cols), valid
 
 
-def _complex_table(real: np.ndarray, phase: np.ndarray, conjugate: bool,
+def _complex_table(real: np.ndarray, phase: np.ndarray,
                    s_lo: int) -> np.ndarray:
     """One complex factor table of :class:`AmplitudeFactors` over all n x n
-    pairs: real * phase on the band and 0 off it, or with ``conjugate``
-    [real * phase, real * phase^*] stacked on the first axis, written in
-    one array: with ``real`` real, the second half is the exact conjugate
-    of the first.
+    pairs: real * phase on the band and 0 off it, P K x n x n for the K
+    real tables and the P phase rows, the rows outermost.
 
     Band entry (i, k) is the flat offset i (n - 1) + s_lo + k of an n x n
     table.  A band narrower than the grid puts no two entries at one
@@ -557,37 +555,33 @@ def _complex_table(real: np.ndarray, phase: np.ndarray, conjugate: bool,
     truncated extent) is scattered entry by entry.
     """
     terms, n, width = real.shape
-    out = np.zeros((terms * (2 if conjugate else 1), n, n),
-                   dtype=np.complex128)
+    rows = phase.shape[0]
+    out = np.zeros((rows * terms, n, n), dtype=np.complex128)
     if width < n:
         item = out.itemsize
         band = np.lib.stride_tricks.as_strided(
-            out.reshape(-1)[s_lo:], shape=(out.shape[0], n, width),
-            strides=(n * n * item, (n - 1) * item, item))
-        np.multiply(real, phase, out=band[:terms])
-        if conjugate:
-            np.conjugate(band[:terms], out=band[terms:])
+            out.reshape(-1)[s_lo:], shape=(rows, terms, n, width),
+            strides=(terms * n * n * item, n * n * item, (n - 1) * item,
+                     item))
+        np.multiply(real, phase[:, None], out=band)
         return out
     cols, valid = _band(n, s_lo, width)
-    out[:terms, np.nonzero(valid)[0], cols[valid]] = (real[:, valid]
-                                                      * phase[valid])
-    if conjugate:
-        np.conjugate(out[:terms], out=out[terms:])
+    out.reshape(rows, terms, n, n)[:, :, np.nonzero(valid)[0],
+                                   cols[valid]] = (real[:, valid]
+                                                   * phase[:, None, valid])
     return out
 
 
-def _contract(real: np.ndarray, phase: np.ndarray, conjugate: bool,
-              w: np.ndarray, s_lo: int) -> np.ndarray:
-    """_complex_table(real, phase, conjugate, s_lo) @ w without the complex
-    table: w is gathered onto the band (:func:`_band`), then
-    real @ (phase * w), and with ``conjugate`` real @ (phase^* * w) below
-    it, runs as real products batched over the rows, (K, W) @ (W, 4) a
-    row; (R, n).  The band entries off the grid carry phase 0."""
-    n, width = phase.shape
-    w = w[_band(n, s_lo, width)[0]]
-    parts = [phase * w, phase.conj() * w] if conjugate else [phase * w]
-    rhs = np.stack([f(u) for u in parts for f in (np.real, np.imag)],
-                   axis=-1)
+def _contract(real: np.ndarray, phase: np.ndarray, w: np.ndarray,
+              s_lo: int) -> np.ndarray:
+    """_complex_table(real, phase, s_lo) @ w without the complex table: w
+    is gathered onto the band (:func:`_band`), then real @ (phase * w) for
+    each phase row runs as real products batched over the rows,
+    (K, W) @ (W, 2P) a row; (P K, n).  The band entries off the grid carry
+    phase 0."""
+    rows, n, width = phase.shape
+    u = (phase * w[_band(n, s_lo, width)[0]]).transpose(1, 2, 0)
+    rhs = np.stack([u.real, u.imag], axis=-1).reshape(n, width, 2 * rows)
     out = np.matmul(real.transpose(1, 0, 2), rhs)
     out = out[..., 0::2] + 1j * out[..., 1::2]
     return out.transpose(2, 1, 0).reshape(-1, n)
@@ -660,10 +654,10 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     coefficients against one over the whole table; the accepted K, the
     kept terms, ``error`` and the polynomial tables are unchanged by it.
     The phase goes into the factors:
-    e^{ih} = e^{iaL/2} e^{ibL/2} for a single crystal, and
+    e^{ih} = e^{iaL/2} e^{ibL/2} for a single crystal, one phase row, and
     cos g = (e^{ig} + e^{-ig})/2 with g = (a + b)(L + d)/2 for a double
-    one, which doubles the rank; the second half of its tables is the
-    conjugate of the first.  ``error`` is the weighted sum of the dropped
+    one, two phase rows, the second the conjugate of the first, which
+    doubles the rank.  ``error`` is the weighted sum of the dropped
     coefficients plus a rounding term, eps times the weighted sum of all
     of them.  The coefficients, the polynomials and the phases are stored
     on the band (see :class:`AmplitudeFactors`), W pairs a row, so the
@@ -698,7 +692,7 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     half = setup.length / 2.0
     mid = (b_max + b_min) / 2.0
     rad = (b_max - b_min) / 2.0
-    terms = 1 if setup.kind == "single" else 2
+    double = setup.kind != "single"
 
     def trial(nodes, a_pairs, v_pairs):
         # Chebyshev coefficients of the interpolant through sinc h at the
@@ -735,7 +729,7 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
         # pairs' a and v, a's shift) and the n x W masks.
         _check_budget(pipeline, pairs + 25 * nodes * size
                       + 8 * (2 * nodes * nodes + 3 * size + n * width),
-                      f"rank-{nodes * terms} amplitude factors")
+                      f"rank-{nodes * (1 + double)} amplitude factors")
         # The ridge is part of the table, so a ridge tail over the margin is
         # over CHEB_TOL on the table too, whatever the order of rounding:
         # the full trial would fail.  A non-finite probe compares False and
@@ -757,12 +751,13 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     error = float(tail[kept] + EPS * tail[0])
     # The band tables of the kept terms: the coefficient table beside the
     # trial's coefficients and the live pairs' a and v, then beside the
-    # polynomial table, t, the two n x W complex phase tables and room for
-    # three complex temporaries (the gathered lower half is smaller).
+    # polynomial table, t and the phase rows (at most four n x W complex
+    # tables, written in place), with room for temporaries (the gathered
+    # lower half is smaller).
     banded = kept * n * width + max((nodes + 2) * size,
                                     (kept + 11) * n * width)
     _check_budget(pipeline, pairs + 8 * banded,
-                  f"rank-{kept * terms} amplitude factors")
+                  f"rank-{kept * (1 + double)} amplitude factors")
 
     # The upper half takes the kept coefficients, and a lower-half entry
     # (i, k), the pair (i, j = cols[i, k]), those of its mirror (j, k) on the
@@ -782,16 +777,27 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     for j in range(2, kept):
         np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
         cheb[j] -= cheb[j - 2]
-    if setup.kind == "single":
-        phase_x = v * np.exp(1j * a * half)
-        phase_y = v * np.exp(1j * b * half)
-    else:
-        g = (setup.length + setup.gap) / 2.0
-        phase_x = v * np.exp(1j * a * g) / 2.0
-        phase_y = v * np.exp(1j * b * g)
+    # The phase rows, v e^{iag} and v e^{ibg}, and for a double crystal
+    # their conjugates as second rows.  Each is written in place by real
+    # operations on its parts: a real operand cast to complex would take
+    # a buffer of the ufunc's.
+    g = (setup.length + setup.gap) / 2.0 if double else half
+    phase_x = np.empty((1 + double, n, width), dtype=np.complex128)
+    phase_y = np.empty_like(phase_x)
+    for phase, c in ((phase_x, a), (phase_y, b)):
+        row = phase[0]
+        row.real = 0.0
+        np.multiply(c, g, out=row.imag)
+        np.exp(row, out=row)
+        row.real *= v
+        row.imag *= v
+    if double:
+        phase_x[0] /= 2.0
+        np.conjugate(phase_x[0], out=phase_x[1])
+        np.conjugate(phase_y[0], out=phase_y[1])
     return AmplitudeFactors(coeffs=table, cheb=cheb, phase_x=phase_x,
-                            phase_y=phase_y, conjugate=setup.kind != "single",
-                            error=error, k=ctx.k_signal, s_lo=s_lo)
+                            phase_y=phase_y, error=error, k=ctx.k_signal,
+                            s_lo=s_lo)
 
 
 @dataclass(frozen=True)
@@ -906,9 +912,22 @@ def _check_complex(pipeline: Pipeline, factors: AmplitudeFactors,
     _check_budget(pipeline, need, f"rank-{rank} complex factor tables")
 
 
+def _propagation(q: np.ndarray, z: float, k: float) -> np.ndarray:
+    """The paraxial propagation phase exp(-i q^2 z / (2 k)) on one axis.
+
+    The convention of the rank-R routes: k = n_so K_s0 is the wavenumber
+    inside the crystal, and z is counted from the crystal's exit face,
+    since the e^{i Delta k L/2} of Phi already puts the origin of the
+    phase at the crystal centre (Schneeloch and Howell, J. Opt. 18,
+    053501, 2016).  :func:`propagate` applies the same phase on the 4D
+    grid with its own copy, so the 4D oracle stays independent of it.
+    """
+    return np.exp(-1j * q**2 * z / (2.0 * k))
+
+
 def _transform_phase(q: np.ndarray, z: float, k: float) -> np.ndarray:
     """The n x n input phase of :func:`_transform` at distance z."""
-    p = np.exp(-1j * q**2 * z / (2.0 * k))
+    p = _propagation(q, z, k)
     p[1::2] *= -1.0
     return p[:, None] * p[None, :]
 
