@@ -393,8 +393,9 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     (position and propagation), B = (X p_x)^T (Y p_y).  X p_x and Y p_y come
     straight from the real band tables of :class:`AmplitudeFactors`
     (:func:`_contract`, O(K n W) work and storage each), so no complex
-    factor table is built; B and its transform are n x n.  The signal
-    propagation phase multiplies B once.  Matches ``conditional_position``
+    factor table is built; B is n x n, and :func:`_transform` applies the
+    signal propagation phase and transforms it in place.  Matches
+    ``conditional_position``
     of the 4D pipeline on shared grids when rho_i0 lies on a node.  Raises
     :class:`MemoryBudgetError` where :func:`amplitude_factors` does under
     ``memory_budget``, and when its own tables beside the factors exceed
@@ -410,7 +411,8 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
     Raises :class:`MemoryBudgetError` before it allocates when its tables
     beside the real ones of ``factors`` exceed the budget: the two R x n
     contractions with room for their temporaries (two more R x n and six
-    n x W tables), and B with its transform (four n x n), all complex."""
+    n x W tables), and B with its phase and room for temporaries (four
+    n x n), all complex."""
     grid = pipeline.grid
     n, width = grid.n, factors.phase_x.shape[2]
     own = 4 * factors.rank * n + 6 * n * width + 4 * n * n
@@ -422,8 +424,7 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
                   np.exp(1j * q * x0) * propagation, factors.s_lo).T \
         @ _contract(factors.cheb, factors.phase_y,
                     np.exp(1j * q * y0) * propagation, factors.s_lo)
-    b *= propagation[:, None] * propagation[None, :] * grid.dq**2
-    psi = _centered_ift_axis(_centered_ift_axis(b, 0, grid.dq), 1, grid.dq)
+    psi = _transform(b, _transform_phase(q, z, factors.k), b)
     values = np.abs(psi) ** 2
     total = values.sum()
     if total <= 0.0 or not np.isfinite(total):
@@ -595,40 +596,35 @@ def _pair_tables(pipeline: Pipeline):
     and v_y alike (the other component of q_s + q_i is 0, and 0 + x = x).
     Each is built from q_s^2 + q_i^2 and q_s + q_i alone, and IEEE addition
     commutes, so the n x n tables equal their transposes exactly.
-    ``b_span`` is b's (min, max) over all n^2 pairs, which lie on middle
-    and end pairs: b falls as q_s^2 + q_i^2 grows along an anti-diagonal.
-    v falls with |q_s + q_i|, the same along an anti-diagonal to a few ulps:
-    it is 0 on every anti-diagonal farther from the ridge (i + j = n) than
-    one whose middle pair has v = 0, so the band is built one anti-diagonal
-    past the live middle pairs, then trimmed.  Raises MemoryBudgetError
-    before allocating it when 160 bytes an entry exceed the budget: 88
-    while the tables are built or walked, 72 a point of the guard's chunks."""
+    ``b_span`` is b's (min, max) over every stored band entry, the
+    interval of the Chebyshev polynomials of :func:`amplitude_factors`.
+    v falls with |q_s + q_i|, the same along an anti-diagonal to a few
+    ulps: it is 0 on every anti-diagonal farther from the ridge (i + j = n)
+    than one whose middle pair has v = 0, so the band is found from the
+    envelope at the 2n - 1 middle pairs, built one anti-diagonal past the
+    live ones, then trimmed.  Raises MemoryBudgetError before allocating it
+    when 160 bytes an entry exceed the budget: 88 while the tables are
+    built or walked, 72 a point of the guard's chunks."""
     n, pump, q = pipeline.grid.n, pipeline.pump, pipeline.grid.q_axis
     ctx = make_context(pipeline.setup.theta_p, pump.wavelength)
-
-    def tables(rows, cols):
-        q_s, q_i = q[rows], q[cols]
-        a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
-                                         TransverseMomentum(q_i, q_i),
-                                         ctx, "ignore")
-        return a, b, pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pump)
-
-    # The middle pair of each anti-diagonal s, then its end pair.
     s = np.arange(2 * n - 1)
-    ends = np.maximum(s - n + 1, 0)
-    _, b_span, v = tables(np.concatenate([s // 2, ends]),
-                          np.concatenate([s - s // 2, s - ends]))
-    live = np.flatnonzero(v[:s.size] != 0)
+    v = pump_envelope(TransverseMomentum(q[s // 2] + q[s - s // 2], 0.0), pump)
+    live = np.flatnonzero(v != 0)
     s_lo = max(int(live[0]) - 1, 0)
     width = min(int(live[-1]) + 1, s[-1]) - s_lo + 1
     _check_budget(pipeline, 160 * n * width, "pair tables")
     cols, valid = _band(n, s_lo, width)
-    a, b, v = tables(np.arange(n)[:, None], cols)
+    q_s, q_i = q[:, None], q[cols]
+    a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
+                                     TransverseMomentum(q_i, q_i),
+                                     ctx, "ignore")
+    v = pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pump)
     v[~valid] = 0.0
     live = np.flatnonzero((v != 0).any(axis=0))
     band = slice(live[0], live[-1] + 1)
-    return (ctx, s_lo + int(live[0]), cols[:, band], a[:, band],
-            b[:, band], v[:, band], (b_span.min(), b_span.max()))
+    b = b[:, band]
+    return (ctx, s_lo + int(live[0]), cols[:, band], a[:, band], b,
+            v[:, band], (b.min(), b.max()))
 
 
 def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
@@ -636,7 +632,9 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
 
     With Delta k_z = a(q_sx, q_ix) + b(q_sy, q_iy), V = v_x v_y and
     h = (a + b) L/2, the only factor that couples the pairs is sinc h.  It
-    is interpolated in b on K Chebyshev nodes of [b_min, b_max],
+    is interpolated in b on K Chebyshev nodes of [b_min, b_max], b's
+    extremes on the envelope band (:func:`_pair_tables`), where every
+    polynomial is evaluated, so |T_j| <= 1 wherever one is stored:
     sinc h ~ sum_j c_j(a) T_j(t(b)), with K doubled from ``CHEB_START``
     until the two last coefficients, weighted by the envelopes, are below
     ``CHEB_TOL``; trailing terms whose weighted sum stays below it are
@@ -768,8 +766,11 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     lower = live & ~upper
     table[:, lower] = table[:, cols[lower], np.nonzero(lower)[1]]
 
-    # T_j(t(b)) by the three-term recurrence, on the y-pair band.
-    t = (b - mid) / rad if rad > 0.0 else np.zeros_like(b)
+    # T_j(t(b)) by the three-term recurrence, on the y-pair band.  The
+    # interval's ends are b's extremes on the band, so |t| <= 1 but for
+    # the rounding of t, which the clip takes out.
+    t = (np.clip((b - mid) / rad, -1.0, 1.0) if rad > 0.0
+         else np.zeros_like(b))
     cheb = np.empty((kept, n, width))
     cheb[0] = 1.0
     if kept > 1:

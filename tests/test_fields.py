@@ -611,7 +611,7 @@ class TestAveragedJointsX:
         # The pair tables hold the anti-diagonals from the least to the
         # largest i + j of the pairs where v != 0, each valid entry with the
         # bits of the n x n tables at its pair and v = 0 off the grid, and
-        # the Chebyshev interval is b's extremes over all n^2 pairs.
+        # the Chebyshev interval is b's extremes at the band's pairs.
         from biphoton.fields import _band, _pair_tables
 
         kind, n, extent_keys = extent
@@ -623,8 +623,8 @@ class TestAveragedJointsX:
         sums = np.add.outer(np.arange(n), np.arange(n))[ref_v != 0]
         assert s_lo == sums.min()
         assert v.shape == (n, sums.max() - s_lo + 1)
-        assert (b_min.hex(), b_max.hex()) == (ref_b.min().hex(),
-                                              ref_b.max().hex())
+        assert (b_min.hex(), b_max.hex()) == tuple(
+            x.hex() for x in band_span(ref_b, ref_v))
         band_cols, valid = _band(n, s_lo, v.shape[1])
         assert np.array_equal(cols, band_cols)
         rows = np.nonzero(valid)[0]
@@ -689,6 +689,19 @@ def full_pair_tables(setup, q):
     return a, b, pump_envelope(TransverseMomentum(rows + cols, 0.0), PUMP)
 
 
+def band_span(b, v):
+    """b's (min, max) at the pairs (i, cols[i, k]) of the band of the n x n
+    envelope v: the anti-diagonals from the least to the largest i + j
+    where v != 0, each column clipped to the grid.  The Chebyshev interval
+    of the factor build."""
+    n = v.shape[0]
+    sums = np.add.outer(np.arange(n), np.arange(n))[v != 0]
+    cols = np.clip(sums.min() - np.arange(n)[:, None]
+                   + np.arange(sums.max() - sums.min() + 1), 0, n - 1)
+    band = b[np.arange(n)[:, None], cols]
+    return band.min(), band.max()
+
+
 def unscreened_factors(pipeline):
     """(x, y, error) of the rank-R factors with every Chebyshev trial
     evaluated on the full table and the double crystal's halves joined by
@@ -707,8 +720,9 @@ def unscreened_factors(pipeline):
     v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), pump)
     v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), pump)
     half = setup.length / 2.0
-    mid = (b.max() + b.min()) / 2.0
-    rad = (b.max() - b.min()) / 2.0
+    b_min, b_max = band_span(b, v_x)
+    mid = (b_max + b_min) / 2.0
+    rad = (b_max - b_min) / 2.0
     nodes = CHEB_START
     while True:
         theta = np.pi * (np.arange(nodes) + 0.5) / nodes
@@ -726,7 +740,7 @@ def unscreened_factors(pipeline):
     tail = np.cumsum(weight[::-1])[::-1]
     kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
     error = float(tail[kept] + EPS * tail[0])
-    t = (b - mid) / rad
+    t = np.clip((b - mid) / rad, -1.0, 1.0)
     cheb = np.empty((kept, n, n))
     cheb[0] = 1.0
     if kept > 1:
@@ -763,8 +777,9 @@ def triangle_coeffs(pipeline):
     v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), pump)
     v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), pump)
     half = setup.length / 2.0
-    mid = (b.max() + b.min()) / 2.0
-    rad = (b.max() - b.min()) / 2.0
+    b_min, b_max = band_span(b, v_x)
+    mid = (b_max + b_min) / 2.0
+    rad = (b_max - b_min) / 2.0
     upper = np.triu_indices(n)
     nodes = CHEB_START
     while True:
@@ -866,6 +881,21 @@ class TestRankFactors:
             default = MomentumGrid4.auto(PUMP, setup, n=n)
             assert factors.rank > amplitude_factors(
                 Pipeline(PUMP, setup, default)).rank
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    @pytest.mark.parametrize("wide", [False, True], ids=["default", "wide"])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_chebyshev_values_within_one(self, kind, wide, n):
+        # The interval is b's extremes over the stored band entries, where
+        # every polynomial is evaluated: each stored T_j(t) lies in
+        # [-1, 1], and T_1 = t reaches both ends.
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n,
+                                  **(self.WIDE if wide else {}))
+        cheb = amplitude_factors(Pipeline(PUMP, setup, grid)).cheb
+        assert np.abs(cheb).max() <= 1.0
+        assert cheb[1].max() == pytest.approx(1.0, abs=1e-12)
+        assert cheb[1].min() == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n, z", [
         (n, z) for n in (8, 16, 32) for z in TestAveragedJointsX.ZS]
@@ -1220,7 +1250,7 @@ class TestRankFactors:
         def refuse(*args):
             raise AssertionError("transform reached")
 
-        monkeypatch.setattr(fields_module, "_centered_ift_axis", refuse)
+        monkeypatch.setattr(fields_module, "_transform", refuse)
         with pytest.raises(MemoryBudgetError, match="conditional tables"):
             run(budget - 1)
 
