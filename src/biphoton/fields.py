@@ -1028,14 +1028,22 @@ def singles_direct(pipeline: Pipeline, z: float) -> Distribution:
     grid = pipeline.grid
     factors = _guarded_factors(pipeline)[0]
     rank, n = factors.rank, grid.n
-    # X, Y, the conjugate of one and two n x R x R Gram tables.
-    _check_complex(pipeline, factors, 3 + 2 * rank / n)
+    block = max(1, n // 16)
+    # X, Y, two n x R x R Gram tables and the conjugate of one block of
+    # signal coordinates.
+    _check_complex(pipeline, factors, 2 + (2 * rank + block) / n)
     tables = _position_factors(pipeline, factors, z)
 
     def gram(t: np.ndarray) -> np.ndarray:
-        # (n, R, R): for each signal coordinate, sum over the idler one.
+        # (n, R, R): for each signal coordinate, sum over the idler one, a
+        # block of signal coordinates at a time.
         t = t.transpose(1, 0, 2)
-        return (t @ t.conj().transpose(0, 2, 1)).reshape(n, rank * rank)
+        out = np.empty((n, rank, rank), dtype=np.complex128)
+        for lo in range(0, n, block):
+            part = t[lo:lo + block]
+            np.matmul(part, part.conj().transpose(0, 2, 1),
+                      out=out[lo:lo + block])
+        return out.reshape(n, rank * rank)
 
     values = (gram(tables.x) @ gram(tables.y).T).real
     bin_area = grid.dx * grid.dx

@@ -1365,6 +1365,21 @@ class TestRankFactors:
         table = factors.rank * pipe.grid.n**2 * 16
         assert peak - factors.nbytes <= tables * table
 
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_singles_gram_copies_no_table(self, kind, n):
+        # The Gram step conjugates one block of n/16 signal coordinates at
+        # a time: beyond the real tables, the singles peak at X, Y and the
+        # two n x R x R Gram tables, with 1/8 of a table for the block and
+        # small arrays, where a conjugate of a whole table added one more.
+        setup = TestAveragedJointsX.setup_of(kind)
+        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=n))
+        factors = amplitude_factors(pipe)
+        peak = self.traced(lambda: singles_direct(pipe, 7.5e-3))[1]
+        table = factors.rank * n**2 * 16
+        assert peak - factors.nbytes <= (2 + 2 * factors.rank / n
+                                         + 1 / 8) * table
+
     def test_transform_is_ifft2_of_the_phased_table(self):
         # Two in-place 1D passes give np.fft.ifft2's bits, into a separate
         # buffer and into the table itself.
