@@ -393,10 +393,9 @@ def conditional_position_direct(pump: PumpSpec, setup: CrystalSetup,
     (position and propagation), B = (X p_x)^T (Y p_y).  X p_x and Y p_y come
     straight from the real band tables of :class:`AmplitudeFactors`
     (:func:`_contract`, O(K n W) work and storage each), so no complex
-    factor table is built; B is n x n, and :func:`_transform` applies the
-    signal propagation phase and transforms it in place.  Matches
-    ``conditional_position``
-    of the 4D pipeline on shared grids when rho_i0 lies on a node.  Raises
+    factor table is built; B is n x n, phased and transformed in place
+    (:func:`_transform`).  Matches ``conditional_position`` of the 4D
+    pipeline on shared grids when rho_i0 lies on a node.  Raises
     :class:`MemoryBudgetError` where :func:`amplitude_factors` does under
     ``memory_budget``, and when its own tables beside the factors exceed
     it.  Runs no boundary guard (:func:`_guarded_factors`).
@@ -411,8 +410,7 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
     Raises :class:`MemoryBudgetError` before it allocates when its tables
     beside the real ones of ``factors`` exceed the budget: the two R x n
     contractions with room for their temporaries (two more R x n and six
-    n x W tables), and B with its phase and room for temporaries (four
-    n x n), all complex."""
+    n x W tables), and B with its phase (four n x n), all complex."""
     grid = pipeline.grid
     n, width = grid.n, factors.phase_x.shape[2]
     own = 4 * factors.rank * n + 6 * n * width + 4 * n * n
@@ -488,10 +486,9 @@ class AmplitudeFactors:
 
     unnormalized, as :func:`phasematch.momentum_amplitude` gives it.  The
     complex n x n tables are built on demand (:meth:`x`, :meth:`y`) from
-    real ones: x = coeffs * phase_x and y = cheb * phase_y, every
-    coefficient or polynomial table times every phase row, the rows
-    outermost (:func:`_complex_table`).  A single crystal has one phase
-    row, a double crystal two, the second the conjugate of the first.
+    real ones: x = coeffs * phase_x and y = cheb * phase_y, each real
+    table times each phase row, rows outermost (:func:`_complex_table`):
+    one row for a single crystal, two, conjugates, for a double one.
 
     The real tables hold only the pump-envelope band.  The envelope depends
     on q_s + q_i alone, so the pairs of grid indices (i, j) where it is not
@@ -501,10 +498,10 @@ class AmplitudeFactors:
     off the grid are 0 in ``coeffs`` and in both phase tables.  ``coeffs``
     (K x n x W over (q_sx, q_ix)) and ``cheb`` (K x n x W over
     (q_sy, q_iy)) are real; ``coeffs`` is exactly 0 where v_x = 0, since
-    ``phase_x`` (P x n x W) carries v_x, as ``phase_y`` carries v_y.  The
-    rank is P K.  ``error``
-    bounds max |A - sum_r x_r y_r| over the grid in the same units
-    (|A| <= 1), and ``k`` is the propagation wavenumber n_so K_s0.
+    ``phase_x`` (P x n x W) carries v_x, as ``phase_y`` carries v_y; the
+    rank is P K.  ``error`` bounds max |A - sum_r x_r y_r| over the grid
+    in the same units (|A| <= 1), and ``k`` is the propagation wavenumber
+    n_so K_s0.
     """
 
     coeffs: np.ndarray
@@ -544,8 +541,8 @@ def _band(n: int, s_lo: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 def _complex_table(real: np.ndarray, phase: np.ndarray,
                    s_lo: int) -> np.ndarray:
     """One complex factor table of :class:`AmplitudeFactors` over all n x n
-    pairs: real * phase on the band and 0 off it, P K x n x n for the K
-    real tables and the P phase rows, the rows outermost.
+    pairs, P K x n x n: each of the K real tables times each of the P phase
+    rows on the band, rows outermost, and 0 off the band.
 
     Band entry (i, k) is the flat offset i (n - 1) + s_lo + k of an n x n
     table.  A band narrower than the grid puts no two entries at one
@@ -556,36 +553,34 @@ def _complex_table(real: np.ndarray, phase: np.ndarray,
     truncated extent) is scattered entry by entry.
     """
     terms, n, width = real.shape
-    rows = phase.shape[0]
-    out = np.zeros((rows * terms, n, n), dtype=np.complex128)
+    shape = (phase.shape[0], terms, n, width)
+    out = np.zeros((shape[0] * terms, n, n), dtype=np.complex128)
     if width < n:
         item = out.itemsize
         band = np.lib.stride_tricks.as_strided(
-            out.reshape(-1)[s_lo:], shape=(rows, terms, n, width),
-            strides=(terms * n * n * item, n * n * item, (n - 1) * item,
-                     item))
-        np.multiply(real, phase[:, None], out=band)
+            out.reshape(-1)[s_lo:], shape=(out.shape[0], n, width),
+            strides=(n * n * item, (n - 1) * item, item))
+        np.multiply(real, phase[:, None], out=band.reshape(shape))
         return out
     cols, valid = _band(n, s_lo, width)
-    out.reshape(rows, terms, n, n)[:, :, np.nonzero(valid)[0],
-                                   cols[valid]] = (real[:, valid]
-                                                   * phase[:, None, valid])
+    out.reshape(shape[:2] + (n, n))[..., np.nonzero(valid)[0], cols[valid]] \
+        = real[:, valid] * phase[:, None, valid]
     return out
 
 
 def _contract(real: np.ndarray, phase: np.ndarray, w: np.ndarray,
               s_lo: int) -> np.ndarray:
     """_complex_table(real, phase, s_lo) @ w without the complex table: w
-    is gathered onto the band (:func:`_band`), then real @ (phase * w) for
-    each phase row runs as real products batched over the rows,
-    (K, W) @ (W, 2P) a row; (P K, n).  The band entries off the grid carry
-    phase 0."""
+    is gathered onto the band (:func:`_band`), and real @ (phase * w) for
+    the P phase rows runs as real products batched over the rows, each
+    (K, W) @ (W, 2P) on the real and imaginary parts side by side; (P K, n).
+    The band entries off the grid carry phase 0."""
     rows, n, width = phase.shape
-    u = (phase * w[_band(n, s_lo, width)[0]]).transpose(1, 2, 0)
-    rhs = np.stack([u.real, u.imag], axis=-1).reshape(n, width, 2 * rows)
-    out = np.matmul(real.transpose(1, 0, 2), rhs)
-    out = out[..., 0::2] + 1j * out[..., 1::2]
-    return out.transpose(2, 1, 0).reshape(-1, n)
+    u = np.empty((n, width, rows), dtype=np.complex128)
+    np.multiply(phase.transpose(1, 2, 0),
+                w[_band(n, s_lo, width)[0]][..., None], out=u)
+    out = np.matmul(real.transpose(1, 0, 2), u.view(np.float64))
+    return out.view(np.complex128).transpose(2, 1, 0).reshape(-1, n)
 
 
 def _pair_tables(pipeline: Pipeline):
@@ -596,15 +591,13 @@ def _pair_tables(pipeline: Pipeline):
     and v_y alike (the other component of q_s + q_i is 0, and 0 + x = x).
     Each is built from q_s^2 + q_i^2 and q_s + q_i alone, and IEEE addition
     commutes, so the n x n tables equal their transposes exactly.
-    ``b_span`` is b's (min, max) over every stored band entry, the
-    interval of the Chebyshev polynomials of :func:`amplitude_factors`.
-    v falls with |q_s + q_i|, the same along an anti-diagonal to a few
-    ulps: it is 0 on every anti-diagonal farther from the ridge (i + j = n)
-    than one whose middle pair has v = 0, so the band is found from the
-    envelope at the 2n - 1 middle pairs, built one anti-diagonal past the
-    live ones, then trimmed.  Raises MemoryBudgetError before allocating it
-    when 160 bytes an entry exceed the budget: 88 while the tables are
-    built or walked, 72 a point of the guard's chunks."""
+    ``b_span`` is b's (min, max) over every stored entry.  v falls with
+    |q_s + q_i|, the same along an anti-diagonal to a few ulps, so the band
+    is found from v alone at the 2n - 1 middle pairs, built one
+    anti-diagonal past the live ones, then trimmed.  Raises
+    MemoryBudgetError before allocating it when 160 bytes an entry exceed
+    the budget: 88 while the tables are built or walked, 72 a point of the
+    guard's chunks."""
     n, pump, q = pipeline.grid.n, pipeline.pump, pipeline.grid.q_axis
     ctx = make_context(pipeline.setup.theta_p, pump.wavelength)
     s = np.arange(2 * n - 1)
@@ -621,10 +614,8 @@ def _pair_tables(pipeline: Pipeline):
     v = pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pump)
     v[~valid] = 0.0
     live = np.flatnonzero((v != 0).any(axis=0))
-    band = slice(live[0], live[-1] + 1)
-    b = b[:, band]
-    return (ctx, s_lo + int(live[0]), cols[:, band], a[:, band], b,
-            v[:, band], (b.min(), b.max()))
+    cols, a, b, v = (t[:, live[0]:live[-1] + 1] for t in (cols, a, b, v))
+    return ctx, s_lo + int(live[0]), cols, a, b, v, (b.min(), b.max())
 
 
 def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
@@ -633,29 +624,25 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     With Delta k_z = a(q_sx, q_ix) + b(q_sy, q_iy), V = v_x v_y and
     h = (a + b) L/2, the only factor that couples the pairs is sinc h.  It
     is interpolated in b on K Chebyshev nodes of [b_min, b_max], b's
-    extremes on the envelope band (:func:`_pair_tables`), where every
-    polynomial is evaluated, so |T_j| <= 1 wherever one is stored:
-    sinc h ~ sum_j c_j(a) T_j(t(b)), with K doubled from ``CHEB_START``
-    until the two last coefficients, weighted by the envelopes, are below
-    ``CHEB_TOL``; trailing terms whose weighted sum stays below it are
-    dropped.  Each trial K is first screened on the x-pairs of the envelope
-    ridge q_ix = -q_sx: if their weighted tail already exceeds
-    ``SCREEN_MARGIN`` times ``CHEB_TOL``, the full trial would fail, and K
-    doubles without it, so the accepted K is that of the unscreened
-    doubling.  The pair tables are built once, on the envelope band
-    (:func:`_pair_tables`).  A trial samples sinc, and multiplies it by the
-    K x K basis, only on the L x-pairs of the band's upper half (i <= j)
-    where the pump envelope v_x is not 0 (it underflows over most of the
-    table): the factors carry v_x, so the coefficients of the other pairs
-    are exactly 0; the lower half takes those of the mirrored pairs.  A
-    product over those columns alone moves the last bits of some
-    coefficients against one over the whole table; the accepted K, the
-    kept terms, ``error`` and the polynomial tables are unchanged by it.
-    The phase goes into the factors:
-    e^{ih} = e^{iaL/2} e^{ibL/2} for a single crystal, one phase row, and
-    cos g = (e^{ig} + e^{-ig})/2 with g = (a + b)(L + d)/2 for a double
-    one, two phase rows, the second the conjugate of the first, which
-    doubles the rank.  ``error`` is the weighted sum of the dropped
+    extremes on the envelope band of :func:`_pair_tables`, where every
+    polynomial is evaluated: sinc h ~ sum_j c_j(a) T_j(t(b)), |t| <= 1,
+    with K doubled from ``CHEB_START`` until the two last coefficients,
+    weighted by the envelopes, are below ``CHEB_TOL``; trailing terms whose
+    weighted sum stays below it are dropped.  Each trial K is first
+    screened on the x-pairs of the envelope ridge q_ix = -q_sx: if their
+    weighted tail already exceeds ``SCREEN_MARGIN`` times ``CHEB_TOL``, the
+    full trial would fail, and K doubles without it, so the accepted K is
+    that of the unscreened doubling.  A trial samples sinc, and multiplies
+    it by the K x K basis, only on the L x-pairs of the band's upper half
+    (i <= j) where the pump envelope v_x is not 0: the factors carry v_x,
+    so the coefficients of the other pairs are exactly 0; the lower half
+    takes those of the mirrored pairs.  A product over those columns alone
+    moves the last bits of some coefficients against one over the whole
+    table; the accepted K, the kept terms, ``error`` and the polynomial
+    tables are unchanged by it.  The phase goes into the factors as rows:
+    one, e^{ih} = e^{iaL/2} e^{ibL/2}, for a single crystal, and two for a
+    double one, cos g = (e^{ig} + e^{-ig})/2 with g = (a + b)(L + d)/2,
+    which doubles the rank.  ``error`` is the weighted sum of the dropped
     coefficients plus a rounding term, eps times the weighted sum of all
     of them.  The coefficients, the polynomials and the phases are stored
     on the band (see :class:`AmplitudeFactors`), W pairs a row, so the
@@ -694,10 +681,8 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
 
     def trial(nodes, a_pairs, v_pairs):
         # Chebyshev coefficients of the interpolant through sinc h at the
-        # first-kind nodes t_k = cos(theta_k), over the given x-pairs, where
-        # v is not 0, and their weighted maxima.  The factors carry v_x, so
-        # the coefficients of the other pairs are exactly 0 and none of
-        # their columns is sampled or multiplied.
+        # first-kind nodes t_k = cos(theta_k), over the given x-pairs (where
+        # v is not 0: no other column is sampled), and their weighted maxima.
         theta = np.pi * (np.arange(nodes) + 0.5) / nodes
         basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
         basis[0] /= 2.0
@@ -766,9 +751,8 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     lower = live & ~upper
     table[:, lower] = table[:, cols[lower], np.nonzero(lower)[1]]
 
-    # T_j(t(b)) by the three-term recurrence, on the y-pair band.  The
-    # interval's ends are b's extremes on the band, so |t| <= 1 but for
-    # the rounding of t, which the clip takes out.
+    # T_j(t(b)) by the three-term recurrence, on the y-pair band; the clip
+    # takes out the rounding of t at the interval's ends.
     t = (np.clip((b - mid) / rad, -1.0, 1.0) if rad > 0.0
          else np.zeros_like(b))
     cheb = np.empty((kept, n, width))
@@ -778,24 +762,18 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     for j in range(2, kept):
         np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
         cheb[j] -= cheb[j - 2]
-    # The phase rows, v e^{iag} and v e^{ibg}, and for a double crystal
-    # their conjugates as second rows.  Each is written in place by real
-    # operations on its parts: a real operand cast to complex would take
-    # a buffer of the ufunc's.
+    # The phase rows v e^{iag} (halved for a double crystal), v e^{ibg} and
+    # their conjugates, in place by real operations (no ufunc cast buffer).
     g = (setup.length + setup.gap) / 2.0 if double else half
-    phase_x = np.empty((1 + double, n, width), dtype=np.complex128)
-    phase_y = np.empty_like(phase_x)
-    for phase, c in ((phase_x, a), (phase_y, b)):
-        row = phase[0]
-        row.real = 0.0
-        np.multiply(c, g, out=row.imag)
-        np.exp(row, out=row)
-        row.real *= v
-        row.imag *= v
-    if double:
-        phase_x[0] /= 2.0
-        np.conjugate(phase_x[0], out=phase_x[1])
-        np.conjugate(phase_y[0], out=phase_y[1])
+    phase_x = np.zeros((1 + double, n, width), dtype=np.complex128)
+    phase_y = np.zeros_like(phase_x)
+    for phase, c, scale in ((phase_x, a, 1.0 - double / 2), (phase_y, b, 1.0)):
+        np.multiply(c, g, out=phase[0].imag)
+        np.exp(phase[0], out=phase[0])
+        parts = phase[0].view(np.float64).reshape(n, width, 2)
+        parts *= v[..., None]
+        parts *= scale
+        np.conjugate(phase[0], out=phase[1:])
     return AmplitudeFactors(coeffs=table, cheb=cheb, phase_x=phase_x,
                             phase_y=phase_y, error=error, k=ctx.k_signal,
                             s_lo=s_lo)
@@ -914,15 +892,11 @@ def _check_complex(pipeline: Pipeline, factors: AmplitudeFactors,
 
 
 def _propagation(q: np.ndarray, z: float, k: float) -> np.ndarray:
-    """The paraxial propagation phase exp(-i q^2 z / (2 k)) on one axis.
-
-    The convention of the rank-R routes: k = n_so K_s0 is the wavenumber
-    inside the crystal, and z is counted from the crystal's exit face,
-    since the e^{i Delta k L/2} of Phi already puts the origin of the
-    phase at the crystal centre (Schneeloch and Howell, J. Opt. 18,
-    053501, 2016).  :func:`propagate` applies the same phase on the 4D
-    grid with its own copy, so the 4D oracle stays independent of it.
-    """
+    """The paraxial propagation phase exp(-i q^2 z / (2 k)) on one axis,
+    with k = n_so K_s0, the wavenumber inside the crystal; the
+    e^{i Delta k L/2} of Phi puts the origin at the crystal centre
+    (Schneeloch and Howell, J. Opt. 18, 053501, 2016).  The 4D oracle's
+    :func:`propagate` keeps its own copy, so it stays independent."""
     return np.exp(-1j * q**2 * z / (2.0 * k))
 
 
@@ -1028,21 +1002,18 @@ def singles_direct(pipeline: Pipeline, z: float) -> Distribution:
     grid = pipeline.grid
     factors = _guarded_factors(pipeline)[0]
     rank, n = factors.rank, grid.n
-    block = max(1, n // 16)
-    # X, Y, two n x R x R Gram tables and the conjugate of one block of
-    # signal coordinates.
-    _check_complex(pipeline, factors, 2 + (2 * rank + block) / n)
+    # X, Y, two n x R x R Gram tables and the conjugate of a block of at
+    # most n/8 signal coordinates.
+    _check_complex(pipeline, factors, 2 + 2 * rank / n + 1 / 8)
     tables = _position_factors(pipeline, factors, z)
 
     def gram(t: np.ndarray) -> np.ndarray:
-        # (n, R, R): for each signal coordinate, sum over the idler one, a
-        # block of signal coordinates at a time.
+        # (n, R, R): for each signal coordinate, sum over the idler one, in
+        # 16 blocks of signal coordinates, so only a block is conjugated.
         t = t.transpose(1, 0, 2)
         out = np.empty((n, rank, rank), dtype=np.complex128)
-        for lo in range(0, n, block):
-            part = t[lo:lo + block]
-            np.matmul(part, part.conj().transpose(0, 2, 1),
-                      out=out[lo:lo + block])
+        for part, dest in zip(np.array_split(t, 16), np.array_split(out, 16)):
+            np.matmul(part, part.conj().swapaxes(1, 2), out=dest)
         return out.reshape(n, rank * rank)
 
     values = (gram(tables.x) @ gram(tables.y).T).real
