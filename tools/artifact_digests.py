@@ -11,7 +11,7 @@ single crystal set by every flag that names a config key, each at a value
 other than its default; and at n = 16 and 32 for the double crystal on a
 wide momentum extent, ``grid.c2`` = 3.3 from a config file, where the
 pump-envelope band is one and three anti-diagonals wide and the rank is
-134 and 140.  It also runs ``frames synth`` and ``frames coincide`` alone
+122 and 128.  It also runs ``frames synth`` and ``frames coincide`` alone
 on stacks of three frame blocks (12 000 frames at n = 16, 4000 at n = 32,
 seed 5), so the check crosses block edges.  Each configuration writes into
 its own directory.  Prints one ``sha256  path`` line per artifact, the path
