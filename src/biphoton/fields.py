@@ -762,8 +762,9 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     for j in range(2, kept):
         np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
         cheb[j] -= cheb[j - 2]
-    # The phase rows v e^{iag} (halved for a double crystal), v e^{ibg} and
-    # their conjugates, in place by real operations (no ufunc cast buffer).
+    # The phase rows v e^{iag} (halved for a double crystal) and v e^{ibg},
+    # conjugates in phase[1:] (empty for a single crystal), written by real
+    # operations: a real operand cast to complex takes a ufunc buffer.
     g = (setup.length + setup.gap) / 2.0 if double else half
     phase_x = np.zeros((1 + double, n, width), dtype=np.complex128)
     phase_y = np.zeros_like(phase_x)
@@ -1002,8 +1003,7 @@ def singles_direct(pipeline: Pipeline, z: float) -> Distribution:
     grid = pipeline.grid
     factors = _guarded_factors(pipeline)[0]
     rank, n = factors.rank, grid.n
-    # X, Y, two n x R x R Gram tables and the conjugate of a block of at
-    # most n/8 signal coordinates.
+    # X, Y, two n x R x R Gram tables and one block's conjugate (<= n/8).
     _check_complex(pipeline, factors, 2 + 2 * rank / n + 1 / 8)
     tables = _position_factors(pipeline, factors, z)
 
