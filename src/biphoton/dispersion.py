@@ -20,14 +20,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: Allowed values for the paraxiality guard mode.
-PARAXIAL_MODES = ("ignore", "warn")
-
 #: |q|/k ratio above which the paraxial expansion is considered unsafe.
 PARAXIAL_RATIO = 0.2
-
-#: Absolute tolerance, in radians, of the collinear phase-matching angle.
-COLLINEAR_TOL = 1e-8
 
 
 class DispersionError(ValueError):
@@ -125,17 +119,12 @@ def pump_coefficients(theta_p: float, lambda_p: float) -> PumpAnisotropy:
 
 @dataclass(frozen=True)
 class PhaseMatchContext:
-    """Cached dispersion quantities for one (theta_p, lambda_p) working point.
+    """The dispersion quantities the mismatch reads at one working point.
 
     Degenerate configuration only: signal and idler share lambda_s = 2*lambda_p
     and ordinary polarization, so n_io = n_so and K_i0 = K_s0.
     """
 
-    theta_p: float
-    lambda_p: float
-    lambda_s: float
-    n_po: float
-    n_pe: float
     n_so: float
     coeffs: PumpAnisotropy
     K_p0: float
@@ -156,25 +145,11 @@ def make_context(theta_p: float, lambda_p: float) -> PhaseMatchContext:
     """Build the cached working point for the degenerate configuration."""
     lambda_s = 2.0 * lambda_p
     return PhaseMatchContext(
-        theta_p=theta_p,
-        lambda_p=lambda_p,
-        lambda_s=lambda_s,
-        n_po=refractive_index("o", lambda_p),
-        n_pe=refractive_index("e", lambda_p),
         n_so=refractive_index("o", lambda_s),
         coeffs=pump_coefficients(theta_p, lambda_p),
         K_p0=TWO_PI / lambda_p,
         K_s0=TWO_PI / lambda_s,
     )
-
-
-def _check_paraxial(q_sq_max: float, k: float, label: str) -> None:
-    ratio = PARAXIAL_RATIO
-    if q_sq_max > (ratio * k) ** 2:
-        warnings.warn(
-            f"{label}: |q| = {math.sqrt(q_sq_max):.3e} rad/m exceeds "
-            f"{ratio:g} * k = {ratio * k:.3e} rad/m; paraxial expansion unsafe",
-            stacklevel=4)
 
 
 def _max_of_sum(x, y) -> float:
@@ -193,30 +168,32 @@ def _max_of_sum(x, y) -> float:
     return float(np.max(x + y))
 
 
-def _check_paraxial_all(q_s: TransverseMomentum, q_i: TransverseMomentum,
-                        ctx: PhaseMatchContext, mode: str) -> None:
-    """Signal, idler and pump |q|/k guards of one mismatch evaluation."""
-    if mode == "ignore":
-        return
-    if mode not in PARAXIAL_MODES:
-        raise DispersionError(f"paraxial mode must be one of {PARAXIAL_MODES}")
+def _check_paraxial(q_s: TransverseMomentum, q_i: TransverseMomentum,
+                    ctx: PhaseMatchContext) -> None:
+    """Warn of signal, idler and pump where max |q| > PARAXIAL_RATIO * k."""
     sx, sy = np.asarray(q_s.qx), np.asarray(q_s.qy)
     ix, iy = np.asarray(q_i.qx), np.asarray(q_i.qy)
-    _check_paraxial(_max_of_sum(sx**2, sy**2), ctx.k_signal, "signal")
-    _check_paraxial(_max_of_sum(ix**2, iy**2), ctx.k_signal, "idler")
-    _check_paraxial(_max_of_sum((sx + ix) ** 2, (sy + iy) ** 2),
-                    ctx.k_pump_z0, "pump")
+    ratio = PARAXIAL_RATIO
+    for label, x, y, k in (("signal", sx, sy, ctx.k_signal),
+                           ("idler", ix, iy, ctx.k_signal),
+                           ("pump", sx + ix, sy + iy, ctx.k_pump_z0)):
+        q_sq_max = _max_of_sum(x**2, y**2)
+        if q_sq_max > (ratio * k) ** 2:
+            warnings.warn(
+                f"{label}: |q| = {math.sqrt(q_sq_max):.3e} rad/m exceeds "
+                f"{ratio:g} * k = {ratio * k:.3e} rad/m; paraxial expansion "
+                "unsafe", stacklevel=3)
 
 
 def longitudinal_wavevectors(q_s: TransverseMomentum, q_i: TransverseMomentum,
-                             ctx: PhaseMatchContext, paraxial: str = "warn"):
+                             ctx: PhaseMatchContext):
     """Paraxial longitudinal wavevectors (k_pz, k_sz, k_iz) in rad/m.
 
     Accepts scalar or broadcastable array momentum components.  The pump
     transverse momentum is q_p = q_s + q_i and carries the walk-off term
     -alpha * q_px.
     """
-    _check_paraxial_all(q_s, q_i, ctx, paraxial)
+    _check_paraxial(q_s, q_i, ctx)
     c = ctx.coeffs
     q_px = np.asarray(q_s.qx) + np.asarray(q_i.qx)
     q_py = np.asarray(q_s.qy) + np.asarray(q_i.qy)
@@ -231,7 +208,7 @@ def longitudinal_wavevectors(q_s: TransverseMomentum, q_i: TransverseMomentum,
 
 
 def mismatch_split(q_s: TransverseMomentum, q_i: TransverseMomentum,
-                   ctx: PhaseMatchContext, paraxial: str = "warn"):
+                   ctx: PhaseMatchContext):
     """The mismatch k_sz + k_iz - k_pz as an x-pair part plus a y-pair part.
 
     With k = n_so K_s0 and q_p = q_s + q_i, the paraxial mismatch splits
@@ -244,8 +221,8 @@ def mismatch_split(q_s: TransverseMomentum, q_i: TransverseMomentum,
     Each part keeps the broadcast shape of its own two components, so on a
     grid both are pair tables, and the large cancellation 2k - eta K_p0
     happens once, as a scalar, not per element.  Returns (a, b) in rad/m.
+    It runs no paraxial guard: its callers guard the pairs they evaluate.
     """
-    _check_paraxial_all(q_s, q_i, ctx, paraxial)
     c = ctx.coeffs
     sx, sy = np.asarray(q_s.qx), np.asarray(q_s.qy)
     ix, iy = np.asarray(q_i.qx), np.asarray(q_i.qy)
@@ -259,49 +236,29 @@ def mismatch_split(q_s: TransverseMomentum, q_i: TransverseMomentum,
 
 
 def delta_kz(q_s: TransverseMomentum, q_i: TransverseMomentum,
-             ctx: PhaseMatchContext, paraxial: str = "warn"):
+             ctx: PhaseMatchContext):
     """Longitudinal phase mismatch k_sz + k_iz - k_pz in rad/m, as a + b."""
-    a, b = mismatch_split(q_s, q_i, ctx, paraxial)
+    _check_paraxial(q_s, q_i, ctx)
+    a, b = mismatch_split(q_s, q_i, ctx)
     return a + b
-
-
-def _bisect(f, lo: float, hi: float, f_lo: float, xtol: float) -> float:
-    """Root of f in [lo, hi], where f(lo) = f_lo and f(hi) differ in sign:
-    the bracket is halved until it is no wider than xtol, and its midpoint
-    is returned."""
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def collinear_angle(lambda_p: float) -> float:
     """Phase-matching angle where the on-axis mismatch vanishes, in radians.
 
-    Solves delta_kz(0, 0; theta) = 0 for the degenerate signal and idler,
-    2 * lambda_p each, by bracketed root finding over (0, pi/2) to absolute
-    tolerance ``COLLINEAR_TOL``.
+    The degenerate signal and idler, 2 * lambda_p each, match the pump on
+    axis where eta(theta) = n_so, that is where sin^2 theta =
+    (n_so^-2 - n_po^-2) / (n_pe^-2 - n_po^-2) (Boyd, Nonlinear Optics, 3rd
+    ed., 2008, sec. 2.3).  Raises :class:`NoCollinearMatchError` when that
+    lies outside [0, 1].
     """
     lambda_s = 2.0 * lambda_p
-    k_dc = 2.0 * refractive_index("o", lambda_s) * TWO_PI / lambda_s
-
-    def mismatch(theta: float) -> float:
-        return k_dc - pump_coefficients(theta, lambda_p).eta * TWO_PI / lambda_p
-
-    thetas = np.linspace(1e-9, math.pi / 2 - 1e-9, 181)
-    vals = [mismatch(t) for t in thetas]
-    for lo, hi, flo, fhi in zip(thetas, thetas[1:], vals, vals[1:]):
-        if flo == 0.0:
-            return float(lo)
-        if flo * fhi < 0.0:
-            return _bisect(mismatch, float(lo), float(hi), flo, COLLINEAR_TOL)
-    raise NoCollinearMatchError(
-        f"no collinear phase matching for pump {lambda_p * 1e9:.1f} nm -> "
-        f"signal {lambda_s * 1e9:.1f} nm in (0, pi/2)"
-    )
+    n_so = refractive_index("o", lambda_s)
+    n_po = refractive_index("o", lambda_p)
+    n_pe = refractive_index("e", lambda_p)
+    sin_sq = (n_so**-2 - n_po**-2) / (n_pe**-2 - n_po**-2)
+    if not 0.0 <= sin_sq <= 1.0:
+        raise NoCollinearMatchError(
+            f"no collinear phase matching for pump {lambda_p * 1e9:.1f} nm -> "
+            f"signal {lambda_s * 1e9:.1f} nm in [0, pi/2]")
+    return math.asin(math.sqrt(sin_sq))

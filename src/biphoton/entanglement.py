@@ -13,7 +13,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .fields import AveragedJoints, Distribution, Pipeline, averaged_joints_x
+from .dispersion import DispersionError
+from .fields import (AveragedJoints, DegenerateConditionError, Distribution,
+                     GridError, Pipeline, averaged_joints_x)
+from .phasematch import ConfigurationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,6 +27,12 @@ CONJUGACY_RTOL = 1e-9
 
 class EntanglementError(ValueError):
     """Invalid input to an entropy or witness computation."""
+
+
+#: What a scan point can fail with (a setup out of range, a truncated grid,
+#: a gap scan on a single crystal, a budget refusal), recorded as its data.
+_POINT_ERRORS = (ConfigurationError, DispersionError, GridError,
+                 DegenerateConditionError, EntanglementError, MemoryError)
 
 
 @dataclass(frozen=True)
@@ -228,8 +237,8 @@ def scan(pipeline: Pipeline, z: float, parameter: str, values,
          m: int | None = None, fingerprint: str = "") -> list[ScanPoint]:
     """Evaluate ef_min over one swept parameter: "z", "theta_p", or "d".
 
-    Points are evaluated independently in the order given; per-point errors
-    are captured in the result instead of aborting the scan.  A z scan
+    Points are evaluated independently in the order given; ``_POINT_ERRORS``
+    are captured in the result, and any other exception propagates.  A z scan
     passes all its z values to one engine pass, which builds the factors
     once; an error of that pass is the error of every point.  A theta_p or
     d scan swaps the crystal setup and keeps the pipeline's grid.
@@ -243,7 +252,7 @@ def scan(pipeline: Pipeline, z: float, parameter: str, values,
     if parameter == "z":
         try:
             joints = averaged_joints_x(pipeline, values)
-        except Exception as exc:  # the shared pass fails every point
+        except _POINT_ERRORS as exc:  # the shared pass fails every point
             return [ScanPoint(value=float(value), report=None,
                               error=f"{type(exc).__name__}: {exc}")
                     for value in values]
@@ -260,7 +269,7 @@ def scan(pipeline: Pipeline, z: float, parameter: str, values,
                 report = ef_min_at(replace(pipeline, setup=varied), z, m=m,
                                    fingerprint=fingerprint)
             points.append(ScanPoint(value=float(value), report=report))
-        except Exception as exc:  # per-point errors are data, not fatal
+        except _POINT_ERRORS as exc:  # per-point errors are data, not fatal
             points.append(ScanPoint(value=float(value), report=None,
                                     error=f"{type(exc).__name__}: {exc}"))
     return points

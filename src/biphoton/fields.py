@@ -239,7 +239,7 @@ def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
     values = momentum_amplitude(
         TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
         TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
-        pump, setup, ctx=ctx)
+        pump, setup)
     values = np.asarray(values, dtype=np.complex128)
 
     peak = float(np.abs(values).max())
@@ -409,11 +409,11 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
     """:func:`conditional_position_direct` from the pipeline's factors.
     Raises :class:`MemoryBudgetError` before it allocates when its tables
     beside the real ones of ``factors`` exceed the budget: the two R x n
-    contractions with room for their temporaries (two more R x n and six
-    n x W tables), and B with its phase (four n x n), all complex."""
+    contractions with room for their temporaries (two more R x n and three
+    n x W tables), and B with its one phase (two n x n), all complex."""
     grid = pipeline.grid
     n, width = grid.n, factors.phase_x.shape[2]
-    own = 4 * factors.rank * n + 6 * n * width + 4 * n * n
+    own = 4 * factors.rank * n + 3 * n * width + 2 * n * n
     _check_budget(pipeline, factors.nbytes + 16 * own, "conditional tables")
     q = grid.q_axis
     x0, y0 = rho_i0
@@ -609,8 +609,7 @@ def _pair_tables(pipeline: Pipeline):
     cols, valid = _band(n, s_lo, width)
     q_s, q_i = q[:, None], q[cols]
     a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
-                                     TransverseMomentum(q_i, q_i),
-                                     ctx, "ignore")
+                                     TransverseMomentum(q_i, q_i), ctx)
     v = pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pump)
     v[~valid] = 0.0
     live = np.flatnonzero((v != 0).any(axis=0))
@@ -665,10 +664,10 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     setup, grid = pipeline.setup, pipeline.grid
     ctx, s_lo, cols, a, b, v, (b_min, b_max) = tables
     q, n, width = grid.q_axis, grid.n, v.shape[1]
-    dispersion._check_paraxial_all(
+    dispersion._check_paraxial(
         TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
         TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
-        ctx, "warn")
+        ctx)
     # The live x-pairs: the band's upper half where v is not 0 (a NaN
     # envelope stays in, so the trial raises on it), in the order of the
     # upper-triangle pairs (i, j), row by row.

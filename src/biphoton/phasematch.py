@@ -19,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (
-    PhaseMatchContext,
-    TransverseMomentum,
-    make_context,
-    mismatch_split,
-)
+from .dispersion import (TransverseMomentum, _check_paraxial, make_context,
+                         mismatch_split)
 
 
 class ConfigurationError(ValueError):
@@ -164,20 +160,17 @@ def phi_of_mismatch(dkz, setup: CrystalSetup):
 
 
 def momentum_amplitude(q_s: TransverseMomentum, q_i: TransverseMomentum,
-                       pump: PumpSpec, setup: CrystalSetup,
-                       ctx: PhaseMatchContext | None = None,
-                       paraxial: str = "warn"):
+                       pump: PumpSpec, setup: CrystalSetup):
     """Unnormalized two-photon momentum amplitude V(q_s + q_i) * Phi(q_s, q_i).
 
-    Evaluated on the split mismatch a(q_sx, q_ix) + b(q_sy, q_iy); the
-    Gaussian V factors exactly into an x-pair and a y-pair envelope, each
-    computed on its own broadcast shape.  Real for a double crystal.
+    Guarded, then evaluated on the split mismatch a(q_sx, q_ix) +
+    b(q_sy, q_iy); the Gaussian V factors exactly into an x-pair and a
+    y-pair envelope, each on its own broadcast shape.  Real for a double
+    crystal.
     """
-    if ctx is None:
-        ctx = make_context(setup.theta_p, pump.wavelength)
-    elif not math.isclose(ctx.lambda_p, pump.wavelength):
-        raise ConfigurationError("context wavelength disagrees with pump")
-    a, b = mismatch_split(q_s, q_i, ctx, paraxial)
+    ctx = make_context(setup.theta_p, pump.wavelength)
+    _check_paraxial(q_s, q_i, ctx)
+    a, b = mismatch_split(q_s, q_i, ctx)
     v_x = pump_envelope(
         TransverseMomentum(np.asarray(q_s.qx) + np.asarray(q_i.qx), 0.0), pump)
     v_y = pump_envelope(

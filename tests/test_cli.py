@@ -201,7 +201,7 @@ class TestCliCommands:
     def test_collinear_angle_exit0(self, tmp_path, capsys):
         assert self.run("collinear-angle", outdir=tmp_path) == 0
         out = capsys.readouterr().out
-        assert "32.9" in out
+        assert "32.9139 deg (0.574456 rad)" in out
 
     def test_simulate_mom_writes_outputs(self, tmp_path):
         code = self.run("--n", "16", "simulate", "mom", outdir=tmp_path)

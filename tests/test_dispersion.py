@@ -1,5 +1,5 @@
 """Crystal-optics tests: BBO Sellmeier indices, pump anisotropy coefficients,
-longitudinal wavevectors, phase mismatch, and the collinear angle root-find.
+longitudinal wavevectors, phase mismatch, and the closed-form collinear angle.
 
 Golden values were computed independently with 50-digit mpmath evaluation of
 the same closed forms and are frozen here.
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton.dispersion import (
-    DispersionError,
     NoCollinearMatchError,
     SellmeierModel,
     TransverseMomentum,
@@ -155,11 +154,6 @@ class TestWavevectors:
         zero = TransverseMomentum(0.0, 0.0)
         assert tripped(longitudinal_wavevectors, big, zero, self.ctx) == [
             "signal", "pump"]
-        assert tripped(longitudinal_wavevectors, big, zero, self.ctx,
-                       paraxial="ignore") == []
-        # The modes are "ignore" and "warn"; any other is refused.
-        with pytest.raises(DispersionError, match="paraxial mode"):
-            longitudinal_wavevectors(big, zero, self.ctx, paraxial="error")
 
 
 class TestDeltaKz:
@@ -228,12 +222,17 @@ class TestCollinearAngle:
         assert theta == pytest.approx(GOLDEN_THETA_405, abs=1e-8)
         assert 28.0 <= math.degrees(theta) <= 29.0
 
-    def test_root_residual(self):
-        theta = collinear_angle(LAMBDA_P)
-        ctx = make_context(theta, LAMBDA_P)
+    @pytest.mark.parametrize("nm", [230, 266, 300, 355, 405, 460, 532,
+                                    600, 650, 690])
+    def test_root_residual(self, nm):
+        # The closed form leaves only rounding: |2 n_so K_s0 - eta K_p0| is
+        # a few ulps of K_p0.
+        lambda_p = nm * 1e-9
+        theta = collinear_angle(lambda_p)
+        ctx = make_context(theta, lambda_p)
         zero = TransverseMomentum(0.0, 0.0)
-        K_p0 = 2 * math.pi / LAMBDA_P
-        assert abs(delta_kz(zero, zero, ctx)) < 1e-6 * K_p0
+        K_p0 = 2 * math.pi / lambda_p
+        assert abs(delta_kz(zero, zero, ctx)) <= 4 * np.finfo(float).eps * K_p0
 
     def test_no_bracket_error(self, monkeypatch):
         # Positive-uniaxial synthetic model in place of the BBO constants:

@@ -281,6 +281,19 @@ class TestScan:
             assert p.report is None
             assert p.error.startswith("SupportTruncationError: boundary")
 
+    def test_program_fault_propagates(self, monkeypatch):
+        # Only what a point can fail with is scan data; a TypeError in the
+        # engine is a fault of the program and leaves the scan.
+        import biphoton.entanglement as entanglement_module
+
+        def broken(pipeline, zs):
+            raise TypeError("broken engine")
+
+        monkeypatch.setattr(entanglement_module, "averaged_joints_x", broken)
+        setup = CrystalSetup.single(5e-3, math.radians(32.9))
+        with pytest.raises(TypeError, match="broken engine"):
+            scan(pipeline(setup, 16), 5e-3, "z", [0.0, 5e-3])
+
     def test_unknown_parameter_rejected(self):
         setup = CrystalSetup.single(5e-3, math.radians(32.9))
         with pytest.raises(Exception):

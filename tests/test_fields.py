@@ -661,8 +661,7 @@ def full_pair_peak(pipeline):
     q = pipeline.grid.q_axis
     q_s, q_i = np.repeat(q, q.size), np.tile(q, q.size)
     a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
-                                     TransverseMomentum(q_i, q_i),
-                                     ctx, "ignore")
+                                     TransverseMomentum(q_i, q_i), ctx)
     v = pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pipeline.pump)
     order = np.argsort(-v, kind="stable")
     q_s, q_i, a, b, v = q_s[order], q_i[order], a[order], b[order], v[order]
@@ -684,8 +683,7 @@ def full_pair_tables(setup, q):
     rows, cols = q[:, None], q[None, :]
     ctx = dispersion.make_context(setup.theta_p, PUMP.wavelength)
     a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
-                                     TransverseMomentum(cols, cols),
-                                     ctx, "ignore")
+                                     TransverseMomentum(cols, cols), ctx)
     return a, b, pump_envelope(TransverseMomentum(rows + cols, 0.0), PUMP)
 
 
@@ -715,8 +713,7 @@ def unscreened_factors(pipeline):
     q, n = grid.q_axis, grid.n
     rows, cols = q[:, None], q[None, :]
     a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
-                                     TransverseMomentum(cols, cols),
-                                     ctx, "ignore")
+                                     TransverseMomentum(cols, cols), ctx)
     v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), pump)
     v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), pump)
     half = setup.length / 2.0
@@ -772,8 +769,7 @@ def triangle_coeffs(pipeline):
     q, n = grid.q_axis, grid.n
     rows, cols = q[:, None], q[None, :]
     a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
-                                     TransverseMomentum(cols, cols),
-                                     ctx, "ignore")
+                                     TransverseMomentum(cols, cols), ctx)
     v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), pump)
     v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), pump)
     half = setup.length / 2.0
@@ -848,7 +844,7 @@ def factor_error(factors, grid, setup):
     values = momentum_amplitude(
         TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
         TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
-        PUMP, setup, paraxial="ignore")
+        PUMP, setup)
     err = np.abs(np.einsum("rac,rbd->abcd", factors.x(), factors.y())
                  - values).max()
     return float(err), float(np.abs(values).max())
@@ -1075,8 +1071,7 @@ class TestRankFactors:
         rows, cols = q[:, None], q[None, :]
         ctx = dispersion.make_context(setup.theta_p, PUMP.wavelength)
         a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
-                                         TransverseMomentum(cols, cols),
-                                         ctx, "ignore")
+                                         TransverseMomentum(cols, cols), ctx)
         v_x = pump_envelope(TransverseMomentum(rows + cols, 0.0), PUMP)
         v_y = pump_envelope(TransverseMomentum(0.0, rows + cols), PUMP)
         for table in (a, b, v_x, v_y):
@@ -1229,8 +1224,9 @@ class TestRankFactors:
         # The direct conditional builds no complex table: the least budget
         # it admits counts the factor build, the real band tables and its
         # own R x n and n x n tables, under a tenth of the two complex
-        # R x n^2 tables, and its traced peak stays within it; one byte
-        # less is refused before the transform.
+        # R x n^2 tables, and its traced peak stays within it and at or
+        # above eight tenths of it; one byte less is refused before the
+        # transform.
         import biphoton.fields as fields_module
 
         n = 256
@@ -1245,7 +1241,7 @@ class TestRankFactors:
         got, peak = self.traced(lambda: run(budget))
         assert np.array_equal(got.values, run(MEMORY_BUDGET).values)
         rank = amplitude_factors(Pipeline(PUMP, setup, grid)).rank
-        assert peak <= budget < 2 * rank * n * n * 16 / 10
+        assert 0.8 * budget <= peak <= budget < 2 * rank * n * n * 16 / 10
 
         def refuse(*args):
             raise AssertionError("transform reached")
