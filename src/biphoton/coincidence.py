@@ -42,11 +42,12 @@ MAX_COUNT = np.iinfo(np.uint16).max
 
 #: Bytes of one frame block: stacks are written, read and reduced in blocks
 #: of whole frames of about this size, each through one reused buffer.
-FRAME_BLOCK_BYTES = 4 * 1024**2
+FRAME_BLOCK_BYTES = 1024**2
 
 #: Elements of a table chunk of the x-draw (1 MiB complex), and draws in a
-#: batch.  A chunk has at least R rows (one R x n^2 factor table), so that
-#: each product reads the x table for at least as many rows as it has terms.
+#: batch of the sampler.  A chunk has at least R rows (one R x n^2 factor
+#: table), so that each product reads the x table for at least as many rows
+#: as it has terms.
 DRAW_CHUNK_ELEMS = 2**16
 
 
@@ -138,11 +139,11 @@ def _dense_blocks(counts: np.ndarray) -> Iterator[np.ndarray]:
     return (counts[f0:f0 + per] for f0 in range(0, len(counts), per))
 
 
-def _block_counts(shape, offsets, pixels, keep, dark) -> Iterator[tuple]:
+def _block_counts(shape, offsets, pixels, dark) -> Iterator[tuple]:
     """(frames, sorted flat cells, counts) of each block of the stack whose
     frame f holds pairs offsets[f]:offsets[f + 1], each photon's pixel in
-    its plane and detection in the (signal, idler) rows of ``pixels`` and
-    ``keep``, and dark counts at the sorted flat cells ``dark``."""
+    its plane in the (signal, idler) columns of ``pixels`` (-1 for a photon
+    not detected), and dark counts at the sorted flat cells ``dark``."""
     n_frames, frame = shape[0], math.prod(shape[1:])
     per = _block_frames(shape)
     for f0 in range(0, n_frames, per):
@@ -153,8 +154,9 @@ def _block_counts(shape, offsets, pixels, keep, dark) -> Iterator[tuple]:
         d0, d1 = np.searchsorted(dark, (f0 * frame, f1 * frame))
         events = [dark[d0:d1] - f0 * frame]
         for k in range(2):
-            kept = keep[k, lo:hi]
-            events.append(first[kept] + pixels[k, lo:hi][kept] + k * frame // 2)
+            pixel = pixels[lo:hi, k]
+            kept = pixel >= 0
+            events.append(first[kept] + pixel[kept] + k * frame // 2)
         yield (f1 - f0, *np.unique(np.concatenate(events), return_counts=True))
 
 
@@ -173,8 +175,10 @@ class AliasTable:
 
     def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=float).ravel()
-        if w.size == 0 or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be non-negative with positive total")
+        if (w.size == 0 or not np.all(np.isfinite(w)) or np.any(w < 0)
+                or w.sum() <= 0):
+            raise ValueError("weights must be finite and non-negative with "
+                             "positive total")
         n = w.size
         prob = w * (n / w.sum())
         alias = np.arange(n, dtype=np.int64)
@@ -213,35 +217,47 @@ def _pixel_of(x: np.ndarray, pitch: float, n_pix: int) -> np.ndarray:
 
 def sample_pairs(source: PositionFactors, n_pairs: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Grid nodes of ``n_pairs`` photon pairs drawn jointly from |psi|^2.
-
-    The (y_s, y_i) pair is drawn from the marginal of ``source`` with an
-    alias table, then the (x_s, x_i) pair by inverse CDF given it.  Returns
-    the flat int32 (x_s, x_i) and (y_s, y_i) indices, signal index major.
+    """Grid nodes of ``n_pairs`` photon pairs drawn jointly from |psi|^2
+    (:func:`_pair_batches`), grouped by y-pair.  Returns the flat int32
+    (x_s, x_i) and (y_s, y_i) indices, signal index major.
     """
-    y_cells = AliasTable(source.y_marginal()).sample(n_pairs, rng)
-    y_cells = y_cells.astype(np.int32)
-    return _draw_given(y_cells, rng.random(n_pairs), source), y_cells
+    x_cells = np.empty(n_pairs, dtype=np.int32)
+    y_cells = np.empty(n_pairs, dtype=np.int32)
+    for lo, x, y in _pair_batches(source, n_pairs, rng):
+        x_cells[lo:lo + len(x)] = x
+        y_cells[lo:lo + len(y)] = y
+    return x_cells, y_cells
 
 
-def _draw_given(y_cells: np.ndarray, uniforms: np.ndarray,
-                source: PositionFactors) -> np.ndarray:
-    """One x-pair index per draw, by inverse CDF from the row of
-    ``source.x_weights`` of its y-pair, with the draw's uniform.
+def _pair_batches(source: PositionFactors, n_pairs: int,
+                  rng: np.random.Generator) -> Iterator[tuple]:
+    """(first draw, x-pair indices, y-pair indices) of ``n_pairs`` pairs,
+    in batches of at most ``DRAW_CHUNK_ELEMS`` draws, ascending in y-pair.
 
-    Draws are grouped by y-pair; the tables of the distinct y-pairs are
-    built in chunks of ``DRAW_CHUNK_ELEMS`` elements or R rows, each CDF
-    normalized and offset by the y-pair's index among the distinct ones, so
-    one ``searchsorted`` of (index + uniform) reads a chunk for its draws.
+    The (y_s, y_i) pairs are drawn from the marginal of ``source`` with an
+    alias table, batch by batch into one int32 array, which is sorted in
+    place.  Each (x_s, x_i) pair is then drawn by inverse CDF from the row
+    of ``source.x_weights`` of its y-pair: the tables of the distinct
+    y-pairs are built in chunks of ``DRAW_CHUNK_ELEMS`` elements or R rows,
+    each CDF normalized and offset by the y-pair's index among the distinct
+    ones, so one ``searchsorted`` of (index + uniform) reads a chunk for a
+    batch of its draws.  The batch's uniforms are drawn in one call and
+    sorted within each y-pair, so that the search keys ascend.
     """
-    counts = np.bincount(y_cells)
-    distinct = np.flatnonzero(counts)
-    edges = np.append(0, np.cumsum(counts[distinct]))
-    index = np.zeros(counts.size, dtype=np.int32)
-    index[distinct] = np.arange(distinct.size)
-    order = np.argsort(y_cells).astype(np.int32)  # grouped by y-pair
-    found = np.empty(y_cells.size, dtype=np.int32)
+    table = AliasTable(source.y_marginal())
+    y_cells = np.empty(n_pairs, dtype=np.int32)
+    for lo in range(0, n_pairs, DRAW_CHUNK_ELEMS):
+        hi = min(lo + DRAW_CHUNK_ELEMS, n_pairs)
+        y_cells[lo:hi] = table.sample(hi - lo, rng)
+    y_cells.sort()
     size, rank = source.grid.n ** 2, source.x.shape[0]
+    # First draw of each y-pair and past the last; int32 keys, so that the
+    # draws are searched without an int64 copy (np.bincount makes one).
+    first = np.searchsorted(y_cells, np.arange(size + 1, dtype=np.int32))
+    distinct = np.flatnonzero(np.diff(first))
+    edges = np.append(first[distinct], n_pairs)
+    index = np.zeros(size, dtype=np.int32)
+    index[distinct] = np.arange(distinct.size)
     rows = max(DRAW_CHUNK_ELEMS // size, rank)
     for c0 in range(0, distinct.size, rows):
         c1 = min(c0 + rows, distinct.size)
@@ -250,14 +266,47 @@ def _draw_given(y_cells: np.ndarray, uniforms: np.ndarray,
         cdf /= cdf[:, -1:]
         cdf += np.arange(c0, c1)[:, None]
         for lo in range(edges[c0], edges[c1], DRAW_CHUNK_ELEMS):
-            take = order[lo:min(lo + DRAW_CHUNK_ELEMS, edges[c1])]
-            row = index[y_cells[take]]
-            at = np.searchsorted(cdf.ravel(), row + uniforms[take],
-                                 side="right")
+            y = y_cells[lo:min(lo + DRAW_CHUNK_ELEMS, edges[c1])]
+            row = index[y]
+            # The rows ascend, so sorting the keys sorts each row's uniforms
+            # and leaves every key in its own row's interval.
+            key = rng.random(y.size)
+            key += row
+            key.sort()
+            at = np.searchsorted(cdf.ravel(), key, side="right")
             # row + u rounds to row + 1 for u within an ulp of 1: keep such
             # a draw in its own row.
-            found[take] = np.minimum(at - (row - c0) * size, size - 1)
-    return found
+            yield lo, np.minimum(at - (row - c0) * size, size - 1), y
+
+
+def _pair_pixels(source: PositionFactors, detector: DetectorModel,
+                 n_pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """The (signal, idler) pixels of ``n_pairs`` pairs drawn from
+    ``source``, as an (n_pairs, 2) int32 array in a uniformly random order.
+
+    A photon's pixel is py * nx + px within its plane, or -1 when it is not
+    detected (probability 1 - QE).  The pairs are drawn grouped by y-pair
+    (:func:`_pair_batches`); they are iid, so one uniform shuffle of them,
+    in place, gives the order of independent draws.
+    """
+    axis = source.grid.x_axis
+    ny, nx = detector.roi
+    px, py = (_pixel_of(axis, detector.pitch, nx),
+              _pixel_of(axis, detector.pitch, ny) * nx)
+    n = axis.size
+    pixels = np.empty((n_pairs, 2), dtype=np.int32)
+    for lo, x, y in _pair_batches(source, n_pairs, rng):
+        sy, iy = np.divmod(y, n)
+        sx, ix = np.divmod(x, n)
+        batch = pixels[lo:lo + len(x)]
+        np.add(py[sy], px[sx], out=batch[:, 0])
+        np.add(py[iy], px[ix], out=batch[:, 1])
+    qe = detector.quantum_efficiency
+    for lo in range(0, n_pairs, DRAW_CHUNK_ELEMS):
+        batch = pixels[lo:lo + DRAW_CHUNK_ELEMS]
+        batch[rng.random(batch.shape) >= qe] = -1
+    rng.shuffle(pixels.view(np.int64).ravel())  # whole pairs, in place
+    return pixels
 
 
 def _check_roi(axis: np.ndarray, detector: DetectorModel) -> None:
@@ -276,45 +325,40 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     """Generate a stack of synthetic frames from the position amplitude's
     factor tables (:func:`fields.position_factors`).
 
-    Per frame, the number of pair events is Poisson(mu_pairs).  Each
-    event's (y_s, y_i) nodes are drawn from their marginal with an alias
-    table, then its (x_s, x_i) nodes by inverse CDF given them (the pair is
-    drawn jointly); each photon survives with probability QE, and Poisson
-    dark counts are added independently to every pixel of both planes.  The
-    stack keeps per-pair pixels and detections, the pairs' frame offsets and
-    the sorted dark cells (:func:`_block_counts`).  Deterministic for a
-    fixed seed.
+    Per frame, the number of pair events is Poisson(mu_pairs).  The
+    events' (y_s, y_i) nodes are drawn from their marginal with an alias
+    table, then each one's (x_s, x_i) nodes by inverse CDF given them (the
+    pair is drawn jointly; :func:`_pair_batches`); each photon survives with
+    probability QE, and Poisson dark counts are added independently to every
+    pixel of both planes.  The stack keeps each photon's pixel, -1 when it
+    is not detected, in a uniformly random order of the pairs
+    (:func:`_pair_pixels`), the pairs' frame offsets and the sorted dark
+    cells (:func:`_block_counts`).  Deterministic for a fixed seed.
     """
-    if mu_pairs < 0:
-        raise DetectorError(f"mu_pairs must be >= 0, got {mu_pairs}")
+    if not (math.isfinite(mu_pairs) and mu_pairs >= 0):
+        raise DetectorError(
+            f"mu_pairs must be finite and >= 0, got {mu_pairs}")
     if n_frames < 1:
         raise DetectorError(f"n_frames must be >= 1, got {n_frames}")
-    axis = source.grid.x_axis
-    _check_roi(axis, detector)
+    _check_roi(source.grid.x_axis, detector)
     ny, nx = detector.roi
     shape = (n_frames, 2, ny, nx)
 
     rng = np.random.default_rng(seed)
     offsets = np.append(0, np.cumsum(rng.poisson(mu_pairs, size=n_frames)))
-    total_pairs = int(offsets[-1])
-    x_cells, y_cells = sample_pairs(source, total_pairs, rng)
-    # py * nx + px of each grid node pair, signal index major.
-    px, py = (_pixel_of(axis, detector.pitch, nx),
-              _pixel_of(axis, detector.pitch, ny) * nx)
-    n = axis.size
-    pixels = np.stack([py[y_cells // n] + px[x_cells // n],
-                       py[y_cells % n] + px[x_cells % n]])
-    del x_cells, y_cells
-    qe = detector.quantum_efficiency
-    keep = np.stack([rng.random(total_pairs) < qe,
-                     rng.random(total_pairs) < qe])
-    n_dark = rng.poisson(detector.dark_rate * 2 * ny * nx * n_frames)
-    dark = np.sort(rng.integers(0, n_frames * 2 * ny * nx, size=int(n_dark)))
-    state = (offsets, pixels, keep, dark)
+    pixels = _pair_pixels(source, detector, int(offsets[-1]), rng)
+    cells = 2 * ny * nx
+    n_dark = rng.poisson(detector.dark_rate * cells * n_frames)
+    dark = rng.integers(0, n_frames * cells, size=int(n_dark))
+    dark.sort()
+    state = (offsets, pixels, dark)
     # A cell's count in a frame is at most the frame's pairs plus its dark
-    # counts: count exactly only where that bound exceeds MAX_COUNT.
-    worst = np.diff(offsets + np.searchsorted(
-        dark, np.arange(n_frames + 1) * (2 * ny * nx))).max()
+    # counts: count exactly only where that bound exceeds MAX_COUNT.  The
+    # bound is taken a block of frames at a time, with no per-frame array.
+    per = _block_frames(shape)
+    worst = max(np.diff(offsets[f0:f0 + per + 1] + np.searchsorted(
+        dark, np.arange(f0, min(f0 + per, n_frames) + 1) * cells)).max()
+        for f0 in range(0, n_frames, per))
     if worst > MAX_COUNT:
         worst = max(c.max(initial=0) for *_, c in _block_counts(shape, *state))
     if worst > MAX_COUNT:

@@ -68,7 +68,10 @@ def reference_counts(source, det, mu_pairs, n_frames, seed):
     """The dense counts of ``synth_frames(source, det, mu_pairs, n_frames,
     seed)`` built from the same draws as one sorted list of every event of
     the stack, counted by one global ``np.unique``: the reference for the
-    block builder."""
+    block builder.  The draws, in order: the pairs of each frame, the pairs
+    (grouped by y-pair), each photon's detection (signal and idler of each
+    pair in turn), the permutation that puts the pairs in frame order, the
+    number of dark counts and their cells."""
     axis = source.grid.x_axis
     ny, nx = det.roi
     rng = np.random.default_rng(seed)
@@ -76,10 +79,12 @@ def reference_counts(source, det, mu_pairs, n_frames, seed):
     total = int(pairs_per_frame.sum())
     frame_of_pair = np.repeat(np.arange(n_frames), pairs_per_frame)
     x_cells, y_cells = sample_pairs(source, total, rng)
+    keep = rng.random((total, 2)) < det.quantum_efficiency
+    order = rng.permutation(total)
+    x_cells, y_cells, keep = x_cells[order], y_cells[order], keep[order]
     isy, iiy = np.divmod(y_cells.astype(np.int64), axis.size)
     isx, iix = np.divmod(x_cells.astype(np.int64), axis.size)
-    keep_s = rng.random(total) < det.quantum_efficiency
-    keep_i = rng.random(total) < det.quantum_efficiency
+    keep_s, keep_i = keep.T
 
     def events(keep, ix, iy, plane):
         px = np.floor(axis[ix[keep]] / det.pitch).astype(np.int64) + nx // 2
@@ -140,6 +145,11 @@ class TestAliasTable:
             AliasTable(np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             AliasTable(np.array([1.0, -0.5]))
+        # A NaN cell took a third of the draws; an infinite one all of them.
+        with pytest.raises(ValueError, match="finite"):
+            AliasTable(np.array([math.nan, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            AliasTable(np.array([math.inf, 1.0]))
 
 
 class TestSynthFrames:
@@ -194,6 +204,12 @@ class TestSynthFrames:
             stack = synth_frames(factors16, det, mu, 5000, seed=9)
             totals.append(stack.counts.sum())
         assert totals[1] / totals[0] == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize("mu_pairs", [-1.0, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_rejects_bad_mu_pairs(self, factors16, mu_pairs):
+        with pytest.raises(DetectorError, match="mu_pairs"):
+            synth_frames(factors16, detector(), mu_pairs, 10, seed=0)
 
     def test_roi_too_small(self, factors16):
         with pytest.raises(DetectorError, match="ROI"):
@@ -434,8 +450,8 @@ class TestBlockBuilder:
     """The blocks of a synthesized stack, built from per-pair pixels,
     against one global count of every event (:func:`reference_counts`)."""
 
-    # Two full 24 x 24 blocks and a partial one.
-    MULTI = 2 * FRAME_BLOCK_BYTES // (2 * 2 * 24 * 24) + 7
+    # Eight full 24 x 24 blocks of 455 frames and a partial one of 7.
+    MULTI = 3647
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("dark_rate, qe", [(0.0, 1.0), (0.05, 1.0),
@@ -447,7 +463,8 @@ class TestBlockBuilder:
         det = detector(dark_rate=dark_rate, quantum_efficiency=qe)
         stack = synth_frames(factors16, det, mu_pairs, n_frames, seed=seed)
         blocks = [b.copy() for b in stack.blocks()]
-        assert len(blocks) == (3 if n_frames == self.MULTI else 1)
+        assert len(blocks) == (9 if n_frames == self.MULTI else 1)
+        assert len(blocks[-1]) == (7 if n_frames == self.MULTI else 1)
         ref = reference_counts(factors16, det, mu_pairs, n_frames, seed)
         assert np.concatenate(blocks).tobytes() == ref.tobytes()
         if n_frames > 1 and mu_pairs < 1:
@@ -483,6 +500,50 @@ class TestBlockBuilder:
                 tracemalloc.stop()
             pairs.append(np.random.default_rng(6).poisson(5.0, n_frames).sum())
         assert (peaks[1] - peaks[0]) / (pairs[1] - pairs[0]) < 40
+
+    def test_memory_grows_under_16_bytes_a_pair(self, factors16):
+        # As above, at 100 000 and 400 000 frames.  Bound, fixed in advance:
+        # 16 bytes per extra sampled pair (a pair's two int32 pixels, the
+        # y-pairs' int32 array while the x-pairs are drawn, and the frames'
+        # offsets and dark cells).
+        import tracemalloc
+
+        det = detector()
+        pairs, peaks = [], []
+        for n_frames in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                for _ in synth_frames(factors16, det, 5.0, n_frames,
+                                      seed=6).blocks():
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            pairs.append(np.random.default_rng(6).poisson(5.0, n_frames).sum())
+        assert (peaks[1] - peaks[0]) / (pairs[1] - pairs[0]) < 16
+
+    def test_stack_does_not_depend_on_the_block_size(self, factors16,
+                                                     tmp_path, monkeypatch):
+        # The same seed at three block sizes, the smallest one frame a
+        # block: the same file bytes and the same joint_x map bits.
+        import biphoton.coincidence as coincidence
+
+        det = detector(dark_rate=0.05, quantum_efficiency=0.6)
+        frame_bytes = 2 * 2 * 24 * 24
+        n_frames = 3 * FRAME_BLOCK_BYTES // frame_bytes + 11
+        files, maps = [], []
+        for size in (FRAME_BLOCK_BYTES, 5 * FRAME_BLOCK_BYTES // 3,
+                     frame_bytes):
+            monkeypatch.setattr(coincidence, "FRAME_BLOCK_BYTES", size)
+            path = tmp_path / f"{size}.bpfs"
+            save_frames(synth_frames(factors16, det, 5.0, n_frames, seed=12),
+                        path)
+            files.append(path.read_bytes())
+            maps.append(coincidence_map(load_frames(path)))
+        assert files[1] == files[0] and files[2] == files[0]
+        for cmap in maps[1:]:
+            assert cmap.values.tobytes() == maps[0].values.tobytes()
+            assert cmap.stderr.tobytes() == maps[0].stderr.tobytes()
 
 
 class TestStreamedReduction:

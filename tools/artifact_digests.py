@@ -12,7 +12,7 @@ other than its default; and at n = 16 and 32 for the double crystal on a
 wide momentum extent, ``grid.c2`` = 3.3 from a config file, where the
 pump-envelope band is one and three anti-diagonals wide and the rank is
 122 and 128.  It also runs ``frames synth`` and ``frames coincide`` alone
-on stacks of three frame blocks (12 000 frames at n = 16, 4000 at n = 32,
+on stacks of nine frame blocks (12 000 frames at n = 16, 4000 at n = 32,
 seed 5), so the check crosses block edges.  Each configuration writes into
 its own directory.  Prints one ``sha256  path`` line per artifact, the path
 relative to the output directory, in sorted order.  Then it prints the
@@ -63,8 +63,8 @@ COMMANDS = (
 #: a narrow envelope band and a large rank.
 WIDE = ("double-wide", {"grid": {"c2": 3.3}}, CONFIGS["double"], (16, 32))
 FRAMES = ["--frames", "500", "--seed", "3"]
-#: n -> frames of a stack of three 4 MiB blocks at the default ROI (5349
-#: frames a block at n = 16, 1820 at n = 32).
+#: n -> frames of a stack of nine 1 MiB blocks at the default ROI (1337
+#: frames a block at n = 16, 455 at n = 32; the last block is partial).
 LONG_FRAMES = {16: 12_000, 32: 4000}
 #: (name, config, command) of the runs that must fail.
 TRUNCATED = {"grid": {"n": 16, "c1": 0.2, "c2": 0.05}}
