@@ -253,7 +253,8 @@ def _cmd_frames(cfg: RunConfig, args) -> int:
         stack = coin.synth_frames(source, detector, cfg.coincidence.mu_pairs,
                                   cfg.coincidence.n_frames,
                                   cfg.coincidence.seed,
-                                  fingerprint=cfg.fingerprint())
+                                  fingerprint=cfg.fingerprint(),
+                                  memory_budget=pipe.memory_budget)
         path = stack_path or os.path.join(cfg.outdir, "frames.bpfs")
         coin.save_frames(stack, path)
         print(f"wrote {stack.n_frames} frames to {path}")

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .fields import PositionFactors
+from .fields import MEMORY_BUDGET, MemoryBudgetError, PositionFactors
 from .writers import _atomic_write
 
 
@@ -142,8 +142,9 @@ def _dense_blocks(counts: np.ndarray) -> Iterator[np.ndarray]:
 def _block_counts(shape, offsets, pixels, dark) -> Iterator[tuple]:
     """(frames, sorted flat cells, counts) of each block of the stack whose
     frame f holds pairs offsets[f]:offsets[f + 1], each photon's pixel in
-    its plane in the (signal, idler) columns of ``pixels`` (-1 for a photon
-    not detected), and dark counts at the sorted flat cells ``dark``."""
+    its plane in the (signal, idler) columns of ``pixels`` (ny * nx for a
+    photon not detected), and dark counts at the sorted flat cells
+    ``dark``."""
     n_frames, frame = shape[0], math.prod(shape[1:])
     per = _block_frames(shape)
     for f0 in range(0, n_frames, per):
@@ -155,7 +156,7 @@ def _block_counts(shape, offsets, pixels, dark) -> Iterator[tuple]:
         events = [dark[d0:d1] - f0 * frame]
         for k in range(2):
             pixel = pixels[lo:hi, k]
-            kept = pixel >= 0
+            kept = pixel < frame // 2
             events.append(first[kept] + pixel[kept] + k * frame // 2)
         yield (f1 - f0, *np.unique(np.concatenate(events), return_counts=True))
 
@@ -207,7 +208,8 @@ class AliasTable:
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, self._n, size=size)
         take_alias = rng.random(size) >= self._accept[idx]
-        return np.where(take_alias, self._alias[idx], idx)
+        idx[take_alias] = self._alias[idx[take_alias]]
+        return idx
 
 
 def _pixel_of(x: np.ndarray, pitch: float, n_pix: int) -> np.ndarray:
@@ -232,81 +234,111 @@ def sample_pairs(source: PositionFactors, n_pairs: int,
 def _pair_batches(source: PositionFactors, n_pairs: int,
                   rng: np.random.Generator) -> Iterator[tuple]:
     """(first draw, x-pair indices, y-pair indices) of ``n_pairs`` pairs,
-    in batches of at most ``DRAW_CHUNK_ELEMS`` draws, ascending in y-pair.
+    in batches of at most ``DRAW_CHUNK_ELEMS`` draws, ascending in y-pair;
+    each batch's arrays are valid until the next batch is drawn.
 
     The (y_s, y_i) pairs are drawn from the marginal of ``source`` with an
-    alias table, batch by batch into one int32 array, which is sorted in
-    place.  Each (x_s, x_i) pair is then drawn by inverse CDF from the row
-    of ``source.x_weights`` of its y-pair: the tables of the distinct
-    y-pairs are built in chunks of ``DRAW_CHUNK_ELEMS`` elements or R rows,
-    each CDF normalized and offset by the y-pair's index among the distinct
-    ones, so one ``searchsorted`` of (index + uniform) reads a chunk for a
-    batch of its draws.  The batch's uniforms are drawn in one call and
-    sorted within each y-pair, so that the search keys ascend.
+    alias table in batches, each folded into per-cell counts: the draws in
+    ascending order are those counts expanded, so no draw is kept.  Each
+    (x_s, x_i) pair is then drawn by inverse CDF from the row of
+    ``source.x_weights`` of its y-pair: the tables of the distinct y-pairs
+    are built in chunks of ``DRAW_CHUNK_ELEMS`` elements or R rows, into
+    buffers reused across chunks, each CDF normalized and offset by the
+    y-pair's index among the distinct ones, so one ``searchsorted`` of
+    (index + uniform) reads a chunk for a batch of its draws.  The batch's
+    uniforms are drawn in one call and sorted within each y-pair, so that
+    the search keys ascend.
     """
     table = AliasTable(source.y_marginal())
-    y_cells = np.empty(n_pairs, dtype=np.int32)
-    for lo in range(0, n_pairs, DRAW_CHUNK_ELEMS):
-        hi = min(lo + DRAW_CHUNK_ELEMS, n_pairs)
-        y_cells[lo:hi] = table.sample(hi - lo, rng)
-    y_cells.sort()
     size, rank = source.grid.n ** 2, source.x.shape[0]
-    # First draw of each y-pair and past the last; int32 keys, so that the
-    # draws are searched without an int64 copy (np.bincount makes one).
-    first = np.searchsorted(y_cells, np.arange(size + 1, dtype=np.int32))
-    distinct = np.flatnonzero(np.diff(first))
-    edges = np.append(first[distinct], n_pairs)
-    index = np.zeros(size, dtype=np.int32)
-    index[distinct] = np.arange(distinct.size)
+    counts = np.zeros(size, dtype=np.int64)
+    for lo in range(0, n_pairs, DRAW_CHUNK_ELEMS):
+        counts += np.bincount(
+            table.sample(min(DRAW_CHUNK_ELEMS, n_pairs - lo), rng),
+            minlength=size)
+    distinct = np.flatnonzero(counts).astype(np.int32)
+    # First draw of each distinct y-pair, and past the last.
+    edges = np.append(0, np.cumsum(counts[distinct]))
     rows = max(DRAW_CHUNK_ELEMS // size, rank)
+    shape = (min(rows, distinct.size), size)
+    work = (np.empty(shape), np.empty(shape, dtype=complex))
+    batch = min(n_pairs, DRAW_CHUNK_ELEMS)
+    keys, ys = np.empty(batch), np.empty(batch, dtype=np.int32)
     for c0 in range(0, distinct.size, rows):
         c1 = min(c0 + rows, distinct.size)
-        cdf = source.x_weights(distinct[c0:c1])
+        cdf = source.x_weights(distinct[c0:c1],
+                               out=tuple(w[:c1 - c0] for w in work))
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
         cdf += np.arange(c0, c1)[:, None]
         for lo in range(edges[c0], edges[c1], DRAW_CHUNK_ELEMS):
-            y = y_cells[lo:min(lo + DRAW_CHUNK_ELEMS, edges[c1])]
-            row = index[y]
+            hi = min(lo + DRAW_CHUNK_ELEMS, edges[c1])
+            # The distinct y-pairs r0 .. r1 - 1 that draws lo .. hi - 1 hold,
+            # each repeated for its draws in that window.
+            r0 = np.searchsorted(edges, lo, side="right") - 1
+            r1 = np.searchsorted(edges, hi)
+            row = np.repeat(np.arange(r0, r1, dtype=np.int32),
+                            np.diff(np.clip(edges[r0:r1 + 1], lo, hi)))
+            y = np.take(distinct, row, out=ys[:hi - lo])
             # The rows ascend, so sorting the keys sorts each row's uniforms
             # and leaves every key in its own row's interval.
-            key = rng.random(y.size)
+            key = rng.random(out=keys[:hi - lo])
             key += row
             key.sort()
-            at = np.searchsorted(cdf.ravel(), key, side="right")
+            row -= c0
+            row *= size
+            # The keys are spent once searched: their buffer takes the draws.
+            x = np.subtract(np.searchsorted(cdf.ravel(), key, side="right"),
+                            row, out=key.view(np.int64))
             # row + u rounds to row + 1 for u within an ulp of 1: keep such
             # a draw in its own row.
-            yield lo, np.minimum(at - (row - c0) * size, size - 1), y
+            yield lo, np.minimum(x, size - 1, out=x), y
 
 
 def _pair_pixels(source: PositionFactors, detector: DetectorModel,
                  n_pairs: int, rng: np.random.Generator) -> np.ndarray:
     """The (signal, idler) pixels of ``n_pairs`` pairs drawn from
-    ``source``, as an (n_pairs, 2) int32 array in a uniformly random order.
+    ``source``, as an (n_pairs, 2) array in a uniformly random order.
 
-    A photon's pixel is py * nx + px within its plane, or -1 when it is not
-    detected (probability 1 - QE).  The pairs are drawn grouped by y-pair
-    (:func:`_pair_batches`); they are iid, so one uniform shuffle of them,
-    in place, gives the order of independent draws.
+    A photon's pixel is py * nx + px within its plane, or ny * nx when it
+    is not detected (probability 1 - QE), in the narrowest unsigned type
+    that holds ny * nx (:func:`_pixel_type`).  The pairs are drawn grouped
+    by y-pair (:func:`_pair_batches`); they are iid, so one uniform shuffle
+    of them, in place, gives the order of independent draws.
     """
     axis = source.grid.x_axis
     ny, nx = detector.roi
+    dtype = _pixel_type(detector.roi)
     px, py = (_pixel_of(axis, detector.pitch, nx),
               _pixel_of(axis, detector.pitch, ny) * nx)
     n = axis.size
-    pixels = np.empty((n_pairs, 2), dtype=np.int32)
+    # Per flat pair index s * n + i: the (py, px) of its signal node s and
+    # of its idler node i.
+    tables = [(np.repeat(py, n).astype(dtype), np.repeat(px, n).astype(dtype)),
+              (np.tile(py, n).astype(dtype), np.tile(px, n).astype(dtype))]
+    pixels = np.empty((n_pairs, 2), dtype=dtype)
+    part = np.empty((2, min(n_pairs, DRAW_CHUNK_ELEMS)), dtype=dtype)
     for lo, x, y in _pair_batches(source, n_pairs, rng):
-        sy, iy = np.divmod(y, n)
-        sx, ix = np.divmod(x, n)
         batch = pixels[lo:lo + len(x)]
-        np.add(py[sy], px[sx], out=batch[:, 0])
-        np.add(py[iy], px[ix], out=batch[:, 1])
+        from_y, from_x = part[:, :len(x)]
+        # The indices are in range; mode="raise" would buffer the output.
+        for k, (ty, tx) in enumerate(tables):
+            np.take(ty, y, out=from_y, mode="clip")
+            np.take(tx, x, out=from_x, mode="clip")
+            np.add(from_y, from_x, out=batch[:, k])
     qe = detector.quantum_efficiency
     for lo in range(0, n_pairs, DRAW_CHUNK_ELEMS):
         batch = pixels[lo:lo + DRAW_CHUNK_ELEMS]
-        batch[rng.random(batch.shape) >= qe] = -1
-    rng.shuffle(pixels.view(np.int64).ravel())  # whole pairs, in place
+        batch[rng.random(batch.shape) >= qe] = ny * nx
+    # Whole pairs, in place.
+    rng.shuffle(pixels.view(f"u{2 * pixels.itemsize}").ravel())
     return pixels
+
+
+def _pixel_type(roi: tuple[int, int]) -> np.dtype:
+    """The type of a photon's pixel in a plane of ``roi``: the narrowest
+    unsigned one that holds ny * nx, the mark of a photon not detected."""
+    return np.min_scalar_type(math.prod(roi))
 
 
 def _check_roi(axis: np.ndarray, detector: DetectorModel) -> None:
@@ -321,7 +353,8 @@ def _check_roi(axis: np.ndarray, detector: DetectorModel) -> None:
 
 def synth_frames(source: PositionFactors, detector: DetectorModel,
                  mu_pairs: float, n_frames: int, seed: int,
-                 fingerprint: str = "") -> FrameStack:
+                 fingerprint: str = "",
+                 memory_budget: int = MEMORY_BUDGET) -> FrameStack:
     """Generate a stack of synthetic frames from the position amplitude's
     factor tables (:func:`fields.position_factors`).
 
@@ -330,10 +363,14 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     table, then each one's (x_s, x_i) nodes by inverse CDF given them (the
     pair is drawn jointly; :func:`_pair_batches`); each photon survives with
     probability QE, and Poisson dark counts are added independently to every
-    pixel of both planes.  The stack keeps each photon's pixel, -1 when it
-    is not detected, in a uniformly random order of the pairs
+    pixel of both planes.  The stack keeps each photon's pixel, ny * nx
+    when it is not detected, in a uniformly random order of the pairs
     (:func:`_pair_pixels`), the pairs' frame offsets and the sorted dark
     cells (:func:`_block_counts`).  Deterministic for a fixed seed.
+
+    Raises :class:`fields.MemoryBudgetError` once the frames' pair counts
+    are drawn, before the pairs are, when that store (the dark cells at
+    their mean count) needs more than ``memory_budget`` bytes.
     """
     if not (math.isfinite(mu_pairs) and mu_pairs >= 0):
         raise DetectorError(
@@ -346,8 +383,14 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
 
     rng = np.random.default_rng(seed)
     offsets = np.append(0, np.cumsum(rng.poisson(mu_pairs, size=n_frames)))
-    pixels = _pair_pixels(source, detector, int(offsets[-1]), rng)
     cells = 2 * ny * nx
+    need = (2 * int(offsets[-1]) * _pixel_type(detector.roi).itemsize
+            + offsets.nbytes
+            + 8 * math.ceil(detector.dark_rate * cells * n_frames))
+    if need > memory_budget:
+        raise MemoryBudgetError(f"frame store need ~{need} bytes (> budget "
+                                f"{memory_budget} bytes)")
+    pixels = _pair_pixels(source, detector, int(offsets[-1]), rng)
     n_dark = rng.poisson(detector.dark_rate * cells * n_frames)
     dark = rng.integers(0, n_frames * cells, size=int(n_dark))
     dark.sort()

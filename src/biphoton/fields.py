@@ -1042,12 +1042,16 @@ class PositionFactors:
         trick of :func:`_gram_weighted` over the x tables."""
         return (np.abs(_gram_weighted(self.y, self.x)) ** 2).sum(axis=0)
 
-    def x_weights(self, cells: np.ndarray) -> np.ndarray:
+    def x_weights(self, cells: np.ndarray, out=None) -> np.ndarray:
         """|psi|^2 over the flattened (x_s, x_i) plane, one row per flat
-        (y_s, y_i) index of ``cells``, unnormalized: (len(cells), n^2)."""
+        (y_s, y_i) index of ``cells``, unnormalized: (len(cells), n^2).
+        ``out``, if given, is a float and a complex C-contiguous array of
+        that shape, which take the weights and the amplitudes."""
         rank = self.x.shape[0]
-        weights = np.abs(self.y.reshape(rank, -1)[:, cells].T
-                         @ self.x.reshape(rank, -1))
+        weights, amps = (None, None) if out is None else out
+        amps = np.matmul(self.y.reshape(rank, -1)[:, cells].T,
+                         self.x.reshape(rank, -1), out=amps)
+        weights = np.abs(amps, out=weights)
         weights *= weights
         return weights
 

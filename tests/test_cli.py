@@ -480,6 +480,22 @@ class TestCliCommands:
             capsys.readouterr().err
         assert not (tmp_path / "frames.bpfs").exists()
 
+    def test_frames_store_memory_budget_exit3(self, tmp_path, capsys):
+        # A budget that admits the n = 16 factor build (about 0.3 MB) and
+        # a 2-frame stack, but not the pixels, offsets and dark cells of
+        # 100 000 frames (about 2.1 MB): refused before the pairs are drawn.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 16, "memory_budget": 10**6}}))
+        assert self.run("--config", str(cfg), "--frames", "2", "frames",
+                        "synth", outdir=tmp_path / "short") == 0
+        capsys.readouterr()
+        assert self.run("--config", str(cfg), "--frames", "100000", "frames",
+                        "synth", outdir=tmp_path / "long") == 3
+        err = capsys.readouterr().err
+        assert "frame store need" in err
+        assert "(> budget 1000000 bytes)" in err
+        assert not (tmp_path / "long" / "frames.bpfs").exists()
+
     @pytest.mark.parametrize("header", [b"not json\n",
                                         b'{"magic": "BPFS1"}\n'],
                              ids=["not-json", "magic-only"])

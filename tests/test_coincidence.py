@@ -26,6 +26,7 @@ from biphoton.coincidence import (
     synth_frames,
 )
 from biphoton.fields import (
+    MemoryBudgetError,
     MomentumGrid4,
     Pipeline,
     PositionFactors,
@@ -101,6 +102,26 @@ def reference_counts(source, det, mu_pairs, n_frames, seed):
     out = np.zeros(n_cells, dtype=np.uint16)
     out[cells] = counts
     return out.reshape(n_frames, 2, ny, nx)
+
+
+def growth_per_pair(source, frame_counts):
+    """Growth of the tracemalloc peak of ``synth_frames`` (the default
+    detector, 5 pairs a frame, seed 6) plus one pass over its blocks, per
+    extra sampled pair, between the two frame counts."""
+    import tracemalloc
+
+    pairs, peaks = [], []
+    for n_frames in frame_counts:
+        tracemalloc.start()
+        try:
+            for _ in synth_frames(source, detector(), 5.0, n_frames,
+                                  seed=6).blocks():
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        pairs.append(np.random.default_rng(6).poisson(5.0, n_frames).sum())
+    return (peaks[1] - peaks[0]) / (pairs[1] - pairs[0])
 
 
 def manual_stack(counts, seed=0, det=None):
@@ -214,6 +235,45 @@ class TestSynthFrames:
     def test_roi_too_small(self, factors16):
         with pytest.raises(DetectorError, match="ROI"):
             synth_frames(factors16, detector(roi=(4, 4)), 5.0, 10, seed=0)
+
+    def test_store_over_budget_refused_before_the_pairs(self, factors16):
+        # 500 000 pairs hold 2 MB of uint16 pixels at a 24 x 24 ROI, beside
+        # 0.2 MB of frame offsets: a 1.5 MB budget refuses the store, and
+        # nothing of the pixels' size is allocated first.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError, match="frame store"):
+                synth_frames(factors16, detector(), 20.0, 25_000, seed=0,
+                             memory_budget=1_500_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        synth_frames(factors16, detector(), 20.0, 2500, seed=0,
+                     memory_budget=1_500_000)
+
+    @pytest.mark.parametrize("roi", [(15, 17), (16, 16), (255, 257),
+                                     (256, 256)],
+                             ids=["255", "256", "65535", "65536"])
+    def test_pixel_type_edges(self, factors16, roi):
+        # Planes of 255 and 65 535 cells keep their pixels (and the mark of
+        # a photon not detected) in uint8 and uint16, those of 256 and
+        # 65 536 in the next wider type: each stack matches the reference.
+        # The pitch is widened until the ROI covers the grid.
+        from biphoton.coincidence import _pixel_type
+
+        ny, nx = roi
+        half = np.abs(factors16.grid.x_axis).max() * 1.01
+        det = detector(roi=roi, pitch=half / (min(roi) // 2),
+                       dark_rate=0.05)
+        assert _pixel_type(roi).itemsize == {255: 1, 256: 2, 65535: 2,
+                                             65536: 4}[ny * nx]
+        stack = synth_frames(factors16, det, 5.0, 6, seed=8)
+        ref = reference_counts(factors16, det, 5.0, 6, 8)
+        assert stack.counts.tobytes() == ref.tobytes()
+        assert 0 < ref[:, 0].sum() and 0 < ref[:, 1].sum()
 
     def test_count_overflow_guarded(self):
         # All probability in one grid node, enormous flux: the per-pixel
@@ -482,45 +542,20 @@ class TestBlockBuilder:
         assert stack.counts.tobytes() == ref.tobytes()
 
     def test_memory_grows_under_40_bytes_a_pair(self, factors16):
-        # The tracemalloc peak of synth_frames and one pass over its blocks,
-        # at 20 000 and 100 000 frames.  Bound, fixed in advance: 40 bytes
-        # per extra sampled pair.
-        import tracemalloc
-
-        det = detector()
-        pairs, peaks = [], []
-        for n_frames in (20_000, 100_000):
-            tracemalloc.start()
-            try:
-                for _ in synth_frames(factors16, det, 5.0, n_frames,
-                                      seed=6).blocks():
-                    pass
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            pairs.append(np.random.default_rng(6).poisson(5.0, n_frames).sum())
-        assert (peaks[1] - peaks[0]) / (pairs[1] - pairs[0]) < 40
+        # Bound, fixed in advance: 40 bytes per extra sampled pair.
+        assert growth_per_pair(factors16, (20_000, 100_000)) < 40
 
     def test_memory_grows_under_16_bytes_a_pair(self, factors16):
-        # As above, at 100 000 and 400 000 frames.  Bound, fixed in advance:
-        # 16 bytes per extra sampled pair (a pair's two int32 pixels, the
-        # y-pairs' int32 array while the x-pairs are drawn, and the frames'
-        # offsets and dark cells).
-        import tracemalloc
+        # Bound, fixed in advance: 16 bytes per extra sampled pair (a pair's
+        # two int32 pixels, the y-pairs' int32 array while the x-pairs are
+        # drawn, and the frames' offsets and dark cells).
+        assert growth_per_pair(factors16, (100_000, 400_000)) < 16
 
-        det = detector()
-        pairs, peaks = [], []
-        for n_frames in (100_000, 400_000):
-            tracemalloc.start()
-            try:
-                for _ in synth_frames(factors16, det, 5.0, n_frames,
-                                      seed=6).blocks():
-                    pass
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            pairs.append(np.random.default_rng(6).poisson(5.0, n_frames).sum())
-        assert (peaks[1] - peaks[0]) / (pairs[1] - pairs[0]) < 16
+    def test_memory_grows_under_8_bytes_a_pair(self, factors16):
+        # Bound, fixed in advance: 8 bytes per extra sampled pair (a pair's
+        # two uint16 pixels at this 24 x 24 ROI, and the frames' offsets and
+        # dark cells; no per-pair y-draw is held).
+        assert growth_per_pair(factors16, (100_000, 400_000)) < 8
 
     def test_stack_does_not_depend_on_the_block_size(self, factors16,
                                                      tmp_path, monkeypatch):

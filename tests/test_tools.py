@@ -12,7 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_artifact_digests_runs():
-    # One digest line for each of the 226 artifacts, one collinear-angle
+    # One digest line for each of the 229 artifacts, one collinear-angle
     # line for each of the four configurations and one refusal, exit
     # code 3, for each of the five runs that must fail.
     proc = subprocess.run(
@@ -22,7 +22,7 @@ def test_artifact_digests_runs():
     lines = proc.stdout.splitlines()
     digests = [line for line in lines
                if re.fullmatch(r"[0-9a-f]{64}  \S+", line)]
-    assert len(digests) == 226
+    assert len(digests) == 229
     assert sum(line.startswith("collinear-angle ") for line in lines) == 4
     assert sum(line.startswith("exit 3  ") for line in lines) == 5
-    assert len(lines) == 226 + 4 + 5
+    assert len(lines) == 229 + 4 + 5

@@ -13,8 +13,10 @@ wide momentum extent, ``grid.c2`` = 3.3 from a config file, where the
 pump-envelope band is one and three anti-diagonals wide and the rank is
 122 and 128.  It also runs ``frames synth`` and ``frames coincide`` alone
 on stacks of nine frame blocks (12 000 frames at n = 16, 4000 at n = 32,
-seed 5), so the check crosses block edges.  Each configuration writes into
-its own directory.  Prints one ``sha256  path`` line per artifact, the path
+seed 5), so the check crosses block edges, and on a 256 x 256 ROI set
+from a config file (14 frames at n = 16, seed 5), whose 65 536 cells a
+plane do not fit uint16 pixels.  Each configuration writes into its own
+directory.  Prints one ``sha256  path`` line per artifact, the path
 relative to the output directory, in sorted order.  Then it prints the
 line ``collinear-angle`` writes for each configuration, after its name.
 Then it runs commands that must fail, ``ef`` and ``conditional`` on a
@@ -66,6 +68,10 @@ FRAMES = ["--frames", "500", "--seed", "3"]
 #: n -> frames of a stack of nine 1 MiB blocks at the default ROI (1337
 #: frames a block at n = 16, 455 at n = 32; the last block is partial).
 LONG_FRAMES = {16: 12_000, 32: 4000}
+#: (name, config, flags) of the stack on a 256 x 256 ROI: four frames a
+#: 1 MiB block, the last block partial.
+WIDE_ROI = ("roi-256", {"coincidence": {"roi": [256, 256]}},
+            ["--n", "16", "--frames", "14", "--seed", "5"])
 #: (name, config, command) of the runs that must fail.
 TRUNCATED = {"grid": {"n": 16, "c1": 0.2, "c2": 0.05}}
 BUDGET = {"grid": {"memory_budget": 1024}}
@@ -99,13 +105,21 @@ def frames_runs(where: str, common: list[str]) -> list[list[str]]:
                       os.path.join(where, "frames.bpfs")]]
 
 
-def write_artifacts(main, out: str, config: str) -> list[str]:
-    """Run every command of every configuration into ``out``, with the
-    config file of ``WIDE`` written to ``config``.  Returns the
-    ``collinear-angle`` line of each configuration."""
-    name, data, flags, sizes = WIDE
-    with open(config, "w") as fh:
+def write_config(where: str, name: str, data: dict) -> str:
+    """Write ``data`` to the config file ``name``.json in ``where``;
+    returns its path."""
+    path = os.path.join(where, f"{name}.json")
+    with open(path, "w") as fh:
         json.dump(data, fh)
+    return path
+
+
+def write_artifacts(main, out: str, config_dir: str) -> list[str]:
+    """Run every command of every configuration into ``out``, with the
+    config files of ``WIDE`` and ``WIDE_ROI`` written to ``config_dir``.
+    Returns the ``collinear-angle`` line of each configuration."""
+    name, data, flags, sizes = WIDE
+    config = write_config(config_dir, name, data)
     configs = [(name, flags, SIZES) for name, flags in CONFIGS.items()]
     configs.append((name, ["--config", config] + flags, sizes))
     angles = []
@@ -121,6 +135,10 @@ def write_artifacts(main, out: str, config: str) -> list[str]:
         where = os.path.join(out, f"long-n{n}")
         run(main, frames_runs(where, ["--out", where, "--n", str(n),
                                       "--frames", str(frames), "--seed", "5"]))
+    name, data, flags = WIDE_ROI
+    where = os.path.join(out, name)
+    config = write_config(config_dir, name, data)
+    run(main, frames_runs(where, ["--config", config, "--out", where] + flags))
     return angles
 
 
@@ -130,9 +148,7 @@ def refusals(main, out: str) -> list[str]:
     os.makedirs(out)
     lines = []
     for name, data, command in REFUSALS:
-        config = os.path.join(out, f"{name}.json")
-        with open(config, "w") as fh:
-            json.dump(data, fh)
+        config = write_config(out, name, data)
         argv = ["--config", config, "--out", out] + command
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -167,7 +183,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         out = os.path.join(tmp, "artifacts")
-        angles = write_artifacts(cli_main, out, os.path.join(tmp, "wide.json"))
+        angles = write_artifacts(cli_main, out, tmp)
         for line in digests(out) + angles:
             print(line)
         for line in refusals(cli_main, os.path.join(tmp, "refusals")):
