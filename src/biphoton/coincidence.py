@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .fields import MEMORY_BUDGET, MemoryBudgetError, PositionFactors
+from .fields import MEMORY_BUDGET, PositionFactors, _check_stage
 from .writers import _atomic_write
 
 
@@ -384,12 +384,12 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     rng = np.random.default_rng(seed)
     offsets = np.append(0, np.cumsum(rng.poisson(mu_pairs, size=n_frames)))
     cells = 2 * ny * nx
-    need = (2 * int(offsets[-1]) * _pixel_type(detector.roi).itemsize
-            + offsets.nbytes
-            + 8 * math.ceil(detector.dark_rate * cells * n_frames))
-    if need > memory_budget:
-        raise MemoryBudgetError(f"frame store need ~{need} bytes (> budget "
-                                f"{memory_budget} bytes)")
+    # The pixels, the offsets and the dark cells at their mean count.
+    _check_stage(memory_budget, "frame store",
+                 ((int(offsets[-1]), 2), _pixel_type(detector.roi)),
+                 offsets.nbytes,
+                 ((math.ceil(detector.dark_rate * cells * n_frames),),
+                  np.int64))
     pixels = _pair_pixels(source, detector, int(offsets[-1]), rng)
     n_dark = rng.poisson(detector.dark_rate * cells * n_frames)
     dark = rng.integers(0, n_frames * cells, size=int(n_dark))

@@ -54,15 +54,6 @@ BOUNDARY_TOLERANCE = 0.1
 #: Default memory budget for 4D allocations and the rank-R factors, bytes.
 MEMORY_BUDGET = 6 * 1024**3
 
-#: Pessimistic working-set multiple of one N^4 complex array for a transform.
-WORKING_FACTOR = 4
-
-#: N^4 complex arrays' worth alive at once while the 4D amplitude is
-#: sampled: the complex phase (16 bytes a point) beside the real sinc
-#: argument, its quotient and its modulus (8 each) and the series mask (1),
-#: 41 bytes a point, rounded up.
-BUILD_FACTOR = 3
-
 #: Machine epsilon of float64.
 EPS = 2.0**-52
 
@@ -205,16 +196,23 @@ def _check_boundary(edge: float, peak: float, boundary_tol: float) -> None:
             f"{boundary_tol:g}; enlarge the momentum extent (c1/c2 or n)")
 
 
-def _check_budget(pipeline: Pipeline, need: int, what: str) -> None:
-    """Raise :class:`MemoryBudgetError` when ``what`` needs more than
-    ``pipeline.memory_budget`` bytes."""
-    if need > pipeline.memory_budget:
+def _nbytes(*arrays) -> int:
+    """Bytes of the arrays of a stage: each a (shape, dtype) entry of an
+    array the stage allocates, or the bytes of tables held from an earlier
+    stage."""
+    return sum(a if isinstance(a, int)
+               else math.prod(a[0]) * np.dtype(a[1]).itemsize
+               for a in arrays)
+
+
+def _check_stage(budget: int, what: str, *arrays) -> None:
+    """Raise :class:`MemoryBudgetError`, before the stage ``what``
+    allocates, when its arrays (:func:`_nbytes`) need more than ``budget``
+    bytes.  Every memory check of the package is a call of this one."""
+    need = _nbytes(*arrays)
+    if need > budget:
         raise MemoryBudgetError(f"{what} need ~{need} bytes (> budget "
-                                f"{pipeline.memory_budget} bytes)")
-
-
-def estimate_build_bytes(grid: MomentumGrid4) -> int:
-    return grid.n**4 * 16 * BUILD_FACTOR
+                                f"{budget} bytes)")
 
 
 def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
@@ -225,14 +223,13 @@ def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
     Raises :class:`SupportTruncationError` when the boundary magnitude
     exceeds ``boundary_tol`` times the peak (pass None to skip the check),
     and :class:`MemoryBudgetError` before allocating when the N^4 arrays
-    alive at once (:func:`estimate_build_bytes`) exceed ``memory_budget``
-    bytes.
+    alive at once exceed ``memory_budget`` bytes.
     """
-    need = estimate_build_bytes(grid)
-    if need > memory_budget:
-        raise MemoryBudgetError(
-            f"4D amplitude needs ~{need / 1024**3:.2f} GiB "
-            f"(> budget {memory_budget / 1024**3:.2f} GiB); reduce n")
+    # The complex phase (16 bytes a point) beside the real sinc argument,
+    # its quotient and its modulus (8 each) and the series mask (1): 41
+    # bytes a point, counted as three complex N^4 arrays.
+    _check_stage(memory_budget, "4D amplitude",
+                 ((3,) + (grid.n,) * 4, np.complex128))
     ctx = make_context(setup.theta_p, pump.wavelength)
     q = grid.q_axis
     # Separable broadcasting: axes (sx, sy, ix, iy).
@@ -287,10 +284,6 @@ def _centered_ift_axis(values: np.ndarray, axis: int, dq: float) -> np.ndarray:
     return out
 
 
-def estimate_transform_bytes(grid: MomentumGrid4) -> int:
-    return grid.n**4 * 16 * WORKING_FACTOR
-
-
 def to_position(amp: BiphotonAmplitude4,
                 memory_budget: int = MEMORY_BUDGET) -> BiphotonAmplitude4:
     """Transform all four axes to position space (unitary, centered).
@@ -300,11 +293,9 @@ def to_position(amp: BiphotonAmplitude4,
     """
     if amp.basis != "momentum":
         raise GridError("to_position requires a momentum-basis amplitude")
-    need = estimate_transform_bytes(amp.grid)
-    if need > memory_budget:
-        raise MemoryBudgetError(
-            f"4D transform needs ~{need / 1024**3:.2f} GiB "
-            f"(> budget {memory_budget / 1024**3:.2f} GiB); reduce n")
+    # The amplitude beside three N^4 complex arrays of one axis pass.
+    _check_stage(memory_budget, "4D transform", amp.values.nbytes,
+                 ((3,) + amp.values.shape, np.complex128))
     values = amp.values
     for axis in range(4):
         values = _centered_ift_axis(values, axis, amp.grid.dq)
@@ -412,9 +403,10 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
     contractions with room for their temporaries (two more R x n and three
     n x W tables), and B with its one phase (two n x n), all complex."""
     grid = pipeline.grid
-    n, width = grid.n, factors.phase_x.shape[2]
-    own = 4 * factors.rank * n + 3 * n * width + 2 * n * n
-    _check_budget(pipeline, factors.nbytes + 16 * own, "conditional tables")
+    n, width, rank = grid.n, factors.phase_x.shape[2], factors.rank
+    _check_stage(pipeline.memory_budget, "conditional tables",
+                 factors.nbytes, ((4, rank, n), np.complex128),
+                 ((3, n, width), np.complex128), ((2, n, n), np.complex128))
     q = grid.q_axis
     x0, y0 = rho_i0
     propagation = _propagation(q, z, factors.k)
@@ -595,9 +587,9 @@ def _pair_tables(pipeline: Pipeline):
     |q_s + q_i|, the same along an anti-diagonal to a few ulps, so the band
     is found from v alone at the 2n - 1 middle pairs, built one
     anti-diagonal past the live ones, then trimmed.  Raises
-    MemoryBudgetError before allocating it when 160 bytes an entry exceed
-    the budget: 88 while the tables are built or walked, 72 a point of the
-    guard's chunks."""
+    MemoryBudgetError before allocating it when the tables, built or
+    walked, and one point of the guard's chunks an entry exceed the
+    budget."""
     n, pump, q = pipeline.grid.n, pipeline.pump, pipeline.grid.q_axis
     ctx = make_context(pipeline.setup.theta_p, pump.wavelength)
     s = np.arange(2 * n - 1)
@@ -605,7 +597,11 @@ def _pair_tables(pipeline: Pipeline):
     live = np.flatnonzero(v != 0)
     s_lo = max(int(live[0]) - 1, 0)
     width = min(int(live[-1]) + 1, s[-1]) - s_lo + 1
-    _check_budget(pipeline, 160 * n * width, "pair tables")
+    # 11 n x W tables while the tables are built or walked, and a chunk of
+    # the guard's walk (:func:`_max_over_pairs`): at most one point an
+    # entry, 9 floats a point.
+    _check_stage(pipeline.memory_budget, "pair tables",
+                 ((11, n, width), np.float64), ((9, n * width), np.float64))
     cols, valid = _band(n, s_lo, width)
     q_s, q_i = q[:, None], q[cols]
     a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
@@ -701,7 +697,7 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     a_live, v_live = a[upper], v[upper]
     # The build holds the four n x W pair tables (cols, a, b, v) beside one
     # of two stages, each checked before it allocates.
-    pairs, size = 32 * n * width, a_live.size
+    pairs, size = ((4, n, width), np.float64), a_live.size
     nodes = CHEB_START
     while True:
         # The trial: its three K x L tables (the sinc argument, the samples
@@ -709,9 +705,11 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
         # samples or the weighted coefficients after) with sinc's K x L
         # mask, the K x K basis and its argument, three L tables (the live
         # pairs' a and v, a's shift) and the n x W masks.
-        _check_budget(pipeline, pairs + 25 * nodes * size
-                      + 8 * (2 * nodes * nodes + 3 * size + n * width),
-                      f"rank-{nodes * (1 + double)} amplitude factors")
+        _check_stage(pipeline.memory_budget,
+                     f"rank-{nodes * (1 + double)} amplitude factors", pairs,
+                     ((3, nodes, size), np.float64), ((nodes, size), np.bool_),
+                     ((2, nodes, nodes), np.float64), ((3, size), np.float64),
+                     ((n, width), np.float64))
         # The ridge is part of the table, so a ridge tail over the margin is
         # over CHEB_TOL on the table too, whatever the order of rounding:
         # the full trial would fail.  A non-finite probe compares False and
@@ -736,10 +734,14 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     # polynomial table, t and the phase rows (at most four n x W complex
     # tables, written in place), with room for temporaries (the gathered
     # lower half is smaller).
-    banded = kept * n * width + max((nodes + 2) * size,
-                                    (kept + 11) * n * width)
-    _check_budget(pipeline, pairs + 8 * banded,
-                  f"rank-{kept * (1 + double)} amplitude factors")
+    _check_stage(pipeline.memory_budget,
+                 f"rank-{kept * (1 + double)} amplitude factors", pairs,
+                 ((kept, n, width), np.float64),
+                 max(_nbytes(((nodes + 2, size), np.float64)),
+                     _nbytes(((kept, n, width), np.float64),
+                             ((n, width), np.float64),
+                             ((4, n, width), np.complex128),
+                             ((2, n, width), np.float64))))
 
     # The upper half takes the kept coefficients, and a lower-half entry
     # (i, k), the pair (i, j = cols[i, k]), those of its mirror (j, k) on the
@@ -879,18 +881,6 @@ def _guarded_factors(pipeline: Pipeline,
                                     interpolation_error=factors.error / peak)
 
 
-def _check_complex(pipeline: Pipeline, factors: AmplitudeFactors,
-                   tables: float) -> None:
-    """Refuse, before any complex factor table is built, a route whose
-    largest stage holds ``tables`` complex R x n^2 tables beside the real
-    tables of ``factors``, with room for four complex n x n and four R x R
-    tables (phases, sums, the Gram matrix and its eigenvectors)."""
-    n, rank = pipeline.grid.n, factors.rank
-    need = factors.nbytes + math.ceil(16 * (tables * rank * n * n
-                                            + 4 * (n * n + rank * rank)))
-    _check_budget(pipeline, need, f"rank-{rank} complex factor tables")
-
-
 def _propagation(q: np.ndarray, z: float, k: float) -> np.ndarray:
     """The paraxial propagation phase exp(-i q^2 z / (2 k)) on one axis,
     with k = n_so K_s0, the wavenumber inside the crystal; the
@@ -963,9 +953,14 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
     factors, diagnostics = _guarded_factors(pipeline)
-    # x, y and y^* while the Gram matrix is formed; then, per z, the
-    # weighted tables, the phased buffer transformed in place and |.|^2.
-    _check_complex(pipeline, factors, 3)
+    rank, n = factors.rank, grid.n
+    # Beside the real tables: x, y and y^* while the Gram matrix is formed,
+    # then, per z, the weighted tables, the phased buffer transformed in
+    # place and |.|^2; four n x n and four R x R tables (phases, sums, the
+    # Gram matrix and its eigenvectors).
+    _check_stage(pipeline.memory_budget, f"rank-{rank} complex factor tables",
+                 factors.nbytes, ((3, rank, n, n), np.complex128),
+                 ((4, n, n), np.complex128), ((4, rank, rank), np.complex128))
     weighted = _gram_weighted(factors.x(), factors.y())
     mom = (np.abs(weighted) ** 2).sum(axis=0)
     phased = np.empty_like(weighted)
@@ -1002,8 +997,14 @@ def singles_direct(pipeline: Pipeline, z: float) -> Distribution:
     grid = pipeline.grid
     factors = _guarded_factors(pipeline)[0]
     rank, n = factors.rank, grid.n
-    # X, Y, two n x R x R Gram tables and one block's conjugate (<= n/8).
-    _check_complex(pipeline, factors, 2 + 2 * rank / n + 1 / 8)
+    # Beside the real tables: X, Y, two n x R x R Gram tables, one block's
+    # conjugate (at most n/8 signal coordinates), four n x n and four R x R
+    # tables.
+    _check_stage(pipeline.memory_budget, f"rank-{rank} complex factor tables",
+                 factors.nbytes, ((2, rank, n, n), np.complex128),
+                 ((2, n, rank, rank), np.complex128),
+                 ((n // 8, rank, n), np.complex128),
+                 ((4, n, n), np.complex128), ((4, rank, rank), np.complex128))
     tables = _position_factors(pipeline, factors, z)
 
     def gram(t: np.ndarray) -> np.ndarray:
@@ -1068,8 +1069,12 @@ def position_factors(pipeline: Pipeline, z: float) -> PositionFactors:
 def _position_factors(pipeline: Pipeline, factors: AmplitudeFactors,
                       z: float) -> PositionFactors:
     """:func:`position_factors` from the pipeline's factors."""
-    # The transformed X beside Y.
-    _check_complex(pipeline, factors, 2)
+    rank, n = factors.rank, pipeline.grid.n
+    # Beside the real tables: the transformed X beside Y, four n x n and
+    # four R x R tables.
+    _check_stage(pipeline.memory_budget, f"rank-{rank} complex factor tables",
+                 factors.nbytes, ((2, rank, n, n), np.complex128),
+                 ((4, n, n), np.complex128), ((4, rank, rank), np.complex128))
     phase = _transform_phase(pipeline.grid.q_axis, z, factors.k)
     x = factors.x()
     x = _transform(x, phase, x)

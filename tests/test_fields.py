@@ -32,7 +32,6 @@ from biphoton.fields import (
     build_amplitude,
     conditional_position,
     conditional_position_direct,
-    estimate_build_bytes,
     momentum_pdf,
     pdf,
     position_factors,
@@ -135,7 +134,8 @@ class TestBuildAmplitude:
 
     def test_budget_checked_before_allocating(self):
         grid = MomentumGrid4.auto(PUMP, SETUP, n=64)
-        need = estimate_build_bytes(grid)
+        need = refusal_need(lambda: build_amplitude(grid, PUMP, SETUP,
+                                                    memory_budget=1))
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetError):
@@ -153,7 +153,8 @@ class TestBuildAmplitude:
         # The estimate bounds what the build holds at once.
         setup = TestAveragedJointsX.setup_of(kind)
         grid = MomentumGrid4.auto(PUMP, setup, n=16)
-        need = estimate_build_bytes(grid)
+        need = refusal_need(lambda: build_amplitude(grid, PUMP, setup,
+                                                    memory_budget=1))
         tracemalloc.start()
         try:
             build_amplitude(grid, PUMP, setup, memory_budget=need)
@@ -822,6 +823,13 @@ def factor_need(pipeline, nodes, kept, width):
     band = 8 * (kept * n * width + max((nodes + 2) * live,
                                        (kept + 11) * n * width))
     return 32 * n * width + max(trial, band)
+
+
+def refusal_need(call):
+    """The bytes named by the refusal of ``call()``."""
+    with pytest.raises(MemoryBudgetError) as info:
+        call()
+    return int(re.search(r"~(\d+) bytes", str(info.value)).group(1))
 
 
 def least_budget(call):
