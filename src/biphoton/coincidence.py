@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .fields import MEMORY_BUDGET, PositionFactors, _check_stage
+from .fields import MEMORY_BUDGET, PositionFactors, _check_stage, _nbytes
 from .writers import _atomic_write
 
 
@@ -335,6 +335,21 @@ def _pair_pixels(source: PositionFactors, detector: DetectorModel,
     return pixels
 
 
+def _draw_bytes(source: PositionFactors, n_pairs: int) -> int:
+    """Bytes :func:`_pair_pixels` holds beside its output at its largest
+    step: the y-marginal's R x n^2 product, or the alias table, the
+    per-cell counts, the distinct cells, their edges and the pixel tables
+    (ten 8-byte values a cell), the two chunk tables of
+    :func:`_pair_batches` with the gathered y rows, and a batch's keys,
+    pixels and temporaries (40 bytes a draw)."""
+    rank, size = source.x.shape[0], source.grid.n ** 2
+    rows = min(max(DRAW_CHUNK_ELEMS // size, rank), n_pairs, size)
+    return max(_nbytes(((rank + 1, size + rank), np.complex128)),
+               _nbytes(((10, size), np.float64), ((rows, size), np.float64),
+                       ((rows, size + rank), np.complex128),
+                       ((min(n_pairs, DRAW_CHUNK_ELEMS), 5), np.float64)))
+
+
 def _pixel_type(roi: tuple[int, int]) -> np.dtype:
     """The type of a photon's pixel in a plane of ``roi``: the narrowest
     unsigned one that holds ny * nx, the mark of a photon not detected."""
@@ -368,9 +383,9 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     (:func:`_pair_pixels`), the pairs' frame offsets and the sorted dark
     cells (:func:`_block_counts`).  Deterministic for a fixed seed.
 
-    Raises :class:`fields.MemoryBudgetError` once the frames' pair counts
-    are drawn, before the pairs are, when that store (the dark cells at
-    their mean count) needs more than ``memory_budget`` bytes.
+    Raises :class:`fields.MemoryBudgetError` before the frames' pair
+    counts are drawn, and again before the pairs are, when the store and
+    the draw would need more than ``memory_budget`` bytes.
     """
     if not (math.isfinite(mu_pairs) and mu_pairs >= 0):
         raise DetectorError(
@@ -381,16 +396,22 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     ny, nx = detector.roi
     shape = (n_frames, 2, ny, nx)
 
+    # The store, beside the source's tables: the offsets with the pair
+    # counts they are summed from, then the pixels, the offsets and the
+    # dark cells at their mean count beside the draw's largest step.
+    held = source.x.nbytes + source.y.nbytes
+    _check_stage(memory_budget, "frame store", held,
+                 ((2, n_frames + 1), np.int64))
     rng = np.random.default_rng(seed)
-    offsets = np.append(0, np.cumsum(rng.poisson(mu_pairs, size=n_frames)))
-    cells = 2 * ny * nx
-    # The pixels, the offsets and the dark cells at their mean count.
-    _check_stage(memory_budget, "frame store",
-                 ((int(offsets[-1]), 2), _pixel_type(detector.roi)),
-                 offsets.nbytes,
+    offsets = np.zeros(n_frames + 1, dtype=np.int64)
+    np.cumsum(rng.poisson(mu_pairs, size=n_frames), out=offsets[1:])
+    n_pairs, cells = int(offsets[-1]), 2 * ny * nx
+    _check_stage(memory_budget, "frame store", held, offsets.nbytes,
+                 ((n_pairs, 2), _pixel_type(detector.roi)),
                  ((math.ceil(detector.dark_rate * cells * n_frames),),
-                  np.int64))
-    pixels = _pair_pixels(source, detector, int(offsets[-1]), rng)
+                  np.int64),
+                 _draw_bytes(source, n_pairs))
+    pixels = _pair_pixels(source, detector, n_pairs, rng)
     n_dark = rng.poisson(detector.dark_rate * cells * n_frames)
     dark = rng.integers(0, n_frames * cells, size=int(n_dark))
     dark.sort()

@@ -54,6 +54,11 @@ BOUNDARY_TOLERANCE = 0.1
 #: Default memory budget for 4D allocations and the rank-R factors, bytes.
 MEMORY_BUDGET = 6 * 1024**3
 
+#: Bytes every memory check counts beyond a stage's arrays: numpy's ufunc
+#: buffers (128 KiB for each complex operand a call casts or strides, up to
+#: three at once) and the interpreter's small objects.
+STAGE_ALLOWANCE = 2**19
+
 #: Machine epsilon of float64.
 EPS = 2.0**-52
 
@@ -197,22 +202,23 @@ def _check_boundary(edge: float, peak: float, boundary_tol: float) -> None:
 
 
 def _nbytes(*arrays) -> int:
-    """Bytes of the arrays of a stage: each a (shape, dtype) entry of an
-    array the stage allocates, or the bytes of tables held from an earlier
-    stage."""
+    """Bytes of the arrays of a stage (:func:`_check_stage`)."""
     return sum(a if isinstance(a, int)
                else math.prod(a[0]) * np.dtype(a[1]).itemsize
                for a in arrays)
 
 
-def _check_stage(budget: int, what: str, *arrays) -> None:
-    """Raise :class:`MemoryBudgetError`, before the stage ``what``
-    allocates, when its arrays (:func:`_nbytes`) need more than ``budget``
-    bytes.  Every memory check of the package is a call of this one."""
-    need = _nbytes(*arrays)
+def _check_stage(budget: int, what: str, *arrays) -> int:
+    """The bytes the stage ``what`` needs: its arrays, each a (shape,
+    dtype) entry of an array it allocates or the bytes of tables held from
+    an earlier stage, and ``STAGE_ALLOWANCE``.  Raises
+    :class:`MemoryBudgetError`, before the stage allocates, when they
+    exceed ``budget``: every memory check of the package is this one."""
+    need = STAGE_ALLOWANCE + _nbytes(*arrays)
     if need > budget:
         raise MemoryBudgetError(f"{what} need ~{need} bytes (> budget "
                                 f"{budget} bytes)")
+    return need
 
 
 def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
@@ -225,9 +231,8 @@ def build_amplitude(grid: MomentumGrid4, pump: PumpSpec, setup: CrystalSetup,
     and :class:`MemoryBudgetError` before allocating when the N^4 arrays
     alive at once exceed ``memory_budget`` bytes.
     """
-    # The complex phase (16 bytes a point) beside the real sinc argument,
-    # its quotient and its modulus (8 each) and the series mask (1): 41
-    # bytes a point, counted as three complex N^4 arrays.
+    # 41 bytes a point (a complex phase, the real sinc argument, quotient
+    # and modulus, the series mask), counted as three complex N^4 arrays.
     _check_stage(memory_budget, "4D amplitude",
                  ((3,) + (grid.n,) * 4, np.complex128))
     ctx = make_context(setup.theta_p, pump.wavelength)
@@ -399,11 +404,11 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
                         z: float, rho_i0=(0.0, 0.0)) -> Distribution:
     """:func:`conditional_position_direct` from the pipeline's factors.
     Raises :class:`MemoryBudgetError` before it allocates when its tables
-    beside the real ones of ``factors`` exceed the budget: the two R x n
-    contractions with room for their temporaries (two more R x n and three
-    n x W tables), and B with its one phase (two n x n), all complex."""
+    beside the real ones of ``factors`` exceed the budget."""
     grid = pipeline.grid
     n, width, rank = grid.n, factors.phase_x.shape[2], factors.rank
+    # The two R x n contractions with room for their temporaries (two more
+    # R x n and three n x W tables), and B with its one phase.
     _check_stage(pipeline.memory_budget, "conditional tables",
                  factors.nbytes, ((4, rank, n), np.complex128),
                  ((3, n, width), np.complex128), ((2, n, n), np.complex128))
@@ -597,9 +602,8 @@ def _pair_tables(pipeline: Pipeline):
     live = np.flatnonzero(v != 0)
     s_lo = max(int(live[0]) - 1, 0)
     width = min(int(live[-1]) + 1, s[-1]) - s_lo + 1
-    # 11 n x W tables while the tables are built or walked, and a chunk of
-    # the guard's walk (:func:`_max_over_pairs`): at most one point an
-    # entry, 9 floats a point.
+    # 11 n x W tables while they are built or walked, and a chunk of the
+    # guard's walk (:func:`_max_over_pairs`), 9 floats a point an entry.
     _check_stage(pipeline.memory_budget, "pair tables",
                  ((11, n, width), np.float64), ((9, n * width), np.float64))
     cols, valid = _band(n, s_lo, width)
@@ -643,12 +647,9 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     on the band (see :class:`AmplitudeFactors`), W pairs a row, so the
     recurrence and the complex exponentials run on n W values.
 
-    Raises :class:`MemoryBudgetError` where :func:`_pair_tables` does, and
-    before each stage of the build allocates when the pair tables and that
-    stage exceed ``pipeline.memory_budget``: a trial K (its K x L tables
-    and the K x K basis), then the band tables of the kept terms (the
-    K x n x W coefficient and polynomial tables with n x W phase tables
-    and temporaries); and :class:`GridError` when the weighted
+    Raises :class:`MemoryBudgetError` before each stage (a trial K, the
+    band tables of the kept terms) allocates when it would exceed
+    ``pipeline.memory_budget``, and :class:`GridError` when the weighted
     coefficients are not finite.  Only :meth:`AmplitudeFactors.x` and
     :meth:`AmplitudeFactors.y` build the complex tables, and the routes
     that call them budget them."""
@@ -660,10 +661,10 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     setup, grid = pipeline.setup, pipeline.grid
     ctx, s_lo, cols, a, b, v, (b_min, b_max) = tables
     q, n, width = grid.q_axis, grid.n, v.shape[1]
-    dispersion._check_paraxial(
-        TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
-        TransverseMomentum(q[None, None, :, None], q[None, None, None, :]),
-        ctx)
+    # The grid's largest |q_s|^2, |q_i|^2 and |q_s + q_i|^2 lie where
+    # q_x = q_y = q and q_s = q_i: the 4D broadcast's warnings and values.
+    dispersion._check_paraxial(TransverseMomentum(q, q),
+                               TransverseMomentum(q, q), ctx)
     # The live x-pairs: the band's upper half where v is not 0 (a NaN
     # envelope stays in, so the trial raises on it), in the order of the
     # upper-triangle pairs (i, j), row by row.
@@ -729,20 +730,11 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     tail = np.cumsum(weight[::-1])[::-1]
     kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
     error = float(tail[kept] + EPS * tail[0])
-    # The band tables of the kept terms: the coefficient table beside the
-    # trial's coefficients and the live pairs' a and v, then beside the
-    # polynomial table, t and the phase rows (at most four n x W complex
-    # tables, written in place), with room for temporaries (the gathered
-    # lower half is smaller).
-    _check_stage(pipeline.memory_budget,
-                 f"rank-{kept * (1 + double)} amplitude factors", pairs,
-                 ((kept, n, width), np.float64),
-                 max(_nbytes(((nodes + 2, size), np.float64)),
-                     _nbytes(((kept, n, width), np.float64),
-                             ((n, width), np.float64),
-                             ((4, n, width), np.complex128),
-                             ((2, n, width), np.float64))))
-
+    # The kept coefficient table beside the trial's coefficients and the
+    # live pairs' a and v (the gathered lower half is smaller).
+    what = f"rank-{kept * (1 + double)} amplitude factors"
+    _check_stage(pipeline.memory_budget, what, pairs,
+                 ((kept, n, width), np.float64), ((nodes + 2, size), np.float64))
     # The upper half takes the kept coefficients, and a lower-half entry
     # (i, k), the pair (i, j = cols[i, k]), those of its mirror (j, k) on the
     # same anti-diagonal; 0 where v is 0 or the pair is off the grid.
@@ -752,6 +744,11 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     lower = live & ~upper
     table[:, lower] = table[:, cols[lower], np.nonzero(lower)[1]]
 
+    # The coefficient and polynomial tables, t and two temporaries, and the
+    # phase rows, written in place.
+    _check_stage(pipeline.memory_budget, what, pairs,
+                 ((2, kept, n, width), np.float64), ((3, n, width), np.float64),
+                 ((2 + 2 * double, n, width), np.complex128))
     # T_j(t(b)) by the three-term recurrence, on the y-pair band; the clip
     # takes out the rounding of t at the interval's ends.
     t = (np.clip((b - mid) / rad, -1.0, 1.0) if rad > 0.0
@@ -919,24 +916,6 @@ def _transform(table: np.ndarray, phase: np.ndarray,
     return np.fft.ifft(out, axis=-2, out=out)
 
 
-def _gram_weighted(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Tables W_m over the two axes of ``first`` with
-    sum over the axes of ``second`` of |sum_r first_r second_r|^2
-    = sum_m |W_m|^2, after any phase of unit modulus on the axes of
-    ``second`` as well.
-
-    The Gram matrix G_rs = sum second_r second_s^* = U diag(lam) U^H gives
-    sum_{rs} first_r first_s^* G_rs = sum_m lam_m |sum_r U_rm first_r|^2;
-    terms with lam_m <= 0 are rounding and are dropped.
-    """
-    rank, n = first.shape[0], first.shape[-1]
-    other = second.reshape(rank, -1)
-    lam, u = np.linalg.eigh(other @ other.conj().T)
-    keep = lam > 0.0
-    u = u[:, keep] * np.sqrt(lam[keep])
-    return (u.T @ first.reshape(rank, n * n)).reshape(-1, n, n)
-
-
 def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     """x-averaged momentum joint and position joints at each z in ``zs``,
     from the rank-R factors: no N^4 array is allocated.
@@ -945,23 +924,30 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     sum_{rs} x_r x_s^* G_rs with the Gram matrix G_rs = sum y_r y_s^*.  By
     Parseval over the two y axes, whose propagation phase has unit modulus,
     G is the same at every z, and the position joint at z is the same sum
-    over the x-transforms F_x[x_r P_x(z)].  G is diagonalized once
-    (:func:`_gram_weighted`), so each z costs one n x n FFT per kept term.
-    The phased input, its transform and |.|^2 of every z go into two
-    buffers allocated once.  The factors come from :func:`_guarded_factors`.
+    over the x-transforms F_x[x_r P_x(z)].  With G = U diag(lam) U^H, the
+    sum is that of |W_m|^2, W_m = sqrt(lam_m) sum_r U_rm x_r (lam_m <= 0 is
+    rounding, dropped), so each z costs one n x n FFT per kept term.  The
+    phased input, its transform and |.|^2 of every z go into two buffers
+    allocated once.  The factors come from :func:`_guarded_factors`.
     """
     grid = pipeline.grid
     zs = tuple(float(z) for z in zs)
     factors, diagnostics = _guarded_factors(pipeline)
     rank, n = factors.rank, grid.n
-    # Beside the real tables: x, y and y^* while the Gram matrix is formed,
-    # then, per z, the weighted tables, the phased buffer transformed in
-    # place and |.|^2; four n x n and four R x R tables (phases, sums, the
-    # Gram matrix and its eigenvectors).
+    # Beside the real tables: y and y^* while G is formed, x and W, then
+    # W, the phased buffer and |.|^2; four n x n and four R x R tables
+    # (phases, sums, G, U), and the joints, each normalized into a copy.
     _check_stage(pipeline.memory_budget, f"rank-{rank} complex factor tables",
-                 factors.nbytes, ((3, rank, n, n), np.complex128),
-                 ((4, n, n), np.complex128), ((4, rank, rank), np.complex128))
-    weighted = _gram_weighted(factors.x(), factors.y())
+                 factors.nbytes, ((2, rank, n, n), np.complex128),
+                 ((rank, n, n), np.float64), ((4, n, n), np.complex128),
+                 ((4, rank, rank), np.complex128),
+                 ((2 * len(zs) + 2, n, n), np.float64))
+    y = factors.y().reshape(rank, -1)
+    lam, u = np.linalg.eigh(y @ y.conj().T)
+    del y
+    keep = lam > 0.0
+    weighted = ((u[:, keep] * np.sqrt(lam[keep])).T
+                @ factors.x().reshape(rank, -1)).reshape(-1, n, n)
     mom = (np.abs(weighted) ** 2).sum(axis=0)
     phased = np.empty_like(weighted)
     power = np.empty(weighted.shape)
@@ -997,15 +983,10 @@ def singles_direct(pipeline: Pipeline, z: float) -> Distribution:
     grid = pipeline.grid
     factors = _guarded_factors(pipeline)[0]
     rank, n = factors.rank, grid.n
-    # Beside the real tables: X, Y, two n x R x R Gram tables, one block's
-    # conjugate (at most n/8 signal coordinates), four n x n and four R x R
-    # tables.
-    _check_stage(pipeline.memory_budget, f"rank-{rank} complex factor tables",
-                 factors.nbytes, ((2, rank, n, n), np.complex128),
-                 ((2, n, rank, rank), np.complex128),
-                 ((n // 8, rank, n), np.complex128),
-                 ((4, n, n), np.complex128), ((4, rank, rank), np.complex128))
-    tables = _position_factors(pipeline, factors, z)
+    # The Gram step: two n x R x R Gram tables and one block's conjugate.
+    tables = _position_factors(pipeline, factors, z,
+                               ((2, n, rank, rank), np.complex128),
+                               ((n // 8, rank, n), np.complex128))
 
     def gram(t: np.ndarray) -> np.ndarray:
         # (n, R, R): for each signal coordinate, sum over the idler one, in
@@ -1039,9 +1020,15 @@ class PositionFactors:
     grid: MomentumGrid4
 
     def y_marginal(self) -> np.ndarray:
-        """sum_{x_s, x_i} |psi|^2 over (y_s, y_i), unnormalized: the Gram
-        trick of :func:`_gram_weighted` over the x tables."""
-        return (np.abs(_gram_weighted(self.y, self.x)) ** 2).sum(axis=0)
+        """sum_{x_s, x_i} |psi|^2 over (y_s, y_i), unnormalized: with the
+        Gram matrix G = x x^H, sum_rs y_r y_s^* G_rs, the real part of
+        sum_r y_r^* (G^T y)_r, in place in one R x n^2 table."""
+        rank, n = self.x.shape[0], self.grid.n
+        x, y = self.x.reshape(rank, -1), self.y.reshape(rank, -1)
+        parts = ((x @ x.conj().T).T @ y).view(np.float64)
+        parts *= y.view(np.float64)
+        # Rounding can take a cell of the Hermitian form just below 0.
+        return np.maximum(parts.reshape(rank, n, n, 2).sum(axis=(0, 3)), 0.0)
 
     def x_weights(self, cells: np.ndarray, out=None) -> np.ndarray:
         """|psi|^2 over the flattened (x_s, x_i) plane, one row per flat
@@ -1067,14 +1054,17 @@ def position_factors(pipeline: Pipeline, z: float) -> PositionFactors:
 
 
 def _position_factors(pipeline: Pipeline, factors: AmplitudeFactors,
-                      z: float) -> PositionFactors:
-    """:func:`position_factors` from the pipeline's factors."""
+                      z: float, *after) -> PositionFactors:
+    """:func:`position_factors` from the pipeline's factors.  The arrays
+    ``after`` of the caller's next step, beside the tables, are checked
+    with them, before either table is built."""
     rank, n = factors.rank, pipeline.grid.n
     # Beside the real tables: the transformed X beside Y, four n x n and
     # four R x R tables.
     _check_stage(pipeline.memory_budget, f"rank-{rank} complex factor tables",
                  factors.nbytes, ((2, rank, n, n), np.complex128),
-                 ((4, n, n), np.complex128), ((4, rank, rank), np.complex128))
+                 ((4, n, n), np.complex128), ((4, rank, rank), np.complex128),
+                 *after)
     phase = _transform_phase(pipeline.grid.q_axis, z, factors.k)
     x = factors.x()
     x = _transform(x, phase, x)

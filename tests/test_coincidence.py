@@ -238,21 +238,23 @@ class TestSynthFrames:
 
     def test_store_over_budget_refused_before_the_pairs(self, factors16):
         # 500 000 pairs hold 2 MB of uint16 pixels at a 24 x 24 ROI, beside
-        # 0.2 MB of frame offsets: a 1.5 MB budget refuses the store, and
-        # nothing of the pixels' size is allocated first.
+        # 0.2 MB of frame offsets and the draw's chunk tables and batch
+        # buffers (7.2 MB in all): a 5 MB budget refuses the store, and
+        # nothing of the pixels' size is allocated first; 50 000 pairs fit
+        # (4.5 MB).
         import tracemalloc
 
         tracemalloc.start()
         try:
             with pytest.raises(MemoryBudgetError, match="frame store"):
                 synth_frames(factors16, detector(), 20.0, 25_000, seed=0,
-                             memory_budget=1_500_000)
+                             memory_budget=5_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 10**6
         synth_frames(factors16, detector(), 20.0, 2500, seed=0,
-                     memory_budget=1_500_000)
+                     memory_budget=5_000_000)
 
     @pytest.mark.parametrize("roi", [(15, 17), (16, 16), (255, 257),
                                      (256, 256)],

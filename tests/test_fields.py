@@ -5,8 +5,11 @@ literal nested-sum evaluation of the centered transform, independent of the
 FFT path.
 """
 
+import ast
 import math
+import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -702,9 +705,10 @@ def band_span(b, v):
 
 
 def unscreened_factors(pipeline):
-    """(x, y, error) of the rank-R factors with every Chebyshev trial
+    """(x, y, error, v_x) of the rank-R factors with every Chebyshev trial
     evaluated on the full table and the double crystal's halves joined by
-    concatenation: the reference for the screened build."""
+    concatenation, and the x-pair envelope: the reference for the screened
+    build."""
     from biphoton import dispersion
     from biphoton.fields import CHEB_START, CHEB_TOL, EPS
     from biphoton.phasematch import pump_envelope, sinc
@@ -749,11 +753,11 @@ def unscreened_factors(pipeline):
     coeffs = coeffs[:kept]
     if setup.kind == "single":
         return (coeffs * (v_x * np.exp(1j * a * half)),
-                cheb * (v_y * np.exp(1j * b * half)), error)
+                cheb * (v_y * np.exp(1j * b * half)), error, v_x)
     g = (setup.length + setup.gap) / 2.0
     e_a, e_b = v_x * np.exp(1j * a * g) / 2.0, v_y * np.exp(1j * b * g)
     return (np.concatenate([coeffs * e_a, coeffs * e_a.conj()]),
-            np.concatenate([cheb * e_b, cheb * e_b.conj()]), error)
+            np.concatenate([cheb * e_b, cheb * e_b.conj()]), error, v_x)
 
 
 def triangle_coeffs(pipeline):
@@ -799,32 +803,6 @@ def triangle_coeffs(pipeline):
     return np.take(coeffs[:kept], mirror, axis=1), v_x
 
 
-def envelope_x(pipeline):
-    """v_x over the n x n x-pairs (q_sx, q_ix)."""
-    from biphoton.phasematch import pump_envelope
-
-    q = pipeline.grid.q_axis
-    return pump_envelope(TransverseMomentum(q[:, None] + q[None, :], 0.0),
-                         pipeline.pump)
-
-
-def factor_need(pipeline, nodes, kept, width):
-    """The bytes the factor build counts for its last trial of ``nodes``
-    terms, ``kept`` of them kept, on a band ``width`` wide: the four n x W
-    pair tables beside the larger of two stages.  The trial: 25 bytes a
-    point of its K x L tables over the L live pairs (i <= j and
-    v_x != 0), two K x K tables, three L tables and one n x W table.  The
-    band: the kept K x n x W coefficient table beside the trial's K x L
-    coefficients and two L tables, or beside the kept polynomial table and
-    11 n x W tables."""
-    n = pipeline.grid.n
-    live = np.count_nonzero(envelope_x(pipeline)[np.triu_indices(n)])
-    trial = 25 * nodes * live + 8 * (2 * nodes**2 + 3 * live + n * width)
-    band = 8 * (kept * n * width + max((nodes + 2) * live,
-                                       (kept + 11) * n * width))
-    return 32 * n * width + max(trial, band)
-
-
 def refusal_need(call):
     """The bytes named by the refusal of ``call()``."""
     with pytest.raises(MemoryBudgetError) as info:
@@ -843,6 +821,69 @@ def least_budget(call):
             return budget
         except MemoryBudgetError as exc:
             budget = int(re.search(r"~(\d+) bytes", str(exc)).group(1))
+
+
+def traced_stages(call):
+    """(call() or the MemoryBudgetError it raised, stages, refused):
+    ``call()`` traced by tracemalloc.  Each memory check of the package
+    (``_check_stage``, called in ``fields`` and ``coincidence``) opens a
+    stage that lasts to the next check or to the end of the call, recorded
+    as [site, what, declared bytes, traced peak], the site the (file,
+    line) of the check; ``refused`` holds the site of a check that
+    refused.  The library modules that load on first use are loaded
+    first: they are no stage's working set."""
+    from biphoton import coincidence
+    from biphoton import fields as fields_module
+
+    np.random.default_rng(0)
+    check = fields_module._check_stage
+    stages, refused = [], []
+
+    def traced(budget, what, *arrays):
+        peak = tracemalloc.get_traced_memory()[1]
+        frame = sys._getframe(1)
+        site = (os.path.basename(frame.f_code.co_filename), frame.f_lineno)
+        try:
+            need = check(budget, what, *arrays)
+        except MemoryBudgetError:
+            refused.append(site)
+            raise
+        if stages:
+            stages[-1][3] = peak
+        stages.append([site, what, need, 0])
+        tracemalloc.reset_peak()
+        return need
+
+    fields_module._check_stage = coincidence._check_stage = traced
+    tracemalloc.start()
+    try:
+        try:
+            got = call()
+        except MemoryBudgetError as exc:
+            got = exc
+        if stages:
+            stages[-1][3] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        fields_module._check_stage = coincidence._check_stage = check
+    return got, stages, refused
+
+
+def check_stages(run):
+    """Trace ``run(budget)`` (:func:`traced_stages`) under the default
+    budget, then one byte under its largest stage's count: each stage's
+    traced peak stays within its declared bytes in both runs, and the
+    second is refused by the largest stage's own check, before that stage
+    allocates.  Returns (run(MEMORY_BUDGET), its stages)."""
+    got, stages, _ = traced_stages(lambda: run(MEMORY_BUDGET))
+    largest = max(stages, key=lambda stage: stage[2])
+    refusal, before, refused = traced_stages(lambda: run(largest[2] - 1))
+    assert isinstance(refusal, MemoryBudgetError)
+    assert refused == [largest[0]]
+    assert f"{largest[1]} need ~{largest[2]} bytes" in str(refusal)
+    for site, what, need, peak in stages + before:
+        assert peak <= need, f"{what} ({site}): traced {peak} > {need}"
+    return got, stages
 
 
 def factor_error(factors, grid, setup):
@@ -1025,13 +1066,13 @@ class TestRankFactors:
                                   **(self.WIDE if "wide" in kind else {}))
         pipe = Pipeline(PUMP, setup, grid)
         factors = amplitude_factors(pipe)
-        x, y, error = unscreened_factors(pipe)
+        x, y, error, v_x = unscreened_factors(pipe)
         assert factors.rank == x.shape[0]
         assert factors.error == error
         assert np.array_equal(factors.y(), y)
         got = factors.x()
         assert np.abs(got - x).max() <= 8 * EPS * np.abs(x).max()
-        assert np.all(got[:, envelope_x(pipe) == 0] == 0.0)
+        assert np.all(got[:, v_x == 0] == 0.0)
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])
@@ -1172,7 +1213,7 @@ class TestRankFactors:
         pipe = Pipeline(PUMP, setup, grid)
         factors = amplitude_factors(pipe)
         assert factors.coeffs.shape[2] == 2 * 16 - 1
-        x, y, _ = unscreened_factors(pipe)
+        x, y, *_ = unscreened_factors(pipe)
         assert np.array_equal(factors.x(), x)
         assert np.array_equal(factors.y(), y)
         w = np.exp(2j * np.pi * np.random.default_rng(6).random(16))
@@ -1212,22 +1253,6 @@ class TestRankFactors:
         finally:
             tracemalloc.stop()
 
-    @staticmethod
-    def traced_nodes(monkeypatch, n, call):
-        """(call(), tracemalloc peak of the call, K of its kept trial)."""
-        import biphoton.fields as fields_module
-
-        nodes = []
-        sinc_of = fields_module.sinc
-
-        def counted(arg):
-            if arg.shape[1:] != (n - 1,):  # not the ridge probe
-                nodes.append(arg.shape[0])
-            return sinc_of(arg)
-
-        monkeypatch.setattr(fields_module, "sinc", counted)
-        return (*TestRankFactors.traced(call), nodes[-1])
-
     def test_conditional_budget_counts_the_band(self, monkeypatch):
         # The direct conditional builds no complex table: the least budget
         # it admits counts the factor build, the real band tables and its
@@ -1259,21 +1284,21 @@ class TestRankFactors:
             run(budget - 1)
 
     @pytest.mark.parametrize("kind", ["single", "double", "wide"])
-    def test_factor_build_peak_under_its_budget(self, kind, monkeypatch):
-        # The build holds no K x n(n+1)/2 table, and it counts the larger of
-        # its two stages, not their sum: its traced peak stays under what
-        # it counts (factor_need, the least budget it admits), and at or
-        # above nine tenths of it.
+    def test_factor_build_peak_under_its_budget(self, kind):
+        # The build holds no K x n(n+1)/2 table, and each of its stages
+        # counts what it holds, not the sum of every table: the build's
+        # traced peak stays under its largest count (the least budget it
+        # admits), and at or above nine tenths of it.
         n = 256
         setup = TestAveragedJointsX.setup_of(
             "single" if kind == "wide" else kind)
         grid = MomentumGrid4.auto(PUMP, setup, n=n,
                                   **(self.WIDE if kind == "wide" else {}))
-        pipe = Pipeline(PUMP, setup, grid)
-        factors, peak, k = self.traced_nodes(
-            monkeypatch, n, lambda: amplitude_factors(pipe))
-        need = factor_need(pipe, k, factors.coeffs.shape[0],
-                           factors.coeffs.shape[2])
+        _, stages, _ = traced_stages(
+            lambda: amplitude_factors(Pipeline(PUMP, setup, grid)))
+        need = max(need for _, what, need, _ in stages
+                   if what.endswith("amplitude factors"))
+        peak = max(peak for *_, peak in stages)
         assert 0.9 * need <= peak < need
         amplitude_factors(Pipeline(PUMP, setup, grid, memory_budget=need))
         with pytest.raises(MemoryBudgetError, match="amplitude factors"):
@@ -1356,9 +1381,9 @@ class TestRankFactors:
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_transforms_allocate_no_table(self, kind, route, args, tables):
         # The FFT runs in place: beyond the real tables, the joints peak at
-        # x, y and y^* (3 complex R x n^2 tables) and the position factors
-        # at the two transformed tables, where a fresh FFT output and its
-        # intermediate added two more.
+        # under three complex R x n^2 tables (W, the phased buffer and
+        # |.|^2) and the position factors at the two transformed tables,
+        # where a fresh FFT output and its intermediate added two more.
         import biphoton.fields as fields_module
 
         setup = TestAveragedJointsX.setup_of(kind)
@@ -1409,3 +1434,96 @@ class TestRankFactors:
         x, y = factors.x(), factors.y()
         assert np.array_equal(x[half:], x[:half].conj())
         assert np.array_equal(y[half:], y[:half].conj())
+
+
+def synth_route(pipe):
+    """``frames synth`` on the pipeline: its position factors at z = 0
+    sampled into a stack at the CLI's ROI, 5 pairs a frame."""
+    from biphoton.cli import _auto_roi
+    from biphoton.coincidence import DetectorModel, synth_frames
+
+    detector = DetectorModel(roi=_auto_roi(pipe, DetectorModel.pitch))
+    frames = {16: 20_000, 32: 50_000, 64: 20_000}[pipe.grid.n]
+    return synth_frames(position_factors(pipe, 0.0), detector, 5.0, frames,
+                        seed=1, memory_budget=pipe.memory_budget)
+
+
+#: Route name -> the route on a pipeline, under its memory budget.
+ROUTES = {
+    "guard": boundary_ratio,
+    "amplitude_factors": amplitude_factors,
+    "averaged_joints_x-2z": lambda pipe: averaged_joints_x(
+        pipe, [0.0, 7.5e-3]),
+    "averaged_joints_x-0z": lambda pipe: averaged_joints_x(pipe, []),
+    "position_factors": lambda pipe: position_factors(pipe, 7.5e-3),
+    "singles_direct": lambda pipe: singles_direct(pipe, 7.5e-3),
+    "conditional": lambda pipe: conditional_position_direct(
+        pipe.pump, pipe.setup, 7.5e-3, pipe.grid,
+        memory_budget=pipe.memory_budget),
+    "frames_synth": synth_route,
+    "4d": lambda pipe: to_position(
+        build_amplitude(pipe.grid, pipe.pump, pipe.setup,
+                        memory_budget=pipe.memory_budget),
+        memory_budget=pipe.memory_budget),
+}
+
+#: (route, kind, n) of the stage test: every route on both crystals, the
+#: rank-R routes at n = 16-256 (the guard at 512 too), ``frames synth`` at
+#: n = 16-64 and the 4D oracle at n = 16.
+STAGE_CASES = (
+    [(route, kind, n) for route in list(ROUTES)[:7]
+     for kind in ("single", "double") for n in (16, 32, 64, 128, 256)]
+    + [("guard", kind, 512) for kind in ("single", "double")]
+    + [("frames_synth", kind, n) for kind in ("single", "double")
+       for n in (16, 32, 64)]
+    + [("4d", kind, 16) for kind in ("single", "double")])
+
+
+class TestStageBudgets:
+    @staticmethod
+    def pipeline(kind, n):
+        setup = TestAveragedJointsX.setup_of(kind)
+        return Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=n))
+
+    @pytest.mark.parametrize("route, kind, n", STAGE_CASES,
+                             ids=[f"{r}-{k}-{n}" for r, k, n in STAGE_CASES])
+    def test_stages_within_their_counts(self, route, kind, n):
+        # Each memory check declares the stage that follows it: from the
+        # check to the next one or to the route's end, the traced peak stays
+        # within the declared bytes, and one byte under the largest count
+        # the route is refused at that stage's check.  At n = 256 the direct
+        # conditional peaks at 0.8 of the least budget it admits or more,
+        # and the factor build at 0.9 of its largest count or more.
+        pipe = self.pipeline(kind, n)
+        _, stages = check_stages(lambda budget: ROUTES[route](
+            Pipeline(pipe.pump, pipe.setup, pipe.grid,
+                     memory_budget=budget)))
+        if n == 256 and route == "conditional":
+            need = max(need for _, _, need, _ in stages)
+            assert max(peak for *_, peak in stages) >= 0.8 * need
+        if n == 256 and route == "amplitude_factors":
+            need, peak = max((need, peak) for _, what, need, peak in stages
+                             if what.endswith("amplitude factors"))
+            assert peak >= 0.9 * need
+
+    def test_every_check_is_traced(self):
+        # Every call of _check_stage in the package is reached by a route
+        # of the stage test, so a new route cannot skip being traced.
+        import biphoton
+
+        where = os.path.dirname(biphoton.__file__)
+        sites = set()
+        for name in os.listdir(where):
+            if name.endswith(".py"):
+                with open(os.path.join(where, name)) as fh:
+                    tree = ast.parse(fh.read())
+                sites |= {(name, node.lineno) for node in ast.walk(tree)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "_check_stage"}
+        reached = set()
+        for route in ROUTES:
+            for kind in ("single", "double"):
+                stages = traced_stages(lambda: ROUTES[route](
+                    self.pipeline(kind, 16)))[1]
+                reached |= {site for site, *_ in stages}
+        assert reached == sites
