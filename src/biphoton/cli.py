@@ -297,8 +297,10 @@ def main(argv=None) -> int:
     except (DispersionError, fields.GridError, fields.DegenerateConditionError,
             entanglement.EntanglementError, coin.DetectorError,
             coin.AccumulatorError, MemoryError) as exc:
-        module = type(exc).__module__.rsplit(".", 1)[-1]
-        print(f"{module}: {exc}", file=sys.stderr)
+        # A budget refusal or a failed allocation, from whichever module.
+        label = ("memory" if isinstance(exc, MemoryError)
+                 else type(exc).__module__.rsplit(".", 1)[-1])
+        print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except (OSError, writers.WriteError) as exc:
         print(f"io: {exc}", file=sys.stderr)

@@ -492,9 +492,22 @@ class TestCliCommands:
         assert self.run("--config", str(cfg), "--frames", "100000", "frames",
                         "synth", outdir=tmp_path / "long") == 3
         err = capsys.readouterr().err
-        assert "frame store need" in err
+        assert err.startswith("memory: frame store need")
         assert "(> budget 1000000 bytes)" in err
         assert not (tmp_path / "long" / "frames.bpfs").exists()
+
+    def test_allocation_failure_exit3(self, tmp_path, capsys, monkeypatch):
+        # A failed numpy allocation raises a MemoryError of numpy's own
+        # module: it exits 3 labelled "memory:", as a budget refusal does.
+        from biphoton import fields
+
+        def allocate(*args):
+            return np.empty(2**50)  # 8 PiB: refused by the allocator at once
+
+        monkeypatch.setattr(fields, "singles_direct", allocate)
+        assert self.run("singles", outdir=tmp_path) == 3
+        assert capsys.readouterr().err.startswith(
+            "memory: Unable to allocate 8.00 PiB")
 
     @pytest.mark.parametrize("header", [b"not json\n",
                                         b'{"magic": "BPFS1"}\n'],

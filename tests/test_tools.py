@@ -14,7 +14,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_artifact_digests_runs():
     # One digest line for each of the 229 artifacts, one collinear-angle
     # line for each of the four configurations and one refusal, exit
-    # code 3, for each of the five runs that must fail.
+    # code 3, for each of the six runs that must fail.
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "artifact_digests.py")],
         cwd=ROOT, capture_output=True, text=True, check=False, timeout=300)
@@ -24,5 +24,5 @@ def test_artifact_digests_runs():
                if re.fullmatch(r"[0-9a-f]{64}  \S+", line)]
     assert len(digests) == 229
     assert sum(line.startswith("collinear-angle ") for line in lines) == 4
-    assert sum(line.startswith("exit 3  ") for line in lines) == 5
-    assert len(lines) == 229 + 4 + 5
+    assert sum(line.startswith("exit 3  ") for line in lines) == 6
+    assert len(lines) == 229 + 4 + 6

@@ -20,9 +20,11 @@ directory.  Prints one ``sha256  path`` line per artifact, the path
 relative to the output directory, in sorted order.  Then it prints the
 line ``collinear-angle`` writes for each configuration, after its name.
 Then it runs commands that must fail, ``ef`` and ``conditional`` on a
-truncated extent and ``ef``, ``conditional`` and ``frames synth`` under a
-1024-byte memory budget, and prints one ``exit <code>`` line for each with
-the last line it wrote to stderr.  A claim that two trees write the same
+truncated extent, ``ef``, ``conditional`` and ``frames synth`` under a
+1024-byte memory budget, and ``frames synth`` of 100 000 frames at n = 16
+under a 10^6-byte budget, which admits the factors but not the frame
+store, and prints one ``exit <code>`` line for each with the last line it
+wrote to stderr.  A claim that two trees write the same
 bytes and refuse the same runs is a ``diff`` of two runs, one with
 ``--src`` set to the other tree's ``src`` directory.
 
@@ -75,12 +77,14 @@ WIDE_ROI = ("roi-256", {"coincidence": {"roi": [256, 256]}},
 #: (name, config, command) of the runs that must fail.
 TRUNCATED = {"grid": {"n": 16, "c1": 0.2, "c2": 0.05}}
 BUDGET = {"grid": {"memory_budget": 1024}}
+STORE = {"grid": {"n": 16, "memory_budget": 10**6}}
 REFUSALS = (
     ("truncated", TRUNCATED, ["ef"]),
     ("truncated", TRUNCATED, ["conditional"]),
     ("budget", BUDGET, ["ef"]),
     ("budget", BUDGET, ["conditional"]),
     ("budget", BUDGET, ["frames", "synth"]),
+    ("store", STORE, ["--frames", "100000", "frames", "synth"]),
 )
 
 
