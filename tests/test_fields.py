@@ -153,7 +153,7 @@ class TestBuildAmplitude:
 
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_budget_counts_the_working_set(self, kind):
-        # The estimate bounds what the build holds at once.
+        # The count bounds what the build holds at once.
         setup = TestAveragedJointsX.setup_of(kind)
         grid = MomentumGrid4.auto(PUMP, setup, n=16)
         need = refusal_need(lambda: build_amplitude(grid, PUMP, setup,
@@ -826,17 +826,20 @@ def least_budget(call):
 def traced_stages(call):
     """(call() or the MemoryBudgetError it raised, stages, refused):
     ``call()`` traced by tracemalloc.  Each memory check of the package
-    (``_check_stage``, called in ``fields`` and ``coincidence``) opens a
-    stage that lasts to the next check or to the end of the call, recorded
-    as [site, what, declared bytes, traced peak], the site the (file,
-    line) of the check; ``refused`` holds the site of a check that
-    refused.  The library modules that load on first use are loaded
-    first: they are no stage's working set."""
-    from biphoton import coincidence
+    (``fields._check_stage``, in every module that calls it) opens a stage
+    that lasts to the next check or to the end of the call, recorded as
+    [site, what, declared bytes, traced peak], the site the (file, line)
+    of the check; ``refused`` holds the site of a check that refused.  The
+    library modules that load on first use are loaded first: they are no
+    stage's working set."""
+    import biphoton.cli  # imports every module of the package
     from biphoton import fields as fields_module
 
     np.random.default_rng(0)
     check = fields_module._check_stage
+    modules = [module for name, module in list(sys.modules.items())
+               if name.startswith("biphoton.")
+               and getattr(module, "_check_stage", None) is check]
     stages, refused = [], []
 
     def traced(budget, what, *arrays):
@@ -854,7 +857,8 @@ def traced_stages(call):
         tracemalloc.reset_peak()
         return need
 
-    fields_module._check_stage = coincidence._check_stage = traced
+    for module in modules:
+        module._check_stage = traced
     tracemalloc.start()
     try:
         try:
@@ -865,7 +869,8 @@ def traced_stages(call):
             stages[-1][3] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        fields_module._check_stage = coincidence._check_stage = check
+        for module in modules:
+            module._check_stage = check
     return got, stages, refused
 
 
@@ -1518,8 +1523,9 @@ class TestStageBudgets:
                 with open(os.path.join(where, name)) as fh:
                     tree = ast.parse(fh.read())
                 sites |= {(name, node.lineno) for node in ast.walk(tree)
-                          if isinstance(node, ast.Call)
-                          and getattr(node.func, "id", None) == "_check_stage"}
+                          if isinstance(node, ast.Call) and "_check_stage"
+                          in (getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None))}
         reached = set()
         for route in ROUTES:
             for kind in ("single", "double"):
