@@ -481,9 +481,9 @@ class TestCliCommands:
         assert not (tmp_path / "frames.bpfs").exists()
 
     def test_frames_store_memory_budget_exit3(self, tmp_path, capsys):
-        # A budget that admits the n = 16 factor build (about 0.3 MB) and
-        # a 2-frame stack, but not the pixels, offsets and dark cells of
-        # 100 000 frames (about 2.1 MB): refused before the pairs are drawn.
+        # A budget that admits the n = 16 factor build and a 2-frame stack,
+        # but not the store of 100 000 frames, whose offsets alone need
+        # 1.6 MB: refused before the pairs are drawn.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": {"n": 16, "memory_budget": 10**6}}))
         assert self.run("--config", str(cfg), "--frames", "2", "frames",
