@@ -255,6 +255,8 @@ def _cmd_frames(cfg: RunConfig, args) -> int:
                                   cfg.coincidence.seed,
                                   fingerprint=cfg.fingerprint(),
                                   memory_budget=pipe.memory_budget)
+        # The stack holds no factor table: the save runs without them.
+        del source
         path = stack_path or os.path.join(cfg.outdir, "frames.bpfs")
         coin.save_frames(stack, path)
         print(f"wrote {stack.n_frames} frames to {path}")

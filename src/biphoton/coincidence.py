@@ -152,7 +152,7 @@ def _block_counts(shape, offsets, pixels, dark) -> Iterator[tuple]:
         lo, hi = offsets[f0], offsets[f1]
         first = np.repeat(np.arange(f1 - f0) * frame,  # of each pair's frame
                           np.diff(offsets[f0:f1 + 1]))
-        d0, d1 = np.searchsorted(dark, (f0 * frame, f1 * frame))
+        d0, d1 = np.searchsorted(dark, np.array((f0, f1), dark.dtype) * frame)
         events = [dark[d0:d1] - f0 * frame]
         for k in range(2):
             pixel = pixels[lo:hi, k]
@@ -350,6 +350,12 @@ def _draw_bytes(source: PositionFactors, n_pairs: int) -> int:
                        ((min(n_pairs, DRAW_CHUNK_ELEMS), 5), np.float64)))
 
 
+def _index_type(end: int) -> np.dtype:
+    """The type of offsets and flat cells that reach ``end``: uint32 below
+    2^32, int64 from there."""
+    return np.dtype(np.uint32 if end < 2**32 else np.int64)
+
+
 def _pixel_type(roi: tuple[int, int]) -> np.dtype:
     """The type of a photon's pixel in a plane of ``roi``: the narrowest
     unsigned one that holds ny * nx, the mark of a photon not detected."""
@@ -406,23 +412,30 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     offsets = np.zeros(n_frames + 1, dtype=np.int64)
     np.cumsum(rng.poisson(mu_pairs, size=n_frames), out=offsets[1:])
     n_pairs, cells = int(offsets[-1]), 2 * ny * nx
+    offsets = offsets.astype(_index_type(n_pairs))
+    # The dark cells, and the keys that search them, reach n_frames * cells.
+    dark_type = _index_type(n_frames * cells)
     _check_stage(memory_budget, "frame store", held, offsets.nbytes,
                  ((n_pairs, 2), _pixel_type(detector.roi)),
                  ((math.ceil(detector.dark_rate * cells * n_frames),),
-                  np.int64),
+                  dark_type),
                  _draw_bytes(source, n_pairs))
     pixels = _pair_pixels(source, detector, n_pairs, rng)
     n_dark = rng.poisson(detector.dark_rate * cells * n_frames)
-    dark = rng.integers(0, n_frames * cells, size=int(n_dark))
+    # Drawn in their own type: below 2^32, a uint32 draw takes the int64
+    # draw's values from the same stream.
+    dark = rng.integers(0, n_frames * cells, size=int(n_dark),
+                        dtype=dark_type)
     dark.sort()
     state = (offsets, pixels, dark)
     # A cell's count in a frame is at most the frame's pairs plus its dark
     # counts: count exactly only where that bound exceeds MAX_COUNT.  The
     # bound is taken a block of frames at a time, with no per-frame array.
     per = _block_frames(shape)
+    # A key of another type than the dark cells' would copy them all.
     worst = max(np.diff(offsets[f0:f0 + per + 1] + np.searchsorted(
-        dark, np.arange(f0, min(f0 + per, n_frames) + 1) * cells)).max()
-        for f0 in range(0, n_frames, per))
+        dark, np.arange(f0, min(f0 + per, n_frames) + 1, dtype=dark_type)
+        * cells)).max() for f0 in range(0, n_frames, per))
     if worst > MAX_COUNT:
         worst = max(c.max(initial=0) for *_, c in _block_counts(shape, *state))
     if worst > MAX_COUNT:
