@@ -44,12 +44,6 @@ MAX_COUNT = np.iinfo(np.uint16).max
 #: of whole frames of about this size, each through one reused buffer.
 FRAME_BLOCK_BYTES = 1024**2
 
-#: Elements of a table chunk of the x-draw (1 MiB complex), and draws in a
-#: batch of the sampler.  A chunk has at least R rows (one R x n^2 factor
-#: table), so that each product reads the x table for at least as many rows
-#: as it has terms.
-DRAW_CHUNK_ELEMS = 2**16
-
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -234,45 +228,45 @@ def sample_pairs(source: PositionFactors, n_pairs: int,
 def _pair_batches(source: PositionFactors, n_pairs: int,
                   rng: np.random.Generator) -> Iterator[tuple]:
     """(first draw, x-pair indices, y-pair indices) of ``n_pairs`` pairs,
-    in batches of at most ``DRAW_CHUNK_ELEMS`` draws, ascending in y-pair;
-    each batch's arrays are valid until the next batch is drawn.
+    in batches of at most R n^2 draws, the elements of one factor table,
+    ascending in y-pair; each batch's arrays are valid until the next batch
+    is drawn.
 
     The (y_s, y_i) pairs are drawn from the marginal of ``source`` with an
     alias table in batches, each folded into per-cell counts: the draws in
     ascending order are those counts expanded, so no draw is kept.  Each
     (x_s, x_i) pair is then drawn by inverse CDF from the row of
     ``source.x_weights`` of its y-pair: the tables of the distinct y-pairs
-    are built in chunks of ``DRAW_CHUNK_ELEMS`` elements or R rows, into
-    buffers reused across chunks, each CDF normalized and offset by the
-    y-pair's index among the distinct ones, so one ``searchsorted`` of
+    are built in chunks of R rows, as many rows as the x table has terms,
+    into buffers reused across chunks, each CDF normalized and offset by
+    the y-pair's index among the distinct ones, so one ``searchsorted`` of
     (index + uniform) reads a chunk for a batch of its draws.  The batch's
     uniforms are drawn in one call and sorted within each y-pair, so that
     the search keys ascend.
     """
     table = AliasTable(source.y_marginal())
-    size, rank = source.grid.n ** 2, source.x.shape[0]
+    size, rank, batch = source.grid.n ** 2, source.x.shape[0], source.x.size
     counts = np.zeros(size, dtype=np.int64)
-    for lo in range(0, n_pairs, DRAW_CHUNK_ELEMS):
-        counts += np.bincount(
-            table.sample(min(DRAW_CHUNK_ELEMS, n_pairs - lo), rng),
-            minlength=size)
+    for lo in range(0, n_pairs, batch):
+        counts += np.bincount(table.sample(min(batch, n_pairs - lo), rng),
+                              minlength=size)
+    del table
     distinct = np.flatnonzero(counts).astype(np.int32)
     # First draw of each distinct y-pair, and past the last.
     edges = np.append(0, np.cumsum(counts[distinct]))
-    rows = max(DRAW_CHUNK_ELEMS // size, rank)
-    shape = (min(rows, distinct.size), size)
+    shape = (min(rank, distinct.size), size)
     work = (np.empty(shape), np.empty(shape, dtype=complex))
-    batch = min(n_pairs, DRAW_CHUNK_ELEMS)
-    keys, ys = np.empty(batch), np.empty(batch, dtype=np.int32)
-    for c0 in range(0, distinct.size, rows):
-        c1 = min(c0 + rows, distinct.size)
+    keys = np.empty(min(n_pairs, batch))
+    ys = np.empty(keys.size, dtype=np.int32)
+    for c0 in range(0, distinct.size, rank):
+        c1 = min(c0 + rank, distinct.size)
         cdf = source.x_weights(distinct[c0:c1],
                                out=tuple(w[:c1 - c0] for w in work))
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
         cdf += np.arange(c0, c1)[:, None]
-        for lo in range(edges[c0], edges[c1], DRAW_CHUNK_ELEMS):
-            hi = min(lo + DRAW_CHUNK_ELEMS, edges[c1])
+        for lo in range(edges[c0], edges[c1], batch):
+            hi = min(lo + batch, edges[c1])
             # The distinct y-pairs r0 .. r1 - 1 that draws lo .. hi - 1 hold,
             # each repeated for its draws in that window.
             r0 = np.searchsorted(edges, lo, side="right") - 1
@@ -317,19 +311,20 @@ def _pair_pixels(source: PositionFactors, detector: DetectorModel,
     tables = [(np.repeat(py, n).astype(dtype), np.repeat(px, n).astype(dtype)),
               (np.tile(py, n).astype(dtype), np.tile(px, n).astype(dtype))]
     pixels = np.empty((n_pairs, 2), dtype=dtype)
-    part = np.empty((2, min(n_pairs, DRAW_CHUNK_ELEMS)), dtype=dtype)
+    batch = source.x.size  # the draws of a batch of _pair_batches
+    part = np.empty((2, min(n_pairs, batch)), dtype=dtype)
     for lo, x, y in _pair_batches(source, n_pairs, rng):
-        batch = pixels[lo:lo + len(x)]
+        pairs = pixels[lo:lo + len(x)]
         from_y, from_x = part[:, :len(x)]
         # The indices are in range; mode="raise" would buffer the output.
         for k, (ty, tx) in enumerate(tables):
             np.take(ty, y, out=from_y, mode="clip")
             np.take(tx, x, out=from_x, mode="clip")
-            np.add(from_y, from_x, out=batch[:, k])
+            np.add(from_y, from_x, out=pairs[:, k])
     qe = detector.quantum_efficiency
-    for lo in range(0, n_pairs, DRAW_CHUNK_ELEMS):
-        batch = pixels[lo:lo + DRAW_CHUNK_ELEMS]
-        batch[rng.random(batch.shape) >= qe] = ny * nx
+    for lo in range(0, n_pairs, batch):
+        pairs = pixels[lo:lo + batch]
+        pairs[rng.random(pairs.shape) >= qe] = ny * nx
     # Whole pairs, in place.
     rng.shuffle(pixels.view(f"u{2 * pixels.itemsize}").ravel())
     return pixels
@@ -337,17 +332,18 @@ def _pair_pixels(source: PositionFactors, detector: DetectorModel,
 
 def _draw_bytes(source: PositionFactors, n_pairs: int) -> int:
     """Bytes :func:`_pair_pixels` holds beside its output at its largest
-    step: the y-marginal's R x n^2 product, or the alias table, the
-    per-cell counts, the distinct cells, their edges and the pixel tables
-    (ten 8-byte values a cell), the two chunk tables of
-    :func:`_pair_batches` with the gathered y rows, and a batch's keys,
-    pixels and temporaries (40 bytes a draw)."""
+    step: the y-marginal's R x n^2 product, or the per-cell tables (the
+    counts and the pixel tables, with the alias table while the y-pairs
+    are drawn or the distinct cells and their edges after: ten 8-byte
+    values a cell), the two R-row chunk tables of :func:`_pair_batches`
+    with the gathered y rows, and the keys, pixels and temporaries of a
+    batch of up to R n^2 draws (40 bytes a draw)."""
     rank, size = source.x.shape[0], source.grid.n ** 2
-    rows = min(max(DRAW_CHUNK_ELEMS // size, rank), n_pairs, size)
+    rows = min(rank, n_pairs, size)
     return max(_nbytes(((rank + 1, size + rank), np.complex128)),
                _nbytes(((10, size), np.float64), ((rows, size), np.float64),
                        ((rows, size + rank), np.complex128),
-                       ((min(n_pairs, DRAW_CHUNK_ELEMS), 5), np.float64)))
+                       ((min(n_pairs, source.x.size), 5), np.float64)))
 
 
 def _index_type(end: int) -> np.dtype:
