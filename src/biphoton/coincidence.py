@@ -133,36 +133,56 @@ def _dense_blocks(counts: np.ndarray) -> Iterator[np.ndarray]:
     return (counts[f0:f0 + per] for f0 in range(0, len(counts), per))
 
 
-def _block_counts(shape, offsets, pixels, dark) -> Iterator[tuple]:
-    """(frames, sorted flat cells, counts) of each block of the stack whose
-    frame f holds pairs offsets[f]:offsets[f + 1], each photon's pixel in
-    its plane in the (signal, idler) columns of ``pixels`` (ny * nx for a
-    photon not detected), and dark counts at the sorted flat cells
-    ``dark``."""
+def _event_blocks(shape: tuple[int, ...], budget: int, offsets, pixels,
+                  dark, dtype=np.uint16) -> Iterator[np.ndarray]:
+    """The blocks of the stack whose frame f holds pairs
+    offsets[f]:offsets[f + 1], each photon's pixel in its plane in the
+    (signal, idler) columns of ``pixels`` (ny * nx for a photon not
+    detected), and dark counts at the sorted flat cells ``dark``.  Each
+    block's events are added one by one into one reused buffer of
+    ``dtype``: uint16 holds every count once :func:`synth_frames` has
+    bounded them, and its exact count runs in int64.
+
+    Raises :class:`fields.MemoryBudgetError` before the first block when
+    the buffer and the largest block's event arrays, beside the stack's,
+    would need more than ``budget`` bytes.
+    """
     n_frames, frame = shape[0], math.prod(shape[1:])
-    per = _block_frames(shape)
+    per = min(_block_frames(shape), n_frames)
+    # Each block's first frame, and past the last.
+    starts = np.minimum(np.arange(0, n_frames + per, per), n_frames)
+    pairs = int(np.diff(offsets[starts]).max())
+    darks = int(np.diff(np.searchsorted(
+        dark, starts.astype(dark.dtype) * frame)).max())
+    # The buffer, a block's dark cells, and its pairs' first cells, one
+    # plane's kept mask, cells and pixels.
+    cell = _index_type(per * frame)
+    _check_stage(budget, "frame blocks",
+                 offsets.nbytes + pixels.nbytes + dark.nbytes,
+                 ((per * frame,), dtype), ((darks,), dark.dtype),
+                 ((2, pairs), cell), ((pairs,), np.bool_),
+                 ((pairs,), pixels.dtype))
+    buf = np.empty((per,) + tuple(shape[1:]), dtype=dtype)
+    one = buf.dtype.type(1)  # add.at is fast for a value of its own type
     for f0 in range(0, n_frames, per):
         f1 = min(f0 + per, n_frames)
-        lo, hi = offsets[f0], offsets[f1]
-        first = np.repeat(np.arange(f1 - f0) * frame,  # of each pair's frame
-                          np.diff(offsets[f0:f1 + 1]))
+        flat = buf[:f1 - f0].reshape(-1)
+        flat.fill(0)
         d0, d1 = np.searchsorted(dark, np.array((f0, f1), dark.dtype) * frame)
-        events = [dark[d0:d1] - f0 * frame]
+        np.add.at(flat, dark[d0:d1] - f0 * frame, one)
+        lo, hi = offsets[f0], offsets[f1]
+        # The first cell of each pair's frame.
+        first = np.repeat(np.arange(0, (f1 - f0) * frame, frame, dtype=cell),
+                          np.diff(offsets[f0:f1 + 1]))
         for k in range(2):
             pixel = pixels[lo:hi, k]
             kept = pixel < frame // 2
-            events.append(first[kept] + pixel[kept] + k * frame // 2)
-        yield (f1 - f0, *np.unique(np.concatenate(events), return_counts=True))
-
-
-def _event_blocks(shape: tuple[int, ...], *state) -> Iterator[np.ndarray]:
-    """The blocks of :func:`_block_counts`, filled into one reused buffer."""
-    buf = np.empty((_block_frames(shape),) + tuple(shape[1:]), dtype=np.uint16)
-    for frames, cells, counts in _block_counts(shape, *state):
-        flat = buf[:frames].reshape(-1)
-        flat.fill(0)
-        flat[cells] = counts
-        yield buf[:frames]
+            cells = first[kept]
+            cells += pixel[kept]
+            cells += k * frame // 2
+            np.add.at(flat, cells, one)
+            del kept, cells
+        yield buf[:f1 - f0]
 
 
 class AliasTable:
@@ -383,7 +403,7 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     pixel of both planes.  The stack keeps each photon's pixel, ny * nx
     when it is not detected, in a uniformly random order of the pairs
     (:func:`_pair_pixels`), the pairs' frame offsets and the sorted dark
-    cells (:func:`_block_counts`).  Deterministic for a fixed seed.
+    cells (:func:`_event_blocks`).  Deterministic for a fixed seed.
 
     Raises :class:`fields.MemoryBudgetError` before the frames' pair
     counts are drawn, and again before the pairs are, when the store and
@@ -433,11 +453,13 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
         dark, np.arange(f0, min(f0 + per, n_frames) + 1, dtype=dark_type)
         * cells)).max() for f0 in range(0, n_frames, per))
     if worst > MAX_COUNT:
-        worst = max(c.max(initial=0) for *_, c in _block_counts(shape, *state))
+        worst = max(block.max() for block in _event_blocks(
+            shape, memory_budget, *state, dtype=np.int64))
     if worst > MAX_COUNT:
         raise AccumulatorError(f"per-pixel count {worst} exceeds uint16 range")
     return FrameStack(None, seed, detector, fingerprint, shape=shape,
-                      blocks=partial(_event_blocks, shape, *state))
+                      blocks=partial(_event_blocks, shape, memory_budget,
+                                     *state))
 
 
 @dataclass(frozen=True)

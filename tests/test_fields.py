@@ -1441,16 +1441,20 @@ class TestRankFactors:
         assert np.array_equal(y[half:], y[:half].conj())
 
 
-def synth_route(pipe):
+def synth_route(pipe, mu_pairs=5.0, frames=None):
     """``frames synth`` on the pipeline: its position factors at z = 0
-    sampled into a stack at the CLI's ROI, 5 pairs a frame."""
+    sampled into a stack at the CLI's ROI, 5 pairs a frame by default, and
+    one pass over the stack's blocks, as ``save_frames`` makes."""
     from biphoton.cli import _auto_roi
     from biphoton.coincidence import DetectorModel, synth_frames
 
     detector = DetectorModel(roi=_auto_roi(pipe, DetectorModel.pitch))
-    frames = {16: 20_000, 32: 50_000, 64: 20_000}[pipe.grid.n]
-    return synth_frames(position_factors(pipe, 0.0), detector, 5.0, frames,
-                        seed=1, memory_budget=pipe.memory_budget)
+    frames = frames or {16: 20_000, 32: 50_000, 64: 20_000}[pipe.grid.n]
+    stack = synth_frames(position_factors(pipe, 0.0), detector, mu_pairs,
+                         frames, seed=1, memory_budget=pipe.memory_budget)
+    for _ in stack.blocks():
+        pass
+    return stack
 
 
 #: Route name -> the route on a pipeline, under its memory budget.
@@ -1466,6 +1470,7 @@ ROUTES = {
         pipe.pump, pipe.setup, 7.5e-3, pipe.grid,
         memory_budget=pipe.memory_budget),
     "frames_synth": synth_route,
+    "frames_synth-2000": lambda pipe: synth_route(pipe, 2000.0, 400),
     "4d": lambda pipe: to_position(
         build_amplitude(pipe.grid, pipe.pump, pipe.setup,
                         memory_budget=pipe.memory_budget),
@@ -1474,13 +1479,15 @@ ROUTES = {
 
 #: (route, kind, n) of the stage test: every route on both crystals, the
 #: rank-R routes at n = 16-256 (the guard at 512 too), ``frames synth`` at
-#: n = 16-64 and the 4D oracle at n = 16.
+#: n = 16-64, and at n = 16 with 2000 pairs a frame, whose frame blocks
+#: hold 800 000 pairs, and the 4D oracle at n = 16.
 STAGE_CASES = (
     [(route, kind, n) for route in list(ROUTES)[:7]
      for kind in ("single", "double") for n in (16, 32, 64, 128, 256)]
     + [("guard", kind, 512) for kind in ("single", "double")]
     + [("frames_synth", kind, n) for kind in ("single", "double")
        for n in (16, 32, 64)]
+    + [("frames_synth-2000", kind, 16) for kind in ("single", "double")]
     + [("4d", kind, 16) for kind in ("single", "double")])
 
 
