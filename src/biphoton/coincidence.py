@@ -518,6 +518,19 @@ def _pair_statistic(blocks: Iterator[tuple[np.ndarray, np.ndarray]],
     return values, stderr
 
 
+def _y_sums(block: np.ndarray) -> np.ndarray:
+    """(2, F_b, nx) sums over y of each plane of a (F_b, 2, ny, nx) block,
+    added row by row in uint32, exact while ny * MAX_COUNT < 2^32 (a uint16
+    sum overflows), and in int64 past that."""
+    ny = block.shape[2]
+    planes = block.transpose(1, 0, 2, 3)
+    sums = planes[:, :, 0].astype(np.uint32 if ny * MAX_COUNT < 2**32
+                                  else np.int64)
+    for y in range(1, ny):
+        sums += planes[:, :, y]
+    return sums
+
+
 def coincidence_map(stack: FrameStack, reduction: str = "joint_x",
                     idler_pixel: tuple[int, int] | None = None) -> CoincidenceMap:
     """Reconstruct a coincidence map from a frame stack.
@@ -527,17 +540,13 @@ def coincidence_map(stack: FrameStack, reduction: str = "joint_x",
     signal map against a single idler pixel (``idler_pixel`` = (iy, ix),
     default ROI center).  The stack is read and reduced block by block, in
     the same blocks however it is held, with one block's float64 working
-    set; the per-frame sums are exact (int64 accumulator).
+    set; the per-frame sums are exact (:func:`_y_sums`).
     """
     if stack.n_frames < 2:
         raise DetectorError("coincidence estimation needs at least 2 frames")
     f, _, ny, nx = stack.shape
     if reduction == "joint_x":
-        # y-sums of each plane.  int64 accumulator: a uint16 one (einsum's
-        # default here) overflows.
-        values, stderr = _pair_statistic(
-            np.einsum("fpyx->pfx", b, dtype=np.int64)
-            for b in stack.blocks())
+        values, stderr = _pair_statistic(_y_sums(b) for b in stack.blocks())
         return CoincidenceMap(values=values, stderr=stderr, n_frames=f,
                               reduction=reduction)
     if reduction == "conditional":

@@ -666,6 +666,19 @@ class TestStreamedReduction:
             assert peaks[reduction] < stack_bytes
         assert maps["conditional"].values[5, 9] > 0.1
 
+    def test_y_sums_past_uint32(self):
+        # 65 538 rows of MAX_COUNT sum to 2^32 + 34, past a uint32
+        # accumulator: the signal sums (S, 0, S) against idler counts
+        # (1, 0, 1) give S / 3 (same frame 2S / 3, adjacent frame S / 3).
+        ny = 65_538
+        counts = np.zeros((3, 2, ny, 1), dtype=np.uint16)
+        counts[[0, 2], 0] = MAX_COUNT
+        counts[[0, 2], 1, 0] = 1
+        cmap = coincidence_map(manual_stack(counts))
+        assert ny * MAX_COUNT > 2**32
+        assert cmap.values[0, 0] == pytest.approx(ny * MAX_COUNT / 3,
+                                                  rel=1e-12)
+
     def test_peaks_below_a_quarter_of_the_stack(self, factors16, tmp_path):
         import tracemalloc
 
