@@ -545,9 +545,9 @@ def _complex_table(real: np.ndarray, phase: np.ndarray,
     table.  A band narrower than the grid puts no two entries at one
     offset, and an entry whose column is off the grid lands on a pair off
     the band, where the table is 0 and it writes its 0: so the band is a
-    strided view of the table, written in one call.  A band as wide as the
-    grid (an envelope not 0 on half the anti-diagonals or more, as on a
-    truncated extent) is scattered entry by entry.
+    strided view of the table, written in place (:func:`_times_phase`).  A
+    band as wide as the grid (an envelope not 0 on half the anti-diagonals
+    or more, as on a truncated extent) is scattered entry by entry.
     """
     terms, n, width = real.shape
     shape = (phase.shape[0], terms, n, width)
@@ -557,12 +557,27 @@ def _complex_table(real: np.ndarray, phase: np.ndarray,
         band = np.lib.stride_tricks.as_strided(
             out.reshape(-1)[s_lo:], shape=(out.shape[0], n, width),
             strides=(n * n * item, (n - 1) * item, item))
-        np.multiply(real, phase[:, None], out=band.reshape(shape))
+        _times_phase(real, phase, band.reshape(shape))
         return out
     cols, valid = _band(n, s_lo, width)
+    entries = np.empty(shape[:2] + (np.count_nonzero(valid),),
+                       dtype=np.complex128)
+    _times_phase(real[:, valid], phase[:, valid], entries)
     out.reshape(shape[:2] + (n, n))[..., np.nonzero(valid)[0], cols[valid]] \
-        = real[:, valid] * phase[:, None, valid]
+        = entries
     return out
+
+
+def _times_phase(real: np.ndarray, phase: np.ndarray,
+                 out: np.ndarray) -> None:
+    """out[p, k] = real[k] * phase[p] for the P phase rows and the K real
+    tables, written by real operations on the parts of ``out``, one term
+    at a time: a real operand cast to complex, or an operand broadcast
+    over more than two axes, takes numpy ufunc buffers."""
+    for p, row in enumerate(phase):
+        for part, factor in ((out.real, row.real), (out.imag, row.imag)):
+            for k, term in enumerate(real):
+                np.multiply(term, factor, out=part[p, k])
 
 
 def _contract(real: np.ndarray, phase: np.ndarray, w: np.ndarray,
