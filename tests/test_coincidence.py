@@ -279,6 +279,30 @@ class TestSynthFrames:
         assert stack.counts.tobytes() == ref.tobytes()
         assert 0 < ref[:, 0].sum() and 0 < ref[:, 1].sum()
 
+    @pytest.mark.parametrize("end", [2**32 - 1, 2**32],
+                             ids=["4294967295", "4294967296"])
+    def test_index_type_edges(self, end):
+        # Offsets and dark cells that reach 2^32 - 1 are held in uint32,
+        # those that reach 2^32 in int64, and the type holds its end.
+        from biphoton.coincidence import _index_type
+
+        dtype = _index_type(end)
+        assert dtype == (np.uint32 if end < 2**32 else np.int64)
+        assert np.array(end, dtype=dtype) == end
+
+    def test_stack_does_not_depend_on_the_index_type(self, factors16,
+                                                     monkeypatch):
+        # The offsets and the dark cells in int64, as in the wide case:
+        # the same draws and the same counts as in uint32.
+        import biphoton.coincidence as coincidence
+
+        det = detector(dark_rate=0.05)
+        stack = synth_frames(factors16, det, 5.0, 1000, seed=9)
+        monkeypatch.setattr(coincidence, "_index_type",
+                            lambda end: np.dtype(np.int64))
+        wide = synth_frames(factors16, det, 5.0, 1000, seed=9)
+        assert wide.counts.tobytes() == stack.counts.tobytes()
+
     def test_count_overflow_guarded(self):
         # All probability in one grid node, enormous flux: the per-pixel
         # count must refuse to wrap silently.  A rank-1 point mass on an
@@ -560,6 +584,12 @@ class TestBlockBuilder:
         # two uint16 pixels at this 24 x 24 ROI, and the frames' offsets and
         # dark cells; no per-pair y-draw is held).
         assert growth_per_pair(factors16, (100_000, 400_000)) < 8
+
+    def test_memory_grows_under_6_bytes_a_pair(self, factors16):
+        # Bound, fixed in advance: 6 bytes per extra sampled pair (a pair's
+        # two uint16 pixels at this 24 x 24 ROI, 4 B; the frames' uint32
+        # offsets, 0.8 B at 5 pairs a frame; the uint32 dark cells, 0.9 B).
+        assert growth_per_pair(factors16, (100_000, 400_000)) < 6
 
     def test_stack_does_not_depend_on_the_block_size(self, factors16,
                                                      tmp_path, monkeypatch):
