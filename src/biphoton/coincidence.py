@@ -123,8 +123,10 @@ class FrameStack:
 
 
 def _block_frames(shape: tuple[int, ...]) -> int:
-    """Frames per block of a stack of ``shape``: at least one."""
-    return max(1, FRAME_BLOCK_BYTES // (2 * math.prod(shape[1:])))
+    """Frames per block of a stack of ``shape``: at least one, and no more
+    than the stack holds."""
+    per = FRAME_BLOCK_BYTES // (2 * math.prod(shape[1:]))
+    return max(1, min(shape[0], per))
 
 
 def _dense_blocks(counts: np.ndarray) -> Iterator[np.ndarray]:
@@ -148,7 +150,7 @@ def _event_blocks(shape: tuple[int, ...], budget: int, offsets, pixels,
     would need more than ``budget`` bytes.
     """
     n_frames, frame = shape[0], math.prod(shape[1:])
-    per = min(_block_frames(shape), n_frames)
+    per = _block_frames(shape)
     # Each block's first frame, and past the last.
     starts = np.minimum(np.arange(0, n_frames + per, per), n_frames)
     pairs = int(np.diff(offsets[starts]).max())
