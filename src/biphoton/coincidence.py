@@ -183,7 +183,7 @@ def _event_blocks(shape: tuple[int, ...], budget: int, offsets, pixels,
             cells += pixel[kept]
             cells += k * frame // 2
             np.add.at(flat, cells, one)
-            del kept, cells
+            del kept, cells  # one plane's arrays at a time
         yield buf[:f1 - f0]
 
 
