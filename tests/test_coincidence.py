@@ -292,8 +292,8 @@ class TestSynthFrames:
 
     def test_stack_does_not_depend_on_the_index_type(self, factors16,
                                                      monkeypatch):
-        # The offsets and the dark cells in int64, as in the wide case:
-        # the same draws and the same counts as in uint32.
+        # The int64 offsets and dark cells of a stack past 2^32 pairs or
+        # cells, on a small stack: the same draws and counts as in uint32.
         import biphoton.coincidence as coincidence
 
         det = detector(dark_rate=0.05)
