@@ -374,6 +374,33 @@ def _index_type(end: int) -> np.dtype:
     return np.dtype(np.uint32 if end < 2**32 else np.int64)
 
 
+def _frame_offsets(counts: Iterator[np.ndarray], n_frames: int,
+                   budget: int, held: int) -> np.ndarray:
+    """The n_frames + 1 frame offsets summed from ``counts``, the frames'
+    pair counts in consecutive int64 chunks (each summed in place), in the
+    type of :func:`_index_type`: uint32 with a running carry, widened to
+    int64 only once the total reaches 2^32.
+
+    Raises :class:`fields.MemoryBudgetError` before the widening copy when
+    it, beside the uint32 offsets, a chunk and ``held`` bytes, would need
+    more than ``budget`` bytes.
+    """
+    offsets = np.zeros(n_frames + 1, dtype=_index_type(0))
+    f0, carry = 0, 0
+    for chunk in counts:
+        np.cumsum(chunk, out=chunk)
+        chunk += carry
+        carry = int(chunk[-1])
+        wide = _index_type(carry)
+        if wide != offsets.dtype:
+            _check_stage(budget, "frame offsets", held, offsets.nbytes,
+                         chunk.nbytes, ((n_frames + 1,), wide))
+            offsets = offsets.astype(wide)
+        offsets[f0 + 1:f0 + 1 + len(chunk)] = chunk
+        f0 += len(chunk)
+    return offsets
+
+
 def _pixel_type(roi: tuple[int, int]) -> np.dtype:
     """The type of a photon's pixel in a plane of ``roi``: the narrowest
     unsigned one that holds ny * nx, the mark of a photon not detected."""
@@ -420,17 +447,20 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     ny, nx = detector.roi
     shape = (n_frames, 2, ny, nx)
 
-    # The store, beside the source's tables: the offsets with the pair
-    # counts they are summed from, then the pixels, the offsets and the
-    # dark cells at their mean count beside the draw's largest step.
+    # The store, beside the source's tables: the uint32 offsets with a
+    # block's pair counts, summed into them, then the pixels, the offsets
+    # and the dark cells at their mean count beside the draw's largest step.
     held = source.x.nbytes + source.y.nbytes
+    per = _block_frames(shape)
     _check_stage(memory_budget, "frame store", held,
-                 ((2, n_frames + 1), np.int64))
+                 ((n_frames + 1,), np.uint32), ((per,), np.int64))
     rng = np.random.default_rng(seed)
-    offsets = np.zeros(n_frames + 1, dtype=np.int64)
-    np.cumsum(rng.poisson(mu_pairs, size=n_frames), out=offsets[1:])
+    # Drawn a block at a time: the calls give the values of one call of
+    # n_frames in turn (numpy 2.4.6), so the stack does not depend on it.
+    offsets = _frame_offsets(
+        (rng.poisson(mu_pairs, size=min(per, n_frames - f0))
+         for f0 in range(0, n_frames, per)), n_frames, memory_budget, held)
     n_pairs, cells = int(offsets[-1]), 2 * ny * nx
-    offsets = offsets.astype(_index_type(n_pairs))
     # The dark cells, and the keys that search them, reach n_frames * cells.
     dark_type = _index_type(n_frames * cells)
     _check_stage(memory_budget, "frame store", held, offsets.nbytes,
@@ -449,7 +479,6 @@ def synth_frames(source: PositionFactors, detector: DetectorModel,
     # A cell's count in a frame is at most the frame's pairs plus its dark
     # counts: count exactly only where that bound exceeds MAX_COUNT.  The
     # bound is taken a block of frames at a time, with no per-frame array.
-    per = _block_frames(shape)
     # A key of another type than the dark cells' would copy them all.
     worst = max(np.diff(offsets[f0:f0 + per + 1] + np.searchsorted(
         dark, np.arange(f0, min(f0 + per, n_frames) + 1, dtype=dark_type)

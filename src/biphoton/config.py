@@ -8,10 +8,19 @@ modules never see units.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
+
+# CPython's built-in SHA-256 first: hashlib loads OpenSSL's libcrypto, about
+# 3.5 MB of a CLI process's peak, for a digest of a few hundred bytes.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in module
 
 from . import fields
 from .coincidence import DetectorModel
@@ -114,7 +123,7 @@ class RunConfig:
         d.pop("outdir", None)
         d.pop("formats", None)
         canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 #: Each key's kind, then its range if it has one: "> a", ">= a [unit]" or

@@ -105,6 +105,32 @@ class TestConfig:
         assert a.fingerprint() == RunConfig().fingerprint() \
             == "33592b955cfc988b"
 
+    @pytest.mark.parametrize("data", [
+        {}, {"z": "6mm"},
+        {"crystal": {"kind": "double", "length": "1mm", "gap": "4mm"}},
+        {"pump": {"waist": "480um"}, "grid": {"n": 32},
+         "coincidence": {"seed": 5, "mu_pairs": 3}},
+    ])
+    def test_fingerprint_is_sha256_of_canonical_json(self, data):
+        import hashlib
+
+        cfg = build_config(data)
+        d = cfg.to_dict()
+        del d["outdir"], d["formats"]
+        canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        assert cfg.fingerprint() == \
+            hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+    def test_fingerprint_through_hashlib_fallback(self):
+        # With neither built-in module, the fingerprint comes from hashlib.
+        res = TestFreshProcess.python("-c", (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from biphoton.config import RunConfig, sha256\n"
+            "print(sha256.__module__, RunConfig().fingerprint())"))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["_hashlib", "33592b955cfc988b"]
+
     def test_double_crystal_config(self):
         cfg = build_config({"crystal": {"kind": "double", "length": "1mm",
                                         "gap": "4mm"}})
@@ -568,6 +594,28 @@ class TestFreshProcess:
                           "m for m in sys.modules if m.startswith('scipy')))")
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_cli_loads_no_libcrypto(self, tmp_path):
+        # OpenSSL's hashlib costs a process about 3.5 MB of peak RSS; only
+        # frames synth, through numpy.random, may load it.
+        stack = tmp_path / "frames.bpfs"
+        assert main(["--n", "16", "--frames", "20", "--out", str(tmp_path),
+                     "frames", "synth"]) == 0
+        runs = [["scan", "z", "--values", "0mm,5mm"], ["ef"],
+                ["conditional"],
+                ["frames", "coincide", "--stack", str(stack)]]
+        # The commands print to stdout: the states go out on its last line.
+        res = self.python("-c", (
+            "import sys, biphoton.cli\n"
+            "seen = [(None, '_hashlib' in sys.modules)]\n"
+            f"for args in {runs!r}:\n"
+            f"    code = biphoton.cli.main(['--n', '16', '--out', "
+            f"{str(tmp_path)!r}, *args])\n"
+            "    seen.append((code, '_hashlib' in sys.modules))\n"
+            "print(seen)"))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == \
+            str([(None, False)] + [(0, False)] * 4)
 
     def test_ef_n256_fits_3gib_address_space(self, tmp_path):
         cap = 3 * 1024**3

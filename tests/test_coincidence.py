@@ -290,6 +290,25 @@ class TestSynthFrames:
         assert dtype == (np.uint32 if end < 2**32 else np.int64)
         assert np.array(end, dtype=dtype) == end
 
+    def test_frame_offsets_widen_past_uint32(self):
+        # Pair counts summed past 2^32 widen the offsets to int64; summed
+        # to 2^32 - 1 they stay uint32.  Three frames' counts, fed in two
+        # chunks.  The widening's own memory check is a stage of
+        # tests/test_fields.py::TestStageBudgets.
+        from biphoton.coincidence import _frame_offsets
+
+        def offsets(counts):
+            chunks = (np.array(c, dtype=np.int64)
+                      for c in (counts[:1], counts[1:]))
+            return _frame_offsets(chunks, len(counts), 10**6, 0)
+
+        wide = offsets([2**31] * 3)
+        assert wide.dtype == np.int64
+        assert wide.tolist() == [0, 2**31, 2**32, 3 * 2**31]
+        narrow = offsets([2**31, 2**31 - 1, 0])
+        assert narrow.dtype == np.uint32
+        assert narrow.tolist() == [0, 2**31, 2**32 - 1, 2**32 - 1]
+
     def test_stack_does_not_depend_on_the_index_type(self, factors16,
                                                      monkeypatch):
         # The int64 offsets and dark cells of a stack past 2^32 pairs or

@@ -1457,6 +1457,16 @@ def synth_route(pipe, mu_pairs=5.0, frames=None):
     return stack
 
 
+def offsets_route(pipe):
+    """``synth_frames``' frame offsets summed past 2^32 pairs, which no
+    stack of test size reaches: three frames of 2^31 pairs, in two chunks,
+    under the pipeline's budget."""
+    from biphoton.coincidence import _frame_offsets
+
+    counts = (np.full(k, 2**31, dtype=np.int64) for k in (1, 2))
+    return _frame_offsets(counts, 3, pipe.memory_budget, 0)
+
+
 #: Route name -> the route on a pipeline, under its memory budget.
 ROUTES = {
     "guard": boundary_ratio,
@@ -1471,6 +1481,7 @@ ROUTES = {
         memory_budget=pipe.memory_budget),
     "frames_synth": synth_route,
     "frames_synth-2000": lambda pipe: synth_route(pipe, 2000.0, 400),
+    "frame_offsets": offsets_route,
     "4d": lambda pipe: to_position(
         build_amplitude(pipe.grid, pipe.pump, pipe.setup,
                         memory_budget=pipe.memory_budget),
@@ -1480,7 +1491,8 @@ ROUTES = {
 #: (route, kind, n) of the stage test: every route on both crystals, the
 #: rank-R routes at n = 16-256 (the guard at 512 too), ``frames synth`` at
 #: n = 16-64, and at n = 16 with 2000 pairs a frame, whose frame blocks
-#: hold 800 000 pairs, and the 4D oracle at n = 16.
+#: hold 800 000 pairs, the frame offsets' widening, and the 4D oracle at
+#: n = 16.
 STAGE_CASES = (
     [(route, kind, n) for route in list(ROUTES)[:7]
      for kind in ("single", "double") for n in (16, 32, 64, 128, 256)]
@@ -1488,6 +1500,7 @@ STAGE_CASES = (
     + [("frames_synth", kind, n) for kind in ("single", "double")
        for n in (16, 32, 64)]
     + [("frames_synth-2000", kind, 16) for kind in ("single", "double")]
+    + [("frame_offsets", "single", 16)]
     + [("4d", kind, 16) for kind in ("single", "double")])
 
 
