@@ -29,7 +29,10 @@ bytes and refuse the same runs is a ``diff`` of two runs, one with
 ``--src`` set to the other tree's ``src`` directory.
 
 ``--src`` is the directory ``biphoton`` is imported from (default: the
-``src`` beside this script).  The artifacts and config files go to a
+``src`` beside this script).  The tool pins OpenBLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``) before numpy loads, since some digests move
+with the thread count: the listing then depends on neither the machine
+nor the caller's environment.  The artifacts and config files go to a
 temporary directory that is removed at the end.
 """
 
@@ -182,6 +185,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"),
                         help="directory to import biphoton from")
     args = parser.parse_args(argv)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, os.path.abspath(args.src))
     from biphoton.cli import main as cli_main
 
