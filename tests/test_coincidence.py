@@ -592,6 +592,18 @@ class TestBlockBuilder:
         # Bound, fixed in advance: 40 bytes per extra sampled pair.
         assert growth_per_pair(factors16, (20_000, 100_000)) < 40
 
+    def test_memory_grows_under_16_bytes_a_pair(self, factors16):
+        # Bound, fixed in advance: 16 bytes per extra sampled pair (a pair's
+        # two int32 pixels, the y-pairs' int32 array while the x-pairs are
+        # drawn, and the frames' offsets and dark cells).
+        assert growth_per_pair(factors16, (100_000, 400_000)) < 16
+
+    def test_memory_grows_under_8_bytes_a_pair(self, factors16):
+        # Bound, fixed in advance: 8 bytes per extra sampled pair (a pair's
+        # two uint16 pixels at this 24 x 24 ROI, and the frames' offsets and
+        # dark cells; no per-pair y-draw is held).
+        assert growth_per_pair(factors16, (100_000, 400_000)) < 8
+
     def test_memory_grows_under_6_bytes_a_pair(self, factors16):
         # Bound, fixed in advance: 6 bytes per extra sampled pair (a pair's
         # two uint16 pixels at this 24 x 24 ROI, 4 B; the frames' uint32

@@ -10,6 +10,7 @@ import hashlib
 import math
 import os
 import pickle
+import re
 import sys
 import tracemalloc
 
@@ -138,6 +139,37 @@ class TestBuildAmplitude:
         with pytest.raises(SupportTruncationError):
             build_amplitude(grid, PUMP, SETUP, boundary_tol=0.1)
 
+    def test_budget_checked_before_allocating(self):
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=64)
+        need = refusal_need(lambda: build_amplitude(grid, PUMP, SETUP,
+                                                    memory_budget=1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError):
+                build_amplitude(grid, PUMP, SETUP, memory_budget=need - 1)
+            with pytest.raises(MemoryBudgetError):
+                Pipeline(PUMP, SETUP, grid,
+                         memory_budget=need - 1).momentum_amplitude()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_budget_counts_the_working_set(self, kind):
+        # The count bounds what the build holds at once.
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=16)
+        need = refusal_need(lambda: build_amplitude(grid, PUMP, setup,
+                                                    memory_budget=1))
+        tracemalloc.start()
+        try:
+            build_amplitude(grid, PUMP, setup, memory_budget=need)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
+
 
 class TestPropagate:
     def test_z_zero_identity(self):
@@ -199,6 +231,11 @@ class TestToPosition:
         # 5% headroom for the discrete delta-ridge (Dirichlet kernel) tails;
         # the nearest wrong candidate, w0/sqrt(2), is 41% away.
         assert math.sqrt(var) == pytest.approx(w0 / 2, rel=0.05)
+
+    def test_memory_budget_guard(self):
+        amp = small_amplitude(8)
+        with pytest.raises(MemoryBudgetError):
+            to_position(amp, memory_budget=1024)
 
 
 class TestMomentumPdf:
@@ -364,6 +401,54 @@ class TestAveragedJointsX:
             return SETUP
         return CrystalSetup.double(1e-3, 4e-3, math.radians(32.93))
 
+    @staticmethod
+    def max_rel_err(ref, got):
+        return np.abs(ref - got).max() / ref.max()
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_matches_4d_path(self, kind, n):
+        setup = self.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n)
+        joints = averaged_joints_x(Pipeline(PUMP, setup, grid,
+                                            boundary_tol=None), self.ZS)
+        amp = build_amplitude(grid, PUMP, setup, boundary_tol=None)
+        mom = averaged_joint_x(momentum_pdf(amp))
+        assert joints.momentum.axis_names == mom.axis_names
+        assert joints.momentum.deltas == mom.deltas
+        assert self.max_rel_err(mom.values, joints.momentum.values) <= 1e-12
+        assert joints.z == self.ZS
+        for z, got in zip(self.ZS, joints.position):
+            ref = averaged_joint_x(position_pdf(to_position(propagate(amp, z))))
+            assert got.axis_names == ref.axis_names
+            assert got.deltas == ref.deltas
+            assert self.max_rel_err(ref.values, got.values) <= 1e-12
+
+    def test_budget_holds_the_factors(self):
+        # Single crystal, n = 32: the joints' largest stage, the complex
+        # R x n^2 tables with the Gram and transform buffers, needs more
+        # than the real tables of any trial of the factor build; under it
+        # the joints keep their bits.
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=32)
+        budget = least_budget(lambda budget: averaged_joints_x(
+            Pipeline(PUMP, SETUP, grid, memory_budget=budget), self.ZS))
+        one = averaged_joints_x(Pipeline(PUMP, SETUP, grid), self.ZS)
+        tight = averaged_joints_x(Pipeline(PUMP, SETUP, grid,
+                                           memory_budget=budget), self.ZS)
+        assert one.diagnostics == tight.diagnostics
+        assert np.array_equal(one.momentum.values, tight.momentum.values)
+        for a, b in zip(one.position, tight.position):
+            assert np.array_equal(a.values, b.values)
+        with pytest.raises(MemoryBudgetError, match="complex factor tables"):
+            averaged_joints_x(Pipeline(PUMP, SETUP, grid,
+                                       memory_budget=budget - 1), self.ZS)
+
+    def test_budget_below_one_slab(self):
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=16)
+        with pytest.raises(MemoryBudgetError):
+            averaged_joints_x(Pipeline(PUMP, SETUP, grid,
+                                       memory_budget=1024), [0.0])
+
     #: (kind, n, extent keys) of the boundary-guard tests.
     EXTENTS = [
         ("single", 8, {}), ("single", 16, {}), ("single", 32, {}),
@@ -478,6 +563,56 @@ class TestAveragedJointsX:
         monkeypatch.setattr(fields_module, "momentum_amplitude", refuse)
         assert fields_module._guarded_peak(pipe, tables) == ref
         assert boundary_ratio(pipe) == ref[1]
+
+    @pytest.mark.parametrize("route", ["boundary_ratio", "averaged_joints_x"])
+    def test_guard_budget_checked_before_allocating(self, route):
+        # At n = 1024 the pair tables alone need about 46 MB: under a 1 MB
+        # budget the guard refuses them before the walk allocates.
+        pipe = Pipeline(PUMP, SETUP, MomentumGrid4.auto(PUMP, SETUP, n=1024),
+                        memory_budget=1024**2)
+        args = ([0.0],) if route == "averaged_joints_x" else ()
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError, match="pair tables"):
+                {"boundary_ratio": boundary_ratio,
+                 "averaged_joints_x": averaged_joints_x}[route](pipe, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_guard_walk_within_its_budget(self, kind, n, monkeypatch):
+        # The pair tables' check counts one point of the walk an entry, and
+        # a chunk of the walk holds at most one point an entry: under the
+        # least budget the check admits, the guard's traced peak stays
+        # within it, with the ratio of the default budget; one byte less is
+        # refused before the walk.
+        import biphoton.fields as fields_module
+
+        setup = self.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n)
+        with pytest.raises(MemoryBudgetError, match="pair tables") as info:
+            boundary_ratio(Pipeline(PUMP, setup, grid, memory_budget=1))
+        need = int(re.search(r"~(\d+) bytes", str(info.value)).group(1))
+        tracemalloc.start()
+        try:
+            got = boundary_ratio(Pipeline(PUMP, setup, grid,
+                                          memory_budget=need))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
+        assert got == boundary_ratio(Pipeline(PUMP, setup, grid))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("boundary walk reached")
+
+        monkeypatch.setattr(fields_module, "_max_over_pairs", refuse)
+        with pytest.raises(MemoryBudgetError, match="pair tables"):
+            boundary_ratio(Pipeline(PUMP, setup, grid,
+                                    memory_budget=need - 1))
 
     @pytest.mark.parametrize("extent", EXTENTS + [
         (kind, n, {}) for kind in ("single", "double") for n in (128, 256, 512)
@@ -674,6 +809,26 @@ def triangle_coeffs(pipeline):
     return np.take(coeffs[:kept], mirror, axis=1), v_x
 
 
+def refusal_need(call):
+    """The bytes named by the refusal of ``call()``."""
+    with pytest.raises(MemoryBudgetError) as info:
+        call()
+    return int(re.search(r"~(\d+) bytes", str(info.value)).group(1))
+
+
+def least_budget(call):
+    """The least ``memory_budget`` under which ``call(budget)`` runs: each
+    refusal names the bytes of the check that refused, so the budget is
+    raised to them until no check refuses."""
+    budget = 1
+    while True:
+        try:
+            call(budget)
+            return budget
+        except MemoryBudgetError as exc:
+            budget = int(re.search(r"~(\d+) bytes", str(exc)).group(1))
+
+
 def traced_stages(call):
     """(call() or the MemoryBudgetError it raised, stages, refused):
     ``call()`` traced by tracemalloc.  Each memory check of the package
@@ -849,6 +1004,20 @@ class TestRankFactors:
         grid = MomentumGrid4.auto(PUMP, SETUP, n=8, c1=0.2, c2=0.05)
         with pytest.raises(SupportTruncationError):
             singles_direct(Pipeline(PUMP, SETUP, grid), 5e-3)
+
+    def test_budget_checked_before_allocating(self):
+        grid = MomentumGrid4.auto(PUMP, SETUP, n=64)
+        # The K = 16 trial fails on the ridge; the K = 32 trial needs
+        # about 0.63 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError):
+                amplitude_factors(Pipeline(PUMP, SETUP, grid,
+                                           memory_budget=512 * 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_non_finite_extent_raises_before_allocating(self):
         # A non-finite extent gives a non-finite dq: the grid refuses it.
@@ -1090,6 +1259,169 @@ class TestRankFactors:
             got = conditional_position_direct(PUMP, setup, z, grid,
                                               rho_i0=(x0, y0))
             assert self.rel_err(ref, got.values) <= 1e-13
+
+    @staticmethod
+    def traced(call):
+        """(call(), tracemalloc peak of the call)."""
+        tracemalloc.start()
+        try:
+            got = call()
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_conditional_budget_counts_the_band(self, monkeypatch):
+        # The direct conditional builds no complex table: the least budget
+        # it admits counts the factor build, the real band tables and its
+        # own R x n and n x n tables, under a tenth of the two complex
+        # R x n^2 tables, and its traced peak stays within it and at or
+        # above eight tenths of it; one byte less is refused before the
+        # transform.
+        import biphoton.fields as fields_module
+
+        n = 256
+        setup = TestAveragedJointsX.setup_of("double")
+        grid = MomentumGrid4.auto(PUMP, setup, n=n)
+
+        def run(budget):
+            return conditional_position_direct(PUMP, setup, 7.5e-3, grid,
+                                               memory_budget=budget)
+
+        budget = least_budget(run)
+        got, peak = self.traced(lambda: run(budget))
+        assert np.array_equal(got.values, run(MEMORY_BUDGET).values)
+        rank = amplitude_factors(Pipeline(PUMP, setup, grid)).rank
+        assert 0.8 * budget <= peak <= budget < 2 * rank * n * n * 16 / 10
+
+        def refuse(*args):
+            raise AssertionError("transform reached")
+
+        monkeypatch.setattr(fields_module, "_transform", refuse)
+        with pytest.raises(MemoryBudgetError, match="conditional tables"):
+            run(budget - 1)
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_factor_build_peak_under_its_budget(self, kind):
+        # The build holds no K x n(n+1)/2 table, and each of its stages
+        # counts what it holds, not the sum of every table: the build's
+        # traced peak stays under its largest count (the least budget it
+        # admits), and at or above nine tenths of it.  The wide extent's
+        # build is a case of TestStageBudgets.
+        n = 256
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=n)
+        _, stages, _ = traced_stages(
+            lambda: amplitude_factors(Pipeline(PUMP, setup, grid)))
+        need = max(need for _, what, need, _ in stages
+                   if what.endswith("amplitude factors"))
+        peak = max(peak for *_, peak in stages)
+        assert 0.9 * need <= peak < need
+        amplitude_factors(Pipeline(PUMP, setup, grid, memory_budget=need))
+        with pytest.raises(MemoryBudgetError, match="amplitude factors"):
+            amplitude_factors(Pipeline(PUMP, setup, grid,
+                                       memory_budget=need - 1))
+
+    @pytest.mark.parametrize("route, args", [
+        ("averaged_joints_x", ([0.0],)),
+        ("position_factors", (7.5e-3,)),
+    ])
+    def test_budget_refuses_the_complex_tables(self, route, args,
+                                               monkeypatch):
+        # The routes that build both complex R x n^2 tables check them
+        # against the budget before either is built.
+        import biphoton.fields as fields_module
+
+        def refuse(*args):
+            raise AssertionError("complex factor table built")
+
+        monkeypatch.setattr(fields_module, "_complex_table", refuse)
+        setup = TestAveragedJointsX.setup_of("double")
+        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=256),
+                        memory_budget=100e6)
+        with pytest.raises(MemoryBudgetError, match="complex factor tables"):
+            getattr(fields_module, route)(pipe, *args)
+
+    @pytest.mark.parametrize("route, args", [
+        ("averaged_joints_x", ([0.0, 7.5e-3],)),
+        ("averaged_joints_x", ([],)),
+        ("position_factors", (7.5e-3,)),
+        ("singles_direct", (7.5e-3,)),
+    ], ids=["averaged_joints_x-2z", "averaged_joints_x-0z",
+            "position_factors", "singles_direct"])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_complex_routes_within_their_budget(self, kind, route, args,
+                                                monkeypatch):
+        # Each route that builds the complex tables counts its largest
+        # stage: under the least budget it admits, its traced peak stays
+        # within it; one byte less is refused before any complex table is
+        # built.  The wide extent's routes are cases of TestStageBudgets.
+        import biphoton.fields as fields_module
+
+        setup = TestAveragedJointsX.setup_of(kind)
+        grid = MomentumGrid4.auto(PUMP, setup, n=128)
+
+        def run(budget):
+            return getattr(fields_module, route)(
+                Pipeline(PUMP, setup, grid, memory_budget=budget), *args)
+
+        budget = least_budget(run)
+        assert self.traced(lambda: run(budget))[1] <= budget
+
+        def refuse(*args):
+            raise AssertionError("complex factor table built")
+
+        monkeypatch.setattr(fields_module, "_complex_table", refuse)
+        with pytest.raises(MemoryBudgetError, match="complex factor tables"):
+            run(budget - 1)
+
+    def test_position_factors_peak(self):
+        # Each complex table is built from the real tables, phased in
+        # place and transformed before the next is built: fewer than five
+        # R n^2 tables are alive at once (six when both were built first).
+        setup = TestAveragedJointsX.setup_of("double")
+        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=128))
+        tracemalloc.start()
+        try:
+            factors = position_factors(pipe, 7.5e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * factors.x.nbytes
+
+    @pytest.mark.parametrize("route, args, tables", [
+        ("averaged_joints_x", ([0.0, 7.5e-3],), 3.1),
+        ("position_factors", (7.5e-3,), 2.2),
+    ])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_transforms_allocate_no_table(self, kind, route, args, tables):
+        # The FFT runs in place: beyond the real tables, the joints peak at
+        # under three complex R x n^2 tables (W, the phased buffer and
+        # |.|^2) and the position factors at the two transformed tables,
+        # where a fresh FFT output and its intermediate added two more.
+        import biphoton.fields as fields_module
+
+        setup = TestAveragedJointsX.setup_of(kind)
+        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=128))
+        factors = amplitude_factors(pipe)
+        peak = self.traced(
+            lambda: getattr(fields_module, route)(pipe, *args))[1]
+        table = factors.rank * pipe.grid.n**2 * 16
+        assert peak - factors.nbytes <= tables * table
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_singles_gram_copies_no_table(self, kind, n):
+        # The Gram step conjugates one block of n/16 signal coordinates at
+        # a time: beyond the real tables, the singles peak at X, Y and the
+        # two n x R x R Gram tables, with 1/8 of a table for the block and
+        # small arrays, where a conjugate of a whole table added one more.
+        setup = TestAveragedJointsX.setup_of(kind)
+        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=n))
+        factors = amplitude_factors(pipe)
+        peak = self.traced(lambda: singles_direct(pipe, 7.5e-3))[1]
+        table = factors.rank * n**2 * 16
+        assert peak - factors.nbytes <= (2 + 2 * factors.rank / n
+                                         + 1 / 8) * table
 
     def test_transform_is_ifft2_of_the_phased_table(self):
         # Two in-place 1D passes give np.fft.ifft2's bits, into a separate
