@@ -642,8 +642,9 @@ def load_frames(path) -> FrameStack:
     """Open a frame stack written by :func:`save_frames`.
 
     The header is checked here, and the payload size against it: a
-    malformed header, a detector ROI other than the stack's (ny, nx), a
-    short or an over-long payload raises
+    malformed header (a seed that is not an int >= 0 or a fingerprint
+    that is not a string among them), a detector ROI other than the
+    stack's (ny, nx), a short or an over-long payload raises
     :class:`DetectorError`.  The counts are read from the file block by
     block whenever the stack is read (``counts`` reads them all).
     """
@@ -666,7 +667,12 @@ def load_frames(path) -> FrameStack:
                                  quantum_efficiency=det["quantum_efficiency"],
                                  dark_rate=det["dark_rate"],
                                  roi=tuple(det["roi"]))
-        seed = header["seed"]
+        seed, fingerprint = header["seed"], header.get("fingerprint", "")
+        # bool is an int subclass; a seed is a plain int >= 0.
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed {seed!r}")
+        if not isinstance(fingerprint, str):
+            raise ValueError(f"fingerprint {fingerprint!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DetectorError(
             f"{path}: malformed frame-stack header: {exc!r}") from exc
@@ -677,6 +683,6 @@ def load_frames(path) -> FrameStack:
     if size - len(header_line) != expected:
         raise DetectorError(f"{path}: payload is {size - len(header_line)} "
                             f"bytes, expected {expected}")
-    return FrameStack(None, seed, detector, header.get("fingerprint", ""),
-                      shape=shape, blocks=partial(_file_blocks, path,
-                                                  len(header_line), shape))
+    return FrameStack(None, seed, detector, fingerprint, shape=shape,
+                      blocks=partial(_file_blocks, path, len(header_line),
+                                     shape))

@@ -408,10 +408,13 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
     grid = pipeline.grid
     n, width, rank = grid.n, factors.phase_x.shape[2], factors.rank
     # The two R x n contractions with room for their temporaries (two more
-    # R x n and three n x W tables), and B with its one phase.
+    # R x n and three n x W tables), then B with its one phase: the
+    # contractions are freed once B is formed, so the larger of the two.
     _check_stage(pipeline.memory_budget, "conditional tables",
-                 factors.nbytes, ((4, rank, n), np.complex128),
-                 ((3, n, width), np.complex128), ((2, n, n), np.complex128))
+                 factors.nbytes,
+                 max(_nbytes(((4, rank, n), np.complex128),
+                             ((3, n, width), np.complex128)),
+                     _nbytes(((2, n, n), np.complex128))))
     q = grid.q_axis
     x0, y0 = rho_i0
     propagation = _propagation(q, z, factors.k)
@@ -746,10 +749,12 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     kept = max(1, int(np.argmax(tail <= CHEB_TOL)))
     error = float(tail[kept] + EPS * tail[0])
     # The kept coefficient table beside the trial's coefficients and the
-    # live pairs' a and v (the gathered lower half is smaller).
+    # live pairs' a and v (the gathered lower half is smaller), and the two
+    # int64 index arrays the masked write expands ``upper`` into.
     what = f"rank-{kept * (1 + double)} amplitude factors"
     _check_stage(pipeline.memory_budget, what, pairs,
-                 ((kept, n, width), np.float64), ((nodes + 2, size), np.float64))
+                 ((kept, n, width), np.float64),
+                 ((nodes + 2, size), np.float64), ((2, size), np.int64))
     # The upper half takes the kept coefficients, and a lower-half entry
     # (i, k), the pair (i, j = cols[i, k]), those of its mirror (j, k) on the
     # same anti-diagonal; 0 where v is 0 or the pair is off the grid.

@@ -548,24 +548,42 @@ class TestCliCommands:
         assert err.startswith("coincidence: ") and str(stack) in err
         assert not (tmp_path / "coincidence_xx.grd").exists()
 
-    @pytest.mark.parametrize("key", ["pitch", "dark_rate"])
-    def test_coincide_non_finite_detector_exit3(self, tmp_path, capsys, key):
-        # json reads NaN; the detector refuses it, so no GRD is written.
+    def check_edited_header_exit3(self, tmp_path, capsys, edit):
+        """``frames coincide`` on a 3-frame 4 x 4 stack whose JSON header
+        ``edit`` changed exits 3 and writes no map."""
         from biphoton.coincidence import DetectorModel, FrameStack, save_frames
 
         stack = tmp_path / "frames.bpfs"
         save_frames(FrameStack(np.zeros((3, 2, 4, 4), dtype=np.uint16), 0,
                                DetectorModel(roi=(4, 4))), stack)
-        raw = stack.read_bytes()
-        end = raw.index(b"\n")
-        header = json.loads(raw[:end])
-        header["detector"][key] = math.nan
-        stack.write_bytes(json.dumps(header).encode("utf-8") + raw[end:])
+        header, payload = stack.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        edit(header)
+        stack.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         code = self.run("frames", "coincide", "--stack", str(stack),
                         outdir=tmp_path)
         assert code == 3
         assert capsys.readouterr().err.startswith("coincidence: ")
-        assert not (tmp_path / "coincidence_xx.grd").exists()
+        assert not any(tmp_path.glob("coincidence_xx.*"))
+
+    @pytest.mark.parametrize("key", ["pitch", "dark_rate"])
+    def test_coincide_non_finite_detector_exit3(self, tmp_path, capsys, key):
+        # json reads NaN; the detector refuses it, so no GRD is written.
+        self.check_edited_header_exit3(
+            tmp_path, capsys,
+            lambda header: header["detector"].update({key: math.nan}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("fingerprint", {"not": "a fingerprint"}), ("seed", -1),
+        ("seed", True), ("seed", 1.5)],
+        ids=["fingerprint-dict", "seed-negative", "seed-bool", "seed-float"])
+    def test_coincide_bad_provenance_exit3(self, tmp_path, capsys, key,
+                                           value):
+        # The stack's seed and fingerprint go into the map's headers: a
+        # fingerprint that is not a string, or a seed that is not an
+        # int >= 0, is refused.
+        self.check_edited_header_exit3(
+            tmp_path, capsys, lambda header: header.update({key: value}))
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))

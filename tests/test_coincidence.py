@@ -1,6 +1,7 @@
 """Synthetic camera pipeline tests: frame statistics, the accidental-
 subtracting coincidence estimator, and the frame-stack file format."""
 
+import functools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import stat
 import numpy as np
 import pytest
 from scipy import stats
+from tracing import peak_of, traced_stages
 
 from biphoton.coincidence import (
     FRAME_BLOCK_BYTES,
@@ -104,24 +106,23 @@ def reference_counts(source, det, mu_pairs, n_frames, seed):
     return out.reshape(n_frames, 2, ny, nx)
 
 
-def growth_per_pair(source, frame_counts):
-    """Growth of the tracemalloc peak of ``synth_frames`` (the default
-    detector, 5 pairs a frame, seed 6) plus one pass over its blocks, per
-    extra sampled pair, between the two frame counts."""
-    import tracemalloc
+@pytest.fixture(scope="module")
+def growth_per_pair(factors16):
+    """Growth of the traced peak of ``synth_frames`` on ``factors16`` (the
+    default detector, 5 pairs a frame, seed 6) plus one pass over its
+    blocks, per extra sampled pair, between two frame counts (cached)."""
 
-    pairs, peaks = [], []
-    for n_frames in frame_counts:
-        tracemalloc.start()
-        try:
-            for _ in synth_frames(source, detector(), 5.0, n_frames,
-                                  seed=6).blocks():
-                pass
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        pairs.append(np.random.default_rng(6).poisson(5.0, n_frames).sum())
-    return (peaks[1] - peaks[0]) / (pairs[1] - pairs[0])
+    @functools.cache
+    def growth(frame_counts):
+        pairs, peaks = [], []
+        for n_frames in frame_counts:
+            peaks.append(peak_of(traced_stages(lambda: sum(
+                1 for _ in synth_frames(factors16, detector(), 5.0, n_frames,
+                                        seed=6).blocks()))[1]))
+            pairs.append(np.random.default_rng(6).poisson(5.0, n_frames).sum())
+        return (peaks[1] - peaks[0]) / (pairs[1] - pairs[0])
+
+    return growth
 
 
 def manual_stack(counts, seed=0, det=None):
@@ -243,17 +244,12 @@ class TestSynthFrames:
         # budget refuses the store, and nothing of the pixels' size is
         # allocated first; 50 000 pairs fit (1.4 MB, and 1.9 MB for the
         # pass over their frame blocks).
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            with pytest.raises(MemoryBudgetError, match="frame store"):
-                synth_frames(factors16, detector(), 20.0, 25_000, seed=0,
-                             memory_budget=3_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10**6
+        refusal, stages, _ = traced_stages(lambda: synth_frames(
+            factors16, detector(), 20.0, 25_000, seed=0,
+            memory_budget=3_000_000))
+        assert isinstance(refusal, MemoryBudgetError)
+        assert "frame store" in str(refusal)
+        assert peak_of(stages) < 10**6
         for _ in synth_frames(factors16, detector(), 20.0, 2500, seed=0,
                               memory_budget=3_000_000).blocks():
             pass
@@ -479,17 +475,11 @@ class TestFrameFile:
             load_frames(path)
 
     def test_save_makes_no_copy_of_the_stack(self, tmp_path):
-        import tracemalloc
-
         counts = np.ones((250, 2, 64, 64), dtype=np.uint16)  # 4 MB
         stack = manual_stack(counts)
-        tracemalloc.start()
-        try:
-            save_frames(stack, tmp_path / "stack.bpfs")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < counts.nbytes // 4
+        stages = traced_stages(
+            lambda: save_frames(stack, tmp_path / "stack.bpfs"))[1]
+        assert peak_of(stages) < counts.nbytes // 4
 
 
 class TestFactorSampler:
@@ -588,27 +578,27 @@ class TestBlockBuilder:
         assert np.random.default_rng(3).poisson(70_000.0, 2).max() > MAX_COUNT
         assert stack.counts.tobytes() == ref.tobytes()
 
-    def test_memory_grows_under_40_bytes_a_pair(self, factors16):
+    def test_memory_grows_under_40_bytes_a_pair(self, growth_per_pair):
         # Bound, fixed in advance: 40 bytes per extra sampled pair.
-        assert growth_per_pair(factors16, (20_000, 100_000)) < 40
+        assert growth_per_pair((20_000, 100_000)) < 40
 
-    def test_memory_grows_under_16_bytes_a_pair(self, factors16):
+    def test_memory_grows_under_16_bytes_a_pair(self, growth_per_pair):
         # Bound, fixed in advance: 16 bytes per extra sampled pair (a pair's
         # two int32 pixels, the y-pairs' int32 array while the x-pairs are
         # drawn, and the frames' offsets and dark cells).
-        assert growth_per_pair(factors16, (100_000, 400_000)) < 16
+        assert growth_per_pair((100_000, 400_000)) < 16
 
-    def test_memory_grows_under_8_bytes_a_pair(self, factors16):
+    def test_memory_grows_under_8_bytes_a_pair(self, growth_per_pair):
         # Bound, fixed in advance: 8 bytes per extra sampled pair (a pair's
         # two uint16 pixels at this 24 x 24 ROI, and the frames' offsets and
         # dark cells; no per-pair y-draw is held).
-        assert growth_per_pair(factors16, (100_000, 400_000)) < 8
+        assert growth_per_pair((100_000, 400_000)) < 8
 
-    def test_memory_grows_under_6_bytes_a_pair(self, factors16):
+    def test_memory_grows_under_6_bytes_a_pair(self, growth_per_pair):
         # Bound, fixed in advance: 6 bytes per extra sampled pair (a pair's
         # two uint16 pixels at this 24 x 24 ROI, 4 B; the frames' uint32
         # offsets, 0.8 B at 5 pairs a frame; the uint32 dark cells, 0.9 B).
-        assert growth_per_pair(factors16, (100_000, 400_000)) < 6
+        assert growth_per_pair((100_000, 400_000)) < 6
 
     def test_stack_does_not_depend_on_the_block_size(self, factors16,
                                                      tmp_path, monkeypatch):
@@ -669,8 +659,6 @@ class TestStreamedReduction:
         # numpy reference bit for bit, and the conditional one holds less
         # than the stack (it held four times the stack when the signal
         # plane of every frame was kept at once).
-        import tracemalloc
-
         ny, nx = 16, 16
         f = 8 * (FRAME_BLOCK_BYTES // (2 * 2 * ny * nx)) + 77
         rng = np.random.default_rng(11)
@@ -686,12 +674,9 @@ class TestStreamedReduction:
         maps, peaks = {}, {}
         for reduction in ("joint_x", "conditional"):
             loaded = load_frames(path)
-            tracemalloc.start()
-            try:
-                maps[reduction] = coincidence_map(loaded, reduction=reduction)
-                peaks[reduction] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            maps[reduction], stages, _ = traced_stages(
+                lambda: coincidence_map(loaded, reduction=reduction))
+            peaks[reduction] = peak_of(stages)
 
         def reference(a, b):
             a, b = a.astype(float), b.astype(float)
@@ -729,23 +714,16 @@ class TestStreamedReduction:
                                                   rel=1e-12)
 
     def test_peaks_below_a_quarter_of_the_stack(self, factors16, tmp_path):
-        import tracemalloc
-
         # A 64 x 64 camera and 5000 frames: an 82 MB stack on disk.
         det = detector(roi=(64, 64))
         n_frames = 5000
         stack_bytes = n_frames * 2 * 64 * 64 * 2
         path = tmp_path / "stack.bpfs"
-        tracemalloc.start()
-        try:
-            save_frames(synth_frames(factors16, det, 5.0, n_frames, seed=2),
-                        path)
-            _, synth_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            cmap = coincidence_map(load_frames(path))
-            _, coincide_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        synth_peak = peak_of(traced_stages(lambda: save_frames(
+            synth_frames(factors16, det, 5.0, n_frames, seed=2), path))[1])
+        cmap, stages, _ = traced_stages(
+            lambda: coincidence_map(load_frames(path)))
+        coincide_peak = peak_of(stages)
         assert path.stat().st_size > stack_bytes
         assert cmap.n_frames == n_frames
         assert synth_peak < stack_bytes // 4
