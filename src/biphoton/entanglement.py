@@ -49,10 +49,11 @@ class DiscreteJoint:
             raise EntanglementError(f"joint must be square, got shape {v.shape}")
         if self.basis not in ("position", "momentum"):
             raise EntanglementError(f"basis must be position|momentum, got {self.basis!r}")
-        if self.delta <= 0:
-            raise EntanglementError(f"bin width must be > 0, got {self.delta}")
-        if np.any(v < 0):
-            raise EntanglementError("joint has negative entries")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise EntanglementError(
+                f"bin width must be finite and > 0, got {self.delta}")
+        if not np.all(v >= 0):  # NaN compares False too
+            raise EntanglementError("joint has negative or NaN entries")
 
     @property
     def m(self) -> int:
@@ -60,7 +61,7 @@ class DiscreteJoint:
 
     def check_normalized(self) -> None:
         total = float(self.values.sum())
-        if abs(total - 1.0) > NORM_TOL * max(1.0, abs(total)):
+        if not abs(total - 1.0) <= NORM_TOL:  # NaN and inf totals fail too
             raise EntanglementError(
                 f"joint not normalized: total = {total!r} (tolerance {NORM_TOL})")
 

@@ -25,7 +25,9 @@ conserved exactly.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,13 +210,22 @@ def _nbytes(*arrays) -> int:
                for a in arrays)
 
 
+#: The recorder every memory check (:func:`_check_stage`) calls, or None.
+STAGE_RECORDER = contextvars.ContextVar("STAGE_RECORDER", default=None)
+
+
 def _check_stage(budget: int, what: str, *arrays) -> int:
     """The bytes the stage ``what`` needs: its arrays, each a (shape,
     dtype) entry of an array it allocates or the bytes of tables held from
     an earlier stage, and ``STAGE_ALLOWANCE``.  Raises
     :class:`MemoryBudgetError`, before the stage allocates, when they
-    exceed ``budget``: every memory check of the package is this one."""
+    exceed ``budget``: every memory check of the package is this one.
+    The recorder in :data:`STAGE_RECORDER`, if set, sees each check first,
+    as recorder(frame of the caller, what, need, refused)."""
     need = STAGE_ALLOWANCE + _nbytes(*arrays)
+    recorder = STAGE_RECORDER.get()
+    if recorder:
+        recorder(sys._getframe(1), what, need, need > budget)
     if need > budget:
         raise MemoryBudgetError(f"{what} need ~{need} bytes (> budget "
                                 f"{budget} bytes)")

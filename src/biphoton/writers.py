@@ -74,14 +74,26 @@ def write_grd(values: np.ndarray, path, axis_names, deltas, units: str,
 
 
 def read_grd(path) -> tuple[np.ndarray, dict]:
-    """Read a GRD1 file back into (array, header)."""
+    """Read a GRD1 file back into (array, header).  A header that is not a
+    JSON object of magic "GRD1" with a ``shape`` list of ints >= 1, or a
+    payload of another size than that shape's, raises :class:`WriteError`.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("magic") != GRD_MAGIC:
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WriteError(f"{path}: not a GRD1 file "
+                         f"(header is not JSON: {exc})") from exc
+    if not isinstance(header, dict) or header.get("magic") != GRD_MAGIC:
         raise WriteError(f"{path}: not a GRD1 file")
-    shape = tuple(header["shape"])
+    shape = header.get("shape")
+    # bool is an int subclass; each extent is a plain int >= 1.
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 1
+                                              for s in shape):
+        raise WriteError(f"{path}: malformed GRD1 header: shape {shape!r}")
+    shape = tuple(shape)
     expected = int(np.prod(shape)) * 8
     if len(payload) != expected:
         raise WriteError(f"{path}: payload is {len(payload)} bytes, expected {expected}")

@@ -170,6 +170,20 @@ class TestWriters:
                       (1.0, delta), "m")
         assert not (tmp_path / "bad.grd").exists()
 
+    @pytest.mark.parametrize("header", [
+        b"\xff\xfe", b"GRD1", b'["GRD1"]', b'{"magic": "GRD1"}',
+        b'{"magic": "GRD1", "shape": [-1, -8]}',
+        b'{"magic": "GRD1", "shape": "ab"}'],
+        ids=["not-utf8", "not-json", "list", "no-shape", "negative-shape",
+             "string-shape"])
+    def test_grd_refuses_malformed_header(self, tmp_path, header):
+        # Each header is followed by 8 float64 values, the payload of a
+        # shape whose extents multiply to 8: only the header is wrong.
+        path = tmp_path / "bad.grd"
+        path.write_bytes(header + b"\n" + np.ones(8).tobytes())
+        with pytest.raises(WriteError, match="GRD1"):
+            read_grd(path)
+
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
     def test_grd_mode_follows_umask(self, tmp_path, umask):
         # The temporary file is owner-only; the artifact gets the mode a

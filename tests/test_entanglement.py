@@ -81,6 +81,29 @@ class TestJointEntropy:
         with pytest.raises(EntanglementError):
             pos_joint(v, m)
 
+    def test_nan_cell_rejected(self):
+        m = 8
+        v = np.full((m, m), 1.0 / m**2)
+        v[0, 0] = np.nan
+        with pytest.raises(EntanglementError, match="NaN"):
+            pos_joint(v, m)
+
+    def test_inf_cell_not_normalized(self):
+        # An inf cell is >= 0, so the joint is made; its total is not 1.
+        m = 8
+        v = np.full((m, m), 1.0 / m**2)
+        v[0, 0] = np.inf
+        with pytest.raises(EntanglementError, match="not normalized"):
+            joint_entropy(pos_joint(v, m))
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0],
+                             ids=["nan", "inf", "zero"])
+    def test_non_finite_bin_width_rejected(self, delta):
+        m = 8
+        with pytest.raises(EntanglementError, match="bin width"):
+            DiscreteJoint(values=np.full((m, m), 1.0 / m**2),
+                          basis="position", delta=delta)
+
 
 class TestConditionalEntropy:
     def test_product_gives_signal_entropy(self):

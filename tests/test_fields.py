@@ -27,6 +27,7 @@ from biphoton.fields import (
     EXTENT_C2,
     MEMORY_BUDGET,
     STAGE_ALLOWANCE,
+    STAGE_RECORDER,
     GridError,
     MemoryBudgetError,
     MomentumGrid4,
@@ -34,6 +35,7 @@ from biphoton.fields import (
     SupportTruncationError,
     _boundary_max,
     _check_boundary,
+    _check_stage,
     amplitude_factors,
     averaged_joint_x,
     averaged_joints_x,
@@ -1430,3 +1432,23 @@ class TestStageBudgets:
         reached = {site for route, kind, n in STAGE_CASES if n == 16
                    for site, *_ in stage_case(route, kind, n).stages[1:]}
         assert reached == sites
+
+    def test_recorder_unset_after_an_error(self):
+        # A call that raises past a check leaves no recorder set.
+        def call():
+            _check_stage(MEMORY_BUDGET, "a stage", 16)
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            traced_stages(call)
+        assert STAGE_RECORDER.get() is None
+
+    def test_check_without_a_recorder(self):
+        # With no recorder set, a check returns its count or raises.
+        assert STAGE_RECORDER.get() is None
+        arrays = (((2, 3), np.complex128), 100)
+        need = STAGE_ALLOWANCE + 2 * 3 * 16 + 100
+        assert _check_stage(need, "a stage", *arrays) == need
+        with pytest.raises(MemoryBudgetError, match=re.escape(
+                f"a stage need ~{need} bytes (> budget {need - 1} bytes)")):
+            _check_stage(need - 1, "a stage", *arrays)

@@ -1,7 +1,8 @@
-"""The scripts under ``tools/`` drive the ``biphoton`` CLI in process and
-are read by hand when two trees are compared.  These tests run them in
-fresh interpreters, so a change that breaks one fails here rather than in
-a comparison."""
+"""The scripts under ``tools/`` run ``biphoton`` in process, through its
+CLI (``artifact_digests.py``) or its routes (``route_times.py``), and are
+read by hand when two trees are compared.  These tests run them in fresh
+interpreters, so a change that breaks one fails here rather than in a
+comparison."""
 
 import os
 import re
@@ -32,3 +33,27 @@ def test_artifact_digests_runs():
     assert sum(line.startswith("collinear-angle ") for line in lines) == 4
     assert sum(line.startswith("exit 3  ") for line in lines) == 6
     assert len(lines) == 229 + 4 + 6
+
+
+def test_route_times_cases_run():
+    # Every case of route_times.py called once, without main()'s timed
+    # repeats and warm-up, and the traced peak of its smallest traced case.
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, "
+        f"{os.path.join(ROOT, 'tools')!r}]\n"
+        "import route_times\n"
+        "peaked = []\n"
+        "for name, call, repeats, traced in route_times.cases():\n"
+        "    call()\n"
+        "    print(name, repeats, traced)\n"
+        "    if traced:\n"
+        "        peaked.append(call)\n"
+        "print('peak', route_times.peak_mb(peaked[0]))\n")
+    res = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    *lines, peak = res.stdout.splitlines()
+    assert len(lines) == 10
+    assert sum(line.endswith(" True") for line in lines) == 3
+    assert peak.startswith("peak ") and float(peak.split()[1]) > 0

@@ -1,19 +1,18 @@
 """The test suite's one memory tracer, :func:`traced_stages`."""
 
 import os
-import sys
 import tracemalloc
 
 import numpy as np
 
-from biphoton.fields import STAGE_ALLOWANCE, MemoryBudgetError
+from biphoton.fields import STAGE_ALLOWANCE, STAGE_RECORDER, MemoryBudgetError
 
 
 def traced_stages(call):
     """(call() or the MemoryBudgetError it raised, stages, refused):
     ``call()`` traced by tracemalloc.  Each memory check of the package
-    (``fields._check_stage``, in every module that calls it) opens a stage
-    that lasts to the next check or to the end of the call, recorded as
+    calls the recorder set here in ``fields.STAGE_RECORDER`` and opens a
+    stage that lasts to the next check or to the end of the call, kept as
     [site, what, declared bytes, traced peak], the site the (file, line)
     of the check; the first stage, of site None, runs from the start of the
     call to its first check and is declared at ``STAGE_ALLOWANCE``.
@@ -21,33 +20,22 @@ def traced_stages(call):
     modules that load on first use are loaded first: they are no stage's
     working set."""
     import biphoton.cli  # imports every module of the package
-    from biphoton import fields as fields_module
 
     np.random.default_rng(0)
-    check = fields_module._check_stage
-    modules = [module for name, module in list(sys.modules.items())
-               if name.startswith("biphoton.")
-               and getattr(module, "_check_stage", None) is check]
     stages = [[None, "before the first check", STAGE_ALLOWANCE, 0]]
     refused = []
 
-    def traced(budget, what, *arrays):
-        peak = tracemalloc.get_traced_memory()[1]
-        frame = sys._getframe(1)
+    def record(frame, what, need, refusing):
         site = (os.path.basename(frame.f_code.co_filename), frame.f_lineno)
-        try:
-            need = check(budget, what, *arrays)
-        except MemoryBudgetError:
+        if refusing:
             refused.append(site)
-            raise
-        stages[-1][3] = peak
+            return
+        stages[-1][3] = tracemalloc.get_traced_memory()[1]
         stages.append([site, what, need, 0])
         tracemalloc.reset_peak()
-        return need
 
-    for module in modules:
-        module._check_stage = traced
     tracemalloc.start()
+    token = STAGE_RECORDER.set(record)
     try:
         try:
             got = call()
@@ -56,8 +44,7 @@ def traced_stages(call):
         stages[-1][3] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        for module in modules:
-            module._check_stage = check
+        STAGE_RECORDER.reset(token)
     return got, stages, refused
 
 
