@@ -642,11 +642,13 @@ def load_frames(path) -> FrameStack:
     """Open a frame stack written by :func:`save_frames`.
 
     The header is checked here, and the payload size against it: a
-    malformed header (a seed that is not an int >= 0 or a fingerprint
-    that is not a string among them), a detector ROI other than the
-    stack's (ny, nx), a short or an over-long payload raises
-    :class:`DetectorError`.  The counts are read from the file block by
-    block whenever the stack is read (``counts`` reads them all).
+    malformed header (among them a stack size or ROI entry that is not an
+    int >= 1, a pitch, QE or dark rate that is not a number, a seed that
+    is not an int >= 0 or a fingerprint that is not a string), a
+    detector ROI other than the stack's (ny, nx), a short or an over-long
+    payload raises :class:`DetectorError`.  The counts are read from the
+    file block by block whenever the stack is read (``counts`` reads them
+    all).
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -660,15 +662,20 @@ def load_frames(path) -> FrameStack:
         raise DetectorError(f"{path}: not a frame-stack file")
     try:
         shape = tuple(header[key] for key in ("n_frames", "planes", "ny", "nx"))
-        if not all(isinstance(s, int) and s >= 1 for s in shape):
-            raise ValueError(f"stack shape {shape}")
         det = header["detector"]
-        detector = DetectorModel(pitch=det["pitch"],
-                                 quantum_efficiency=det["quantum_efficiency"],
-                                 dark_rate=det["dark_rate"],
-                                 roi=tuple(det["roi"]))
+        roi = tuple(det["roi"])
+        # bool is an int subclass: sizes are plain ints >= 1, the
+        # detector's numbers JSON numbers and a seed a plain int >= 0.
+        for name, sizes in (("stack shape", shape), ("detector.roi", roi)):
+            if not all(type(s) is int and s >= 1 for s in sizes):
+                raise ValueError(f"{name} {sizes}")
+        numbers = {key: det[key]
+                   for key in ("pitch", "quantum_efficiency", "dark_rate")}
+        for key, value in numbers.items():
+            if type(value) not in (int, float):
+                raise ValueError(f"detector.{key} {value!r}")
+        detector = DetectorModel(roi=roi, **numbers)
         seed, fingerprint = header["seed"], header.get("fingerprint", "")
-        # bool is an int subclass; a seed is a plain int >= 0.
         if type(seed) is not int or seed < 0:
             raise ValueError(f"seed {seed!r}")
         if not isinstance(fingerprint, str):

@@ -227,7 +227,8 @@ def build_config(data: dict) -> RunConfig:
 
     ent = build("entanglement", defaults.entanglement)
     if ent.m is not None and (ent.m < 2 or grid.n % ent.m != 0):
-        raise ConfigError(f"entanglement.m must divide grid.n, got {ent.m}")
+        raise ConfigError(f"entanglement.m must be >= 2 and divide grid.n = "
+                          f"{grid.n}, got {ent.m}")
 
     roi = get("coincidence", "roi", None)
     if roi is not None:

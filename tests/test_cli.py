@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from stages import traced_stages
 
 from biphoton.cli import main
 from biphoton.config import (
@@ -88,6 +89,13 @@ class TestConfig:
         section, = data
         (key, value), = data[section].items()
         assert getattr(getattr(build_config(data), section), key) == value
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_m_below_two_names_the_rule(self, m):
+        # 1 divides every n: the message names the rule that refused it.
+        with pytest.raises(ConfigError, match=f"entanglement.m must be >= 2 "
+                           f"and divide grid.n = 64, got {m}$"):
+            build_config({"entanglement": {"m": m}})
 
     def test_unknown_key_names_path(self):
         with pytest.raises(ConfigError, match="waistt"):
@@ -371,16 +379,11 @@ class TestCliCommands:
         ("frames", "synth")],
         ids=["simulate-pos", "simulate-mom", "ef", "scan-z", "conditional",
              "singles", "frames-synth"])
-    def test_joint_commands_skip_4d_path(self, tmp_path, monkeypatch,
-                                         command):
-        from biphoton import fields
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the 4D path was used")
-
-        monkeypatch.setattr(fields, "to_position", refuse)
-        monkeypatch.setattr(fields, "build_amplitude", refuse)
-        assert self.run("--n", "16", *command, outdir=tmp_path) == 0
+    def test_joint_commands_skip_4d_path(self, tmp_path, command):
+        code, stages, _ = traced_stages(
+            lambda: self.run("--n", "16", *command, outdir=tmp_path), False)
+        assert code == 0
+        assert not {"4D amplitude", "4D transform"} & {s.what for s in stages}
 
     @pytest.mark.parametrize("command", [
         ("ef",), ("scan", "z", "--values", "0mm,5mm,10mm"),
@@ -388,23 +391,13 @@ class TestCliCommands:
         ("conditional",), ("frames", "synth")],
         ids=["ef", "scan-z", "simulate-pos", "simulate-mom", "singles",
              "conditional", "frames-synth"])
-    def test_one_pair_table_pass_per_command(self, tmp_path, monkeypatch,
-                                             command):
+    def test_one_pair_table_pass_per_command(self, tmp_path, command):
         # The boundary guard and the factor build read one set of pair
-        # tables: one fields._pair_tables call per configuration.
-        from biphoton import fields
-
-        calls = []
-        build = fields._pair_tables
-
-        def counted(pipeline):
-            calls.append(pipeline)
-            return build(pipeline)
-
-        monkeypatch.setattr(fields, "_pair_tables", counted)
-        assert self.run("--n", "32", "--frames", "100", *command,
-                        outdir=tmp_path) == 0
-        assert len(calls) == 1
+        # tables: one pair-tables stage per configuration.
+        code, stages, _ = traced_stages(lambda: self.run(
+            "--n", "32", "--frames", "100", *command, outdir=tmp_path), False)
+        assert code == 0
+        assert [s.what for s in stages].count("pair tables") == 1
 
     def test_ef_report_grid_diagnostics(self, tmp_path):
         for out in ("a", "b"):
@@ -598,6 +591,21 @@ class TestCliCommands:
         # int >= 0, is refused.
         self.check_edited_header_exit3(
             tmp_path, capsys, lambda header: header.update({key: value}))
+
+    @pytest.mark.parametrize("top, det", [
+        ({"ny": True, "nx": 16}, {"roi": [True, 16]}),
+        ({"ny": 1, "nx": 16}, {"roi": [True, 16]}), ({}, {"roi": [4.0, 4]}),
+        ({}, {"pitch": True}), ({}, {"quantum_efficiency": True})],
+        ids=["ny-bool", "roi-bool", "roi-float", "pitch-bool", "qe-bool"])
+    def test_coincide_non_int_header_exit3(self, tmp_path, capsys, top, det):
+        # bool is an int subclass and 4.0 == 4: the stack's sizes and ROI
+        # are plain ints, and its detector numbers are not true or false.
+        # (ny, nx) = (1, 16) keeps the payload's size.
+        def edit(header):
+            header.update(top)
+            header["detector"].update(det)
+
+        self.check_edited_header_exit3(tmp_path, capsys, edit)
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path))

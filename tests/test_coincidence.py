@@ -10,7 +10,7 @@ import stat
 import numpy as np
 import pytest
 from scipy import stats
-from tracing import peak_of, traced_stages
+from stages import PUMP, SETUPS, peak_of, traced_stages
 
 from biphoton.coincidence import (
     FRAME_BLOCK_BYTES,
@@ -38,10 +38,8 @@ from biphoton.fields import (
     propagate,
     to_position,
 )
-from biphoton.phasematch import CrystalSetup, PumpSpec
 
-PUMP = PumpSpec(355e-9, 507e-6)
-SETUP = CrystalSetup.single(5e-3, math.radians(32.9))
+SETUP = SETUPS["single"]
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from stages import PUMP, pipeline_of
 
 from biphoton.dispersion import collinear_angle
 from biphoton.entanglement import (
@@ -19,11 +20,9 @@ from biphoton.entanglement import (
     joint_entropy,
     scan,
 )
-from biphoton.fields import (EXTENT_C2, MomentumGrid4, Pipeline,
-                             amplitude_factors)
-from biphoton.phasematch import CrystalSetup, PumpSpec
+from biphoton.fields import MomentumGrid4, Pipeline, amplitude_factors
+from biphoton.phasematch import CrystalSetup
 
-PUMP = PumpSpec(355e-9, 507e-6)
 TOL = 1e-12
 
 
@@ -279,17 +278,15 @@ class TestBuildDiscreteJoints:
 
 class TestScan:
     def test_z_scan_deterministic_order(self):
-        setup = CrystalSetup.single(5e-3, math.radians(32.9))
         zs = [0.0, 5e-3]
-        points = scan(pipeline(setup, 16), 5e-3, "z", zs)
+        points = scan(pipeline_of("single", 16), 5e-3, "z", zs)
         assert [p.value for p in points] == zs
-        again = scan(pipeline(setup, 16), 5e-3, "z", zs)
+        again = scan(pipeline_of("single", 16), 5e-3, "z", zs)
         assert [p.report.ef_min for p in points] == \
             [p.report.ef_min for p in again]
 
     def test_per_point_errors_collected(self):
-        setup = CrystalSetup.single(5e-3, math.radians(32.9))
-        points = scan(pipeline(setup, 16), 5e-3, "theta_p",
+        points = scan(pipeline_of("single", 16), 5e-3, "theta_p",
                       [math.radians(32.9), -1.0])
         assert points[0].report is not None
         assert points[1].report is None and points[1].error
@@ -313,25 +310,22 @@ class TestScan:
             raise TypeError("broken engine")
 
         monkeypatch.setattr(entanglement_module, "averaged_joints_x", broken)
-        setup = CrystalSetup.single(5e-3, math.radians(32.9))
         with pytest.raises(TypeError, match="broken engine"):
-            scan(pipeline(setup, 16), 5e-3, "z", [0.0, 5e-3])
+            scan(pipeline_of("single", 16), 5e-3, "z", [0.0, 5e-3])
 
     def test_unknown_parameter_rejected(self):
-        setup = CrystalSetup.single(5e-3, math.radians(32.9))
         with pytest.raises(Exception):
-            scan(pipeline(setup, 16), 5e-3, "waist", [1e-4])
+            scan(pipeline_of("single", 16), 5e-3, "waist", [1e-4])
 
     def test_d_scan_requires_double(self):
-        single = CrystalSetup.single(5e-3, math.radians(32.9))
-        points = scan(pipeline(single, 16), 7.5e-3, "d", [2e-3])
+        points = scan(pipeline_of("single", 16), 7.5e-3, "d", [2e-3])
         assert points[0].report is None and points[0].error
 
 
 class TestEfMinAt:
     def test_positive_at_defaults_small_grid(self):
-        setup = CrystalSetup.single(5e-3, math.radians(32.9))
-        report = ef_min_at(pipeline(setup, 16), 5e-3, fingerprint="abc123")
+        report = ef_min_at(pipeline_of("single", 16), 5e-3,
+                           fingerprint="abc123")
         assert report.ef_min > 0
         assert report.fingerprint == "abc123"
         assert 0 <= report.h_pos_conditional <= math.log2(report.m) + 1e-12
@@ -357,11 +351,7 @@ class TestStreamingMatches4d:
     @pytest.mark.parametrize("m", [32, 16])
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_scan_and_ef_min_at(self, kind, m):
-        if kind == "single":
-            setup = CrystalSetup.single(5e-3, math.radians(32.9))
-        else:
-            setup = CrystalSetup.double(1e-3, 4e-3, math.radians(32.93))
-        pipe = pipeline(setup, 32)
+        pipe = pipeline_of(kind, 32)
         zs = [0.0, 5e-3, 35e-3]
         points = scan(pipe, 5e-3, "z", zs, m=m)
         for z, point in zip(zs, points):
@@ -373,8 +363,7 @@ class TestStreamingMatches4d:
             assert 0.0 < point.report.grid["interpolation_error"] <= 1e-12
 
     def test_theta_scan(self):
-        setup = CrystalSetup.single(5e-3, math.radians(32.9))
-        pipe = pipeline(setup, 16)
+        pipe = pipeline_of("single", 16)
         theta = math.radians(32.94)
         point, = scan(pipe, 5e-3, "theta_p", [theta])
         varied = Pipeline(PUMP, CrystalSetup.single(5e-3, theta), pipe.grid)
@@ -384,14 +373,9 @@ class TestStreamingMatches4d:
     def test_wide_extent(self, kind):
         # A 2.2x wider ring extent, as criterion 7 uses for the outer
         # angles: the interpolation needs more than twice the default rank.
-        if kind == "single":
-            setup = CrystalSetup.single(5e-3, math.radians(32.9))
-        else:
-            setup = CrystalSetup.double(1e-3, 4e-3, math.radians(32.93))
-        grid = MomentumGrid4.auto(PUMP, setup, n=32, c2=2.2 * EXTENT_C2)
-        pipe = Pipeline(PUMP, setup, grid)
+        pipe = pipeline_of(f"{kind}-wide", 32)
         zs = [0.0, 5e-3, 35e-3]
         for z, point in zip(zs, scan(pipe, 5e-3, "z", zs)):
             assert abs(point.report.ef_min - ef_min_4d(pipe, z, 32)) <= 1e-12
         assert point.report.grid["rank"] > 2 * amplitude_factors(
-            pipeline(setup, 32)).rank
+            pipeline_of(kind, 32)).rank

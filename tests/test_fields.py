@@ -12,11 +12,13 @@ import math
 import os
 import pickle
 import re
+import time
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from tracing import peak_of, traced_stages
+from stages import (PUMP, ROUTES, SETUPS, ZS, boundary_ratio, peak_of,
+                    pipeline_of, traced_stages)
 
 from biphoton.dispersion import TransverseMomentum, collinear_angle
 from biphoton.fields import (
@@ -44,7 +46,6 @@ from biphoton.fields import (
     conditional_position_direct,
     momentum_pdf,
     pdf,
-    position_factors,
     position_pdf,
     propagate,
     singles,
@@ -53,17 +54,7 @@ from biphoton.fields import (
 )
 from biphoton.phasematch import CrystalSetup, PumpSpec, momentum_amplitude
 
-PUMP = PumpSpec(355e-9, 507e-6)
-THETA = math.radians(32.9)
-SETUP = CrystalSetup.single(5e-3, THETA)
-
-
-def boundary_ratio(pipeline):
-    """edge / peak of the boundary guard (``fields._guarded_peak``) on the
-    pipeline's pair tables, which it builds (``fields._pair_tables``)."""
-    from biphoton.fields import _guarded_peak, _pair_tables
-
-    return _guarded_peak(pipeline, _pair_tables(pipeline))[1]
+SETUP = SETUPS["single"]
 
 
 def small_amplitude(n=8, boundary_tol=None):
@@ -160,10 +151,10 @@ class TestBuildAmplitude:
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_budget_counts_the_working_set(self, kind):
         # The count bounds what the build holds at once, and admits it.
-        setup = TestAveragedJointsX.setup_of(kind)
+        setup = SETUPS[kind]
         grid = MomentumGrid4.auto(PUMP, setup, n=16)
         stages = traced_stages(lambda: build_amplitude(grid, PUMP, setup))[1]
-        need = stages[1][2]
+        need = stages[1].need
         assert peak_of(stages) <= need
         build_amplitude(grid, PUMP, setup, memory_budget=need)
 
@@ -390,14 +381,6 @@ class TestReductions:
 class TestAveragedJointsX:
     """The rank-R engine against the 4D path it replaces."""
 
-    ZS = (0.0, 5e-3, 35e-3)
-
-    @staticmethod
-    def setup_of(kind):
-        if kind == "single":
-            return SETUP
-        return CrystalSetup.double(1e-3, 4e-3, math.radians(32.93))
-
     @staticmethod
     def max_rel_err(ref, got):
         return np.abs(ref - got).max() / ref.max()
@@ -405,17 +388,17 @@ class TestAveragedJointsX:
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_matches_4d_path(self, kind, n):
-        setup = self.setup_of(kind)
+        setup = SETUPS[kind]
         grid = MomentumGrid4.auto(PUMP, setup, n=n)
         joints = averaged_joints_x(Pipeline(PUMP, setup, grid,
-                                            boundary_tol=None), self.ZS)
+                                            boundary_tol=None), ZS)
         amp = build_amplitude(grid, PUMP, setup, boundary_tol=None)
         mom = averaged_joint_x(momentum_pdf(amp))
         assert joints.momentum.axis_names == mom.axis_names
         assert joints.momentum.deltas == mom.deltas
         assert self.max_rel_err(mom.values, joints.momentum.values) <= 1e-12
-        assert joints.z == self.ZS
-        for z, got in zip(self.ZS, joints.position):
+        assert joints.z == ZS
+        for z, got in zip(ZS, joints.position):
             ref = averaged_joint_x(position_pdf(to_position(propagate(amp, z))))
             assert got.axis_names == ref.axis_names
             assert got.deltas == ref.deltas
@@ -456,7 +439,7 @@ class TestAveragedJointsX:
     @pytest.mark.parametrize("extent", EXTENTS, ids=extent_id)
     def test_boundary_ratio_matches_4d_build(self, extent):
         kind, n, extent_keys = extent
-        setup = self.setup_of(kind)
+        setup = SETUPS[kind]
         grid = MomentumGrid4.auto(PUMP, setup, n=n, **extent_keys)
         amp = build_amplitude(grid, PUMP, setup, boundary_tol=None)
         edge, peak = _boundary_max(amp.values), np.abs(amp.values).max()
@@ -510,7 +493,7 @@ class TestAveragedJointsX:
 
         evaluated = self.count_points(monkeypatch)
         kind, n, extent_keys = extent
-        setup = self.setup_of(kind)
+        setup = SETUPS[kind]
         pipe = Pipeline(PUMP, setup,
                         MomentumGrid4.auto(PUMP, setup, n=n, **extent_keys),
                         boundary_tol=None)
@@ -526,11 +509,9 @@ class TestAveragedJointsX:
         # can still raise the running maximum of the peak or of the hull:
         # at n = 256, fewer than half the n^3 points of one hull face.
         evaluated = self.count_points(monkeypatch)
-        setup = self.setup_of(kind)
         for n, bound in ((32, 5 * 32**3), (64, 5 * 64**3), (256, 256**3 // 2)):
             evaluated.clear()
-            boundary_ratio(Pipeline(PUMP, setup,
-                                    MomentumGrid4.auto(PUMP, setup, n=n)))
+            boundary_ratio(pipeline_of(kind, n))
             assert sum(evaluated) <= bound
 
     @pytest.mark.parametrize("kind", ["single", "double"])
@@ -539,8 +520,7 @@ class TestAveragedJointsX:
         # factor build, not through momentum_amplitude.
         import biphoton.fields as fields_module
 
-        setup = self.setup_of(kind)
-        pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=32))
+        pipe = pipeline_of(kind, 32)
         tables = fields_module._pair_tables(pipe)
         ref = fields_module._guarded_peak(pipe, tables)
 
@@ -574,7 +554,7 @@ class TestAveragedJointsX:
         # within it, with the ratio of the default budget (stage_case);
         # one byte less is refused at that check, before the walk.
         case = stage_case("guard", kind, n)
-        site, what, need, _ = case.largest
+        site, what, need, *_ = case.largest
         assert peak_of(case.admitted) <= need
         assert case.refused == [site] and what == "pair tables"
         assert case.refusal.startswith(f"{what} need ~{need} bytes")
@@ -590,7 +570,7 @@ class TestAveragedJointsX:
         from biphoton.fields import _band, _pair_tables
 
         kind, n, extent_keys = extent
-        setup = self.setup_of(kind)
+        setup = SETUPS[kind]
         pipe = Pipeline(PUMP, setup,
                         MomentumGrid4.auto(PUMP, setup, n=n, **extent_keys))
         _, s_lo, cols, a, b, v, (b_min, b_max) = _pair_tables(pipe)
@@ -609,13 +589,11 @@ class TestAveragedJointsX:
 
     def test_diagnostics(self):
         for kind in ("single", "double"):
-            setup = self.setup_of(kind)
-            grid = MomentumGrid4.auto(PUMP, setup, n=32)
-            pipe = Pipeline(PUMP, setup, grid)
+            pipe = pipeline_of(kind, 32)
             diag = averaged_joints_x(pipe, []).diagnostics
             factors = amplitude_factors(pipe)
             assert diag.rank == factors.rank
-            err, peak = factor_error(factors, grid, setup)
+            err, peak = factor_error(factors, pipe.grid, pipe.setup)
             assert err / peak <= diag.interpolation_error <= 1e-12
             assert diag.interpolation_error == \
                 pytest.approx(factors.error / peak, rel=1e-12)
@@ -792,8 +770,6 @@ class TestRankFactors:
     path, at the default extent and at a widened one that needs a large
     rank."""
 
-    WIDE = {"c2": 2.2 * EXTENT_C2}
-
     @staticmethod
     def rel_err(ref, got):
         return np.abs(ref - got).max() / ref.max()
@@ -802,18 +778,15 @@ class TestRankFactors:
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_factors(self, kind, n, wide):
-        setup = TestAveragedJointsX.setup_of(kind)
-        grid = MomentumGrid4.auto(PUMP, setup, n=n,
-                                  **(self.WIDE if wide else {}))
-        factors = amplitude_factors(Pipeline(PUMP, setup, grid))
-        err, peak = factor_error(factors, grid, setup)
+        pipe = pipeline_of(f"{kind}-wide" if wide else kind, n)
+        factors = amplitude_factors(pipe)
+        err, peak = factor_error(factors, pipe.grid, pipe.setup)
         assert err <= factors.error <= 1e-12 * peak
         # The double crystal's cos g doubles the rank.
         assert factors.rank % (1 if kind == "single" else 2) == 0
         if wide:
-            default = MomentumGrid4.auto(PUMP, setup, n=n)
             assert factors.rank > amplitude_factors(
-                Pipeline(PUMP, setup, default)).rank
+                pipeline_of(kind, n)).rank
 
     @pytest.mark.parametrize("n", [16, 64, 512])
     @pytest.mark.parametrize("wide", [False, True], ids=["default", "wide"])
@@ -822,32 +795,28 @@ class TestRankFactors:
         # The interval is b's extremes over the stored band entries, where
         # every polynomial is evaluated: each stored T_j(t) lies in
         # [-1, 1], and T_1 = t reaches both ends.
-        setup = TestAveragedJointsX.setup_of(kind)
-        grid = MomentumGrid4.auto(PUMP, setup, n=n,
-                                  **(self.WIDE if wide else {}))
-        cheb = amplitude_factors(Pipeline(PUMP, setup, grid)).cheb
+        cheb = amplitude_factors(
+            pipeline_of(f"{kind}-wide" if wide else kind, n)).cheb
         assert np.abs(cheb).max() <= 1.0
         assert cheb[1].max() == pytest.approx(1.0, abs=1e-12)
         assert cheb[1].min() == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n, z", [
-        (n, z) for n in (8, 16, 32) for z in TestAveragedJointsX.ZS]
+        (n, z) for n in (8, 16, 32) for z in ZS]
         + [(64, 5e-3)])
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_position_outputs(self, kind, n, z):
-        self.check_position_outputs(kind, MomentumGrid4.auto(
-            PUMP, TestAveragedJointsX.setup_of(kind), n=n), z)
+        self.check_position_outputs(kind, pipeline_of(kind, n).grid, z)
 
     @pytest.mark.parametrize("kind", ["single", "double"])
     def test_position_outputs_wide(self, kind):
-        setup = TestAveragedJointsX.setup_of(kind)
-        grid = MomentumGrid4.auto(PUMP, setup, n=32, **self.WIDE)
+        grid = pipeline_of(f"{kind}-wide", 32).grid
         self.check_position_outputs(kind, grid, 5e-3)
 
     def check_position_outputs(self, kind, grid, z):
         """Momentum and position joints, conditional (on and off axis) and
         singles at z."""
-        setup = TestAveragedJointsX.setup_of(kind)
+        setup = SETUPS[kind]
         pipe = Pipeline(PUMP, setup, grid, boundary_tol=None)
         amp = build_amplitude(grid, PUMP, setup, boundary_tol=None)
         dist4 = position_pdf(to_position(propagate(amp, z)))
@@ -898,7 +867,7 @@ class TestRankFactors:
         # A finite but enormous crystal length overflows the sinc argument,
         # so every Chebyshev coefficient is non-finite; the first trial
         # refuses it rather than doubling K without end.
-        setup = CrystalSetup.single(1e308, THETA)
+        setup = CrystalSetup.single(1e308, SETUP.theta_p)
         grid = MomentumGrid4.auto(PUMP, setup, n=16)
 
         def refused():
@@ -939,11 +908,7 @@ class TestRankFactors:
         # live columns alone moves the last bits of some coefficients, so
         # the x table is that of the full loop to rounding, and exactly 0
         # off the envelope support.
-        setup = TestAveragedJointsX.setup_of(
-            "double" if kind.startswith("double") else "single")
-        grid = MomentumGrid4.auto(PUMP, setup, n=n,
-                                  **(self.WIDE if "wide" in kind else {}))
-        pipe = Pipeline(PUMP, setup, grid)
+        pipe = pipeline_of(kind, n)
         factors = amplitude_factors(pipe)
         x, y, error, v_x = unscreened_factors(pipe)
         assert factors.rank == x.shape[0]
@@ -961,11 +926,7 @@ class TestRankFactors:
         # holds them: there the band coefficients are those of a trial on
         # every upper-triangle pair to rounding (the basis product runs on
         # the live columns alone), and elsewhere they are exactly 0.
-        setup = TestAveragedJointsX.setup_of(
-            "single" if kind == "wide" else kind)
-        grid = MomentumGrid4.auto(PUMP, setup, n=n,
-                                  **(self.WIDE if kind == "wide" else {}))
-        pipe = Pipeline(PUMP, setup, grid)
+        pipe = pipeline_of(kind, n)
         factors = amplitude_factors(pipe)
         got = factors.coeffs
         ref, v_x = triangle_coeffs(pipe)
@@ -992,10 +953,8 @@ class TestRankFactors:
         from biphoton import dispersion
         from biphoton.phasematch import pump_envelope
 
-        setup = TestAveragedJointsX.setup_of(
-            "single" if kind == "wide" else kind)
-        q = MomentumGrid4.auto(PUMP, setup, n=n,
-                               **(self.WIDE if kind == "wide" else {})).q_axis
+        pipe = pipeline_of(kind, n)
+        setup, q = pipe.setup, pipe.grid.q_axis
         rows, cols = q[:, None], q[None, :]
         ctx = dispersion.make_context(setup.theta_p, PUMP.wavelength)
         a, b = dispersion.mismatch_split(TransverseMomentum(rows, rows),
@@ -1024,10 +983,9 @@ class TestRankFactors:
             return sinc_of(arg)
 
         monkeypatch.setattr(fields_module, "sinc", counted)
-        setup = TestAveragedJointsX.setup_of(kind)
-        grid = MomentumGrid4.auto(PUMP, setup, n=n)
-        amplitude_factors(Pipeline(PUMP, setup, grid))
-        q = grid.q_axis
+        pipe = pipeline_of(kind, n)
+        amplitude_factors(pipe)
+        q = pipe.grid.q_axis
         upper = np.triu_indices(n)
         v_x = pump_envelope(TransverseMomentum(q[upper[0]] + q[upper[1]],
                                                0.0), PUMP)
@@ -1041,7 +999,7 @@ class TestRankFactors:
         # phases; neither complex factor table is ever built.
         import biphoton.fields as fields_module
 
-        setup = TestAveragedJointsX.setup_of(kind)
+        setup = SETUPS[kind]
         grid = MomentumGrid4.auto(PUMP, setup, n=32)
         rhos = [(0.0, 0.0), (grid.x_axis[18], grid.x_axis[15]),
                 (0.3 * grid.dx, -1.7 * grid.dx)]
@@ -1067,9 +1025,7 @@ class TestRankFactors:
         # table's product with w, to rounding.
         from biphoton.fields import _contract
 
-        setup = TestAveragedJointsX.setup_of(kind)
-        factors = amplitude_factors(Pipeline(
-            PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=32)))
+        factors = amplitude_factors(pipeline_of(kind, 32))
         rng = np.random.default_rng(5)
         w = np.exp(2j * np.pi * rng.random(32))
         for table, values, phase in (
@@ -1087,7 +1043,7 @@ class TestRankFactors:
         # scattered entry by entry, with the values of the full build.
         from biphoton.fields import _contract
 
-        setup = TestAveragedJointsX.setup_of(kind)
+        setup = SETUPS[kind]
         grid = MomentumGrid4.auto(PUMP, setup, n=16, c1=0.2, c2=0.05)
         pipe = Pipeline(PUMP, setup, grid)
         factors = amplitude_factors(pipe)
@@ -1104,9 +1060,8 @@ class TestRankFactors:
     def test_conditional_matches_dense_tables(self, kind, n):
         # Beyond the reach of the 4D oracle: the conditional from the band
         # contractions against the same sums over the complex n x n tables.
-        setup = TestAveragedJointsX.setup_of(kind)
-        grid = MomentumGrid4.auto(PUMP, setup, n=n)
-        factors = amplitude_factors(Pipeline(PUMP, setup, grid))
+        pipe = pipeline_of(kind, n)
+        factors, grid = amplitude_factors(pipe), pipe.grid
         x, y = factors.x(), factors.y()
         q, z = grid.q_axis, 7.5e-3
         propagation = np.exp(-1j * q**2 * z / (2.0 * factors.k))
@@ -1118,7 +1073,7 @@ class TestRankFactors:
             psi = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(b)))
             ref = np.abs(psi) ** 2
             ref /= ref.sum() * grid.dx**2
-            got = conditional_position_direct(PUMP, setup, z, grid,
+            got = conditional_position_direct(PUMP, pipe.setup, z, grid,
                                               rho_i0=(x0, y0))
             assert self.rel_err(ref, got.values) <= 1e-13
 
@@ -1131,8 +1086,8 @@ class TestRankFactors:
         # at the conditional tables' check, before the transform.
         n = 256
         case = stage_case("conditional", "double", n)
-        site, what, budget, _ = case.largest
-        rank = amplitude_factors(TestStageBudgets.pipeline("double", n)).rank
+        site, what, budget, *_ = case.largest
+        rank = amplitude_factors(pipeline_of("double", n)).rank
         peak = peak_of(case.admitted)
         assert 0.8 * budget <= peak <= budget < 2 * rank * n * n * 16 / 10
         assert case.refused == [site] and what == "conditional tables"
@@ -1147,7 +1102,7 @@ class TestRankFactors:
         # less is refused at that count's check.  The wide extent's build
         # is a case of TestStageBudgets.
         case = stage_case("amplitude_factors", kind, 256)
-        site, what, need, _ = case.largest
+        site, what, need, *_ = case.largest
         assert 0.9 * need <= peak_of(case.stages) < need
         assert case.refused == [site] and what.endswith("amplitude factors")
         assert case.refusal.startswith(f"{what} need ~{need} bytes")
@@ -1166,7 +1121,7 @@ class TestRankFactors:
             raise AssertionError("complex factor table built")
 
         monkeypatch.setattr(fields_module, "_complex_table", refuse)
-        setup = TestAveragedJointsX.setup_of("double")
+        setup = SETUPS["double"]
         pipe = Pipeline(PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=256),
                         memory_budget=100e6)
         with pytest.raises(MemoryBudgetError, match="complex factor tables"):
@@ -1183,7 +1138,7 @@ class TestRankFactors:
         # tables' check, before either is built.  The wide extent's routes
         # are cases of TestStageBudgets.
         case = stage_case(route, kind, 128)
-        site, what, budget, _ = case.largest
+        site, what, budget, *_ = case.largest
         assert peak_of(case.admitted) <= budget and case.refused == [site]
         assert case.refusal.startswith(f"{what} need ~{budget} bytes")
         assert what.endswith("complex factor tables")
@@ -1193,7 +1148,7 @@ class TestRankFactors:
         # place and transformed before the next is built: fewer than five
         # R n^2 tables are alive at once (six when both were built first).
         peak = peak_of(stage_case("position_factors", "double", 128).stages)
-        pipe = TestStageBudgets.pipeline("double", 128)
+        pipe = pipeline_of("double", 128)
         assert peak < 5 * amplitude_factors(pipe).rank * 128**2 * 16
 
     @pytest.mark.parametrize("route, tables", [
@@ -1205,7 +1160,7 @@ class TestRankFactors:
         # under three complex R x n^2 tables (W, the phased buffer and
         # |.|^2) and the position factors at the two transformed tables,
         # where a fresh FFT output and its intermediate added two more.
-        factors = amplitude_factors(TestStageBudgets.pipeline(kind, 128))
+        factors = amplitude_factors(pipeline_of(kind, 128))
         peak = peak_of(stage_case(route, kind, 128).stages)
         table = factors.rank * 128**2 * 16
         assert peak - factors.nbytes <= tables * table
@@ -1217,7 +1172,7 @@ class TestRankFactors:
         # a time: beyond the real tables, the singles peak at X, Y and the
         # two n x R x R Gram tables, with 1/8 of a table for the block and
         # small arrays, where a conjugate of a whole table added one more.
-        factors = amplitude_factors(TestStageBudgets.pipeline(kind, n))
+        factors = amplitude_factors(pipeline_of(kind, n))
         peak = peak_of(stage_case("singles_direct", kind, n).stages)
         table = factors.rank * n**2 * 16
         assert peak - factors.nbytes <= (2 + 2 * factors.rank / n
@@ -1241,62 +1196,12 @@ class TestRankFactors:
             assert np.array_equal(_transform(table, phase, table), ref)
 
     def test_double_second_half_is_conjugate(self):
-        setup = TestAveragedJointsX.setup_of("double")
-        factors = amplitude_factors(Pipeline(
-            PUMP, setup, MomentumGrid4.auto(PUMP, setup, n=32)))
+        factors = amplitude_factors(pipeline_of("double", 32))
         half = factors.rank // 2
         x, y = factors.x(), factors.y()
         assert np.array_equal(x[half:], x[:half].conj())
         assert np.array_equal(y[half:], y[:half].conj())
 
-
-def synth_route(pipe, mu_pairs=5.0, frames=None):
-    """``frames synth`` on the pipeline: its position factors at z = 0
-    sampled into a stack at the CLI's ROI, 5 pairs a frame by default, and
-    one pass over the stack's blocks, as ``save_frames`` makes.  Returns
-    the SHA-256 of the blocks."""
-    from biphoton.cli import _auto_roi
-    from biphoton.coincidence import DetectorModel, synth_frames
-
-    detector = DetectorModel(roi=_auto_roi(pipe, DetectorModel.pitch))
-    frames = frames or {16: 20_000, 32: 50_000, 64: 20_000}[pipe.grid.n]
-    stack = synth_frames(position_factors(pipe, 0.0), detector, mu_pairs,
-                         frames, seed=1, memory_budget=pipe.memory_budget)
-    digest = hashlib.sha256()
-    for block in stack.blocks():
-        digest.update(block)
-    return digest.digest()
-
-
-def offsets_route(pipe):
-    """``synth_frames``' frame offsets summed past 2^32 pairs, which no
-    stack of test size reaches: three frames of 2^31 pairs, in two chunks,
-    under the pipeline's budget."""
-    from biphoton.coincidence import _frame_offsets
-
-    counts = (np.full(k, 2**31, dtype=np.int64) for k in (1, 2))
-    return _frame_offsets(counts, 3, pipe.memory_budget, 0)
-
-
-#: Route name -> the route on a pipeline, under its memory budget.
-ROUTES = {
-    "guard": boundary_ratio,
-    "amplitude_factors": amplitude_factors,
-    "averaged_joints_x-2z": lambda pipe: averaged_joints_x(
-        pipe, [0.0, 7.5e-3]),
-    "averaged_joints_x-0z": lambda pipe: averaged_joints_x(pipe, []),
-    "position_factors": lambda pipe: position_factors(pipe, 7.5e-3),
-    "singles_direct": lambda pipe: singles_direct(pipe, 7.5e-3),
-    "conditional": lambda pipe: conditional_position_direct(
-        pipe.pump, pipe.setup, 7.5e-3, pipe.grid,
-        memory_budget=pipe.memory_budget),
-    "frames_synth": synth_route,
-    "frames_synth-2000": lambda pipe: synth_route(pipe, 2000.0, 400),
-    "frame_offsets": offsets_route,
-    "4d": lambda pipe: pipe.position_amplitude(7.5e-3),
-    "averaged_joints_x-3z": lambda pipe: averaged_joints_x(
-        pipe, TestAveragedJointsX.ZS),
-}
 
 #: (route, kind, n) of the stage test: every route on both crystals, the
 #: rank-R routes at n = 16-256 (the guard at 512 and 1024 too), the
@@ -1345,37 +1250,28 @@ def stage_case(route, kind, n):
     runs; the second is admitted and returns the bytes of the first; and
     the third is refused by the largest stage's own check, before that
     stage allocates."""
-    pipe = TestStageBudgets.pipeline(kind, n)
+    pipe = pipeline_of(kind, n)
 
     def run(budget):
         return ROUTES[route](Pipeline(pipe.pump, pipe.setup, pipe.grid,
                                       memory_budget=budget))
 
     got, stages, _ = traced_stages(lambda: run(MEMORY_BUDGET))
-    largest = max(stages, key=lambda stage: stage[2])
-    tight, admitted, _ = traced_stages(lambda: run(largest[2]))
+    largest = max(stages, key=lambda stage: stage.need)
+    tight, admitted, _ = traced_stages(lambda: run(largest.need))
     assert not isinstance(tight, MemoryBudgetError), str(tight)
     assert pickle.dumps(tight) == pickle.dumps(got)
-    refusal, before, refused = traced_stages(lambda: run(largest[2] - 1))
+    refusal, before, refused = traced_stages(lambda: run(largest.need - 1))
     assert isinstance(refusal, MemoryBudgetError)
-    assert refused == [largest[0]]
-    assert f"{largest[1]} need ~{largest[2]} bytes" in str(refusal)
-    for site, what, need, peak in stages + admitted + before:
+    assert refused == [largest.site]
+    assert f"{largest.what} need ~{largest.need} bytes" in str(refusal)
+    for site, what, need, peak, *_ in stages + admitted + before:
         assert peak <= need, f"{what} ({site}): traced {peak} > {need}"
     return StageCase(stages, admitted, before, largest, refused,
                      str(refusal), hashlib.sha256(pickle.dumps(got)).digest())
 
 
 class TestStageBudgets:
-    @staticmethod
-    def pipeline(kind, n):
-        """The pipeline of a stage case; ``wide`` is the single crystal on
-        the widened extent of :class:`TestRankFactors`."""
-        wide = kind == "wide"
-        setup = TestAveragedJointsX.setup_of("single" if wide else kind)
-        return Pipeline(PUMP, setup, MomentumGrid4.auto(
-            PUMP, setup, n=n, **(TestRankFactors.WIDE if wide else {})))
-
     @pytest.mark.parametrize("route, kind, n", STAGE_CASES,
                              ids=[f"{r}-{k}-{n}" for r, k, n in STAGE_CASES])
     def test_stages_within_their_counts(self, route, kind, n):
@@ -1391,7 +1287,7 @@ class TestStageBudgets:
         # more.  Every stage of the factor build traces at most 128 KiB
         # beyond its declared arrays.
         case = stage_case(route, kind, n)
-        pipe = self.pipeline(kind, n)
+        pipe = pipeline_of(kind, n)
         need, peak = case.largest[2], peak_of(case.stages)
         if n >= 128 and route in TABLE_CEILINGS:
             factors = amplitude_factors(pipe)
@@ -1403,11 +1299,11 @@ class TestStageBudgets:
                 rank = amplitude_factors(pipe).rank
                 assert need < 0.2 * rank * n**2 * 16
         if n == 256 and route == "amplitude_factors":
-            need, peak = max((need, peak) for _, what, need, peak
+            need, peak = max((need, peak) for _, what, need, peak, *_
                              in case.stages
                              if what.endswith("amplitude factors"))
             assert peak >= 0.9 * need
-        for site, what, need, peak in case.stages + case.admitted + \
+        for site, what, need, peak, *_ in case.stages + case.admitted + \
                 case.before:
             if what.endswith("amplitude factors"):
                 excess = peak - (need - STAGE_ALLOWANCE)
@@ -1432,6 +1328,26 @@ class TestStageBudgets:
         reached = {site for route, kind, n in STAGE_CASES if n == 16
                    for site, *_ in stage_case(route, kind, n).stages[1:]}
         assert reached == sites
+
+    def test_stage_times_split_the_call(self):
+        # A call's stages open one after another from its start and close
+        # at its end, so their times sum to its wall time; tracemalloc
+        # moves no stage: the same sites, names and counts without it.
+        def call():
+            return ROUTES["averaged_joints_x-2z"](pipeline_of("double", 64))
+
+        traced = traced_stages(call)[1]
+        start = time.perf_counter()
+        _, stages, _ = traced_stages(call, memory=False)
+        wall = time.perf_counter() - start
+        assert start <= stages[0].opened and {s.peak for s in stages} == {None}
+        ends = [s.opened + s.seconds for s in stages]
+        assert max(abs(s.opened - end) for s, end in zip(stages[1:], ends)) \
+            < 1e-9
+        total = sum(s.seconds for s in stages)
+        assert ends[-1] - stages[0].opened == pytest.approx(total, abs=1e-9)
+        assert 0.9 * wall <= total <= wall
+        assert [s[:3] for s in stages] == [s[:3] for s in traced]
 
     def test_recorder_unset_after_an_error(self):
         # A call that raises past a check leaves no recorder set.

@@ -36,24 +36,25 @@ def test_artifact_digests_runs():
 
 
 def test_route_times_cases_run():
-    # Every case of route_times.py called once, without main()'s timed
-    # repeats and warm-up, and the traced peak of its smallest traced case.
+    # Every case of route_times.py names a route of the stage table and is
+    # called once, traced, without main()'s warm-up and timed calls, and
+    # reported from that call: a case line, then a line for each stage.
     script = (
         "import sys\n"
         f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, "
         f"{os.path.join(ROOT, 'tools')!r}]\n"
-        "import route_times\n"
-        "peaked = []\n"
-        "for name, call, repeats, traced in route_times.cases():\n"
-        "    call()\n"
-        "    print(name, repeats, traced)\n"
-        "    if traced:\n"
-        "        peaked.append(call)\n"
-        "print('peak', route_times.peak_mb(peaked[0]))\n")
+        "import route_times, stages\n"
+        "for case in route_times.CASES:\n"
+        "    assert case[0] in stages.ROUTES, case\n"
+        "    traced, _ = route_times.run_case(*case, 0, 0.0)\n"
+        "    print(*route_times.report(*case, traced, [traced]), sep='\\n')\n")
     res = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    *lines, peak = res.stdout.splitlines()
-    assert len(lines) == 10
-    assert sum(line.endswith(" True") for line in lines) == 3
-    assert peak.startswith("peak ") and float(peak.split()[1]) > 0
+    lines = res.stdout.splitlines()
+    cases = [line for line in lines if not line.startswith("  ")]
+    assert len(cases) == 10 and len(lines) > 60
+    assert all(re.search(r" ms  \(median of 1\)  peak \d+\.\d MB$", line)
+               and float(line.split()[-2]) > 0 for line in cases)
+    assert all(re.fullmatch(r"  .+ \d+ B +\d+\.\d\d ms  peak \d+\.\d MB", line)
+               for line in lines if line not in cases)

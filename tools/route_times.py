@@ -1,114 +1,86 @@
 #!/usr/bin/env python3
-"""Median in-process wall times of the rank-R routes at large grids.
+"""Median in-process wall times of the rank-R routes at large grids,
+stage by stage.
 
     python3 tools/route_times.py [--src DIR]
 
-Times, with ``time.perf_counter`` after a second of untimed calls, each of:
+Runs each of :data:`CASES`, a route of ``stages.ROUTES`` on the pipeline
+``stages.pipeline_of(kind, n)``: once under tracemalloc, untimed for a
+second, then ``REPEATS`` times without tracemalloc.  Prints a line
+for each case, its median wall time in milliseconds, the number of timed
+calls and its traced peak in MB, and under it a line for each stage
+(``stages.traced_stages``): its name, declared bytes, median time and
+traced peak.  A call's stages split its wall time, from its start to its
+end.  ``position_factors`` times the complex tables of ``x()`` and
+``y()`` in its last stage.
 
-- ``conditional_position_direct`` for the 1 mm + 4 mm double crystal at
-  z = 7.5 mm, n = 64, 128 and 256;
-- ``amplitude_factors`` followed by ``x()`` and ``y()``, for the default
-  single crystal at n = 256 and 512 and the double crystal at n = 256;
-- ``amplitude_factors`` alone, for the double crystal at n = 256 and 1024
-  and the single crystal at n = 512, with the ``tracemalloc`` peak of one
-  more call;
-- a 15-point ``averaged_joints_x`` (z = 0, 2.5, ..., 35 mm) for the
-  single crystal at n = 256.
-
-Prints one line per case: its name, the median in milliseconds, the
-number of timed calls and, where there is one, the traced peak in MB.  An
-A/B comparison of two trees is two runs, one with ``--src`` set to the
-other tree's ``src`` directory, as for ``tools/artifact_digests.py``.
-``--src`` is the directory ``biphoton`` is imported from (default: the
-``src`` beside this script).
+The tool pins OpenBLAS to one thread (``OPENBLAS_NUM_THREADS=1``) before
+numpy loads, as ``tools/artifact_digests.py`` does: with two threads a
+small ``eigh`` of the factor build can take many times longer.  An A/B
+comparison of two trees is two runs, one with ``--src`` set to the other
+tree's ``src`` directory, the directory ``biphoton`` is imported from
+(default: the ``src`` beside this script).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 import time
-import tracemalloc
+from statistics import median
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-DOUBLE = {"kind": "double", "length": "1mm", "gap": "4mm",
-          "theta_p": "32.93deg"}
-SCAN_Z = [2.5e-3 * k for k in range(15)]
+#: (route, kind, n) of every timed case: the direct conditional (double
+#: crystal), the position factors at z = 7.5 mm, the factor build, and a
+#: 15-point ``averaged_joints_x`` (z = 0, 2.5, ..., 35 mm).
+CASES = ([("conditional", "double", n) for n in (64, 128, 256)]
+         + [("position_factors", kind, n) for kind, n in
+            (("single", 256), ("single", 512), ("double", 256))]
+         + [("amplitude_factors", kind, n) for kind, n in
+            (("double", 256), ("single", 512), ("double", 1024))]
+         + [("averaged_joints_x-15z", "single", 256)])
+#: Timed calls of a case, by n; the 15-z scan makes three.
+REPEATS = {64: 41, 128: 21, 256: 9, 512: 5, 1024: 5}
 #: Untimed calls of each case run for this long first: on an idle shared
 #: machine the first calls of a fresh process can be many times slower.
 WARM_S = 1.0
 
 
-def median_ms(call, repeats: int) -> float:
-    """Median wall time of ``call()`` over ``repeats`` calls, in
-    milliseconds, after untimed calls for ``WARM_S`` seconds (at least
-    one)."""
+def run_case(route, kind, n, timed, warm_s=WARM_S):
+    """(stages of one call under tracemalloc, stages of each of ``timed``
+    calls without it, after untimed calls for ``warm_s`` seconds), each
+    call's stages from ``stages.traced_stages``."""
+    from biphoton.fields import MemoryBudgetError
+    from stages import ROUTES, pipeline_of, traced_stages
+
+    pipe = pipeline_of(kind, n)
+
+    def record(memory):
+        got, stages, _ = traced_stages(lambda: ROUTES[route](pipe), memory)
+        if isinstance(got, MemoryBudgetError):
+            raise got
+        return stages
+
     start = time.perf_counter()
-    call()
-    while time.perf_counter() - start < WARM_S:
-        call()
-    times = []
-    for _ in range(repeats):
-        t = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t)
-    return 1e3 * statistics.median(times)
+    traced = record(True)
+    while time.perf_counter() - start < warm_s:
+        record(False)
+    return traced, [record(False) for _ in range(timed)]
 
 
-def peak_mb(call) -> float:
-    """``tracemalloc`` peak of one ``call()``, in MB."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
-def cases():
-    """(name, call, repeats, traced) of every timed case."""
-    from biphoton import fields
-    from biphoton.config import parse_config
-
-    def pipeline(n, crystal=None):
-        keys = {"grid": {"n": n}}
-        if crystal is not None:
-            keys["crystal"] = dict(crystal)
-        cfg = parse_config(None, keys)
-        grid = fields.MomentumGrid4.auto(cfg.pump, cfg.setup, n=n)
-        return fields.Pipeline(cfg.pump, cfg.setup, grid)
-
-    def conditional(pipe):
-        return lambda: fields.conditional_position_direct(
-            pipe.pump, pipe.setup, 7.5e-3, pipe.grid)
-
-    def tables(pipe):
-        def call():
-            factors = fields.amplitude_factors(pipe)
-            factors.x()
-            factors.y()
-        return call
-
-    for n, repeats in ((64, 41), (128, 21), (256, 9)):
-        yield (f"conditional_position_direct double n={n}",
-               conditional(pipeline(n, DOUBLE)), repeats, False)
-    for kind, crystal, n, repeats in (("single", None, 256, 9),
-                                      ("single", None, 512, 5),
-                                      ("double", DOUBLE, 256, 9)):
-        yield (f"amplitude_factors+x()+y() {kind} n={n}",
-               tables(pipeline(n, crystal)), repeats, False)
-    for kind, crystal, n, repeats in (("double", DOUBLE, 256, 9),
-                                      ("single", None, 512, 5),
-                                      ("double", DOUBLE, 1024, 5)):
-        pipe = pipeline(n, crystal)
-        yield (f"amplitude_factors {kind} n={n}",
-               lambda pipe=pipe: fields.amplitude_factors(pipe), repeats, True)
-    pipe = pipeline(256)
-    yield ("averaged_joints_x 15 z single n=256",
-           lambda: fields.averaged_joints_x(pipe, SCAN_Z), 3, False)
+def report(route, kind, n, traced, runs):
+    """The lines :func:`main` prints for one case."""
+    wall = median(sum(stage.seconds for stage in run) for run in runs)
+    peak = max(stage.peak for stage in traced)
+    lines = [f"{f'{route} {kind} n={n}':<44} {1e3 * wall:10.2f} ms  "
+             f"(median of {len(runs)})  peak {peak / 1e6:.1f} MB"]
+    for stage, *times in zip(traced, *runs):
+        ms = 1e3 * median(t.seconds for t in times)
+        lines.append(f"  {stage.what:<40} {stage.need:>12} B {ms:10.2f} ms  "
+                     f"peak {stage.peak / 1e6:.1f} MB")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -116,13 +88,12 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"),
                         help="directory to import biphoton from")
     args = parser.parse_args(argv)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, os.path.abspath(args.src))
-    for name, call, repeats, traced in cases():
-        line = (f"{name:<44} {median_ms(call, repeats):10.2f} ms  "
-                f"(median of {repeats})")
-        if traced:
-            line += f"  peak {peak_mb(call):.1f} MB"
-        print(line, flush=True)
+    for route, kind, n in CASES:
+        timed = 3 if route.endswith("15z") else REPEATS[n]
+        traced, runs = run_case(route, kind, n, timed)
+        print("\n".join(report(route, kind, n, traced, runs)), flush=True)
     return 0
 
 
