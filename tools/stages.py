@@ -56,7 +56,7 @@ def traced_stages(call, memory=True):
             refused.append(site)
             return
         close(now)
-        stages.append([site, what, need, None, now, 0.0])
+        stages.append([site, what, need, None, now, 0])
         if memory:
             tracemalloc.reset_peak()
 
