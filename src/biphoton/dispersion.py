@@ -142,7 +142,7 @@ class PhaseMatchContext:
 
 
 def make_context(theta_p: float, lambda_p: float) -> PhaseMatchContext:
-    """Build the cached working point for the degenerate configuration."""
+    """Degenerate working point, uncached: it reads ``BBO`` at every call."""
     lambda_s = 2.0 * lambda_p
     return PhaseMatchContext(
         n_so=refractive_index("o", lambda_s),

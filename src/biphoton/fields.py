@@ -29,6 +29,7 @@ import contextvars
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -418,11 +419,13 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
     beside the real ones of ``factors`` exceed the budget."""
     grid = pipeline.grid
     n, width, rank = grid.n, factors.phase_x.shape[2], factors.rank
-    # The two R x n contractions with room for their temporaries (two more
-    # R x n and three n x W tables), then B with its one phase: the
-    # contractions are freed once B is formed, so the larger of the two.
+    # The factors, the two band layouts (:func:`_band`) and the two R x n
+    # contractions with room for their temporaries (two more R x n and three
+    # n x W tables), then B with its one phase: the contractions are freed
+    # once B is formed, so the larger of the two.
     _check_stage(pipeline.memory_budget, "conditional tables",
-                 factors.nbytes,
+                 factors.nbytes, ((2, n, width), np.int64),
+                 ((2, n, width), np.bool_),
                  max(_nbytes(((4, rank, n), np.complex128),
                              ((3, n, width), np.complex128)),
                      _nbytes(((2, n, n), np.complex128))))
@@ -539,14 +542,18 @@ class AmplitudeFactors:
         return _complex_table(self.cheb, self.phase_y, self.s_lo)
 
 
+@lru_cache(maxsize=4)
 def _band(n: int, s_lo: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(cols, valid), both n x width, of the band layout of
     :class:`AmplitudeFactors`: entry k of row i is the pair
     (i, s_lo - i + k), ``valid`` where that column lies on the grid, and
-    ``cols`` the column clipped to the grid."""
+    ``cols`` the column clipped to the grid.  Built once per layout (the
+    last four kept; a configuration uses two), read-only."""
     cols = s_lo - np.arange(n)[:, None] + np.arange(width)
     valid = (cols >= 0) & (cols < n)
-    return np.clip(cols, 0, n - 1, out=cols), valid
+    np.clip(cols, 0, n - 1, out=cols)
+    cols.flags.writeable = valid.flags.writeable = False
+    return cols, valid
 
 
 def _complex_table(real: np.ndarray, phase: np.ndarray,
@@ -685,6 +692,18 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     return _build_factors(pipeline, _pair_tables(pipeline))
 
 
+@lru_cache(maxsize=4)
+def _chebyshev(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K x K basis, K node cosines) of a trial on K = ``nodes`` first-kind
+    Chebyshev nodes: built once per K (the last four kept), read-only."""
+    theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+    basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
+    basis[0] /= 2.0
+    cosines = np.cos(theta)
+    basis.flags.writeable = cosines.flags.writeable = False
+    return basis, cosines
+
+
 def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     """:func:`amplitude_factors` on the pipeline's :func:`_pair_tables`."""
     setup, grid = pipeline.setup, pipeline.grid
@@ -703,27 +722,25 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     mid = (b_max + b_min) / 2.0
     rad = (b_max - b_min) / 2.0
     double = setup.kind != "single"
+    v_max = v.max()
 
     def trial(nodes, a_pairs, v_pairs):
         # Chebyshev coefficients of the interpolant through sinc h at the
-        # first-kind nodes t_k = cos(theta_k), over the given x-pairs (where
-        # v is not 0: no other column is sampled), and their weighted maxima.
-        theta = np.pi * (np.arange(nodes) + 0.5) / nodes
-        basis = np.cos(np.outer(np.arange(nodes), theta)) * (2.0 / nodes)
-        basis[0] /= 2.0
-        shift = (rad * half) * np.cos(theta)[:, None]
+        # first-kind nodes, over the given x-pairs (where v is not 0: no
+        # other column is sampled), and their weighted maxima.
+        basis, cosines = _chebyshev(nodes)
+        shift = (rad * half) * cosines[:, None]
         samples = sinc((a_pairs + mid)[None] * half + shift)
         coeffs = basis @ samples
         del samples
         # max |c v| as max(max c v, -min c v): v > 0, no |.| temporary.
         scaled = coeffs * v_pairs
-        weight = (np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
-                  * v.max())
+        weight = np.maximum(scaled.max(axis=1), -scaled.min(axis=1)) * v_max
         return coeffs, weight
 
     # The envelope ridge q_ix = -q_sx, where v = 1: anti-diagonal n, every
     # q_sx but the first, whose negative is off the grid.
-    ridge = n - s_lo
+    a_ridge, v_ridge = a[1:, n - s_lo], v[1:, n - s_lo]
     a_live, v_live = a[upper], v[upper]
     # The build holds the four n x W pair tables (cols, a, b, v) beside one
     # of two stages, each checked before it allocates.
@@ -733,18 +750,19 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
         # The trial: its three K x L tables (the sinc argument, the samples
         # and |argument| while sinc runs, the coefficients beside the
         # samples or the weighted coefficients after) with sinc's K x L
-        # mask, the K x K basis and its argument, three L tables (the live
-        # pairs' a and v, a's shift) and the n x W masks.
+        # mask, the K x K basis, its argument and the cached bases of the
+        # smaller K (:func:`_chebyshev`), three L tables (the live pairs' a
+        # and v, a's shift) and the n x W masks.
         _check_stage(pipeline.memory_budget,
                      f"rank-{nodes * (1 + double)} amplitude factors", pairs,
                      ((3, nodes, size), np.float64), ((nodes, size), np.bool_),
-                     ((2, nodes, nodes), np.float64), ((3, size), np.float64),
+                     ((3, nodes, nodes), np.float64), ((3, size), np.float64),
                      ((n, width), np.float64))
         # The ridge is part of the table, so a ridge tail over the margin is
         # over CHEB_TOL on the table too, whatever the order of rounding:
         # the full trial would fail.  A non-finite probe compares False and
         # goes on to the full trial, which raises.
-        probe = trial(nodes, a[1:, ridge], v[1:, ridge])[1]
+        probe = trial(nodes, a_ridge, v_ridge)[1]
         if probe[-2:].max() > SCREEN_MARGIN * CHEB_TOL:
             nodes *= 2
             continue
@@ -761,9 +779,11 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     error = float(tail[kept] + EPS * tail[0])
     # The kept coefficient table beside the trial's coefficients and the
     # live pairs' a and v (the gathered lower half is smaller), and the two
-    # int64 index arrays the masked write expands ``upper`` into.
+    # int64 index arrays the masked write expands ``upper`` into.  This
+    # stage and the next hold the trials' cached bases, under 2 K^2 floats.
     what = f"rank-{kept * (1 + double)} amplitude factors"
-    _check_stage(pipeline.memory_budget, what, pairs,
+    held = pairs, ((2, nodes, nodes), np.float64)
+    _check_stage(pipeline.memory_budget, what, *held,
                  ((kept, n, width), np.float64),
                  ((nodes + 2, size), np.float64), ((2, size), np.int64))
     # The upper half takes the kept coefficients, and a lower-half entry
@@ -777,7 +797,7 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
 
     # The coefficient and polynomial tables, t and two temporaries, and the
     # phase rows, written in place.
-    _check_stage(pipeline.memory_budget, what, pairs,
+    _check_stage(pipeline.memory_budget, what, *held,
                  ((2, kept, n, width), np.float64), ((3, n, width), np.float64),
                  ((2 + 2 * double, n, width), np.complex128))
     # T_j(t(b)) by the three-term recurrence, on the y-pair band; the clip
@@ -788,8 +808,9 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     cheb[0] = 1.0
     if kept > 1:
         cheb[1] = t
+    t *= 2.0  # T_j = 2t T_{j-1} - T_{j-2}
     for j in range(2, kept):
-        np.multiply(2.0 * t, cheb[j - 1], out=cheb[j])
+        np.multiply(t, cheb[j - 1], out=cheb[j])
         cheb[j] -= cheb[j - 2]
     # The phase rows v e^{iag} (halved for a double crystal) and v e^{ibg},
     # conjugates in phase[1:] (empty for a single crystal), written by real

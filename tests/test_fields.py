@@ -17,11 +17,12 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from stages import (PUMP, ROUTES, SETUPS, ZS, boundary_ratio, peak_of,
-                    pipeline_of, traced_stages)
+from stages import (PROCESS_CACHES, PUMP, ROUTES, SETUPS, ZS,
+                    boundary_ratio, peak_of, pipeline_of, traced_stages)
 
 from biphoton.dispersion import TransverseMomentum, collinear_angle
 from biphoton.fields import (
+    CHEB_START,
     BiphotonAmplitude4,
     DegenerateConditionError,
     Distribution,
@@ -35,9 +36,11 @@ from biphoton.fields import (
     MomentumGrid4,
     Pipeline,
     SupportTruncationError,
+    _band,
     _boundary_max,
     _check_boundary,
     _check_stage,
+    _chebyshev,
     amplitude_factors,
     averaged_joint_x,
     averaged_joints_x,
@@ -1201,6 +1204,49 @@ class TestRankFactors:
         x, y = factors.x(), factors.y()
         assert np.array_equal(x[half:], x[:half].conj())
         assert np.array_equal(y[half:], y[:half].conj())
+
+
+class TestProcessTables:
+    """The tables the engine builds once per process (``PROCESS_CACHES``):
+    the band layouts of the factor tables, which depend on the grid and the
+    pump alone, and the Chebyshev bases, which depend on K alone."""
+
+    def test_cached_arrays_are_read_only(self):
+        for arrays in (_band(16, 14, 5), _chebyshev(CHEB_START)):
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_warm_caches_give_the_same_bytes(self, n):
+        # Each crystal's factor tables and direct conditional from cleared
+        # caches, then twice more in turn with the caches filled by both
+        # crystals' grids and trials: the same bytes.
+        def outputs(kind):
+            pipe = pipeline_of(kind, n)
+            return pickle.dumps((amplitude_factors(pipe),
+                                 ROUTES["conditional"](pipe).values))
+
+        cold = {}
+        for kind in ("single", "double"):
+            for cache in PROCESS_CACHES:
+                cache.cache_clear()
+            cold[kind] = outputs(kind)
+        for kind in ("single", "double") * 2:
+            assert outputs(kind) == cold[kind], kind
+
+    def test_caches_stay_bounded(self):
+        # Four grids on three extents (K up to 128, and more than four band
+        # layouts) and two larger K: each cache keeps its last four entries.
+        # The stage recorder clears exactly these caches.
+        assert set(PROCESS_CACHES) == {_band, _chebyshev}
+        for kind in ("single", "double", "wide"):
+            for n in (16, 32, 64, 128):
+                ROUTES["conditional"](pipeline_of(kind, n))
+        for nodes in (256, 512):
+            _chebyshev(nodes)
+        for cache in PROCESS_CACHES:
+            assert cache.cache_info().currsize <= 4
 
 
 #: (route, kind, n) of the stage test: every route on both crystals, the

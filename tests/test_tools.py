@@ -53,8 +53,32 @@ def test_route_times_cases_run():
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     cases = [line for line in lines if not line.startswith("  ")]
-    assert len(cases) == 10 and len(lines) > 60
+    assert len(cases) == 12 and len(lines) > 60
     assert all(re.search(r" ms  \(median of 1\)  peak \d+\.\d MB$", line)
                and float(line.split()[-2]) > 0 for line in cases)
     assert all(re.fullmatch(r"  .+ \d+ B +\d+\.\d\d ms  peak \d+\.\d MB", line)
                for line in lines if line not in cases)
+
+
+def test_traced_stages_repeat_in_a_fresh_process():
+    # traced_stages runs one FFT and clears the engine's once-per-process
+    # tables before each call: a call traced twice in a fresh interpreter
+    # (the process's first FFT, then the same call with the tables built)
+    # gives each stage the same traced peak to within 8 KB.
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, "
+        f"{os.path.join(ROOT, 'tools')!r}]\n"
+        "from stages import ROUTES, pipeline_of, traced_stages\n"
+        "for route, kind, n in [('averaged_joints_x-2z', 'single', 16),\n"
+        "                       ('conditional', 'single', 256)]:\n"
+        "    pipe = pipeline_of(kind, n)\n"
+        "    first, second = (traced_stages(lambda: ROUTES[route](pipe))[1]\n"
+        "                     for _ in range(2))\n"
+        "    assert [s[:3] for s in first] == [s[:3] for s in second]\n"
+        "    print(max(abs(a.peak - b.peak) for a, b in zip(first, second)))\n")
+    res = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    differences = [int(line) for line in res.stdout.split()]
+    assert len(differences) == 2 and max(differences) <= 8192, differences

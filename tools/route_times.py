@@ -12,7 +12,10 @@ calls and its traced peak in MB, and under it a line for each stage
 (``stages.traced_stages``): its name, declared bytes, median time and
 traced peak.  A call's stages split its wall time, from its start to its
 end.  ``position_factors`` times the complex tables of ``x()`` and
-``y()`` in its last stage.
+``y()`` in its last stage.  Each call starts with the tables the engine
+builds once per process cleared, so a case times a configuration seen
+for the first time; ``conditional-5theta`` shows what those tables save
+on the later points of a scan on one grid.
 
 The tool pins OpenBLAS to one thread (``OPENBLAS_NUM_THREADS=1``) before
 numpy loads, as ``tools/artifact_digests.py`` does: with two threads a
@@ -33,14 +36,16 @@ from statistics import median
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 #: (route, kind, n) of every timed case: the direct conditional (double
-#: crystal), the position factors at z = 7.5 mm, the factor build, and a
-#: 15-point ``averaged_joints_x`` (z = 0, 2.5, ..., 35 mm).
+#: crystal), the position factors at z = 7.5 mm, the factor build, a
+#: 15-point ``averaged_joints_x`` (z = 0, 2.5, ..., 35 mm), and the direct
+#: conditional at the five theta_p of Table I on one grid.
 CASES = ([("conditional", "double", n) for n in (64, 128, 256)]
          + [("position_factors", kind, n) for kind, n in
             (("single", 256), ("single", 512), ("double", 256))]
          + [("amplitude_factors", kind, n) for kind, n in
             (("double", 256), ("single", 512), ("double", 1024))]
-         + [("averaged_joints_x-15z", "single", 256)])
+         + [("averaged_joints_x-15z", "single", 256)]
+         + [("conditional-5theta", "single", n) for n in (64, 256)])
 #: Timed calls of a case, by n; the 15-z scan makes three.
 REPEATS = {64: 41, 128: 21, 256: 9, 512: 5, 1024: 5}
 #: Untimed calls of each case run for this long first: on an idle shared

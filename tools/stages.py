@@ -10,15 +10,23 @@ import os
 import time
 import tracemalloc
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 
+from biphoton import fields
 from biphoton.fields import (EXTENT_C2, STAGE_ALLOWANCE, STAGE_RECORDER,
                              MemoryBudgetError, MomentumGrid4, Pipeline,
                              amplitude_factors, averaged_joints_x,
                              conditional_position_direct, position_factors,
                              singles_direct)
 from biphoton.phasematch import CrystalSetup, PumpSpec
+
+#: The engine's tables built once per process: the ``functools.lru_cache``
+#: functions of ``biphoton.fields`` (none in a tree that has no such table,
+#: so ``route_times.py --src`` runs on it too).
+PROCESS_CACHES = tuple(f for f in vars(fields).values()
+                       if hasattr(f, "cache_clear"))
 
 #: A stage of a call: the (file, line) of the check that opened it (None
 #: for the first, from the start of the call to its first check), its
@@ -36,11 +44,17 @@ def traced_stages(call, memory=True):
     to the call's wall time.  The first stage is declared at
     ``STAGE_ALLOWANCE``.  With ``memory`` the call runs under tracemalloc
     and each stage keeps its traced peak.  ``refused`` holds the site of a
-    check that refused.  The library modules that load on first use are
-    loaded first: they are no stage's working set."""
+    check that refused.  Every call starts from the same process state:
+    the library modules that load on first use, and the FFT's first-call
+    state, are loaded first, as they are no stage's working set, and the
+    tables the engine builds once per process are cleared, so the call
+    builds them in the stages that declare them."""
     import biphoton.cli  # imports every module of the package
 
     np.random.default_rng(0)
+    np.fft.ifft(np.zeros(2, dtype=np.complex128))
+    for cache in PROCESS_CACHES:
+        cache.cache_clear()
     stages = [[None, "before the first check", STAGE_ALLOWANCE, None, 0, 0]]
     refused = []
 
@@ -90,6 +104,8 @@ SETUPS = {"single": CrystalSetup.single(5e-3, math.radians(32.9)),
 WIDE = {"c2": 2.2 * EXTENT_C2}
 #: The z values of ``averaged_joints_x-3z``.
 ZS = (0.0, 5e-3, 35e-3)
+#: The theta_p of Table I (single crystal), degrees: ``conditional-5theta``.
+THETAS = (32.90, 32.92, 32.94, 32.96, 32.98)
 
 
 def pipeline_of(kind, n):
@@ -138,9 +154,11 @@ def offsets_route(pipe):
 
 
 #: Route name -> the route on a pipeline, under its memory budget.  The
-#: stage table of the tests runs all but the last two;
-#: ``averaged_joints_x-15z`` is the z scan (0, 2.5, ..., 35 mm) that
-#: ``route_times.py`` times.
+#: stage table of the tests runs all but the last three.  ``route_times.py``
+#: times the last two: ``averaged_joints_x-15z``, the z scan (0, 2.5, ...,
+#: 35 mm), and ``conditional-5theta``, the direct conditional at each
+#: theta_p of :data:`THETAS` on the pipeline's grid, which ``scan theta``
+#: keeps too: the tables built once per process serve every point.
 ROUTES = {
     "guard": boundary_ratio,
     "amplitude_factors": amplitude_factors,
@@ -159,4 +177,7 @@ ROUTES = {
     "averaged_joints_x-3z": lambda pipe: averaged_joints_x(pipe, ZS),
     "averaged_joints_x-15z": lambda pipe: averaged_joints_x(
         pipe, [2.5e-3 * k for k in range(15)]),
+    "conditional-5theta": lambda pipe: [ROUTES["conditional"](replace(
+        pipe, setup=replace(pipe.setup, theta_p=math.radians(theta))))
+        for theta in THETAS],
 }
