@@ -35,7 +35,7 @@ import numpy as np
 
 from .dispersion import TransverseMomentum, make_context
 from .phasematch import (CrystalSetup, PumpSpec, _phi_split,
-                         momentum_amplitude, pump_envelope, sinc)
+                         momentum_amplitude, pump_envelope, sinc_of_sum)
 from . import dispersion
 
 TWO_PI = 2.0 * math.pi
@@ -419,13 +419,12 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
     beside the real ones of ``factors`` exceed the budget."""
     grid = pipeline.grid
     n, width, rank = grid.n, factors.phase_x.shape[2], factors.rank
-    # The factors, the two band layouts (:func:`_band`) and the two R x n
+    # The factors, their band layout (:func:`_band`) and the two R x n
     # contractions with room for their temporaries (two more R x n and three
     # n x W tables), then B with its one phase: the contractions are freed
     # once B is formed, so the larger of the two.
     _check_stage(pipeline.memory_budget, "conditional tables",
-                 factors.nbytes, ((2, n, width), np.int64),
-                 ((2, n, width), np.bool_),
+                 factors.nbytes, ((n, width), np.int64), ((n, width), np.bool_),
                  max(_nbytes(((4, rank, n), np.complex128),
                              ((3, n, width), np.complex128)),
                      _nbytes(((2, n, n), np.complex128))))
@@ -436,7 +435,7 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
                   np.exp(1j * q * x0) * propagation, factors.s_lo).T \
         @ _contract(factors.cheb, factors.phase_y,
                     np.exp(1j * q * y0) * propagation, factors.s_lo)
-    psi = _transform(b, _transform_phase(q, z, factors.k), b)
+    psi = _transform(b, _transform_phase(propagation), b)
     values = np.abs(psi) ** 2
     total = values.sum()
     if total <= 0.0 or not np.isfinite(total):
@@ -548,7 +547,7 @@ def _band(n: int, s_lo: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     :class:`AmplitudeFactors`: entry k of row i is the pair
     (i, s_lo - i + k), ``valid`` where that column lies on the grid, and
     ``cols`` the column clipped to the grid.  Built once per layout (the
-    last four kept; a configuration uses two), read-only."""
+    last four kept; a configuration uses one), read-only."""
     cols = s_lo - np.arange(n)[:, None] + np.arange(width)
     valid = (cols >= 0) & (cols < n)
     np.clip(cols, 0, n - 1, out=cols)
@@ -617,40 +616,55 @@ def _contract(real: np.ndarray, phase: np.ndarray, w: np.ndarray,
 
 
 def _pair_tables(pipeline: Pipeline):
-    """(ctx, s_lo, cols, a, b, v, b_span): pair tables on the band of
-    :func:`_band` that holds every pair where the envelope is not 0, each
-    entry evaluated at its own pair (i, cols[i, k]): a over (q_sx, q_ix),
-    b over (q_sy, q_iy), and the envelope v (0 off the grid), which is v_x
-    and v_y alike (the other component of q_s + q_i is 0, and 0 + x = x).
-    Each is built from q_s^2 + q_i^2 and q_s + q_i alone, and IEEE addition
-    commutes, so the n x n tables equal their transposes exactly.
-    ``b_span`` is b's (min, max) over every stored entry.  v falls with
-    |q_s + q_i|, the same along an anti-diagonal to a few ulps, so the band
-    is found from v alone at the 2n - 1 middle pairs, built one
-    anti-diagonal past the live ones, then trimmed.  Raises
+    """(ctx, s_lo, cols, a, b, v, b_span, parts): pair tables on the band
+    of :func:`_band` that holds every pair where the envelope is not 0: a
+    over (q_sx, q_ix), b over (q_sy, q_iy), and the envelope v (0 off the
+    grid), which is v_x and v_y alike (the other component of q_s + q_i is
+    0, and 0 + x = x).  ``parts`` = (f, h_x, h_y, env) are the 1D parts
+    they are built from: with k = n_so K_s0, the mismatch (see
+    :func:`dispersion.mismatch_split`) is a per-photon part f = -q^2/2k of
+    each photon plus a pump part of q_p = q_s + q_i, so a = (f[i] + f[j])
+    + h_x[s] and b = (f[i] + f[j]) + h_y[s] at the pair (i, j = cols[i, k])
+    of anti-diagonal s = i + j, and v = env[s].  h_x, h_y and env hold the
+    2n - 1 anti-diagonals, each at q_p of its middle pair, which the sums
+    of its other pairs miss only by the rounding of the grid points; an
+    entry off the grid takes a and b at its clipped pair.  The per-photon sum is formed first and IEEE
+    addition commutes, so the n x n tables equal their transposes exactly.
+    ``b_span`` is b's (min, max) over every stored entry.  env falls with
+    |q_p|, so the band is the anti-diagonals where env is not 0.  Raises
     MemoryBudgetError before allocating it when the tables, built or
     walked, and one point of the guard's chunks an entry exceed the
     budget."""
     n, pump, q = pipeline.grid.n, pipeline.pump, pipeline.grid.q_axis
     ctx = make_context(pipeline.setup.theta_p, pump.wavelength)
     s = np.arange(2 * n - 1)
-    v = pump_envelope(TransverseMomentum(q[s // 2] + q[s - s // 2], 0.0), pump)
-    live = np.flatnonzero(v != 0)
-    s_lo = max(int(live[0]) - 1, 0)
-    width = min(int(live[-1]) + 1, s[-1]) - s_lo + 1
-    # 11 n x W tables while they are built or walked, and a chunk of the
-    # guard's walk (:func:`_max_over_pairs`), 9 floats a point an entry.
+    q_p = q[s // 2] + q[s - s // 2]
+    env = pump_envelope(TransverseMomentum(q_p, 0.0), pump)
+    live = np.flatnonzero(env != 0)
+    s_lo = int(live[0])
+    width = int(live[-1]) - s_lo + 1
+    # 8 n x W tables while they are built (six) or walked (the tables and
+    # the guard's sorted copies of their upper half), a chunk of the
+    # guard's walk (:func:`_max_over_pairs`), 9 floats a point an entry,
+    # and the 1D parts with their temporaries, six of 2n values.
     _check_stage(pipeline.memory_budget, "pair tables",
-                 ((11, n, width), np.float64), ((9, n * width), np.float64))
+                 ((8, n, width), np.float64), ((9, n * width), np.float64),
+                 ((6, 2 * n), np.float64))
     cols, valid = _band(n, s_lo, width)
-    q_s, q_i = q[:, None], q[cols]
-    a, b = dispersion.mismatch_split(TransverseMomentum(q_s, q_s),
-                                     TransverseMomentum(q_i, q_i), ctx)
-    v = pump_envelope(TransverseMomentum(q_s + q_i, 0.0), pump)
-    v[~valid] = 0.0
-    live = np.flatnonzero((v != 0).any(axis=0))
-    cols, a, b, v = (t[:, live[0]:live[-1] + 1] for t in (cols, a, b, v))
-    return ctx, s_lo + int(live[0]), cols, a, b, v, (b.min(), b.max())
+    coeffs, two_k = ctx.coeffs, 2.0 * ctx.k_signal
+    two_kp = 2.0 * coeffs.eta * ctx.K_p0
+    f = -(q**2) / two_k
+    h_x = ((two_k - ctx.k_pump_z0) + coeffs.alpha * q_p
+           + coeffs.beta**2 * q_p**2 / two_kp)
+    h_y = coeffs.gamma**2 * q_p**2 / two_kp
+    diag = np.arange(n)[:, None] + cols
+    a = f[:, None] + f[cols]
+    b = h_y[diag]
+    b += a
+    a += h_x[diag]
+    v = np.where(valid, env[s_lo:s_lo + width], 0.0)
+    return (ctx, s_lo, cols, a, b, v, (b.min(), b.max()),
+            (f, h_x, h_y, env))
 
 
 def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
@@ -667,8 +681,10 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     screened on the x-pairs of the envelope ridge q_ix = -q_sx: if their
     weighted tail already exceeds ``SCREEN_MARGIN`` times ``CHEB_TOL``, the
     full trial would fail, and K doubles without it, so the accepted K is
-    that of the unscreened doubling.  A trial samples sinc, and multiplies
-    it by the K x K basis, only on the L x-pairs of the band's upper half
+    that of the unscreened doubling.  A trial samples sinc, by angle
+    addition from the sines and cosines of its L pair arguments and K node
+    shifts (:func:`phasematch.sinc_of_sum`), and multiplies it by the
+    K x K basis, only on the L x-pairs of the band's upper half
     (i <= j) where the pump envelope v_x is not 0: the factors carry v_x,
     so the coefficients of the other pairs are exactly 0; the lower half
     takes those of the mirrored pairs.  A product over those columns alone
@@ -681,7 +697,8 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     coefficients plus a rounding term, eps times the weighted sum of all
     of them.  The coefficients, the polynomials and the phases are stored
     on the band (see :class:`AmplitudeFactors`), W pairs a row, so the
-    recurrence and the complex exponentials run on n W values.
+    recurrence runs on n W values, and each phase row is a product of
+    exponentials of the 1D parts of :func:`_pair_tables`, on n + W values.
 
     Raises :class:`MemoryBudgetError` before each stage (a trial K, the
     band tables of the kept terms) allocates when it would exceed
@@ -707,12 +724,13 @@ def _chebyshev(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     """:func:`amplitude_factors` on the pipeline's :func:`_pair_tables`."""
     setup, grid = pipeline.setup, pipeline.grid
-    ctx, s_lo, cols, a, b, v, (b_min, b_max) = tables
+    ctx, s_lo, cols, a, b, v, (b_min, b_max), (f, h_x, h_y, env) = tables
     q, n, width = grid.q_axis, grid.n, v.shape[1]
     # The grid's largest |q_s|^2, |q_i|^2 and |q_s + q_i|^2 lie where
-    # q_x = q_y = q and q_s = q_i: the 4D broadcast's warnings and values.
-    dispersion._check_paraxial(TransverseMomentum(q, q),
-                               TransverseMomentum(q, q), ctx)
+    # q_x = q_y = q[0], the axis's largest |q|, and q_s = q_i: the 4D
+    # broadcast's warnings and values, from three scalar checks.
+    far = TransverseMomentum(q[0], q[0])
+    dispersion._check_paraxial(far, far, ctx)
     # The live x-pairs: the band's upper half where v is not 0 (a NaN
     # envelope stays in, so the trial raises on it), in the order of the
     # upper-triangle pairs (i, j), row by row.
@@ -729,8 +747,8 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
         # first-kind nodes, over the given x-pairs (where v is not 0: no
         # other column is sampled), and their weighted maxima.
         basis, cosines = _chebyshev(nodes)
-        shift = (rad * half) * cosines[:, None]
-        samples = sinc((a_pairs + mid)[None] * half + shift)
+        samples = sinc_of_sum((a_pairs + mid) * half,
+                              (rad * half) * cosines[:, None])
         coeffs = basis @ samples
         del samples
         # max |c v| as max(max c v, -min c v): v > 0, no |.| temporary.
@@ -748,15 +766,17 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     nodes = CHEB_START
     while True:
         # The trial: its three K x L tables (the sinc argument, the samples
-        # and |argument| while sinc runs, the coefficients beside the
-        # samples or the weighted coefficients after) with sinc's K x L
-        # mask, the K x K basis, its argument and the cached bases of the
-        # smaller K (:func:`_chebyshev`), three L tables (the live pairs' a
-        # and v, a's shift) and the n x W masks.
+        # and a product of the angle addition or |argument|, the
+        # coefficients beside the samples or the weighted coefficients
+        # after) with the K x L mask of the arguments below 1 in magnitude
+        # (:func:`sinc_of_sum`), the K x K basis, its argument and the cached
+        # bases of the smaller K (:func:`_chebyshev`), four L tables (the
+        # live pairs' a and v, a's shift and its sine or cosine) and the
+        # n x W masks.
         _check_stage(pipeline.memory_budget,
                      f"rank-{nodes * (1 + double)} amplitude factors", pairs,
                      ((3, nodes, size), np.float64), ((nodes, size), np.bool_),
-                     ((3, nodes, nodes), np.float64), ((3, size), np.float64),
+                     ((3, nodes, nodes), np.float64), ((4, size), np.float64),
                      ((n, width), np.float64))
         # The ridge is part of the table, so a ridge tail over the margin is
         # over CHEB_TOL on the table too, whatever the order of rounding:
@@ -795,8 +815,9 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     lower = live & ~upper
     table[:, lower] = table[:, cols[lower], np.nonzero(lower)[1]]
 
-    # The coefficient and polynomial tables, t and two temporaries, and the
-    # phase rows, written in place.
+    # The coefficient and polynomial tables, t and two temporaries (the
+    # phase rows' two and the masks after), and the phase rows, written in
+    # place.
     _check_stage(pipeline.memory_budget, what, *held,
                  ((2, kept, n, width), np.float64), ((3, n, width), np.float64),
                  ((2 + 2 * double, n, width), np.complex128))
@@ -812,18 +833,42 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     for j in range(2, kept):
         np.multiply(t, cheb[j - 1], out=cheb[j])
         cheb[j] -= cheb[j - 2]
+    del t
     # The phase rows v e^{iag} (halved for a double crystal) and v e^{ibg},
-    # conjugates in phase[1:] (empty for a single crystal), written by real
-    # operations: a real operand cast to complex takes a ufunc buffer.
+    # conjugates in phase[1:] (empty for a single crystal): each entry is
+    # the photons' e^{if[i]g} e^{if[j]g} times its anti-diagonal's pump
+    # part env e^{ihg}, 0 where v is, so the exponentials run on n + 2W
+    # values.  The products run as real operations on the parts, in place:
+    # numpy's complex product is not symmetric in its operands' rounding.
     g = (setup.length + setup.gap) / 2.0 if double else half
-    phase_x = np.zeros((1 + double, n, width), dtype=np.complex128)
-    phase_y = np.zeros_like(phase_x)
-    for phase, c, scale in ((phase_x, a, 1.0 - double / 2), (phase_y, b, 1.0)):
-        np.multiply(c, g, out=phase[0].imag)
-        np.exp(phase[0], out=phase[0])
-        parts = phase[0].view(np.float64).reshape(n, width, 2)
-        parts *= v[..., None]
-        parts *= scale
+    cos_f, sin_f = np.cos(f * g), np.sin(f * g)
+    cos_i, sin_i = cos_f[:, None], sin_f[:, None]
+    # spare holds e^{if[j]g}'s parts on the band, then the products'
+    # scratch; the photons' product goes into phase_y, with phase_x's real
+    # part as scratch.
+    spare = cos_f[cols], sin_f[cols]
+    phase_x = np.empty((1 + double, n, width), dtype=np.complex128)
+    phase_y = np.empty_like(phase_x)
+    re, im = phase_y[0].real, phase_y[0].imag
+    np.multiply(cos_i, spare[0], out=re)
+    re -= np.multiply(sin_i, spare[1], out=phase_x[0].real)
+    np.multiply(sin_i, spare[0], out=im)
+    im += np.multiply(cos_i, spare[1], out=phase_x[0].real)
+    band = slice(s_lo, s_lo + width)
+    # phase_x from the photons' product in phase_y, then phase_y in place:
+    # (re + i im)(u + i w) = (re u - im w) + i (im u + re w).
+    for phase, h, scale in ((phase_x, h_x, 1.0 - double / 2),
+                            (phase_y, h_y, 1.0)):
+        pump_part = env[band] * scale * np.exp(1j * (h[band] * g))
+        u, w = pump_part.real, pump_part.imag
+        np.multiply(im, w, out=spare[0])
+        np.multiply(re, w, out=spare[1])
+        out_re, out_im = phase[0].real, phase[0].imag
+        np.multiply(re, u, out=out_re)
+        out_re -= spare[0]
+        np.multiply(im, u, out=out_im)
+        out_im += spare[1]
+        phase[0][~live] = 0.0
         np.conjugate(phase[0], out=phase[1:])
     return AmplitudeFactors(coeffs=table, cheb=cheb, phase_x=phase_x,
                             phase_y=phase_y, error=error, k=ctx.k_signal,
@@ -900,7 +945,7 @@ def _guarded_peak(pipeline: Pipeline, tables) -> tuple[float, float]:
     points a chunk.
     """
     n, setup = pipeline.grid.n, pipeline.setup
-    _, _, cols, a, b, v, _ = tables
+    _, _, cols, a, b, v, *_ = tables
     rows = np.arange(n)[:, None]
     upper = (rows <= cols) & (v != 0)
     order = np.argsort(-v[upper], kind="stable")
@@ -939,11 +984,12 @@ def _propagation(q: np.ndarray, z: float, k: float) -> np.ndarray:
     return np.exp(-1j * q**2 * z / (2.0 * k))
 
 
-def _transform_phase(q: np.ndarray, z: float, k: float) -> np.ndarray:
-    """The n x n input phase of :func:`_transform` at distance z."""
-    p = _propagation(q, z, k)
-    p[1::2] *= -1.0
-    return p[:, None] * p[None, :]
+def _transform_phase(propagation: np.ndarray) -> np.ndarray:
+    """The n x n input phase of :func:`_transform` at the distance of the
+    one-axis ``propagation`` (:func:`_propagation`)."""
+    row = propagation.copy()
+    row[1::2] *= -1.0
+    return row[:, None] * row[None, :]
 
 
 def _transform(table: np.ndarray, phase: np.ndarray,
@@ -1005,7 +1051,7 @@ def averaged_joints_x(pipeline: Pipeline, zs) -> AveragedJoints:
     power = np.empty(weighted.shape)
     pos = []
     for z in zs:
-        phase = _transform_phase(grid.q_axis, z, factors.k)
+        phase = _transform_phase(_propagation(grid.q_axis, z, factors.k))
         np.abs(_transform(weighted, phase, phased), out=power)
         power *= power
         pos.append(power.sum(axis=0))
@@ -1117,7 +1163,8 @@ def _position_factors(pipeline: Pipeline, factors: AmplitudeFactors,
                  factors.nbytes, ((2, rank, n, n), np.complex128),
                  ((4, n, n), np.complex128), ((4, rank, rank), np.complex128),
                  *after)
-    phase = _transform_phase(pipeline.grid.q_axis, z, factors.k)
+    phase = _transform_phase(_propagation(pipeline.grid.q_axis, z,
+                                          factors.k))
     x = factors.x()
     x = _transform(x, phase, x)
     y = factors.y()

@@ -7,9 +7,10 @@ combined phase-matching function purely real: sinc(dkz*L/2) * cos(dkz*(L+d)/2).
 
 The amplitude is evaluated on the exact split dkz = a(x-pair) + b(y-pair)
 (:func:`dispersion.mismatch_split`): sines and cosines are taken of a and b
-separately and combined by angle addition, so on a grid every
-transcendental runs on pair tables and the full broadcast needs only
-products, sums and one division.
+separately and combined by angle addition (:func:`sinc_of_sum`), so on a
+grid the transcendentals run on pair tables and the full broadcast needs
+only products, sums and one division, and a sine where the sinc
+argument is below 1 in magnitude.
 """
 
 from __future__ import annotations
@@ -87,33 +88,53 @@ class PumpSpec:
 #: |x| below which sin(x)/x is taken from its series.
 SINC_SERIES_CUT = 1e-4
 
+#: |a + b| below which :func:`sinc_of_sum` takes sin(x)/x of the rounded
+#: sum directly rather than by angle addition.
+SUM_DIRECT_CUT = 1.0
 
-def _sin_over(sin_x, x, out=None):
-    """sin(x)/x given sin(x) and x, with the value 1 at x = 0, written into
-    ``out`` when given (which may be ``sin_x`` itself).
+
+def sinc(x):
+    """sin(x)/x with sinc(0) = 1 (unnormalized convention).
 
     On |x| < SINC_SERIES_CUT the truncated series 1 - x^2/6 + x^4/120
-    replaces the quotient: there sin(x) carries an absolute rounding error
-    (a few 1e-16 when it comes from angle addition) that the division would
-    turn into a large relative one.
+    replaces the quotient, which would lose 0/0 at x = 0.
     """
     x = np.asarray(x, dtype=float)
+    out = np.sin(x, out=np.empty_like(x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(np.divide(sin_x, x, out=out))
+        out = np.asarray(np.divide(out, x, out=out))
     small = np.abs(x) < SINC_SERIES_CUT
     if small.any():
         xx = x[small] ** 2
         out[small] = 1.0 - xx / 6.0 + xx * xx / 120.0
+    if out.ndim == 0:
+        return float(out)
     return out
 
 
-def sinc(x):
-    """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
-    x = np.asarray(x, dtype=float)
-    out = np.sin(x, out=np.empty_like(x))
-    out = _sin_over(out, x, out=out)
-    if out.ndim == 0:
-        return float(out)
+def sinc_of_sum(a, b, sin_sum=None):
+    """sinc(a + b) over the broadcast of a and b, a new array.
+
+    The sine of the sum is taken by angle addition, sin a cos b +
+    cos a sin b, so the transcendentals run on a and b alone; ``sin_sum``,
+    if given, is that sine, formed by the caller and left unchanged.  Its
+    rounding is absolute, a few 1e-16 from terms up to 1: dividing by
+    |a + b| >= SUM_DIRECT_CUT keeps it within an ulp or two of sinc's
+    envelope 1/|a + b|, while nearer 0 it would become a large relative
+    error.  There the rounded sum's :func:`sinc` is taken directly, on
+    those entries alone.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    x = np.asarray(a + b)
+    out = None
+    if sin_sum is None:
+        out = sin_sum = np.asarray(np.sin(a) * np.cos(b))
+        sin_sum += np.cos(a) * np.sin(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(np.divide(sin_sum, x, out=out))
+    near = np.abs(x) < SUM_DIRECT_CUT
+    if near.any():
+        out[near] = sinc(x[near])
     return out
 
 
@@ -128,7 +149,8 @@ def _phi_split(a, b, setup: CrystalSetup, weights=()):
 
     a and b may have different broadcast shapes (an x-pair and a y-pair
     table).  With h = (a + b) L/2, the phase e^{ih} is the product of
-    e^{i a L/2} and e^{i b L/2}, and its imaginary part is sin h; for a
+    e^{i a L/2} and e^{i b L/2}, and its imaginary part is the sin h that
+    :func:`sinc_of_sum` divides by h (or takes directly near h = 0); for a
     double crystal, cos g with g = (a + b)(L + d)/2 is the real part of the
     same product at (L + d)/2.  So exponentials run on the parts only.  The
     real factors (sinc h, the weights, and cos g) are multiplied together
@@ -137,7 +159,7 @@ def _phi_split(a, b, setup: CrystalSetup, weights=()):
     half = setup.length / 2.0
     h_a, h_b = np.asarray(a) * half, np.asarray(b) * half
     phase = np.exp(1j * h_a) * np.exp(1j * h_b)
-    real = _sin_over(phase.imag, h_a + h_b)
+    real = sinc_of_sum(h_a, h_b, phase.imag)
     for w in weights:
         real *= w
     if setup.kind == "single":

@@ -20,8 +20,10 @@ from biphoton.phasematch import (
     PumpSpec,
     momentum_amplitude,
     phi_of_mismatch,
+    _phi_split,
     pump_envelope,
     sinc,
+    sinc_of_sum,
 )
 
 THETA = math.radians(32.9)
@@ -80,6 +82,73 @@ class TestSinc:
     @given(x=st.floats(-50, 50))
     def test_bounded_by_one(self, x):
         assert abs(sinc(x)) <= 1.0 + 1e-15
+
+
+class TestSincOfSum:
+    """sinc(a + b) by angle addition against a np.longdouble reference."""
+
+    @staticmethod
+    def parts(scale):
+        """(a, b): sums a + b of magnitude 1e-8 to 50 of both signs, with
+        |a| up to ``scale``, and up to 1e-3 (no cancellation)."""
+        rng = np.random.default_rng(11)
+        x = np.outer([1.0, -1.0], np.logspace(-8, math.log10(50), 400))
+        x = np.tile(x.ravel(), 2)
+        a = np.concatenate([rng.uniform(-scale, scale, x.size // 2),
+                            rng.uniform(-1e-3, 1e-3, x.size // 2)])
+        return a, x - a
+
+    @staticmethod
+    def reference(a, b):
+        """(sinc of a + b, a + b), the sum and sinc in np.longdouble."""
+        x = a.astype(np.longdouble) + b.astype(np.longdouble)
+        with np.errstate(invalid="ignore"):
+            ref = np.where(x == 0, 1.0, np.sin(x) / x)
+        return ref.astype(float), x.astype(float)
+
+    def test_within_4_ulp_of_its_envelope(self):
+        # Within 4 ulp of sinc's envelope min(1, 1/|x|): angle addition's
+        # absolute rounding over |x| >= 1, the direct sinc of the rounded
+        # sum nearer 0, where the quotient would enlarge that rounding.
+        a, b = self.parts(50.0)
+        got = sinc_of_sum(a, b)
+        ref, x = self.reference(a, b)
+        envelope = np.minimum(1.0, 1.0 / np.abs(x))
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(envelope))
+
+    def test_broadcast_and_given_sine(self):
+        # An L-vector and a K x 1 column give K x L samples; a sine of the
+        # sum passed in is the one divided, and is left unchanged.
+        a, b = np.linspace(-20, 20, 7), np.linspace(-3, 3, 5)[:, None]
+        got = sinc_of_sum(a, b)
+        assert got.shape == (5, 7)
+        ref, _ = self.reference(*np.broadcast_arrays(a, b))
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(1.0))
+        sin_sum = np.sin(a) * np.cos(b) + np.cos(a) * np.sin(b)
+        kept = sin_sum.copy()
+        assert np.array_equal(sinc_of_sum(a, b, sin_sum), got)
+        assert np.array_equal(sin_sum, kept)
+        assert sinc_of_sum(0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_split_kernel_near_zero_mismatch(self, kind):
+        # _phi_split samples sinc h through sinc_of_sum: where a + b nearly
+        # cancels, h near 0 and |A| at its peak, as elsewhere, the kernel is
+        # within 8 ulp of 1 of sinc h (the modulus of sinc h e^{ih}, for a
+        # single crystal) or of sinc h cos g, h and g the sums of its
+        # rounded parts a L/2 + b L/2 and a (L + d)/2 + b (L + d)/2.
+        setup = (CrystalSetup.single(5e-3, THETA) if kind == "single"
+                 else CrystalSetup.double(1e-3, 4e-3, THETA))
+        half, g = setup.length / 2, (setup.length + setup.gap) / 2
+        a, b = (part / half for part in self.parts(25.0))
+        got = _phi_split(a, b, setup)
+        ref, _ = self.reference(a * half, b * half)
+        if kind == "single":
+            got, ref = np.abs(got), np.abs(ref)
+        else:
+            ref = ref * np.cos(np.longdouble(1) * (a * g) + (b * g)).astype(
+                float)
+        assert np.abs(got - ref).max() <= 8 * np.spacing(1.0)
 
 
 class TestPumpEnvelope:
