@@ -750,9 +750,9 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
         samples = sinc_of_sum((a_pairs + mid) * half,
                               (rad * half) * cosines[:, None])
         coeffs = basis @ samples
-        del samples
-        # max |c v| as max(max c v, -min c v): v > 0, no |.| temporary.
-        scaled = coeffs * v_pairs
+        # max |c v| as max(max c v, -min c v): v > 0, no |.| temporary;
+        # c v is written over the samples.
+        scaled = np.multiply(coeffs, v_pairs, out=samples)
         weight = np.maximum(scaled.max(axis=1), -scaled.min(axis=1)) * v_max
         return coeffs, weight
 
@@ -765,17 +765,16 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
     pairs, size = ((4, n, width), np.float64), a_live.size
     nodes = CHEB_START
     while True:
-        # The trial: its three K x L tables (the sinc argument, the samples
-        # and a product of the angle addition or |argument|, the
-        # coefficients beside the samples or the weighted coefficients
-        # after) with the K x L mask of the arguments below 1 in magnitude
-        # (:func:`sinc_of_sum`), the K x K basis, its argument and the cached
-        # bases of the smaller K (:func:`_chebyshev`), four L tables (the
-        # live pairs' a and v, a's shift and its sine or cosine) and the
-        # n x W masks.
+        # The trial: its two K x L tables (the samples beside the sinc
+        # argument, then beside the coefficients, written over by the
+        # weighted ones) with two K x L masks of the arguments below 1 in
+        # magnitude (:func:`sinc_of_sum`), the K x K basis, its argument and
+        # the cached bases of the smaller K (:func:`_chebyshev`), four L
+        # tables (the live pairs' a and v, a's shift and its sine or
+        # cosine) and the n x W masks.
         _check_stage(pipeline.memory_budget,
                      f"rank-{nodes * (1 + double)} amplitude factors", pairs,
-                     ((3, nodes, size), np.float64), ((nodes, size), np.bool_),
+                     ((2, nodes, size), np.float64), ((2, nodes, size), np.bool_),
                      ((3, nodes, nodes), np.float64), ((4, size), np.float64),
                      ((n, width), np.float64))
         # The ridge is part of the table, so a ridge tail over the margin is

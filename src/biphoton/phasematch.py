@@ -125,14 +125,18 @@ def sinc_of_sum(a, b, sin_sum=None):
     those entries alone.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    x = np.asarray(a + b)
-    out = None
     if sin_sum is None:
+        # Two tables of the broadcast shape: the sine, and a product of
+        # the angle addition, then the sum.
         out = sin_sum = np.asarray(np.sin(a) * np.cos(b))
-        sin_sum += np.cos(a) * np.sin(b)
+        x = np.asarray(np.cos(a) * np.sin(b))
+        sin_sum += x
+        np.add(a, b, out=x)
+    else:
+        out, x = None, np.asarray(a + b)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(np.divide(sin_sum, x, out=out))
-    near = np.abs(x) < SUM_DIRECT_CUT
+    near = (x > -SUM_DIRECT_CUT) & (x < SUM_DIRECT_CUT)
     if near.any():
         out[near] = sinc(x[near])
     return out
