@@ -424,7 +424,8 @@ def _conditional_direct(pipeline: Pipeline, factors: AmplitudeFactors,
     # n x W tables), then B with its one phase: the contractions are freed
     # once B is formed, so the larger of the two.
     _check_stage(pipeline.memory_budget, "conditional tables",
-                 factors.nbytes, ((n, width), np.int64), ((n, width), np.bool_),
+                 factors.nbytes, ((n, width), np.int64),
+                 ((n, width), np.bool_),
                  max(_nbytes(((4, rank, n), np.complex128),
                              ((3, n, width), np.complex128)),
                      _nbytes(((2, n, n), np.complex128))))
@@ -628,8 +629,9 @@ def _pair_tables(pipeline: Pipeline):
     of anti-diagonal s = i + j, and v = env[s].  h_x, h_y and env hold the
     2n - 1 anti-diagonals, each at q_p of its middle pair, which the sums
     of its other pairs miss only by the rounding of the grid points; an
-    entry off the grid takes a and b at its clipped pair.  The per-photon sum is formed first and IEEE
-    addition commutes, so the n x n tables equal their transposes exactly.
+    entry off the grid takes a and b at its clipped pair.  The per-photon
+    sum is formed first and IEEE addition commutes, so the n x n tables
+    equal their transposes exactly.
     ``b_span`` is b's (min, max) over every stored entry.  env falls with
     |q_p|, so the band is the anti-diagonals where env is not 0.  Raises
     MemoryBudgetError before allocating it when the tables, built or
@@ -698,7 +700,7 @@ def amplitude_factors(pipeline: Pipeline) -> AmplitudeFactors:
     of them.  The coefficients, the polynomials and the phases are stored
     on the band (see :class:`AmplitudeFactors`), W pairs a row, so the
     recurrence runs on n W values, and each phase row is a product of
-    exponentials of the 1D parts of :func:`_pair_tables`, on n + W values.
+    exponentials of the 1D parts of :func:`_pair_tables`, on n + 2W values.
 
     Raises :class:`MemoryBudgetError` before each stage (a trial K, the
     band tables of the kept terms) allocates when it would exceed
@@ -774,7 +776,8 @@ def _build_factors(pipeline: Pipeline, tables) -> AmplitudeFactors:
         # cosine) and the n x W masks.
         _check_stage(pipeline.memory_budget,
                      f"rank-{nodes * (1 + double)} amplitude factors", pairs,
-                     ((2, nodes, size), np.float64), ((2, nodes, size), np.bool_),
+                     ((2, nodes, size), np.float64),
+                     ((2, nodes, size), np.bool_),
                      ((3, nodes, nodes), np.float64), ((4, size), np.float64),
                      ((n, width), np.float64))
         # The ridge is part of the table, so a ridge tail over the margin is

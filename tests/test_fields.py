@@ -727,8 +727,8 @@ def unscreened_factors(pipeline, per_entry=False):
     With ``per_entry``, every table entry is evaluated at its own pair
     instead, the mismatch by ``dispersion.mismatch_split``, the envelope by
     ``pump_envelope`` and each phase by its own complex exponential, and
-    sinc by ``np.sin`` of the whole argument: the factor build before it
-    was assembled from 1D parts."""
+    sinc by ``np.sin`` of the whole argument: the direct evaluation that
+    the build from 1D parts is checked against."""
     from biphoton import dispersion
     from biphoton.fields import CHEB_START, CHEB_TOL, EPS
     from biphoton.phasematch import pump_envelope, sinc, sinc_of_sum
@@ -1091,8 +1091,8 @@ class TestRankFactors:
     @pytest.mark.parametrize("kind", ["single", "double", "wide",
                                       "double-wide"])
     def test_factors_match_per_entry_evaluation(self, kind, n):
-        # The build from 1D parts against the per-entry evaluation it
-        # replaced (unscreened_factors with per_entry): the same rank, the
+        # The build from 1D parts against the per-entry evaluation
+        # (unscreened_factors with per_entry): the same rank, the
         # error bound moved only within its rounding, and x within 1e-14 of
         # its peak.  y carries the per-entry envelope's rounding of
         # q_s + q_i (envelope_rounding), and a polynomial T_j(t) moves by up
