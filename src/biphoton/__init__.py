@@ -10,7 +10,6 @@ from .dispersion import (
     TransverseMomentum,
     collinear_angle,
     delta_kz,
-    longitudinal_wavevectors,
     make_context,
     pump_coefficients,
     refractive_index,

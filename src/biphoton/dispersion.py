@@ -2,10 +2,10 @@
 
 Everything here is closed form: refractive indices from a Sellmeier-type
 formula, the pump anisotropy coefficients (walk-off and index combinations),
-the paraxial longitudinal wavevectors of pump/signal/idler, and the
-longitudinal phase mismatch built from them.  All quantities are strict SI
-(meters, rad/m, radians); the only unit quirk is that Sellmeier coefficients
-are expressed for wavelengths in micrometers, which stays internal to
+and the paraxial longitudinal phase mismatch in its per-photon and pump
+parts (:func:`mismatch_parts`).  All quantities are strict SI (meters,
+rad/m, radians); the only unit quirk is that Sellmeier coefficients are
+expressed for wavelengths in micrometers, which stays internal to
 ``refractive_index``.
 """
 
@@ -185,54 +185,44 @@ def _check_paraxial(q_s: TransverseMomentum, q_i: TransverseMomentum,
                 "unsafe", stacklevel=3)
 
 
-def longitudinal_wavevectors(q_s: TransverseMomentum, q_i: TransverseMomentum,
-                             ctx: PhaseMatchContext):
-    """Paraxial longitudinal wavevectors (k_pz, k_sz, k_iz) in rad/m.
+def mismatch_parts(q, q_p: TransverseMomentum, ctx: PhaseMatchContext):
+    """The paraxial mismatch k_sz + k_iz - k_pz in parts (f, h_x, h_y), in
+    rad/m: the per-photon part f = -q^2/2k of each array of the sequence
+    ``q`` (one photon's component each), and the pump parts of q_p,
 
-    Accepts scalar or broadcastable array momentum components.  The pump
-    transverse momentum is q_p = q_s + q_i and carries the walk-off term
-    -alpha * q_px.
+        h_x = (2k - eta K_p0) + alpha q_px + beta^2 q_px^2 / (2 eta K_p0)
+        h_y = gamma^2 q_py^2 / (2 eta K_p0),
+
+    so the mismatch is (f(q_sx) + f(q_ix)) + h_x + (f(q_sy) + f(q_iy)) + h_y
+    and the cancellation 2k - eta K_p0 is one scalar.  No paraxial guard.
+    The parts are the crystal's, k = n_so K_s0; z is measured from the
+    crystal centre in the same medium (:func:`fields._propagation`); the
+    double crystal's gap takes the crystal's parts too, not the air's.
     """
-    _check_paraxial(q_s, q_i, ctx)
     c = ctx.coeffs
-    q_px = np.asarray(q_s.qx) + np.asarray(q_i.qx)
-    q_py = np.asarray(q_s.qy) + np.asarray(q_i.qy)
-    qs_sq = np.asarray(q_s.qx) ** 2 + np.asarray(q_s.qy) ** 2
-    qi_sq = np.asarray(q_i.qx) ** 2 + np.asarray(q_i.qy) ** 2
-    k_pz = (-c.alpha * q_px + c.eta * ctx.K_p0
-            - (c.beta**2 * q_px**2 + c.gamma**2 * q_py**2)
-            / (2.0 * c.eta * ctx.K_p0))
-    k_sz = ctx.n_so * ctx.K_s0 - qs_sq / (2.0 * ctx.n_so * ctx.K_s0)
-    k_iz = ctx.n_so * ctx.K_s0 - qi_sq / (2.0 * ctx.n_so * ctx.K_s0)
-    return k_pz, k_sz, k_iz
+    two_k = 2.0 * ctx.k_signal
+    two_kp = 2.0 * c.eta * ctx.K_p0
+    q_px, q_py = q_p
+    f = tuple(-(p**2) / two_k for p in q)
+    h_x = ((two_k - ctx.k_pump_z0) + c.alpha * q_px
+           + c.beta**2 * q_px**2 / two_kp)
+    h_y = c.gamma**2 * q_py**2 / two_kp
+    return f, h_x, h_y
 
 
 def mismatch_split(q_s: TransverseMomentum, q_i: TransverseMomentum,
                    ctx: PhaseMatchContext):
-    """The mismatch k_sz + k_iz - k_pz as an x-pair part plus a y-pair part.
-
-    With k = n_so K_s0 and q_p = q_s + q_i, the paraxial mismatch splits
-    exactly into
-
-        a(q_sx, q_ix) = (2k - eta K_p0) - (q_sx^2 + q_ix^2) / 2k
-                        + alpha q_px + beta^2 q_px^2 / (2 eta K_p0)
-        b(q_sy, q_iy) = -(q_sy^2 + q_iy^2) / 2k + gamma^2 q_py^2 / (2 eta K_p0)
-
-    Each part keeps the broadcast shape of its own two components, so on a
-    grid both are pair tables, and the large cancellation 2k - eta K_p0
-    happens once, as a scalar, not per element.  Returns (a, b) in rad/m.
-    It runs no paraxial guard: its callers guard the pairs they evaluate.
+    """The mismatch as an x-pair part plus a y-pair part, (a, b), from
+    :func:`mismatch_parts`: a = (f(q_sx) + f(q_ix)) + h_x(q_sx + q_ix), and
+    b likewise in y.  Each keeps the broadcast shape of its own two
+    components, so on a grid both are pair tables.  No paraxial guard:
+    callers guard the pairs they evaluate.
     """
-    c = ctx.coeffs
     sx, sy = np.asarray(q_s.qx), np.asarray(q_s.qy)
     ix, iy = np.asarray(q_i.qx), np.asarray(q_i.qy)
-    q_px, q_py = sx + ix, sy + iy
-    two_k = 2.0 * ctx.k_signal
-    two_kp = 2.0 * c.eta * ctx.K_p0
-    a = ((two_k - ctx.k_pump_z0) - (sx**2 + ix**2) / two_k + c.alpha * q_px
-         + c.beta**2 * q_px**2 / two_kp)
-    b = -(sy**2 + iy**2) / two_k + c.gamma**2 * q_py**2 / two_kp
-    return a, b
+    (f_sx, f_ix, f_sy, f_iy), h_x, h_y = mismatch_parts(
+        (sx, ix, sy, iy), TransverseMomentum(sx + ix, sy + iy), ctx)
+    return (f_sx + f_ix) + h_x, (f_sy + f_iy) + h_y
 
 
 def delta_kz(q_s: TransverseMomentum, q_i: TransverseMomentum,

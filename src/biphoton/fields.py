@@ -622,16 +622,14 @@ def _pair_tables(pipeline: Pipeline):
     over (q_sx, q_ix), b over (q_sy, q_iy), and the envelope v (0 off the
     grid), which is v_x and v_y alike (the other component of q_s + q_i is
     0, and 0 + x = x).  ``parts`` = (f, h_x, h_y, env) are the 1D parts
-    they are built from: with k = n_so K_s0, the mismatch (see
-    :func:`dispersion.mismatch_split`) is a per-photon part f = -q^2/2k of
-    each photon plus a pump part of q_p = q_s + q_i, so a = (f[i] + f[j])
-    + h_x[s] and b = (f[i] + f[j]) + h_y[s] at the pair (i, j = cols[i, k])
-    of anti-diagonal s = i + j, and v = env[s].  h_x, h_y and env hold the
-    2n - 1 anti-diagonals, each at q_p of its middle pair, which the sums
-    of its other pairs miss only by the rounding of the grid points; an
-    entry off the grid takes a and b at its clipped pair.  The per-photon
-    sum is formed first and IEEE addition commutes, so the n x n tables
-    equal their transposes exactly.
+    they are built from, :func:`dispersion.mismatch_parts` and the
+    envelope: a = (f[i] + f[j]) + h_x[s] and b = (f[i] + f[j]) + h_y[s] at
+    the pair (i, j = cols[i, k]) of anti-diagonal s = i + j, and
+    v = env[s].  h_x, h_y and env hold the 2n - 1 anti-diagonals, each at
+    q_p of its middle pair, which the sums of its other pairs miss only by
+    the rounding of the grid points; an entry off the grid takes a and b
+    at its clipped pair.  The per-photon sum is formed first and IEEE
+    addition commutes, so the n x n tables equal their transposes exactly.
     ``b_span`` is b's (min, max) over every stored entry.  env falls with
     |q_p|, so the band is the anti-diagonals where env is not 0.  Raises
     MemoryBudgetError before allocating it when the tables, built or
@@ -653,12 +651,8 @@ def _pair_tables(pipeline: Pipeline):
                  ((8, n, width), np.float64), ((9, n * width), np.float64),
                  ((6, 2 * n), np.float64))
     cols, valid = _band(n, s_lo, width)
-    coeffs, two_k = ctx.coeffs, 2.0 * ctx.k_signal
-    two_kp = 2.0 * coeffs.eta * ctx.K_p0
-    f = -(q**2) / two_k
-    h_x = ((two_k - ctx.k_pump_z0) + coeffs.alpha * q_p
-           + coeffs.beta**2 * q_p**2 / two_kp)
-    h_y = coeffs.gamma**2 * q_p**2 / two_kp
+    (f,), h_x, h_y = dispersion.mismatch_parts(
+        (q,), TransverseMomentum(q_p, q_p), ctx)
     diag = np.arange(n)[:, None] + cols
     a = f[:, None] + f[cols]
     b = h_y[diag]

@@ -6,7 +6,8 @@ longitudinal origin sits midway between the two crystals, which makes the
 combined phase-matching function purely real: sinc(dkz*L/2) * cos(dkz*(L+d)/2).
 
 The amplitude is evaluated on the exact split dkz = a(x-pair) + b(y-pair)
-(:func:`dispersion.mismatch_split`): sines and cosines are taken of a and b
+(:func:`dispersion.mismatch_split`, from the per-photon and pump parts of
+:func:`dispersion.mismatch_parts`): sines and cosines are taken of a and b
 separately and combined by angle addition (:func:`sinc_of_sum`), so on a
 grid the transcendentals run on pair tables and the full broadcast needs
 only products, sums and one division, and a sine where the sinc

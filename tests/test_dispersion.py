@@ -1,5 +1,5 @@
 """Crystal-optics tests: BBO Sellmeier indices, pump anisotropy coefficients,
-longitudinal wavevectors, phase mismatch, and the closed-form collinear angle.
+the phase mismatch and its parts, and the closed-form collinear angle.
 
 Golden values were computed independently with 50-digit mpmath evaluation of
 the same closed forms and are frozen here.
@@ -20,14 +20,14 @@ from biphoton.dispersion import (
     WavelengthRangeError,
     collinear_angle,
     delta_kz,
-    longitudinal_wavevectors,
     make_context,
+    mismatch_parts,
     mismatch_split,
     pump_coefficients,
     refractive_index,
 )
-from biphoton.fields import MomentumGrid4
-from biphoton.phasematch import CrystalSetup, PumpSpec
+from biphoton.fields import MomentumGrid4, Pipeline
+from biphoton.phasematch import CrystalSetup, PumpSpec, momentum_amplitude
 
 LAMBDA_P = 355e-9
 LAMBDA_S = 710e-9
@@ -117,43 +117,43 @@ class TestPumpCoefficients:
 
 
 class TestWavevectors:
+    """The per-photon part f and the pump parts h_x, h_y of the mismatch."""
+
     def setup_method(self):
         self.ctx = make_context(math.radians(32.9), LAMBDA_P)
 
+    def parts(self, q, q_p):
+        (f,), h_x, h_y = mismatch_parts((q,), q_p, self.ctx)
+        return f, h_x, h_y
+
     def test_on_axis_values(self):
-        q0 = TransverseMomentum(0.0, 0.0)
-        k_pz, k_sz, k_iz = longitudinal_wavevectors(q0, q0, self.ctx)
+        f, h_x, h_y = self.parts(0.0, TransverseMomentum(0.0, 0.0))
         coeffs = pump_coefficients(math.radians(32.9), LAMBDA_P)
         n_so = refractive_index("ordinary", LAMBDA_S)
         K_p0 = 2 * math.pi / LAMBDA_P
         K_s0 = 2 * math.pi / LAMBDA_S
-        assert abs(k_pz - coeffs.eta * K_p0) <= 1e-6 * K_p0 * 1e-9
-        assert k_sz == pytest.approx(n_so * K_s0, rel=1e-15)
-        assert k_iz == k_sz
+        assert f == 0.0 and h_y == 0.0
+        assert abs(h_x - (2 * n_so * K_s0 - coeffs.eta * K_p0)) \
+            <= 1e-6 * K_p0 * 1e-9
 
     def test_quadratic_correction_reduces_ksz(self):
-        q = TransverseMomentum(1e4, 2e4)
-        _, k_sz, _ = longitudinal_wavevectors(
-            q, TransverseMomentum(0.0, 0.0), self.ctx)
-        assert k_sz < self.ctx.k_signal
+        for q in (1e4, -2e4):
+            assert self.parts(q, TransverseMomentum(0.0, 0.0))[0] < 0.0
 
     def test_walkoff_parity(self):
-        qa = TransverseMomentum(3e4, 1e4)
-        qb = TransverseMomentum(-3e4, 1e4)
-        zero = TransverseMomentum(0.0, 0.0)
-        kpz_a, _, _ = longitudinal_wavevectors(qa, zero, self.ctx)
-        kpz_b, _, _ = longitudinal_wavevectors(qb, zero, self.ctx)
-        # k_pz(q) + k_pz(-q_x, q_y) = 2*(even part): odd part is -alpha*q_px
+        _, hx_a, _ = self.parts(0.0, TransverseMomentum(3e4, 1e4))
+        _, hx_b, _ = self.parts(0.0, TransverseMomentum(-3e4, 1e4))
+        # h_x(q) - h_x(-q) = 2 * (odd part): the walk-off term alpha*q_px,
+        # the -alpha*q_px of k_pz with its sign turned by the mismatch.
         alpha = self.ctx.coeffs.alpha
-        assert (kpz_a - kpz_b) == pytest.approx(-2 * alpha * 3e4, rel=1e-12)
+        assert (hx_a - hx_b) == pytest.approx(2 * alpha * 3e4, rel=1e-12)
 
     def test_paraxial_guard(self):
         # |q_s| = 0.5 k trips the signal guard, and |q_p| = |q_s| is over
         # 0.2 eta K_p0 (about 0.4 k at the collinear angle): the pump's.
         big = TransverseMomentum(0.5 * self.ctx.k_signal, 0.0)
         zero = TransverseMomentum(0.0, 0.0)
-        assert tripped(longitudinal_wavevectors, big, zero, self.ctx) == [
-            "signal", "pump"]
+        assert tripped(delta_kz, big, zero, self.ctx) == ["signal", "pump"]
 
 
 class TestDeltaKz:
@@ -256,9 +256,9 @@ def tripped(evaluate, *args, **kwargs):
     return [str(w.message).split(":")[0] for w in caught]
 
 
-def _longdouble_mismatch(q_s, q_i, ctx):
-    """k_sz + k_iz - k_pz of longitudinal_wavevectors' formula in long double."""
-    ld = np.longdouble
+def _longdouble_mismatch(q_s, q_i, ctx, ld=np.longdouble):
+    """k_sz + k_iz - k_pz in long double (or ``ld``), each longitudinal
+    wavevector formed in full, as the direct form of the mismatch."""
     c = ctx.coeffs
     sx, sy = np.asarray(q_s.qx, dtype=ld), np.asarray(q_s.qy, dtype=ld)
     ix, iy = np.asarray(q_i.qx, dtype=ld), np.asarray(q_i.qy, dtype=ld)
@@ -274,10 +274,10 @@ def _longdouble_mismatch(q_s, q_i, ctx):
 
 
 class TestMismatchSplit:
-    def broadcast(self, n):
+    def broadcast(self, n, setup=CrystalSetup.single(5e-3, math.radians(32.9)),
+                  **extent):
         pump = PumpSpec(LAMBDA_P, 507e-6)
-        setup = CrystalSetup.single(5e-3, math.radians(32.9))
-        q = MomentumGrid4.auto(pump, setup, n=n).q_axis
+        q = MomentumGrid4.auto(pump, setup, n=n, **extent).q_axis
         return (TransverseMomentum(q[:, None, None, None], q[None, :, None, None]),
                 TransverseMomentum(q[None, None, :, None], q[None, None, None, :]))
 
@@ -291,10 +291,64 @@ class TestMismatchSplit:
         ctx = make_context(math.radians(32.9), LAMBDA_P)
         q_s, q_i = self.broadcast(16)
         ref = _longdouble_mismatch(q_s, q_i, ctx)
-        k_pz, k_sz, k_iz = longitudinal_wavevectors(q_s, q_i, ctx)
-        err_direct = float(np.abs(k_sz + k_iz - k_pz - ref).max())
+        direct = _longdouble_mismatch(q_s, q_i, ctx, ld=np.float64)
+        err_direct = float(np.abs(direct - ref).max())
         err_split = float(np.abs(delta_kz(q_s, q_i, ctx) - ref).max())
         assert err_split <= err_direct
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("degrees, kind, extent", [
+        (32.9, "single", {}), (32.93, "single", {}), (33.0, "single", {}),
+        (32.93, "double", {"c2": 3.3})],
+        ids=["32.9", "32.93", "33.0", "c2-3.3"])
+    def test_delta_kz_within_an_ulp_of_the_constant(self, degrees, kind,
+                                                    extent, n):
+        # The float64 constant 2k - eta K_p0 sets the floor: fl(k) and
+        # fl(eta K_p0) are each within half an ulp, their difference is
+        # exact (Sterbenz), and the q terms, a few hundred rad/m, round at
+        # about 1e-13.  The bound is one ulp of each of 2k and eta K_p0.
+        theta = math.radians(degrees)
+        setup = (CrystalSetup.single(5e-3, theta) if kind == "single"
+                 else CrystalSetup.double(1e-3, 4e-3, theta))
+        ctx = make_context(theta, LAMBDA_P)
+        q_s, q_i = self.broadcast(n, setup, **extent)
+        ref = _longdouble_mismatch(q_s, q_i, ctx)
+        bound = np.spacing(2 * ctx.k_signal) + np.spacing(ctx.k_pump_z0)
+        assert float(np.abs(delta_kz(q_s, q_i, ctx) - ref).max()) <= bound
+
+    def test_every_mismatch_reads_the_parts(self, monkeypatch):
+        # A constant added to h_x moves delta_kz and the factor build's pair
+        # table a by that constant, leaves b as it is, and changes the
+        # amplitude: no caller keeps a copy of the formula.
+        import biphoton.dispersion as dispersion
+        from biphoton.fields import _pair_tables
+
+        shift = 512.0
+        setup = CrystalSetup.single(5e-3, math.radians(32.9))
+        pump = PumpSpec(LAMBDA_P, 507e-6)
+        pipe = Pipeline(pump, setup, MomentumGrid4.auto(pump, setup, n=16),
+                        boundary_tol=None)
+        ctx = make_context(setup.theta_p, LAMBDA_P)
+        q_s, q_i = self.broadcast(16)
+
+        def evaluate():
+            tables = _pair_tables(pipe)
+            return (delta_kz(q_s, q_i, ctx), tables[3], tables[4],
+                    momentum_amplitude(q_s, q_i, pump, setup))
+
+        dkz, a, b, amp = evaluate()
+        parts = dispersion.mismatch_parts
+
+        def shifted(q, q_p, ctx):
+            f, h_x, h_y = parts(q, q_p, ctx)
+            return f, h_x + shift, h_y
+
+        monkeypatch.setattr(dispersion, "mismatch_parts", shifted)
+        dkz_s, a_s, b_s, amp_s = evaluate()
+        np.testing.assert_allclose(dkz_s - dkz, shift, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(a_s - a, shift, rtol=0, atol=1e-9)
+        assert np.array_equal(b_s, b)
+        assert np.abs(amp_s - amp).max() > 1e-3 * np.abs(amp).max()
 
     def test_pump_only_trip_warns_and_raises(self):
         # Beyond the collinear angle 2k > eta K_p0, so |q_s|, |q_i| just

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from biphoton.dispersion import (
     TransverseMomentum,
     collinear_angle,
-    longitudinal_wavevectors,
     make_context,
 )
 from biphoton.fields import MomentumGrid4
@@ -267,6 +266,19 @@ class TestMomentumAmplitude:
             assert complex(grid[k]) == pytest.approx(complex(one), rel=1e-14)
 
 
+def _direct_mismatch(q_s, q_i, ctx):
+    """k_sz + k_iz - k_pz, each longitudinal wavevector formed in full: the
+    float64 copy of test_dispersion's long-double reference."""
+    c = ctx.coeffs
+    q_px, q_py = q_s.qx + q_i.qx, q_s.qy + q_i.qy
+    k_pz = (-c.alpha * q_px + c.eta * ctx.K_p0
+            - (c.beta**2 * q_px**2 + c.gamma**2 * q_py**2)
+            / (2 * c.eta * ctx.K_p0))
+    k_sz = ctx.k_signal - (q_s.qx**2 + q_s.qy**2) / (2 * ctx.k_signal)
+    k_iz = ctx.k_signal - (q_i.qx**2 + q_i.qy**2) / (2 * ctx.k_signal)
+    return k_sz + k_iz - k_pz
+
+
 class TestSplitKernelOracle:
     """The split kernel against sin/cos of the full mismatch on the 4D grid."""
 
@@ -282,8 +294,7 @@ class TestSplitKernelOracle:
         q_i = TransverseMomentum(q[None, None, :, None], q[None, None, None, :])
         got = momentum_amplitude(q_s, q_i, PUMP, setup)
 
-        k_pz, k_sz, k_iz = longitudinal_wavevectors(q_s, q_i, ctx)
-        dkz = k_sz + k_iz - k_pz
+        dkz = _direct_mismatch(q_s, q_i, ctx)
         h = dkz * setup.length / 2
         ref = np.sinc(h / np.pi)
         if setup.kind == "single":
